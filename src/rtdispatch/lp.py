@@ -9,6 +9,18 @@ to zero, so no artificial columns are ever added and any basis — cold
 slack basis or a warm start from a previous solution — is a legal entry
 point.
 
+The work outside pricing and FTRAN touches only nonzeros: the slack-
+augmented matrix [A I] is assembled once per solve from the row lists,
+the entering column is read from its CSC arrays, the ratio test scans
+only rows whose basic variable moves, and the product-form update
+rewrites only the rows where the entering column's FTRAN is nonzero.
+The cold slack basis starts from the identity, with no factorization.
+Pricing (c_B B^-1, then A'y), FTRAN (a dense B^-1 a_j) and
+refactorization (a dense inverse) keep their dense arithmetic.  Every
+skipped operation would have added or subtracted a zero or filled a row
+the ratio test cannot choose, so the pivot sequence and every
+floating-point value are those of the all-dense kernel.
+
 Dual sign conventions (minimization): duals of >= rows are nonnegative,
 of <= rows nonpositive, of = rows free.  Reduced costs are nonnegative
 at a lower bound and nonpositive at an upper bound.
@@ -97,9 +109,11 @@ class LinearProgram:
         vals = np.asarray(vals, dtype=np.float64)
         if cols.shape != vals.shape:
             raise ValueError("row indices and values differ in length")
-        if cols.size and (cols.min() < 0 or cols.max() >= self.n_vars):
+        # checks on a plain list: numpy reductions cost more on short rows
+        idx = cols.tolist()
+        if idx and (min(idx) < 0 or max(idx) >= self.n_vars):
             raise ValueError("row references a variable that does not exist")
-        if len(np.unique(cols)) != len(cols):
+        if len(set(idx)) != len(idx):
             raise ValueError("row has duplicate column indices")
         self.row_cols.append(cols)
         self.row_vals.append(vals)
@@ -227,14 +241,15 @@ def append_rows_and_resolve(lp, sol, new_rows, opts=None):
     warm = None
     if sol is not None and sol.basis is not None:
         basis, vstat = sol.basis
-        n, m_old, m_new = lp.n_vars, lp.n_rows, ext.n_rows
-        # old slack indices keep their positions; new slacks join the basis
+        # the basis covers only the rows the simplex kept (presolve drops
+        # empty ones): old slack indices keep their positions, and the
+        # slacks of the kept new rows join the basis after them
+        n, m_old = lp.n_vars, len(basis)
+        added = sum(len(cols) > 0 for cols in ext.row_cols[lp.n_rows:])
         new_basis = np.concatenate(
-            [basis, np.arange(n + m_old, n + m_new, dtype=np.int64)]
+            [basis, np.arange(n + m_old, n + m_old + added, dtype=np.int64)]
         )
-        new_vstat = np.concatenate(
-            [vstat, np.full(m_new - m_old, BASIC, dtype=np.int8)]
-        )
+        new_vstat = np.concatenate([vstat, np.full(added, BASIC, dtype=np.int8)])
         warm = (new_basis, new_vstat)
     return solve_lp(ext, opts, warm=warm)
 
@@ -247,13 +262,12 @@ class _Simplex:
     def __init__(self, lp, opts, warm=None):
         self.lp = lp
         self.opts = opts
-        n, m = lp.n_vars, lp.n_rows
-        A = lp.matrix()
+        n = lp.n_vars
         senses = np.asarray(lp.senses, dtype=np.int8)
         rhs = lp.rhs_array()
 
         # presolve: drop rows with no coefficients after checking consistency
-        nnz_per_row = np.diff(A.tocsr().indptr) if m else np.empty(0, dtype=np.int64)
+        nnz_per_row = np.array([len(c) for c in lp.row_cols], dtype=np.int64)
         keep = nnz_per_row > 0
         self.empty_row_infeasible = False
         for i in np.nonzero(~keep)[0]:
@@ -264,11 +278,10 @@ class _Simplex:
             if bad:
                 self.empty_row_infeasible = True
         self.row_map = np.nonzero(keep)[0]
-        self.full_m = m
-        A = A.tocsr()[keep].tocsc()
+        self.full_m = lp.n_rows
         senses = senses[keep]
         rhs = rhs[keep]
-        m = A.shape[0]
+        m = len(self.row_map)
 
         slack_lo = np.where(senses == GE, -np.inf, 0.0)
         slack_hi = np.where(senses == LE, np.inf, 0.0)
@@ -276,10 +289,16 @@ class _Simplex:
         # can never enter one
         self.n, self.m = n, m
         self.N = n + m
-        self.A = sp.hstack(
-            [A, sp.identity(m, format="csc")], format="csc"
-        ) if m else sp.csc_matrix((0, n))
-        self.AT = self.A.T.tocsr()
+        # [A I] over the kept rows, assembled once; entries of each column
+        # are in row order, so every sparse product sums in a fixed order
+        rows = np.concatenate(
+            [np.repeat(np.arange(m, dtype=np.int64), nnz_per_row[keep]),
+             np.arange(m, dtype=np.int64)]
+        )
+        cols = np.concatenate(lp.row_cols + [np.arange(n, n + m, dtype=np.int64)])
+        data = np.concatenate(lp.row_vals + [np.ones(m)])
+        self.A = sp.csc_matrix((data, (rows, cols)), shape=(m, self.N))
+        self.AT = self.A.T
         self.c = np.concatenate([lp.cost, np.zeros(m)])
         self.lo = np.concatenate([lp.lower, slack_lo])
         self.hi = np.concatenate([lp.upper, slack_hi])
@@ -294,17 +313,11 @@ class _Simplex:
 
     def _cold_basis(self):
         n, m = self.n, self.m
-        vstat = np.empty(self.N, dtype=np.int8)
-        for j in range(n):
-            if self.lo[j] == self.hi[j]:
-                vstat[j] = FIXED
-            elif np.isfinite(self.lo[j]):
-                vstat[j] = NB_LO
-            elif np.isfinite(self.hi[j]):
-                vstat[j] = NB_UP
-            else:
-                vstat[j] = NB_FREE
-        vstat[n:] = BASIC
+        lo, hi = self.lo[:n], self.hi[:n]
+        vstat = np.full(self.N, BASIC, dtype=np.int8)
+        vstat[:n] = np.select(
+            [lo == hi, np.isfinite(lo), np.isfinite(hi)], [FIXED, NB_LO, NB_UP], NB_FREE
+        )
         basis = np.arange(n, n + m, dtype=np.int64)
         return basis, vstat
 
@@ -327,27 +340,30 @@ class _Simplex:
                 if self._try_refactor():
                     return
         self.basis, self.vstat = self._cold_basis()
-        if not self._try_refactor():
-            raise LPNumericalError("cold slack basis is singular")
+        # the slack columns are the identity, and so is their inverse
+        self.Binv = np.eye(self.m)
+        self._refresh()
 
     def _try_refactor(self):
-        m = self.m
-        if m == 0:
+        if self.m:
+            B = self.A[:, self.basis].toarray()
+            try:
+                Binv = np.linalg.inv(B)
+            except np.linalg.LinAlgError:
+                return False
+            if not np.all(np.isfinite(Binv)):
+                return False
+            self.Binv = Binv
+        else:
             self.Binv = np.zeros((0, 0))
-            self._set_nonbasic_values()
-            self._since_refactor = 0
-            return True
-        B = self.A[:, self.basis].toarray()
-        try:
-            self.Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(np.isfinite(self.Binv)):
-            return False
+        self._refresh()
+        return True
+
+    def _refresh(self):
+        """Recompute the iterate from the current basis inverse."""
         self._set_nonbasic_values()
         self._recompute_basics()
         self._since_refactor = 0
-        return True
 
     def _set_nonbasic_values(self):
         vs = self.vstat
@@ -395,44 +411,38 @@ class _Simplex:
 
         Returns (t, kind, row, side): kind 'flip' | 'pivot' | 'unbounded';
         side is the bound the leaving variable lands on (NB_LO/NB_UP).
+        Only rows whose basic variable moves (|delta| > piv_tol) can block.
         """
         piv_tol = 1e-10
-        m = self.m
-        xB = self.x[self.basis]
-        loB = self.lo[self.basis]
-        hiB = self.hi[self.basis]
+        delta = sigma * w  # x_B changes by -delta * t
+        rows = np.flatnonzero(np.abs(delta) > piv_tol)
+        delta = delta[rows]
+        basic = self.basis[rows]
+        xB = self.x[basic]
+        loB = self.lo[basic]
+        hiB = self.hi[basic]
         below = xB < loB - ftol
         above = xB > hiB + ftol
-        delta = sigma * w  # x_B changes by -delta * t
-
-        t_rows = np.full(m, np.inf)
-        side = np.full(m, NB_LO, dtype=np.int8)
-        if m:
-            moving_dn = delta > piv_tol
-            bound = np.where(above, hiB, loB)
-            bound[below] = -np.inf
-            with np.errstate(invalid="ignore", divide="ignore"):
-                t = (xB - bound) / delta
-            upd = moving_dn & np.isfinite(t)
-            t_rows[upd] = t[upd]
-            side[upd & above] = NB_UP
-            side[upd & ~above] = NB_LO
-
-            moving_up = delta < -piv_tol
-            bound = np.where(below, loB, hiB)
-            bound[above] = np.inf
-            with np.errstate(invalid="ignore", divide="ignore"):
-                t = (bound - xB) / (-delta)
-            upd = moving_up & np.isfinite(t)
-            t_rows[upd] = np.minimum(t_rows[upd], t[upd])
-            side[upd & below] = NB_LO
-            side[upd & ~below] = NB_UP
-            np.maximum(t_rows, 0.0, out=t_rows)
+        down = delta > 0
+        # a basic moving down stops at its lower bound, one moving up at its
+        # upper bound; in phase 1 one outside its bounds stops where it
+        # re-enters them, and never blocks while moving further away
+        t_rows = np.where(down, xB - loB, hiB - xB)
+        if below.any() or above.any():
+            back = down & above
+            t_rows[back] = xB[back] - hiB[back]
+            back = ~down & below
+            t_rows[back] = loB[back] - xB[back]
+            t_rows[(down & below) | (~down & above)] = np.inf
+        # |delta| is delta moving down and -delta moving up: same quotients
+        t_rows /= np.abs(delta)
+        t_rows[~np.isfinite(t_rows)] = np.inf
+        np.maximum(t_rows, 0.0, out=t_rows)
 
         span = self.hi[j] - self.lo[j]
         flip_limit = span if self.vstat[j] in (NB_LO, NB_UP) and np.isfinite(span) else np.inf
 
-        rmin = t_rows.min() if m else np.inf
+        rmin = t_rows.min() if len(rows) else np.inf
         if flip_limit <= rmin:
             if not np.isfinite(flip_limit):
                 return np.inf, "unbounded", -1, 0
@@ -442,14 +452,18 @@ class _Simplex:
         ties = np.nonzero(t_rows <= rmin + 1e-12 * (1.0 + rmin))[0]
         if self._degen_streak >= self.opts.degen_streak:
             # Bland: smallest leaving variable index
-            r = int(ties[np.argmin(self.basis[ties])])
+            k = int(ties[np.argmin(basic[ties])])
         else:
             # stability: largest pivot magnitude, then smallest index
-            mags = np.abs(w[ties])
+            mags = np.abs(w[rows[ties]])
             best = mags.max()
             strong = ties[mags >= best * (1.0 - 1e-9)]
-            r = int(strong[np.argmin(self.basis[strong])])
-        return rmin, "pivot", r, int(side[r])
+            k = int(strong[np.argmin(basic[strong])])
+        if down[k]:
+            side = NB_UP if above[k] else NB_LO
+        else:
+            side = NB_LO if below[k] else NB_UP
+        return rmin, "pivot", int(rows[k]), side
 
     # -- pivoting ---------------------------------------------------------
 
@@ -472,11 +486,12 @@ class _Simplex:
             self.vstat[leaving] = land_side
         self.vstat[j] = BASIC
         self.basis[r] = j
-        # product-form update of the dense inverse
+        # product-form update of the dense inverse; rows where w is zero
+        # are unchanged by it, so only the others are touched
         Br = self.Binv[r, :] / piv
-        w2 = w.copy()
-        w2[r] = 0.0
-        self.Binv -= np.outer(w2, Br)
+        rows = np.flatnonzero(w)
+        rows = rows[rows != r]
+        self.Binv[rows] -= np.outer(w[rows], Br)
         self.Binv[r, :] = Br
         self._since_refactor += 1
         if self._since_refactor >= self.opts.refactor_every:
@@ -485,9 +500,12 @@ class _Simplex:
         return True
 
     def _column(self, j):
-        if self.m == 0:
-            return np.zeros(0)
-        return self.A[:, [j]].toarray().ravel()
+        """Column j of [A I] as a dense vector, read from the CSC arrays."""
+        A = self.A
+        lo, hi = A.indptr[j], A.indptr[j + 1]
+        col = np.zeros(self.m)
+        col[A.indices[lo:hi]] = A.data[lo:hi]
+        return col
 
     # -- phases -----------------------------------------------------------
 
@@ -775,9 +793,7 @@ def write_lp_format(lp: LinearProgram) -> str:
             f" {lp.row_names[i]}: " + " ".join(parts) + f" {rel[lp.senses[i]]} {_num(lp.rhs[i])}"
         )
     out.append("Bounds")
-    for j in range(lp.n_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        name = lp.var_names[j]
+    for lo, hi, name in zip(lp.lower, lp.upper, lp.var_names):
         if lo == hi:
             out.append(f" {name} = {_num(lo)}")
         elif np.isinf(-lo) and np.isinf(hi):

@@ -54,6 +54,22 @@ def test_two_var_append_row(backend):
     assert_solution_clean(aug, sol2)
 
 
+def test_append_row_keeps_warm_start_past_an_empty_row():
+    # presolve drops the vacuous row, so the warm basis must not count it
+    lp = two_var_example()
+    lp.add_row([], [], "<=", 5.0, name="vacuous")
+    sol = solve_lp(lp)
+    sol2 = append_rows_and_resolve(lp, sol, [([0], [1.0], "<=", 5.0)])
+    plain = two_var_example()
+    plain_sol = append_rows_and_resolve(
+        plain, solve_lp(plain), [([0], [1.0], "<=", 5.0)]
+    )
+    assert sol2.status == "optimal"
+    assert sol2.objective == pytest.approx(150.0, abs=1e-9)
+    assert sol2.iterations == plain_sol.iterations == 1
+    assert_solution_clean(lp.with_rows([([0], [1.0], "<=", 5.0)]), sol2)
+
+
 def test_single_var_dual():
     lp = LinearProgram()
     x = lp.add_var(0.0, 10.0, cost=1.0)

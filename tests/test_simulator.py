@@ -1,16 +1,20 @@
 """Rolling-simulation tests: policy goldens, fairness, dominance, summaries."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rtdispatch import lp as lpmod
 from rtdispatch.benders import BendersConfig
-from rtdispatch.forecast import HistoryDay, HistoryStore
+from rtdispatch.forecast import HistoryDay, HistoryStore, load_history
 from rtdispatch.model import (
     SystemState,
     ValidationError,
     initial_state,
+    parse_case,
+    parse_timeseries,
     validate_case,
 )
 from rtdispatch.simulator import (
@@ -281,3 +285,51 @@ def test_log_rows_and_summary(toy, toy_day, toy_scenarios):
     assert summary["policy"] == "slad"
     assert summary["total_cost"] == pytest.approx(670.0, abs=1e-5)
     assert summary["total_shortage_mw"] == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the pivot path of the reference simplex on the bundled days
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+# Settled total (exact repr) and simplex pivots summed over every solve of
+# the day.  Reworking the simplex must leave these bit for bit: a different
+# pivot sequence moves the pivot count, different arithmetic the totals.
+# The network day runs as in the README: history forecasts, k=3, horizon 4.
+# Recorded with numpy 2.4 / scipy 1.17; a BLAS that sums its dense products
+# in another order can move the last digits of the network totals.
+PIVOT_PATH = {
+    ("toy", "sced"): ("5500.0", 20),
+    ("toy", "lad"): ("2590.0", 27),
+    ("toy", "slad"): ("670.0", 52),
+    ("toy", "plad"): ("650.0", 25),
+    ("toy", "pd"): ("650.0", 20),
+    ("network", "sced"): ("9280.960557239941", 350),
+    ("network", "lad"): ("9280.960557239938", 786),
+    ("network", "slad"): ("9280.960557239941", 2057),
+    ("network", "plad"): ("9280.960557239941", 805),
+    ("network", "pd"): ("9280.960557239941", 350),
+}
+
+
+@pytest.mark.parametrize("day,kind", list(PIVOT_PATH))
+def test_pivot_path_snapshot(day, kind, monkeypatch):
+    vc = validate_case(parse_case((DATA / f"{day}_case.json").read_text()))
+    actuals = parse_timeseries((DATA / f"{day}_day.csv").read_text(), vc)
+    if day == "toy":
+        scen = parse_timeseries((DATA / "toy_scenarios.csv").read_text(), vc)
+        policy = PolicySpec(kind=kind, scenarios=scen)
+    else:
+        hist = load_history((DATA / "network_history.csv").read_text(), vc)
+        policy = PolicySpec(kind=kind, horizon=4, knn_k=3, history=hist)
+    pivots = []
+    solve = lpmod._Simplex.solve
+
+    def counted(self):
+        sol = solve(self)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(lpmod._Simplex, "solve", counted)
+    log = run_simulation(vc, actuals, policy)
+    assert (repr(log.total_cost), sum(pivots)) == PIVOT_PATH[(day, kind)]
