@@ -30,7 +30,7 @@ from .formulation import (
     pin_duals,
     pin_rhs_updates,
 )
-from .lp import BASIC, LPNumericalError, LPOptions, solve_lp
+from .lp import LPNumericalError, LPOptions, extend_warm_start, solve_lp
 from .model import ValidationError
 
 
@@ -188,16 +188,7 @@ def solve_with_lazy_flows(lp, vmap, opts=None, tol=1e-6, max_rounds=50):
             vmap.add_row(key, n_rows + i)
             rows.append((cols, vals, sense, rhs, name))
         ext = lp.with_rows(rows)
-        warm = None
-        if sol.basis is not None:
-            basis, vstat = sol.basis
-            warm = (
-                np.concatenate(
-                    [basis, np.arange(lp.n_vars + n_rows, lp.n_vars + ext.n_rows)]
-                ),
-                np.concatenate([vstat, np.full(len(rows), BASIC, dtype=np.int8)]),
-            )
-        lp, sol = ext, solve_lp(ext, opts, warm=warm)
+        lp, sol = ext, solve_lp(ext, opts, warm=extend_warm_start(lp, sol, ext))
     raise LPNumericalError(
         f"flowgate generation did not settle within {max_rounds} rounds"
     )
@@ -219,6 +210,7 @@ class _ScenarioOracle:
             vc, scenarios, s, x1=None, first_period=first_period, flows=config.flows
         )
         self.config = config
+        self._pin_rows = np.asarray(self.vmap.meta["pin_rows"], dtype=np.int64)
         self.scenario_id = scenarios.scenarios[s].id
         self.position = s
         self._last = None
@@ -257,12 +249,9 @@ class _ScenarioOracle:
         non-pin rows plus the bound terms.  They agree iff strong duality
         held at the solve, so a disagreement flags a numerical failure
         rather than being absorbed into the cut pool."""
-        pin_rows = set(self.vmap.meta["pin_rows"])
-        rhs = lp.rhs_array()
-        dual_obj = lp.obj_const
-        for r in range(lp.n_rows):
-            if r not in pin_rows:
-                dual_obj += sol.duals[r] * rhs[r]
+        other = np.ones(lp.n_rows, dtype=bool)
+        other[self._pin_rows] = False
+        dual_obj = lp.obj_const + float(sol.duals[other] @ lp.rhs_array()[other])
         z = sol.reduced_costs
         lo, hi = lp.lower, lp.upper
         # a meaningful reduced cost on an infinite bound is dual infeasibility;

@@ -25,8 +25,11 @@ Dual sign conventions (minimization): duals of >= rows are nonnegative,
 of <= rows nonpositive, of = rows free.  Reduced costs are nonnegative
 at a lower bound and nonpositive at an upper bound.
 
-A second backend wraps scipy.optimize.linprog's HiGHS method behind the
-same interface; both backends feed the same KKT verifier.
+A second backend hands the model to HiGHS through the binding scipy
+bundles (scipy.optimize._highspy), in exactly the form
+scipy.optimize.linprog(method="highs") would, so its solutions are
+linprog's bit for bit without linprog's per-call overhead.  Both backends
+feed the same KKT verifier.
 """
 
 from __future__ import annotations
@@ -238,20 +241,26 @@ def append_rows_and_resolve(lp, sol, new_rows, opts=None):
     start is purely a speed device.
     """
     ext = lp.with_rows(new_rows)
-    warm = None
-    if sol is not None and sol.basis is not None:
-        basis, vstat = sol.basis
-        # the basis covers only the rows the simplex kept (presolve drops
-        # empty ones): old slack indices keep their positions, and the
-        # slacks of the kept new rows join the basis after them
-        n, m_old = lp.n_vars, len(basis)
-        added = sum(len(cols) > 0 for cols in ext.row_cols[lp.n_rows:])
-        new_basis = np.concatenate(
-            [basis, np.arange(n + m_old, n + m_old + added, dtype=np.int64)]
-        )
-        new_vstat = np.concatenate([vstat, np.full(added, BASIC, dtype=np.int8)])
-        warm = (new_basis, new_vstat)
-    return solve_lp(ext, opts, warm=warm)
+    return solve_lp(ext, opts, warm=extend_warm_start(lp, sol, ext))
+
+
+def extend_warm_start(lp, sol, ext):
+    """The warm start for ``ext`` (``lp`` with rows appended) from ``sol``.
+
+    None when ``sol`` carries no basis.
+    """
+    if sol is None or sol.basis is None:
+        return None
+    basis, vstat = sol.basis
+    # the basis covers only the rows the simplex kept (presolve drops
+    # empty ones): old slack indices keep their positions, and the slacks
+    # of the kept new rows join the basis after them
+    n, m_old = lp.n_vars, len(basis)
+    added = sum(len(cols) > 0 for cols in ext.row_cols[lp.n_rows:])
+    return (
+        np.concatenate([basis, np.arange(n + m_old, n + m_old + added, dtype=np.int64)]),
+        np.concatenate([vstat, np.full(added, BASIC, dtype=np.int8)]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -626,60 +635,150 @@ class _Simplex:
 
 
 # ---------------------------------------------------------------------------
-# HiGHS backend (scipy wrapper)
+# HiGHS backend (the HiGHS core bundled with scipy)
 
 
 def _solve_highs(lp, opts):
-    from scipy.optimize import linprog
+    """Solve on HiGHS, handing it the model and options linprog would.
+
+    The call mirrors ``scipy.optimize.linprog(method="highs")`` step for
+    step (row layout, matrix, options, read-back and post-solve check), so
+    every solution is bit for bit the one linprog returns, without its
+    input cleaning, option round trips and per-column loops.
+    """
+    # imported here: loading it loads scipy.optimize, which the reference
+    # simplex never needs
+    from scipy.optimize._highspy import _core as hc
 
     n, m = lp.n_vars, lp.n_rows
     senses = np.asarray(lp.senses, dtype=np.int8)
     rhs = lp.rhs_array()
-    A = lp.matrix().tocsr()
+    lower, upper = lp.lower, lp.upper
 
-    ub_rows = np.nonzero(senses != EQ)[0]
-    eq_rows = np.nonzero(senses == EQ)[0]
-    # >= rows are negated into <= form; their duals flip sign back below
-    sign = np.where(senses[ub_rows] == GE, -1.0, 1.0)
-    A_ub = sp.diags(sign) @ A[ub_rows] if len(ub_rows) else None
-    b_ub = sign * rhs[ub_rows] if len(ub_rows) else None
-    A_eq = A[eq_rows] if len(eq_rows) else None
-    b_eq = rhs[eq_rows] if len(eq_rows) else None
+    # linprog's layout: the <= and >= rows in model order, >= rows negated
+    # (their duals flip back below), then the = rows; HiGHS reads each row
+    # as lhs <= a'x <= rhs
+    ub_rows = np.flatnonzero(senses != EQ)
+    eq_rows = np.flatnonzero(senses == EQ)
+    n_ub = len(ub_rows)
+    sign = np.where(senses == GE, -1.0, 1.0)
+    position = np.empty(m, dtype=np.int64)
+    position[ub_rows] = np.arange(n_ub)
+    position[eq_rows] = np.arange(n_ub, m)
+    b_eq = rhs[eq_rows]
+    row_upper = np.concatenate([sign[ub_rows] * rhs[ub_rows], b_eq])
+    row_lower = np.concatenate([np.full(n_ub, -np.inf), b_eq])
 
-    res = linprog(
-        lp.cost,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs",
-        options={"maxiter": opts.max_iters, "dual_feasibility_tolerance": opts.opt_tol,
-                 "primal_feasibility_tolerance": opts.feas_tol},
-    )
-    status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status)
-    if status is None:
-        raise LPNumericalError(f"HiGHS backend failed: {res.message}")
-    x = np.asarray(res.x) if res.x is not None else np.zeros(n)
+    # CSC with sorted row indices; HiGHS drops explicit zeros itself
+    nnz = np.fromiter(map(len, lp.row_cols), dtype=np.int64, count=m)
+    cols = np.concatenate(lp.row_cols) if m else np.zeros(0, dtype=np.int64)
+    vals = np.concatenate(lp.row_vals) * np.repeat(sign, nnz) if m else np.zeros(0)
+    rows = np.repeat(position, nnz)
+    order = np.argsort(cols * m + rows)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+
+    def highs_inf(v):
+        return np.where(np.isinf(v), np.copysign(hc.kHighsInf, v), v)
+
+    model = hc.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = m
+    model.a_matrix_.format_ = hc.MatrixFormat.kColwise
+    # the binding copies a float64 array in one piece but converts integer
+    # arrays element by element, which a list does faster
+    model.a_matrix_.start_ = start.tolist()
+    model.a_matrix_.index_ = rows[order].tolist()
+    model.a_matrix_.value_ = vals[order]
+    model.col_cost_ = lp.cost
+    model.col_lower_ = highs_inf(lower)
+    model.col_upper_ = highs_inf(upper)
+    model.row_lower_ = highs_inf(row_lower)
+    model.row_upper_ = highs_inf(row_upper)
+
+    options = hc.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = hc.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = hc.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    options.primal_feasibility_tolerance = opts.feas_tol
+    options.dual_feasibility_tolerance = opts.opt_tol
+    options.simplex_iteration_limit = opts.max_iters
+    options.ipm_iteration_limit = opts.max_iters
+
+    highs = hc._Highs()
+    error = hc.HighsStatus.kError
+    if highs.passOptions(options) == error:
+        raise LPNumericalError("HiGHS backend failed: options rejected")
+    info = None  # stays None, as linprog's counts stay 0, if HiGHS did not run
+    if highs.passModel(model) == error:
+        model_status = hc.HighsModelStatus.kModelError
+    else:
+        if highs.run() != error:
+            info = highs.getInfo()
+        model_status = highs.getModelStatus()
+    ms = hc.HighsModelStatus
+    status = {
+        ms.kOptimal: OPTIMAL,
+        ms.kTimeLimit: ITERATION_LIMIT,
+        ms.kIterationLimit: ITERATION_LIMIT,
+        ms.kInfeasible: INFEASIBLE,
+        ms.kModelError: INFEASIBLE,
+        ms.kUnbounded: UNBOUNDED,
+    }.get(model_status)
+    if status is None or (status == OPTIMAL and info is None):
+        raise LPNumericalError(
+            f"HiGHS backend failed: {highs.modelStatusToString(model_status)}"
+        )
+    iterations = 0 if info is None else info.simplex_iteration_count or info.ipm_iteration_count
+    if status != OPTIMAL:
+        return LPSolution(
+            status=status,
+            objective=np.inf if status == INFEASIBLE else -np.inf,
+            x=np.zeros(n),
+            duals=np.zeros(m),
+            reduced_costs=np.zeros(n),
+            iterations=iterations,
+        )
+
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = info.objective_function_value
+    # linprog's post-solve check: an "optimal" point outside the bounds,
+    # a negative <= slack or an = residual beyond sqrt(1e-9) * 10 is an error
+    slack = row_upper - np.array(solution.row_value)
+    tol = np.sqrt(1e-9) * 10
+    if (
+        np.isnan(x).any()
+        or np.isnan(fun)
+        or np.isnan(slack).any()
+        or not np.all((x >= lower - tol) & (x <= upper + tol))
+        or (slack[:n_ub] < -tol).any()
+        or (np.abs(slack[n_ub:]) > tol).any()
+    ):
+        raise LPNumericalError(
+            "HiGHS backend failed: the solution does not satisfy the "
+            f"constraints within {tol:.2E}"
+        )
+    row_dual = np.array(solution.row_dual)
     duals = np.zeros(m)
-    rc = np.zeros(n)
-    if status == OPTIMAL:
-        if len(ub_rows):
-            duals[ub_rows] = sign * np.asarray(res.ineqlin.marginals)
-        if len(eq_rows):
-            duals[eq_rows] = np.asarray(res.eqlin.marginals)
-        rc = np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals)
-    obj = float(res.fun + lp.obj_const) if status in (OPTIMAL, ITERATION_LIMIT) and res.fun is not None else (
-        np.inf if status == INFEASIBLE else -np.inf
+    duals[ub_rows] = sign[ub_rows] * row_dual[:n_ub]
+    duals[eq_rows] = row_dual[n_ub:]
+    # a column's reduced cost is its dual at a bound and 0 otherwise;
+    # linprog summed a lower and an upper part, which turns -0.0 into 0.0
+    col_status = np.fromiter(map(int, highs.getBasis().col_status), dtype=np.int8, count=n)
+    at_bound = (col_status == int(hc.HighsBasisStatus.kLower)) | (
+        col_status == int(hc.HighsBasisStatus.kUpper)
     )
+    rc = np.where(at_bound, np.array(solution.col_dual), 0.0) + 0.0
     return LPSolution(
         status=status,
-        objective=obj,
+        objective=float(fun + lp.obj_const),
         x=x,
         duals=duals,
         reduced_costs=rc,
-        iterations=int(getattr(res, "nit", 0)),
-        basis=None,
+        iterations=iterations,
     )
 
 

@@ -9,6 +9,7 @@ from rtdispatch.benders import (
     BendersConfig,
     Cut,
     CutPool,
+    _ScenarioOracle,
     flow_violations,
     in_out_candidate,
     run_benders,
@@ -20,7 +21,8 @@ from rtdispatch.formulation import (
     first_stage_keys,
     pin_rhs_updates,
 )
-from rtdispatch.lp import LPOptions, solve_lp
+from rtdispatch import lp as lpmod
+from rtdispatch.lp import LPNumericalError, LPOptions, solve_lp
 from rtdispatch.model import ValidationError, initial_state
 
 from conftest import case3_scenarios, case3_state, make_case3, toy_state
@@ -201,6 +203,31 @@ def test_in_out_candidate_blends():
     assert mid[("pg", "G2")] == pytest.approx(6.0)
 
 
+def test_cut_constant_check_prices_every_non_pin_row(case3):
+    scen = case3_scenarios(seed=59, horizon=3, n=2)
+    x1 = run_benders(case3, case3_state(), scen).x1
+    oracle = _ScenarioOracle(case3, scen, 0, 0, BendersConfig())
+    _q, sigma, rhs_const = oracle.query(x1)
+    lp = oracle.lp.with_rhs(pin_rhs_updates(oracle.vmap, x1))
+    sol = oracle._last
+    pins = set(oracle.vmap.meta["pin_rows"])
+    rhs = lp.rhs_array()
+    other = next(r for r in range(lp.n_rows) if r not in pins and abs(rhs[r]) > 1.0)
+    pin = next(iter(pins))
+
+    def check(row, shift):
+        duals = sol.duals.copy()
+        duals[row] += shift
+        oracle._check_cut_constant(
+            lp, dataclasses.replace(sol, duals=duals), x1, sigma, rhs_const
+        )
+
+    check(pin, 0.0)
+    check(pin, 1e3)  # pin rows are priced through sigma, not the dual route
+    with pytest.raises(LPNumericalError, match="disagrees"):
+        check(other, 1e3)
+
+
 # ---------------------------------------------------------------------------
 # lazy flowgate generation
 
@@ -230,6 +257,26 @@ def test_lazy_generation_reaches_the_full_model():
     assert final_lp.n_rows > n0  # congestion actually forced generation
     # and the fixed point certifies feasibility of every monitored limit
     assert flow_violations(lazy_vm, sol, 1e-6) == []
+
+
+def test_lazy_rounds_keep_warm_start_past_an_empty_row(monkeypatch):
+    # presolve drops the vacuous row, so each round's warm basis must not count it
+    vc, scen = _congested_setup()
+    lazy_lp, lazy_vm = build_slad_extensive(vc, case3_state(), scen, flows="lazy")
+    lazy_lp = lazy_lp.with_rows([([], [], "<=", 1.0, "vacuous")])
+    accepted = []
+    init_basis = lpmod._Simplex._init_basis
+
+    def recorded(self, warm):
+        init_basis(self, warm)
+        if warm is not None:
+            accepted.append(np.array_equal(self.basis, warm[0]))
+
+    monkeypatch.setattr(lpmod._Simplex, "_init_basis", recorded)
+    sol, final_lp = solve_with_lazy_flows(lazy_lp, lazy_vm, tol=1e-6)
+    assert sol.status == "optimal"
+    assert final_lp.n_rows > lazy_lp.n_rows
+    assert accepted and all(accepted), accepted
 
 
 def test_benders_with_lazy_flows_matches_full():

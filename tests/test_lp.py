@@ -1,9 +1,17 @@
 """LP layer tests: golden cases, brute-force oracle sweeps, backend agreement."""
 
+import dataclasses
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from rtdispatch import lp as lpmod
+from rtdispatch.benders import BendersConfig, run_benders
+from rtdispatch.formulation import build_lad, build_sced
 from rtdispatch.lp import (
     LinearProgram,
     LPOptions,
@@ -12,7 +20,9 @@ from rtdispatch.lp import (
     verify_kkt,
     write_lp_format,
 )
+from rtdispatch.model import validate_case
 
+import conftest
 from helpers import assert_solution_clean, enumerate_optimum, random_box_lp
 
 BACKENDS = ["simplex", "highs"]
@@ -185,8 +195,7 @@ def test_random_small_vs_vertex_oracle(seed):
         assert_solution_clean(lp, sol)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_random_medium_vs_highs(seed):
+def random_medium_lp(seed):
     rng = np.random.default_rng(2000 + seed)
     n = int(rng.integers(5, 31))
     m = int(rng.integers(3, 31))
@@ -205,6 +214,12 @@ def test_random_medium_vs_highs(seed):
             "<=" if rng.uniform() < 0.5 else ">="
         )
         lp.add_row(cols, vals, sense, rng.uniform(-8, 8))
+    return lp
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_medium_vs_highs(seed):
+    lp = random_medium_lp(seed)
     ours = solve_lp(lp)
     ref = solve_lp(lp, LPOptions(backend="highs"))
     assert ours.status == ref.status, (ours.status, ref.status)
@@ -297,3 +312,196 @@ def test_row_validation():
         lp.add_row([0, 0], [1.0, 2.0], "<=", 1.0)  # duplicate column
     with pytest.raises(ValueError):
         lp.add_row([3], [1.0], "<=", 1.0)  # unknown variable
+
+
+# ---------------------------------------------------------------------------
+# the HiGHS backend against the scipy.optimize.linprog call it replaced
+
+
+def linprog_reference(lp, opts):
+    """solve_lp(backend="highs") as it was when it went through linprog."""
+    n, m = lp.n_vars, lp.n_rows
+    senses = np.asarray(lp.senses, dtype=np.int8)
+    rhs = lp.rhs_array()
+    A = lp.matrix().tocsr()
+    ub_rows = np.nonzero(senses != lpmod.EQ)[0]
+    eq_rows = np.nonzero(senses == lpmod.EQ)[0]
+    sign = np.where(senses[ub_rows] == lpmod.GE, -1.0, 1.0)
+    res = linprog(
+        lp.cost,
+        A_ub=sp.diags(sign) @ A[ub_rows] if len(ub_rows) else None,
+        b_ub=sign * rhs[ub_rows] if len(ub_rows) else None,
+        A_eq=A[eq_rows] if len(eq_rows) else None,
+        b_eq=rhs[eq_rows] if len(eq_rows) else None,
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        method="highs",
+        options={"maxiter": opts.max_iters, "dual_feasibility_tolerance": opts.opt_tol,
+                 "primal_feasibility_tolerance": opts.feas_tol},
+    )
+    status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    if status is None:
+        raise lpmod.LPNumericalError(f"HiGHS backend failed: {res.message}")
+    x = np.asarray(res.x) if res.x is not None else np.zeros(n)
+    duals = np.zeros(m)
+    rc = np.zeros(n)
+    if status == "optimal":
+        if len(ub_rows):
+            duals[ub_rows] = sign * np.asarray(res.ineqlin.marginals)
+        if len(eq_rows):
+            duals[eq_rows] = np.asarray(res.eqlin.marginals)
+        rc = np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals)
+    if status in ("optimal", "iteration_limit") and res.fun is not None:
+        obj = float(res.fun + lp.obj_const)
+    else:
+        obj = np.inf if status == "infeasible" else -np.inf
+    return lpmod.LPSolution(status=status, objective=obj, x=x, duals=duals,
+                            reduced_costs=rc, iterations=int(getattr(res, "nit", 0)))
+
+
+def assert_same_bytes(sol, ref):
+    assert (sol.status, sol.iterations, repr(sol.objective)) == (
+        ref.status, ref.iterations, repr(ref.objective)
+    )
+    for field in ("x", "duals", "reduced_costs"):
+        a, b = getattr(sol, field), getattr(ref, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+    assert sol.basis is None
+
+
+def assert_highs_matches_linprog(lp, opts=None):
+    opts = dataclasses.replace(opts or LPOptions(), backend="highs")
+    sol = solve_lp(lp, opts)
+    assert_same_bytes(sol, linprog_reference(lp, opts))
+    return sol
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_highs_matches_linprog_on_random_lps(seed):
+    assert_highs_matches_linprog(random_medium_lp(seed))
+
+
+def _fixed_and_free():
+    lp = LinearProgram()
+    x = lp.add_var(3.0, 3.0, cost=-1.0)
+    y = lp.add_var(-np.inf, np.inf, cost=1.0)
+    z = lp.add_var(-np.inf, 4.0, cost=-2.0)
+    lp.add_row([x, y, z], [1.0, 1.0, 0.0], ">=", 5.0)  # explicit zeros too
+    lp.add_row([x, y, z], [0.0, 1.0, -1.0], "=", 1.0)
+    lp.add_row([x, z], [2.0, 1.0], "<=", 12.0)
+    lp.obj_const = 2.5
+    return lp
+
+
+def _infeasible():
+    lp = LinearProgram()
+    x = lp.add_var(0.0, 10.0)
+    lp.add_row([x], [1.0], ">=", 5.0)
+    lp.add_row([x], [1.0], "<=", 2.0)
+    return lp
+
+
+def _unbounded():
+    lp = LinearProgram()
+    x = lp.add_var(0.0, np.inf, cost=-1.0)
+    y = lp.add_var(0.0, 1.0, cost=1.0)
+    lp.add_row([x, y], [1.0, -1.0], ">=", 0.0)
+    return lp
+
+
+def _empty_row():
+    lp = two_var_example()
+    lp.add_row([], [], "<=", 5.0, name="vacuous")
+    return lp
+
+
+def _no_rows():
+    lp = LinearProgram()
+    lp.add_var(-2.0, 5.0, cost=3.0)
+    lp.add_var(-2.0, 5.0, cost=-3.0)
+    lp.add_var(-1.0, 1.0, cost=-0.0)  # HiGHS reports its dual as -0.0
+    return lp
+
+
+def _unloadable():
+    # a coefficient past HiGHS' large_matrix_value: the model does not load,
+    # which linprog reports as infeasible
+    lp = LinearProgram()
+    x = lp.add_var(0.0, 1.0, cost=1.0)
+    lp.add_row([x], [1e20], ">=", 1.0)
+    return lp
+
+
+@pytest.mark.parametrize("build,status", [
+    (_unloadable, "infeasible"),
+    (_empty_row, "optimal"),
+    (_no_rows, "optimal"),
+    (_fixed_and_free, "optimal"),
+    (_infeasible, "infeasible"),
+    (_unbounded, "unbounded"),
+])
+def test_highs_matches_linprog_on_edge_cases(build, status):
+    assert assert_highs_matches_linprog(build()).status == status
+
+
+def test_highs_iteration_limit_matches_linprog():
+    sol = assert_highs_matches_linprog(two_var_example(), LPOptions(max_iters=0))
+    assert sol.status == "iteration_limit"
+    assert sol.objective == -np.inf
+
+
+def test_highs_unknown_status_raises_like_linprog():
+    lp = LinearProgram()
+    x = lp.add_var(0.0, 1.0, cost=1e300)
+    lp.add_row([x], [1.0], ">=", 0.5)
+    opts = LPOptions(backend="highs")
+    with pytest.raises(lpmod.LPNumericalError, match="HiGHS backend failed"):
+        linprog_reference(lp, opts)
+    with pytest.raises(lpmod.LPNumericalError, match="HiGHS backend failed"):
+        solve_lp(lp, opts)
+
+
+def test_only_a_highs_solve_loads_scipy_optimize():
+    # the HiGHS core is imported on the first HiGHS solve; importing it loads
+    # scipy.optimize, which would add to a simplex-only run's start-up time
+    code = (
+        "import sys\n"
+        "from rtdispatch.lp import LinearProgram, LPOptions, solve_lp\n"
+        "lp = LinearProgram()\n"
+        "lp.add_row([lp.add_var(0.0, 1.0, cost=1.0)], [1.0], '>=', 0.5)\n"
+        "solve_lp(lp)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "solve_lp(lp, LPOptions(backend='highs'))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("system", ["toy", "network"])
+def test_highs_matches_linprog_on_dispatch_models(system, monkeypatch):
+    solve = lpmod._solve_highs
+    solved = []
+
+    def compared(lp, opts):
+        sol = solve(lp, opts)
+        assert_same_bytes(sol, linprog_reference(lp, opts))
+        solved.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(lpmod, "_solve_highs", compared)
+    if system == "toy":
+        vc = validate_case(conftest.make_toy_case())
+        state, day, scen = conftest.toy_state(), conftest.make_toy_day(), conftest.make_toy_scenarios()
+    else:
+        vc = validate_case(conftest.make_case3())
+        state = conftest.case3_state()
+        day = conftest.case3_actual_day(horizon=4)
+        scen = conftest.case3_scenarios(horizon=4, n=3)
+    demand = {b: v[0] for b, v in day.scenarios[0].load.items()}
+    highs = LPOptions(backend="highs")
+    solve_lp(build_sced(vc, state, demand)[0], highs)
+    solve_lp(build_lad(vc, state, day)[0], highs)
+    res = run_benders(vc, state, scen, BendersConfig(lp=highs))
+    assert res.status == "optimal"
+    assert len(solved) > 2 + res.iterations and set(solved) == {"optimal"}
