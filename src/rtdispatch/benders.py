@@ -33,6 +33,14 @@ from .formulation import (
 from .lp import LPNumericalError, LPOptions, extend_warm_start, solve_lp
 from .model import ValidationError
 
+#: initial theta floor per scenario
+INIT_FLOOR = -1e12
+#: violation threshold for adding a cut, relative to max(1, |future cost|)
+CUT_TOL = 1e-7
+#: lazy flowgate generation: violation tolerance (MW) and round limit
+LAZY_TOL = 1e-6
+LAZY_MAX_ROUNDS = 50
+
 
 @dataclasses.dataclass(frozen=True)
 class Cut:
@@ -80,22 +88,14 @@ class CutPool:
     def __len__(self):
         return len(self._cuts)
 
-    def for_scenario(self, s):
-        return [c for c in self._cuts if c.scenario == s]
-
 
 @dataclasses.dataclass
 class BendersConfig:
     epsilon: float = 1e-5        # relative UB-LB gap at termination
     max_iter: int = 100
     alpha: float = 0.5           # weight on the stabilization point
-    init_floor: float = -1e12    # initial theta floor per scenario
-    cut_tol: float = 1e-7        # violation threshold for adding a cut
     workers: int = 1
     flows: str = "full"          # "full" | "lazy" flowgate handling
-    lazy_tol: float = 1e-6
-    lazy_max_rounds: int = 50
-    check_duals: bool = True     # cross-check cut constants via the dual
     lp: LPOptions = dataclasses.field(default_factory=LPOptions)
 
 
@@ -120,8 +120,6 @@ class BendersResult:
     cuts: tuple
     trace: tuple                 # IterationRecord per iteration
     scenario_values: dict        # scenario id -> future cost at x1
-    master_solution: object = None
-    master_vmap: object = None
     subproblem_solves: int = 0
 
 
@@ -169,7 +167,7 @@ def flow_violations(vmap, sol, tol):
     return specs
 
 
-def solve_with_lazy_flows(lp, vmap, opts=None, tol=1e-6, max_rounds=50):
+def solve_with_lazy_flows(lp, vmap, opts=None, tol=LAZY_TOL, max_rounds=LAZY_MAX_ROUNDS):
     """Solve, generating violated flowgate rows until none remain.
 
     Returns (solution, final_lp); the registry is extended in place with
@@ -192,6 +190,16 @@ def solve_with_lazy_flows(lp, vmap, opts=None, tol=1e-6, max_rounds=50):
     raise LPNumericalError(
         f"flowgate generation did not settle within {max_rounds} rounds"
     )
+
+
+def _solve(lp, vmap, cfg, warm=None):
+    """Solve; under lazy flows, then generate the violated flowgate rows.
+
+    Returns (solution, the model solved last)."""
+    sol = solve_lp(lp, cfg.lp, warm=warm)
+    if cfg.flows == "lazy" and sol.status == "optimal":
+        return solve_with_lazy_flows(lp, vmap, cfg.lp)
+    return sol, lp
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +226,10 @@ class _ScenarioOracle:
 
     def query(self, x1):
         """Future cost, pin-dual subgradient, and cut constant at ``x1``."""
-        cfg = self.config
         lp = self.lp.with_rhs(pin_rhs_updates(self.vmap, x1))
         warm = self._last.basis if self._last is not None else None
-        sol = solve_lp(lp, cfg.lp, warm=warm)
-        if cfg.flows == "lazy" and sol.status == "optimal":
-            sol, lp = solve_with_lazy_flows(
-                lp, self.vmap, cfg.lp, cfg.lazy_tol, cfg.lazy_max_rounds
-            )
+        sol, lp = _solve(lp, self.vmap, self.config, warm)
+        if self.config.flows == "lazy":
             self.lp = lp  # keep generated rows for later queries
         self.solves += 1
         if sol.status != "optimal":
@@ -238,8 +242,7 @@ class _ScenarioOracle:
         sigma = pin_duals(self.vmap, sol)
         q = float(sol.objective)
         rhs_const = q - sum(sigma[k] * x1.get(k, 0.0) for k in sigma)
-        if cfg.check_duals:
-            self._check_cut_constant(lp, sol, x1, sigma, rhs_const)
+        self._check_cut_constant(lp, sol, x1, sigma, rhs_const)
         return q, sigma, rhs_const
 
     def _check_cut_constant(self, lp, sol, x1, sigma, rhs_const):
@@ -274,6 +277,18 @@ class _ScenarioOracle:
             )
 
 
+def _add_cuts(pool, results, x_rmp, theta, origin):
+    """Pool the cuts from oracle results that the master argmin violates;
+    returns how many were new."""
+    added = 0
+    for s, (q, sigma, rhs_const) in enumerate(results):
+        cut = Cut(scenario=s, coef_x1=sigma, rhs_const=rhs_const, origin=origin)
+        if cut.value_at(x_rmp) - theta[s] > CUT_TOL * max(1.0, abs(q)):
+            if pool.add(cut):
+                added += 1
+    return added
+
+
 def _query_all(oracles, x1, workers):
     """Query every scenario oracle at a point, in scenario order."""
     if workers <= 1 or len(oracles) <= 1:
@@ -306,7 +321,7 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
     S = scenarios.n_scenarios
     probs = [s.prob for s in scenarios.scenarios]
     pool = CutPool(
-        Cut(scenario=s, coef_x1={}, rhs_const=cfg.init_floor, origin=(0, "floor"))
+        Cut(scenario=s, coef_x1={}, rhs_const=INIT_FLOOR, origin=(0, "floor"))
         for s in range(S)
     )
     oracles = [
@@ -320,18 +335,13 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
     lower = -np.inf
     trace = []
     status = "iteration_limit"
-    master_sol = master_vm = None
 
     for it in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         lp, vm = build_benders_master(vc, state, scenarios, list(pool), flows=cfg.flows)
-        sol = solve_lp(lp, cfg.lp)
-        if cfg.flows == "lazy" and sol.status == "optimal":
-            sol, lp = solve_with_lazy_flows(lp, vm, cfg.lp, cfg.lazy_tol,
-                                            cfg.lazy_max_rounds)
+        sol, lp = _solve(lp, vm, cfg)
         if sol.status != "optimal":
             raise LPNumericalError(f"master came back '{sol.status}'")
-        master_sol, master_vm = sol, vm
         lower = float(sol.objective)
         x_rmp = first_stage_values(sol, vm)
         theta = [float(sol.x[vm.col(("theta", s))]) for s in range(S)]
@@ -340,16 +350,9 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
             x_hat = dict(x_rmp)
 
         # pass 1: separate at the interior candidate
-        added = 0
         x_tilde = in_out_candidate(x_hat, x_rmp, cfg.alpha)
-        for s, (q, sigma, rhs_const) in enumerate(
-            _query_all(oracles, x_tilde, cfg.workers)
-        ):
-            cut = Cut(scenario=s, coef_x1=sigma, rhs_const=rhs_const,
-                      origin=(it, "interior"))
-            if cut.value_at(x_rmp) - theta[s] > cfg.cut_tol * max(1.0, abs(q)):
-                if pool.add(cut):
-                    added += 1
+        added = _add_cuts(pool, _query_all(oracles, x_tilde, cfg.workers),
+                          x_rmp, theta, (it, "interior"))
         interior_hit = added > 0
 
         # upper bound at the master argmin (and pass 2 when pass 1 missed)
@@ -362,12 +365,7 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
                 scenarios.scenarios[s].id: q for s, (q, _s, _r) in enumerate(results)
             }
         if not interior_hit:
-            for s, (q, sigma, rhs_const) in enumerate(results):
-                cut = Cut(scenario=s, coef_x1=sigma, rhs_const=rhs_const,
-                          origin=(it, "argmin"))
-                if cut.value_at(x_rmp) - theta[s] > cfg.cut_tol * max(1.0, abs(q)):
-                    if pool.add(cut):
-                        added += 1
+            added = _add_cuts(pool, results, x_rmp, theta, (it, "argmin"))
 
         x_hat = dict(x_tilde) if interior_hit else dict(x_rmp)
         gap = relative_gap(best_upper, lower)
@@ -395,7 +393,5 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
         cuts=tuple(pool),
         trace=tuple(trace),
         scenario_values=best_values,
-        master_solution=master_sol,
-        master_vmap=master_vm,
         subproblem_solves=sum(o.solves for o in oracles),
     )

@@ -9,18 +9,17 @@ become equiprobable scenarios for the remainder of the day.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 
 import numpy as np
 
 from .model import (
-    CaseFormatError,
     Scenario,
     ScenarioSet,
     ValidatedCase,
     ValidationError,
+    _read_series,
+    _series,
     check_scenarios,
 )
 
@@ -92,91 +91,14 @@ def load_history(text: str, case=None) -> HistoryStore:
     """Parse a history file: day files stacked with a leading date column.
 
     Layout: ``date,period,load:<bus>,...[,pmax:<gen>,...]`` with one row
-    per (date, period).  Periods within each date must be 1..N."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise CaseFormatError("history file: empty")
-    header = [h.strip() for h in rows[0]]
-    for col in ("date", "period"):
-        if col not in header:
-            raise CaseFormatError(f"history file: missing '{col}' column")
-    date_col = header.index("date")
-    period_col = header.index("period")
-    load_cols, pmax_cols = {}, {}
-    known_buses = known_gens = None
-    if case is not None:
-        c = case.case if isinstance(case, ValidatedCase) else case
-        known_buses = set(c.buses)
-        known_gens = {g.id for g in c.generators}
-    for i, h in enumerate(header):
-        if h in ("date", "period"):
-            continue
-        if h.startswith("load:"):
-            bus = h[5:]
-            if known_buses is not None and bus not in known_buses:
-                raise CaseFormatError(f"history file: column '{h}' names unknown bus")
-            load_cols[bus] = i
-        elif h.startswith("pmax:"):
-            gid = h[5:]
-            if known_gens is not None and gid not in known_gens:
-                raise CaseFormatError(
-                    f"history file: column '{h}' names unknown generator"
-                )
-            pmax_cols[gid] = i
-        else:
-            raise CaseFormatError(f"history file: unrecognized column '{h}'")
-    if not load_cols:
-        raise CaseFormatError("history file: no load columns")
-
-    by_date = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise CaseFormatError(
-                f"history file line {lineno}: expected {len(header)} fields"
-            )
-        date = row[date_col].strip()
-        try:
-            period = int(row[period_col])
-        except ValueError:
-            raise CaseFormatError(
-                f"history file line {lineno}: bad period '{row[period_col]}'"
-            ) from None
-
-        def num(i, what):
-            try:
-                return float(row[i])
-            except ValueError:
-                raise CaseFormatError(
-                    f"history file line {lineno}: bad {what} value '{row[i]}'"
-                ) from None
-
-        bucket = by_date.setdefault(date, {})
-        if period in bucket:
-            raise CaseFormatError(
-                f"history file line {lineno}: duplicate period {period} for '{date}'"
-            )
-        bucket[period] = (
-            {b: num(i, f"load:{b}") for b, i in load_cols.items()},
-            {g: num(i, f"pmax:{g}") for g, i in pmax_cols.items()},
-        )
-
-    days = []
-    for date, bucket in by_date.items():  # insertion order == file order
-        expected = list(range(1, len(bucket) + 1))
-        if sorted(bucket) != expected:
-            raise CaseFormatError(
-                f"history file: day '{date}' periods {sorted(bucket)} are not "
-                f"1..{len(bucket)}"
-            )
-        days.append(
-            HistoryDay(
-                date=date,
-                load={b: tuple(bucket[p][0][b] for p in expected) for b in load_cols},
-                pmax={g: tuple(bucket[p][1][g] for p in expected) for g in pmax_cols},
-            )
-        )
-    return HistoryStore(days)
+    per (date, period).  Periods within each date must be 1..N.  Column
+    names are checked against ``case`` when one is given."""
+    case = case.case if isinstance(case, ValidatedCase) else case
+    groups = _read_series(text, "history file", case, ("date", "period"), group="date")
+    return HistoryStore(
+        HistoryDay(date=date, load=_series(records, 1), pmax=_series(records, 2))
+        for date, records in groups.items()
+    )
 
 
 def format_history(store: HistoryStore, precision=10) -> str:

@@ -42,8 +42,6 @@ PRODUCTS = ("reg", "spin", "supp_on", "supp_off")
 #: the per-generator quantities shared across scenarios at the binding period
 FIRST_STAGE_KINDS = ("pg",) + PRODUCTS
 
-_PRODUCT_CAP_KEY = {"reg": "reg", "spin": "spin", "supp_on": "supp_on", "supp_off": "supp_off"}
-
 
 def first_stage_keys(case):
     """Ordered (kind, generator id) pairs defining the first-stage vector."""
@@ -97,14 +95,6 @@ class VariableMap:
 
     def add_bound_record(self, family, key, value):
         self.bound_records.setdefault(family, []).append((key, value))
-
-    def family_rows(self, family):
-        return [(k, i) for k, i in self._row.items() if k[0] == family]
-
-    def families(self):
-        fams = {k[0] for k in self._row}
-        fams.update(self.bound_records)
-        return fams
 
     def columns(self):
         return self._col.items()
@@ -187,7 +177,6 @@ class _Assembler:
                 "probs": tuple(s.prob for s in scen.scenarios),
                 "first_period": first_abs,
                 "case": vc,
-                "kind": None,
             }
         )
 
@@ -516,7 +505,6 @@ def build_sced(vc, state, demand, pmax=None, flows="full"):
     )
     asm = _Assembler(vc, scen, state.wall_clock, flows)
     asm.grid(weights=[1.0], prev_dispatch=state.prev_dispatch)
-    asm.vmap.meta["kind"] = "sced"
     return asm.lp.freeze(), asm.vmap
 
 
@@ -534,7 +522,6 @@ def build_lad(vc, state, forecast: ScenarioSet, periods=None, flows="full"):
         )
     asm = _Assembler(vc, forecast, state.wall_clock, flows)
     asm.grid(weights=[1.0], prev_dispatch=state.prev_dispatch)
-    asm.vmap.meta["kind"] = "lad"
     return asm.lp.freeze(), asm.vmap
 
 
@@ -547,7 +534,6 @@ def build_slad_extensive(vc, state, scenarios: ScenarioSet, flows="full"):
     weights = [s.prob for s in scenarios.scenarios]
     asm = _Assembler(vc, scenarios, state.wall_clock, flows)
     asm.grid(weights=weights, prev_dispatch=state.prev_dispatch, anticipativity=True)
-    asm.vmap.meta["kind"] = "slad_extensive"
     return asm.lp.freeze(), asm.vmap
 
 
@@ -613,9 +599,6 @@ def build_benders_master(vc, state, scenarios: ScenarioSet, cuts, flows="full"):
             raise ValidationError(
                 f"scenario {s} has no cuts; seed the pool with the initialization floor"
             )
-    vm.meta["kind"] = "benders_master"
-    vm.meta["theta_probs"] = tuple(probs)
-    vm.meta["full_scenario_ids"] = tuple(s.id for s in scenarios.scenarios)
     return lp.freeze(), vm
 
 
@@ -639,8 +622,6 @@ def build_benders_subproblem(vc, scenarios: ScenarioSet, s, x1=None, first_perio
     asm = _Assembler(vc, sub_scen, first_period, flows)
     asm.pin_columns(x1)
     asm.grid(weights=[1.0], start_period=1)
-    asm.vmap.meta["kind"] = "benders_subproblem"
-    asm.vmap.meta["scenario_position"] = s
     return asm.lp.freeze(), asm.vmap
 
 

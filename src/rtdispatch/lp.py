@@ -45,6 +45,11 @@ _SENSES = {"<=": LE, "=": EQ, ">=": GE}
 # variable status codes
 NB_LO, NB_UP, NB_FREE, BASIC, FIXED = 0, 1, 2, 3, 4
 
+#: product-form updates between refactorizations of the basis inverse
+REFACTOR_EVERY = 150
+#: degenerate pivots in a row before Bland's rule engages
+DEGEN_STREAK = 50
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -61,8 +66,6 @@ class LPOptions:
     opt_tol: float = 1e-8
     max_iters: int = 200_000
     backend: str = "simplex"  # or "highs"
-    refactor_every: int = 150
-    degen_streak: int = 50  # pivots before Bland's rule engages
 
 
 class LinearProgram:
@@ -164,38 +167,28 @@ class LinearProgram:
 
         ``extra_rows`` entries are (cols, vals, sense, rhs[, name]) tuples.
         """
-        out = LinearProgram()
-        out._cost = self._cost
-        out._lo = self._lo
-        out._hi = self._hi
-        out.var_names = self.var_names
-        out.obj_const = self.obj_const
-        out.row_cols = list(self.row_cols)
-        out.row_vals = list(self.row_vals)
-        out.senses = list(self.senses)
-        out.rhs = list(self.rhs)
-        out.row_names = list(self.row_names)
+        out = self._share_columns(copy_rows=True)
         for row in extra_rows:
             out.add_row(*row)
-        out._frozen = True
-        return out
+        return out.freeze()
 
     def with_rhs(self, updates):
         """A new LinearProgram with rhs entries replaced ({row_index: value})."""
-        out = LinearProgram()
-        out._cost = self._cost
-        out._lo = self._lo
-        out._hi = self._hi
-        out.var_names = self.var_names
-        out.obj_const = self.obj_const
-        out.row_cols = self.row_cols
-        out.row_vals = self.row_vals
-        out.senses = self.senses
-        out.row_names = self.row_names
-        out.rhs = list(self.rhs)
+        out = self._share_columns(copy_rows=False)
         for i, v in updates.items():
             out.rhs[i] = float(v)
-        out._frozen = True
+        return out.freeze()
+
+    def _share_columns(self, copy_rows):
+        """An unfrozen LinearProgram sharing this one's columns and a copy
+        of its rhs; the other row lists are copied or shared."""
+        out = LinearProgram()
+        out._cost, out._lo, out._hi = self._cost, self._lo, self._hi
+        out.var_names, out.obj_const = self.var_names, self.obj_const
+        for name in ("row_cols", "row_vals", "senses", "row_names"):
+            rows = getattr(self, name)
+            setattr(out, name, list(rows) if copy_rows else rows)
+        out.rhs = list(self.rhs)
         return out
 
 
@@ -459,7 +452,7 @@ class _Simplex:
         if not np.isfinite(rmin):
             return np.inf, "unbounded", -1, 0
         ties = np.nonzero(t_rows <= rmin + 1e-12 * (1.0 + rmin))[0]
-        if self._degen_streak >= self.opts.degen_streak:
+        if self._degen_streak >= DEGEN_STREAK:
             # Bland: smallest leaving variable index
             k = int(ties[np.argmin(basic[ties])])
         else:
@@ -503,7 +496,7 @@ class _Simplex:
         self.Binv[rows] -= np.outer(w[rows], Br)
         self.Binv[r, :] = Br
         self._since_refactor += 1
-        if self._since_refactor >= self.opts.refactor_every:
+        if self._since_refactor >= REFACTOR_EVERY:
             if not self._try_refactor():
                 raise LPNumericalError("basis refactorization failed")
         return True
@@ -518,7 +511,7 @@ class _Simplex:
 
     # -- phases -----------------------------------------------------------
 
-    def _infeasibility(self, ftol):
+    def _infeasibility(self):
         xB = self.x[self.basis]
         loB = self.lo[self.basis]
         hiB = self.hi[self.basis]
@@ -552,11 +545,11 @@ class _Simplex:
                 c_work = self.c
                 dtol = opts.opt_tol
             y, d = self._reduced_costs(c_work)
-            bland = self._degen_streak >= opts.degen_streak
+            bland = self._degen_streak >= DEGEN_STREAK
             j, sigma = self._pick_entering(d, dtol, bland)
             if j < 0:
                 if phase == 1:
-                    return INFEASIBLE if self._infeasibility(ftol) > ftol * (1 + abs(self.b).sum()) else "feasible"
+                    return INFEASIBLE if self._infeasibility() > ftol * (1 + abs(self.b).sum()) else "feasible"
                 return OPTIMAL
             w = self.Binv @ self._column(j) if self.m else np.zeros(0)
             t, kind, r, land = self._ratio_test(j, sigma, w, ftol)
@@ -581,7 +574,7 @@ class _Simplex:
                 self._degen_streak = 0
 
     def solve(self):
-        lp, opts = self.lp, self.opts
+        opts = self.opts
         if self.empty_row_infeasible:
             return self._package(INFEASIBLE)
         status = self._run(1)
@@ -597,11 +590,11 @@ class _Simplex:
                 raise LPNumericalError("basis refactorization failed")
             _, d = self._reduced_costs(self.c)
             j, _sig = self._pick_entering(d, opts.opt_tol, False)
-            if j < 0 and self._infeasibility(opts.feas_tol) <= opts.feas_tol * (
+            if j < 0 and self._infeasibility() <= opts.feas_tol * (
                 1 + abs(self.b).sum()
             ):
                 break
-            if self._infeasibility(opts.feas_tol) > opts.feas_tol * (1 + abs(self.b).sum()):
+            if self._infeasibility() > opts.feas_tol * (1 + abs(self.b).sum()):
                 status = self._run(1)
                 if status in (INFEASIBLE, ITERATION_LIMIT):
                     return self._package(status)

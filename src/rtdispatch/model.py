@@ -196,12 +196,6 @@ class SystemCase:
     def hours_per_step(self):
         return self.step_minutes / 60.0
 
-    def generator(self, gid):
-        for g in self.generators:
-            if g.id == gid:
-                return g
-        raise KeyError(gid)
-
 
 class ValidatedCase:
     """A SystemCase whose invariants have been checked.
@@ -290,9 +284,6 @@ class ScenarioSet:
         sc = self.scenarios[s_idx]
         return {b: v[t] for b, v in sc.load.items()}
 
-    def total_load(self, s_idx, t):
-        return sum(v[t] for v in self.scenarios[s_idx].load.values())
-
 
 @dataclass(frozen=True)
 class SystemState:
@@ -343,24 +334,6 @@ class DispatchSolution:
 
     def first_stage_pg(self):
         return {g: v for (g, t, s), v in self.pg.items() if t == 0 and s == 0}
-
-    def first_stage_reserve(self, product):
-        return {
-            g: v
-            for (p, g, t, s), v in self.reserve.items()
-            if p == product and t == 0 and s == 0
-        }
-
-    def binding(self):
-        """The physically committed slice: period-0, scenario-0 quantities."""
-        res = {}
-        for product in RESERVE_PRODUCTS:
-            for g, v in self.first_stage_reserve(product).items():
-                res.setdefault(g, {})[product] = v
-        return {
-            "pg": self.first_stage_pg(),
-            "reserve": res,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -677,102 +650,119 @@ def validate_case(case: SystemCase) -> ValidatedCase:
 # day / scenario files
 
 
-def parse_timeseries(text: str, case) -> ScenarioSet:
-    """Parse a delimited day file into a ScenarioSet.
+def _read_series(text, label, case, required, optional=(), group="scenario",
+                 buses=None):
+    """The reader shared by day and history files.
 
-    Layout: header ``period,scenario,prob,load:<bus>,...,pmax:<gen>,...``
-    then one row per (period, scenario).  The scenario and prob columns may
-    be omitted for deterministic files (single scenario, probability 1).
-    Every bus in the case needs a load column; pmax columns are optional
-    and name the generators they derate.
-    """
-    case = case.case if isinstance(case, ValidatedCase) else case
+    Skips ``#`` comment lines; the header needs the ``required`` columns
+    and may carry the ``optional`` ones (``scenario`` and ``prob`` only
+    together); every other column is ``load:<bus>`` or ``pmax:<gen>``,
+    named in ``case`` when one is given.  ``buses`` lists the buses that
+    need a load column (None: at least one).  Rows are grouped by the
+    ``group`` column (one group ``s1`` without it) and period; each
+    group's periods must be exactly 1..N.  Returns {group: [(prob,
+    loads, pmaxes) per period]} in file order, prob 1 without a ``prob``
+    column."""
     rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if r and not r[0].lstrip().startswith("#")]
     if not rows:
-        raise CaseFormatError("day file: empty")
+        raise CaseFormatError(f"{label}: empty")
     header = [h.strip() for h in rows[0]]
-    try:
-        period_col = header.index("period")
-    except ValueError:
-        raise CaseFormatError("day file: missing 'period' column") from None
-    scen_col = header.index("scenario") if "scenario" in header else None
-    prob_col = header.index("prob") if "prob" in header else None
-    if (scen_col is None) != (prob_col is None):
-        raise CaseFormatError("day file: 'scenario' and 'prob' columns must appear together")
+    for name in required:
+        if name not in header:
+            raise CaseFormatError(f"{label}: missing '{name}' column")
+    if "prob" in optional and ("scenario" in header) != ("prob" in header):
+        raise CaseFormatError(f"{label}: 'scenario' and 'prob' columns must appear together")
+    col = {h: header.index(h) for h in required + optional if h in header}
     load_cols, pmax_cols = {}, {}
+    gens = {g.id for g in case.generators} if case is not None else None
     for i, h in enumerate(header):
-        if h in ("period", "scenario", "prob", "date"):
+        if h in col:
             continue
         if h.startswith("load:"):
-            bus = h[5:]
-            if bus not in case.buses:
-                raise CaseFormatError(f"day file: column '{h}' names unknown bus")
-            load_cols[bus] = i
+            if case is not None and h[5:] not in case.buses:
+                raise CaseFormatError(f"{label}: column '{h}' names unknown bus")
+            load_cols[h[5:]] = i
         elif h.startswith("pmax:"):
-            gid = h[5:]
-            if gid not in {g.id for g in case.generators}:
-                raise CaseFormatError(f"day file: column '{h}' names unknown generator")
-            pmax_cols[gid] = i
+            if gens is not None and h[5:] not in gens:
+                raise CaseFormatError(f"{label}: column '{h}' names unknown generator")
+            pmax_cols[h[5:]] = i
         else:
-            raise CaseFormatError(f"day file: unrecognized column '{h}'")
-    missing = [b for b in case.buses if b not in load_cols]
+            raise CaseFormatError(f"{label}: unrecognized column '{h}'")
+    missing = [b for b in buses if b not in load_cols] if buses is not None else []
     if missing:
-        raise CaseFormatError(f"day file: no load column for bus '{missing[0]}'")
+        raise CaseFormatError(f"{label}: no load column for bus '{missing[0]}'")
+    if buses is None and not load_cols:
+        raise CaseFormatError(f"{label}: no load columns")
 
-    per_scen = {}  # scenario id -> {period -> (prob, loads, pmaxes)}
+    groups = {}  # group -> {period -> (prob, loads, pmaxes)}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise CaseFormatError(f"day file line {lineno}: expected {len(header)} fields")
+            raise CaseFormatError(f"{label} line {lineno}: expected {len(header)} fields")
         try:
-            period = int(row[period_col])
+            period = int(row[col["period"]])
         except ValueError:
-            raise CaseFormatError(f"day file line {lineno}: bad period '{row[period_col]}'") from None
-        sid = row[scen_col].strip() if scen_col is not None else "s1"
-        try:
-            prob = float(row[prob_col]) if prob_col is not None else 1.0
-        except ValueError:
-            raise CaseFormatError(f"day file line {lineno}: bad prob '{row[prob_col]}'") from None
+            raise CaseFormatError(
+                f"{label} line {lineno}: bad period '{row[col['period']]}'"
+            ) from None
 
         def num(i, what):
             try:
                 return float(row[i])
             except ValueError:
                 raise CaseFormatError(
-                    f"day file line {lineno}: bad {what} value '{row[i]}'"
+                    f"{label} line {lineno}: bad {what} value '{row[i]}'"
                 ) from None
 
+        key = row[col[group]].strip() if group in col else "s1"
+        prob = num(col["prob"], "prob") if "prob" in col else 1.0
         loads = {b: num(i, f"load:{b}") for b, i in load_cols.items()}
         pmaxes = {g: num(i, f"pmax:{g}") for g, i in pmax_cols.items()}
-        bucket = per_scen.setdefault(sid, {})
+        bucket = groups.setdefault(key, {})
         if period in bucket:
-            raise CaseFormatError(f"day file line {lineno}: duplicate period {period} in scenario '{sid}'")
+            raise CaseFormatError(
+                f"{label} line {lineno}: duplicate period {period} in {group} '{key}'"
+            )
         bucket[period] = (prob, loads, pmaxes)
+    for key, bucket in groups.items():
+        if sorted(bucket) != list(range(1, len(bucket) + 1)):
+            raise CaseFormatError(
+                f"{label}: {group} '{key}' periods {sorted(bucket)} are not "
+                f"1..{len(bucket)}"
+            )
+    return {key: [bucket[p] for p in sorted(bucket)] for key, bucket in groups.items()}
 
-    horizons = {len(b) for b in per_scen.values()}
+
+def _series(records, field):
+    """Per-name value tuples of one field of the reader's records."""
+    return {k: tuple(r[field][k] for r in records) for k in records[0][field]}
+
+
+def parse_timeseries(text: str, case) -> ScenarioSet:
+    """Parse a delimited day file into a ScenarioSet.
+
+    Layout: header ``period,scenario,prob,load:<bus>,...,pmax:<gen>,...``
+    then one row per (period, scenario).  The scenario and prob columns may
+    be omitted for deterministic files (single scenario, probability 1); a
+    ``date`` column is ignored.  Every bus in the case needs a load column;
+    pmax columns are optional and name the generators they derate.
+    """
+    case = case.case if isinstance(case, ValidatedCase) else case
+    groups = _read_series(text, "day file", case, ("period",),
+                          ("scenario", "prob", "date"), buses=case.buses)
+    horizons = {len(records) for records in groups.values()}
     if len(horizons) != 1:
         raise CaseFormatError("day file: scenarios cover different numbers of periods")
-    horizon = horizons.pop()
     scenarios = []
-    for sid in per_scen:  # insertion order == file order
-        bucket = per_scen[sid]
-        expected = list(range(1, horizon + 1))
-        if sorted(bucket) != expected:
-            raise CaseFormatError(
-                f"day file: scenario '{sid}' periods {sorted(bucket)} are not 1..{horizon}"
-            )
-        probs = {bucket[p][0] for p in bucket}
+    for sid, records in groups.items():
+        probs = {r[0] for r in records}
         if len(probs) != 1:
             raise CaseFormatError(f"day file: scenario '{sid}' rows disagree on prob")
-        prob = probs.pop()
-        load = {
-            b: tuple(bucket[p][1][b] for p in expected) for b in load_cols
-        }
-        pmax = {
-            g: tuple(bucket[p][2][g] for p in expected) for g in pmax_cols
-        }
-        scenarios.append(Scenario(id=sid, prob=prob, load=load, pmax_override=pmax))
-    ss = ScenarioSet(scenarios=tuple(scenarios), horizon=horizon)
+        scenarios.append(Scenario(
+            id=sid, prob=probs.pop(),
+            load=_series(records, 1), pmax_override=_series(records, 2),
+        ))
+    ss = ScenarioSet(scenarios=tuple(scenarios), horizon=horizons.pop())
     check_scenarios(ss, case)
     return ss
 

@@ -1,11 +1,12 @@
 """Rolling five-minute dispatch simulation over one realized day.
 
-Every policy is run through the same loop: at each period the policy
-sees current telemetry plus whatever forecast it is entitled to, commits
-its first-period dispatch, and that commitment is settled against the
-realized demand through one shared settlement model.  Costs are only
-ever accumulated from settled slices, so policies differ in nothing but
-the information they use — the comparisons stay fair by construction.
+Every policy, the hindsight benchmark included, is run through the same
+loop: at each period the policy sees current telemetry plus whatever
+forecast it is entitled to, commits its first-period dispatch, and that
+commitment is settled against the realized demand through one shared
+settlement model.  Costs are only ever accumulated from settled slices,
+so policies differ in nothing but the information they use — the
+comparisons stay fair by construction.
 
 Policies:
 
@@ -13,8 +14,8 @@ Policies:
 * ``lad``   — deterministic look-ahead on a point forecast;
 * ``slad``  — stochastic look-ahead solved by decomposition;
 * ``plad``  — look-ahead on the realized future (clairvoyant, truncated);
-* ``pd``    — one full-day plan on the realized day, replayed slice by
-  slice: the hindsight-optimal benchmark.
+* ``pd``    — one full-day plan on the realized day, made at the first
+  period and committed slice by slice: the hindsight-optimal benchmark.
 """
 
 from __future__ import annotations
@@ -205,8 +206,27 @@ def _forecast_window(vc, policy, actuals, t, length):
     return win.with_period_data(0, load, pmax)
 
 
-def _plan_step(vc, state, policy, actuals, t, length):
-    """Choose the period-t commitment; returns (x1, objective, iters)."""
+def _full_day_plan(vc, state, actuals, policy):
+    """The ``pd`` plan: the look-ahead model over the entire realized day."""
+    lp, vmap = build_lad(vc, state, actuals, flows=policy.flows)
+    sol = solve_lp(lp, policy.lp)
+    if sol.status != "optimal":
+        raise SimulationError(f"full-day plan came back '{sol.status}'")
+    return extract_dispatch(sol, vmap), float(sol.objective)
+
+
+def _plan_step(vc, state, policy, actuals, t, length, plan=None):
+    """Choose the period-t commitment; returns (x1, objective, iters).
+
+    With a full-day ``plan`` (``pd``), the commitment is its slice t."""
+    if plan is not None:
+        planned, objective = plan
+        x1 = {
+            (kind, gid): planned.pg_at(gid, t) if kind == "pg"
+            else planned.reserve_at(kind, gid, t)
+            for kind, gid in first_stage_keys(vc.case)
+        }
+        return x1, objective, 0
     load, pmax = _realized_at(actuals, t)
 
     if policy.kind == "sced" or length == 1:
@@ -243,33 +263,38 @@ def _plan_step(vc, state, policy, actuals, t, length):
 
 
 def run_simulation(vc, actuals, policy: PolicySpec, state=None) -> SimulationLog:
-    """Roll a policy through the realized day, settling every slice."""
+    """Roll a policy through the realized day, settling every slice.
+
+    ``pd`` plans the whole realized day at the first slice, whose
+    ``solve_ms`` carries the plan's time, and needs no forecast source."""
     if not isinstance(vc, ValidatedCase):
         raise TypeError("run_simulation requires a ValidatedCase")
     _check_actuals(actuals)
-    if policy.kind == "pd":
-        return run_perfect_dispatch(vc, actuals, state=state, lp_opts=policy.lp,
-                                    flows=policy.flows)
-    if policy.scenarios is not None and policy.scenarios.horizon != actuals.horizon:
+    pd = policy.kind == "pd"
+    scen, hist = (None, None) if pd else (policy.scenarios, policy.history)
+    if scen is not None and scen.horizon != actuals.horizon:
         raise ValidationError(
-            f"scenario file covers {policy.scenarios.horizon} periods but the "
+            f"scenario file covers {scen.horizon} periods but the "
             f"day has {actuals.horizon}"
         )
-    if policy.history is not None and policy.history.horizon != actuals.horizon:
+    if hist is not None and hist.horizon != actuals.horizon:
         raise ValidationError(
-            f"history has {policy.history.horizon}-period days but the day "
+            f"history has {hist.horizon}-period days but the day "
             f"has {actuals.horizon}"
         )
     state = state or initial_state(vc)
     steps = []
     totals = CostBreakdown()
     T = actuals.horizon
+    plan = None
     for t in range(T):
         t0 = time.perf_counter()
+        if pd and t == 0:
+            plan = _full_day_plan(vc, state, actuals, policy)
         length = min(policy.horizon, T - t)
         load, pmax = _realized_at(actuals, t)
         avail = available_capacity(vc, state, pmax_now=pmax)
-        x1, objective, iters = _plan_step(vc, state, policy, actuals, t, length)
+        x1, objective, iters = _plan_step(vc, state, policy, actuals, t, length, plan)
         d, costs = settle_first_period(
             vc, state, load, pmax, x1, policy.lp, policy.flows
         )
@@ -285,7 +310,7 @@ def run_simulation(vc, actuals, policy: PolicySpec, state=None) -> SimulationLog
     return SimulationLog(
         case_name=vc.case.name,
         policy=policy.kind,
-        horizon=policy.horizon,
+        horizon=T if pd else policy.horizon,
         periods=T,
         steps=tuple(steps),
         totals=totals,
@@ -318,53 +343,13 @@ def _record(t, d, costs, avail, objective, ms, iters):
 
 def run_perfect_dispatch(vc, actuals, state=None, lp_opts=None,
                          flows="full") -> SimulationLog:
-    """The hindsight benchmark: one full-day plan, replayed slice by slice.
+    """The hindsight benchmark: ``run_simulation`` with the ``pd`` policy.
 
-    The plan is the look-ahead model over the entire realized day; each
-    period's planned quantities are settled exactly like any policy's
-    commitments, so the benchmark total is comparable dollar for dollar."""
-    if not isinstance(vc, ValidatedCase):
-        raise TypeError("run_perfect_dispatch requires a ValidatedCase")
-    _check_actuals(actuals)
-    state = state or initial_state(vc)
-    t0 = time.perf_counter()
-    lp, vmap = build_lad(vc, state, actuals, flows=flows)
-    sol = solve_lp(lp, lp_opts)
-    if sol.status != "optimal":
-        raise SimulationError(f"full-day plan came back '{sol.status}'")
-    plan = extract_dispatch(sol, vmap)
-    plan_ms = (time.perf_counter() - t0) * 1e3
-    steps = []
-    totals = CostBreakdown()
-    T = actuals.horizon
-    for t in range(T):
-        ts = time.perf_counter()
-        x1 = {}
-        for kind, gid in first_stage_keys(vc.case):
-            if kind == "pg":
-                x1[(kind, gid)] = plan.pg_at(gid, t)
-            else:
-                x1[(kind, gid)] = plan.reserve_at(kind, gid, t)
-        load, pmax = _realized_at(actuals, t)
-        avail = available_capacity(vc, state, pmax_now=pmax)
-        d, costs = settle_first_period(vc, state, load, pmax, x1, lp_opts, flows)
-        step_ms = (time.perf_counter() - ts) * 1e3
-        if t == 0:
-            step_ms += plan_ms  # the shared plan is charged to the first slice
-        steps.append(_record(t, d, costs, avail, float(sol.objective), step_ms, 0))
-        totals = totals + costs
-        state = SystemState(
-            prev_dispatch={g.id: d.pg_at(g.id, 0) for g in vc.case.generators},
-            wall_clock=t + 1,
-        )
-    return SimulationLog(
-        case_name=vc.case.name,
-        policy="pd",
-        horizon=T,
-        periods=T,
-        steps=tuple(steps),
-        totals=totals,
-    )
+    One look-ahead plan over the entire realized day, each period's slice
+    settled exactly like any policy's commitments, so the benchmark total
+    is comparable dollar for dollar."""
+    policy = PolicySpec(kind="pd", lp=lp_opts or LPOptions(), flows=flows)
+    return run_simulation(vc, actuals, policy, state=state)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,21 @@
 """Shared test utilities: brute-force LP oracle and solution checks."""
 
 import itertools
+import os
 
 import numpy as np
 
+import rtdispatch
 from rtdispatch import lp as lpmod
+
+
+def child_env():
+    """Environment for a child interpreter: it imports the rtdispatch this
+    process imported, however pytest put it on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rtdispatch.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def enumerate_optimum(lp, tol=1e-9):

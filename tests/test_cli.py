@@ -11,6 +11,7 @@ from rtdispatch.model import format_timeseries, serialize_case
 from rtdispatch.simulator import STEP_COLUMNS
 
 from conftest import make_toy_case, make_toy_day, make_toy_scenarios
+from helpers import child_env
 
 
 @pytest.fixture
@@ -291,7 +292,7 @@ def test_report_rejects_foreign_json(tmp_path, capsys):
 def test_module_help_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "rtdispatch.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     for word in ("solve", "simulate", "compare", "report"):

@@ -23,7 +23,7 @@ from rtdispatch.lp import (
 from rtdispatch.model import validate_case
 
 import conftest
-from helpers import assert_solution_clean, enumerate_optimum, random_box_lp
+from helpers import assert_solution_clean, child_env, enumerate_optimum, random_box_lp
 
 BACKENDS = ["simplex", "highs"]
 
@@ -473,7 +473,8 @@ def test_only_a_highs_solve_loads_scipy_optimize():
         "solve_lp(lp, LPOptions(backend='highs'))\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rtdispatch.forecast import load_history
 from rtdispatch.model import (
     CaseFormatError,
     Generator,
@@ -192,6 +193,79 @@ def test_timeseries_comment_lines_are_skipped():
     case = validate_case(make_toy_case())
     text = "# schema_version=1\nperiod,load:B1\n1,10\n2,35\n"
     assert parse_timeseries(text, case).horizon == 2
+
+
+# (parser, text, error pattern or None for a clean parse); day files are
+# read against the toy case (bus B1, generators G1/G2), history files
+# without a case
+READER_CASES = {
+    "day-empty": ("day", "", r"^day file: empty$"),
+    "day-only-comments": ("day", "# schema_version=1\n", r"^day file: empty$"),
+    "history-empty": ("history", "", r"^history file: empty$"),
+    "day-field-count": ("day", "period,load:B1\n1,10\n2,35,1\n",
+                        r"^day file line 3: expected 2 fields$"),
+    "history-field-count": ("history", "date,period,load:B1\nd1,1\n",
+                            r"^history file line 2: expected 3 fields$"),
+    "day-period": ("day", "period,load:B1\n1.5,10\n",
+                   r"^day file line 2: bad period '1.5'$"),
+    "history-period": ("history", "date,period,load:B1\nd1,1,10\nd1,two,11\n",
+                       r"^history file line 3: bad period 'two'$"),
+    "day-load": ("day", "period,load:B1\n1,ten\n",
+                 r"^day file line 2: bad load:B1 value 'ten'$"),
+    "history-load": ("history", "date,period,load:B1\nd1,1,-\n",
+                     r"^history file line 2: bad load:B1 value '-'$"),
+    "day-pmax": ("day", "period,load:B1,pmax:G1\n1,10,x\n",
+                 r"^day file line 2: bad pmax:G1 value 'x'$"),
+    "history-pmax": ("history", "date,period,load:B1,pmax:G1\nd1,1,10,\n",
+                     r"^history file line 2: bad pmax:G1 value ''$"),
+    "day-prob": ("day", "period,scenario,prob,load:B1\n1,a,half,10\n",
+                 r"^day file line 2: bad prob"),
+    "day-prob-disagrees": (
+        "day",
+        "period,scenario,prob,load:B1\n1,a,0.5,10\n2,a,0.4,11\n"
+        "1,b,0.5,10\n2,b,0.5,11\n",
+        r"^day file: scenario 'a' rows disagree on prob$",
+    ),
+    "history-comments": (
+        "history", "# from the archive\ndate,period,load:B1\n# day one\nd1,1,10\n"
+        "  # indented\nd1,2,11\n", None,
+    ),
+    "day-date-skipped": ("day", "date,period,load:B1\nx,1,10\ny,2,35\n", None),
+    "history-scenario": ("history", "date,period,scenario,load:B1\nd1,1,a,10\n",
+                         r"^history file: unrecognized column 'scenario'$"),
+    "history-prob": ("history", "date,period,prob,load:B1\nd1,1,1,10\n",
+                     r"^history file: unrecognized column 'prob'$"),
+}
+
+
+@pytest.mark.parametrize("name", list(READER_CASES))
+def test_day_and_history_reader_paths(name):
+    kind, text, error = READER_CASES[name]
+    if kind == "day":
+        parse = lambda: parse_timeseries(text, validate_case(make_toy_case()))
+    else:
+        parse = lambda: load_history(text)
+    if error is not None:
+        with pytest.raises(CaseFormatError, match=error):
+            parse()
+        return
+    out = parse()
+    if kind == "day":
+        assert out.horizon == 2 and out.n_scenarios == 1
+        assert out.scenarios[0].load == {"B1": (10.0, 35.0)}
+    else:
+        assert [d.date for d in out.days] == ["d1"]
+        assert out.days[0].load == {"B1": (10.0, 11.0)}
+
+
+def test_history_names_are_checked_only_against_a_case():
+    text = "date,period,load:B7,pmax:G9\nd1,1,10,5\n"
+    assert load_history(text).buses == ("B7",)
+    with pytest.raises(CaseFormatError, match="unknown bus"):
+        load_history(text, validate_case(make_case3()))
+    with pytest.raises(CaseFormatError, match="unknown generator"):
+        load_history("date,period,load:B1,pmax:G9\nd1,1,10,5\n",
+                     validate_case(make_case3()))
 
 
 def test_check_scenarios_probability_and_bounds():

@@ -333,3 +333,73 @@ def test_pivot_path_snapshot(day, kind, monkeypatch):
     monkeypatch.setattr(lpmod._Simplex, "solve", counted)
     log = run_simulation(vc, actuals, policy)
     assert (repr(log.total_cost), sum(pivots)) == PIVOT_PATH[(day, kind)]
+
+
+# ---------------------------------------------------------------------------
+# the hindsight benchmark through the shared rolling loop
+
+
+def _bundled_day(day):
+    vc = validate_case(parse_case((DATA / f"{day}_case.json").read_text()))
+    return vc, parse_timeseries((DATA / f"{day}_day.csv").read_text(), vc)
+
+
+@pytest.mark.parametrize("day", ["toy", "network"])
+def test_perfect_dispatch_is_the_pd_policy(day):
+    vc, actuals = _bundled_day(day)
+    wrapped = run_perfect_dispatch(vc, actuals)
+    # the planning horizon and any forecast source are ignored by pd; a
+    # scenario set of the wrong length is not even checked
+    wrong = make_toy_scenarios() if day == "network" else None
+    rolled = run_simulation(vc, actuals, PolicySpec(kind="pd", horizon=4,
+                                                    scenarios=wrong))
+    assert wrapped.horizon == rolled.horizon == actuals.horizon
+    assert wrapped.policy == rolled.policy == "pd"
+    assert wrapped.totals == rolled.totals
+    assert len(wrapped.steps) == len(rolled.steps) == actuals.horizon
+    for a, b in zip(wrapped.steps, rolled.steps):
+        for f in dataclasses.fields(a):
+            if f.name != "solve_ms":
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
+    # one plan: its objective on every slice, no decomposition
+    assert len({s.planning_objective for s in rolled.steps}) == 1
+    assert all(s.benders_iterations == 0 for s in rolled.steps)
+
+
+def test_public_and_traced_names_resolve(monkeypatch):
+    """Every exported name exists, and so does every attribute the
+    benchmark's tracer wraps (perfbench/run.py, wrap_layers)."""
+    import importlib.util
+    import os
+    import sys
+
+    import rtdispatch
+
+    for name in rtdispatch.__all__:
+        assert getattr(rtdispatch, name, None) is not None, name
+    bench = DATA.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    env = dict(os.environ)
+    try:  # run.py imports its siblings and pins thread counts on import
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      bench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        os.environ.clear()
+        os.environ.update(env)
+        for mod in ("gen", "spans"):
+            sys.modules.pop(mod, None)
+
+    class Recorder:
+        def __init__(self):
+            self.wrapped = []
+
+        def wrap(self, owner, attr, name, summarize=None):
+            self.wrapped.append((owner, attr))
+
+    rec = Recorder()
+    run.wrap_layers(rec)
+    assert len(rec.wrapped) > 20
+    for owner, attr in rec.wrapped:
+        assert callable(getattr(owner, attr, None)), (owner, attr)
