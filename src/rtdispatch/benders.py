@@ -49,7 +49,6 @@ class Cut:
     scenario: int
     coef_x1: dict
     rhs_const: float
-    coef_theta: float = 1.0
     origin: tuple = ()  # (iteration, seed) for the record; not identity
 
     def value_at(self, x1):
@@ -167,13 +166,15 @@ def flow_violations(vmap, sol, tol):
     return specs
 
 
-def solve_with_lazy_flows(lp, vmap, opts=None, tol=LAZY_TOL, max_rounds=LAZY_MAX_ROUNDS):
+def solve_with_lazy_flows(lp, vmap, opts=None, tol=LAZY_TOL, max_rounds=LAZY_MAX_ROUNDS,
+                          warm=None):
     """Solve, generating violated flowgate rows until none remain.
 
-    Returns (solution, final_lp); the registry is extended in place with
-    every appended row.  The fixed point satisfies exactly the same
-    constraints as the fully materialized model."""
-    sol = solve_lp(lp, opts)
+    ``warm`` seeds the first solve.  Returns (solution, final_lp); the
+    registry is extended in place with every appended row.  The fixed
+    point satisfies exactly the same constraints as the fully
+    materialized model."""
+    sol = solve_lp(lp, opts, warm=warm)
     for _ in range(max_rounds):
         if sol.status != "optimal":
             return sol, lp
@@ -193,13 +194,12 @@ def solve_with_lazy_flows(lp, vmap, opts=None, tol=LAZY_TOL, max_rounds=LAZY_MAX
 
 
 def _solve(lp, vmap, cfg, warm=None):
-    """Solve; under lazy flows, then generate the violated flowgate rows.
+    """Solve; under lazy flows, generating the violated flowgate rows.
 
     Returns (solution, the model solved last)."""
-    sol = solve_lp(lp, cfg.lp, warm=warm)
-    if cfg.flows == "lazy" and sol.status == "optimal":
-        return solve_with_lazy_flows(lp, vmap, cfg.lp)
-    return sol, lp
+    if cfg.flows == "lazy":
+        return solve_with_lazy_flows(lp, vmap, cfg.lp, warm=warm)
+    return solve_lp(lp, cfg.lp, warm=warm), lp
 
 
 # ---------------------------------------------------------------------------

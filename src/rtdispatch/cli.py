@@ -13,12 +13,13 @@ import dataclasses
 import json
 import sys
 
-from .benders import BendersConfig, run_benders
+from .benders import BendersConfig
 from .forecast import load_history
-from .formulation import FIRST_STAGE_KINDS, build_sced, first_stage_values
-from .lp import LPOptions, solve_lp
+from .formulation import FIRST_STAGE_KINDS, require_common_first_period
+from .lp import LPOptions
 from .model import (
     CaseFormatError,
+    Scenario,
     ScenarioSet,
     ValidationError,
     initial_state,
@@ -166,25 +167,21 @@ def _parse_demand(text, case):
 
 
 def cmd_solve(args):
-    """One dispatch decision: a demand snapshot or a scenario window."""
+    """One dispatch decision: a demand snapshot or a scenario window.
+
+    The decision is the first period of a rolling simulation whose
+    realized day is the demand snapshot or the file's first scenario."""
     vc = _load_case(args)
     policy = _policy_from_args(args, vc)
-    state = initial_state(vc)
-    trace = None
-
     if args.demand is not None:
         if policy.kind != "sced":
             raise ValidationError(
                 "--demand gives a single period, which only the no-look-ahead "
                 "policy can use; pass --policy sced or a --scenarios window"
             )
-        lp, vmap = build_sced(vc, state, _parse_demand(args.demand, vc.case),
-                              flows=policy.flows)
-        sol = solve_lp(lp, policy.lp)
-        if sol.status != "optimal":
-            raise SimulationError(f"dispatch came back '{sol.status}'")
-        x1, objective, iters = first_stage_values(sol, vmap), float(sol.objective), 0
-        length = 1
+        load = _parse_demand(args.demand, vc.case)
+        now = Scenario(id="now", prob=1.0, load={b: (v,) for b, v in load.items()})
+        actuals = ScenarioSet(scenarios=(now,), horizon=1)
     elif policy.kind == "pd":
         raise ValidationError(
             "the hindsight benchmark is a whole-day policy; use 'simulate'"
@@ -194,23 +191,13 @@ def cmd_solve(args):
             "solve needs --scenarios for the current window (or --demand)"
         )
     else:
+        # the plan overwrites period 1 with the realized day's, so a file
+        # whose scenarios disagree there is rejected up front
+        require_common_first_period(policy.scenarios)
         first = dataclasses.replace(policy.scenarios.scenarios[0], prob=1.0)
         actuals = ScenarioSet(scenarios=(first,), horizon=policy.scenarios.horizon)
-        length = min(policy.horizon, actuals.horizon)
-        if policy.kind == "slad" and length >= 2:
-            win = policy.scenarios.window(0, length)
-            cfg = dataclasses.replace(policy.benders, flows=policy.flows,
-                                      lp=policy.lp)
-            res = run_benders(vc, state, win, cfg)
-            if res.status == "iteration_limit":
-                raise IterationLimit(
-                    f"decomposition used all {cfg.max_iter} iterations "
-                    f"(gap {res.trace[-1].gap:.3g})"
-                )
-            x1, objective, iters = dict(res.x1), float(res.objective), res.iterations
-            trace = res.trace
-        else:
-            x1, objective, iters = _plan_step(vc, state, policy, actuals, 0, length)
+    length = min(policy.horizon, actuals.horizon)
+    x1, objective, trace = _plan_step(vc, initial_state(vc), policy, actuals, 0, length)
 
     stage = {}
     for kind in FIRST_STAGE_KINDS:
@@ -228,10 +215,10 @@ def cmd_solve(args):
             "horizon": length,
             "seed": args.seed,
             "objective": objective,
-            "benders_iterations": iters,
+            "benders_iterations": len(trace),
             "first_stage": stage,
         }
-        if args.trace and trace is not None:
+        if args.trace and trace:
             th, tr = _trace_rows(trace, args.timings)
             payload["trace_columns"] = th
             payload["trace"] = tr
@@ -240,7 +227,7 @@ def cmd_solve(args):
         comments = [
             ("command", "solve"), ("case", vc.case.name),
             ("policy", policy.kind), ("horizon", length),
-            ("objective", objective), ("benders_iterations", iters),
+            ("objective", objective), ("benders_iterations", len(trace)),
         ]
         rows = [
             (kind, gid, v)
@@ -248,24 +235,17 @@ def cmd_solve(args):
             for gid, v in stage.get(kind, {}).items()
         ]
         text = _csv_lines(comments, ["product", "generator", "mw"], rows)
-        if args.trace and trace is not None:
+        if args.trace and trace:
             th, tr = _trace_rows(trace, args.timings)
             text += _csv_lines([("table", "trace")], th, tr)
         _emit(text, args.out)
     return 0
 
 
-def _simulate_one(args, vc, actuals, kind):
-    policy = _policy_from_args(args, vc)
-    policy = dataclasses.replace(policy, kind=kind,
-                                 horizon=1 if kind == "sced" else args.horizon)
-    return run_simulation(vc, actuals, policy)
-
-
 def cmd_simulate(args):
     vc = _load_case(args)
     actuals = parse_timeseries(_read(args.actuals), vc)
-    log = _simulate_one(args, vc, actuals, args.policy)
+    log = run_simulation(vc, actuals, _policy_from_args(args, vc))
     header, rows = log_rows(log, timings=args.timings)
     summary = log_summary(log)
     if args.format == "json":
@@ -290,7 +270,13 @@ def cmd_compare(args):
     kinds = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not kinds:
         raise ValidationError("no policies to compare")
-    logs = {kind: _simulate_one(args, vc, actuals, kind) for kind in kinds}
+    policy = _policy_from_args(args, vc)
+    logs = {
+        kind: run_simulation(
+            vc, actuals, dataclasses.replace(policy, kind=kind, horizon=args.horizon)
+        )
+        for kind in kinds
+    }
     base = logs.get("sced")
     rows = []
     for kind in kinds:

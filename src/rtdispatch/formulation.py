@@ -584,7 +584,7 @@ def build_benders_master(vc, state, scenarios: ScenarioSet, cuts, flows="full"):
     for cut in cuts:
         s = cut.scenario
         cols = [theta_cols[s]]
-        vals = [float(cut.coef_theta)]
+        vals = [1.0]
         for (kind, gid), coef in cut.coef_x1.items():
             c = vm.get((kind, gid, 0, 0))
             if c is not None and coef != 0.0:

@@ -10,7 +10,9 @@ slack basis or a warm start from a previous solution — is a legal entry
 point.
 
 The work outside pricing and FTRAN touches only nonzeros: the slack-
-augmented matrix [A I] is assembled once per solve from the row lists,
+augmented matrix [A I] is assembled once per solve from the model's
+``coo()`` entries, one slack per model row (an empty row is kept, its
+slack basic, so the basis and the duals index model rows one to one),
 the entering column is read from its CSC arrays, the ratio test scans
 only rows whose basic variable moves, and the product-form update
 rewrites only the rows where the entering column's FTRAN is nonzero.
@@ -150,16 +152,18 @@ class LinearProgram:
     def rhs_array(self):
         return np.asarray(self.rhs, dtype=np.float64)
 
+    def coo(self):
+        """The constraint entries as (row, col, value) arrays, in row order."""
+        m = self.n_rows
+        if m == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+        nnz = np.fromiter(map(len, self.row_cols), dtype=np.int64, count=m)
+        rows = np.repeat(np.arange(m, dtype=np.int64), nnz)
+        return rows, np.concatenate(self.row_cols), np.concatenate(self.row_vals)
+
     def matrix(self):
         """Constraint matrix as CSC (rows x vars)."""
-        if self.n_rows == 0:
-            return sp.csc_matrix((0, self.n_vars))
-        data = np.concatenate(self.row_vals) if self.row_vals else np.empty(0)
-        cols = np.concatenate(self.row_cols) if self.row_cols else np.empty(0, dtype=np.int64)
-        rows = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64),
-            [len(c) for c in self.row_cols],
-        )
+        rows, cols, data = self.coo()
         return sp.csc_matrix((data, (rows, cols)), shape=(self.n_rows, self.n_vars))
 
     def with_rows(self, extra_rows):
@@ -245,14 +249,12 @@ def extend_warm_start(lp, sol, ext):
     if sol is None or sol.basis is None:
         return None
     basis, vstat = sol.basis
-    # the basis covers only the rows the simplex kept (presolve drops
-    # empty ones): old slack indices keep their positions, and the slacks
-    # of the kept new rows join the basis after them
-    n, m_old = lp.n_vars, len(basis)
-    added = sum(len(cols) > 0 for cols in ext.row_cols[lp.n_rows:])
+    # old slack indices keep their positions; the new rows' slacks join
+    # the basis after them
+    start, stop = lp.n_vars + lp.n_rows, ext.n_vars + ext.n_rows
     return (
-        np.concatenate([basis, np.arange(n + m_old, n + m_old + added, dtype=np.int64)]),
-        np.concatenate([vstat, np.full(added, BASIC, dtype=np.int8)]),
+        np.concatenate([basis, np.arange(start, stop, dtype=np.int64)]),
+        np.concatenate([vstat, np.full(stop - start, BASIC, dtype=np.int8)]),
     )
 
 
@@ -264,42 +266,31 @@ class _Simplex:
     def __init__(self, lp, opts, warm=None):
         self.lp = lp
         self.opts = opts
-        n = lp.n_vars
+        n, m = lp.n_vars, lp.n_rows
         senses = np.asarray(lp.senses, dtype=np.int8)
         rhs = lp.rhs_array()
-
-        # presolve: drop rows with no coefficients after checking consistency
-        nnz_per_row = np.array([len(c) for c in lp.row_cols], dtype=np.int64)
-        keep = nnz_per_row > 0
-        self.empty_row_infeasible = False
-        for i in np.nonzero(~keep)[0]:
-            r, s = rhs[i], senses[i]
-            bad = (s == LE and r < -opts.feas_tol) or (
-                s == GE and r > opts.feas_tol
-            ) or (s == EQ and abs(r) > opts.feas_tol)
-            if bad:
-                self.empty_row_infeasible = True
-        self.row_map = np.nonzero(keep)[0]
-        self.full_m = lp.n_rows
-        senses = senses[keep]
-        rhs = rhs[keep]
-        m = len(self.row_map)
 
         slack_lo = np.where(senses == GE, -np.inf, 0.0)
         slack_hi = np.where(senses == LE, np.inf, 0.0)
         # equality rows get a fixed zero slack; it may sit in a basis but
-        # can never enter one
+        # can never enter one.  A row with no coefficients stays, its slack
+        # fixed at the rhs: infeasible if that is outside the slack's bounds
+        rows, cols, data = lp.coo()
+        empty = np.bincount(rows, minlength=m) == 0
+        ftol = opts.feas_tol
+        self.empty_row_infeasible = bool(np.any(
+            empty & ((rhs < slack_lo - ftol) | (rhs > slack_hi + ftol))
+        ))
         self.n, self.m = n, m
         self.N = n + m
-        # [A I] over the kept rows, assembled once; entries of each column
-        # are in row order, so every sparse product sums in a fixed order
-        rows = np.concatenate(
-            [np.repeat(np.arange(m, dtype=np.int64), nnz_per_row[keep]),
-             np.arange(m, dtype=np.int64)]
+        # [A I], assembled once; entries of each column are in row order,
+        # so every sparse product sums in a fixed order
+        slack = np.arange(m, dtype=np.int64)
+        self.A = sp.csc_matrix(
+            (np.concatenate([data, np.ones(m)]),
+             (np.concatenate([rows, slack]), np.concatenate([cols, n + slack]))),
+            shape=(m, self.N),
         )
-        cols = np.concatenate(lp.row_cols + [np.arange(n, n + m, dtype=np.int64)])
-        data = np.concatenate(lp.row_vals + [np.ones(m)])
-        self.A = sp.csc_matrix((data, (rows, cols)), shape=(m, self.N))
         self.AT = self.A.T
         self.c = np.concatenate([lp.cost, np.zeros(m)])
         self.lo = np.concatenate([lp.lower, slack_lo])
@@ -601,18 +592,14 @@ class _Simplex:
         return self._package(OPTIMAL)
 
     def _package(self, status):
-        n, m = self.n, self.m
+        n = self.n
         x = self.x[:n].copy()
-        duals_red = np.zeros(m)
+        duals = np.zeros(self.m)
         rc = np.zeros(n)
         if status == OPTIMAL:
-            y, d = self._reduced_costs(self.c)
-            duals_red = y
+            duals, d = self._reduced_costs(self.c)
             rc = d[:n]
             rc[self.vstat[:n] == BASIC] = 0.0
-        duals = np.zeros(self.full_m)
-        if m:
-            duals[self.row_map] = duals_red
         obj = float(self.c[:n] @ x + self.lp.obj_const) if status in (OPTIMAL, ITERATION_LIMIT) else (
             np.inf if status == INFEASIBLE else -np.inf
         )
@@ -663,10 +650,9 @@ def _solve_highs(lp, opts):
     row_lower = np.concatenate([np.full(n_ub, -np.inf), b_eq])
 
     # CSC with sorted row indices; HiGHS drops explicit zeros itself
-    nnz = np.fromiter(map(len, lp.row_cols), dtype=np.int64, count=m)
-    cols = np.concatenate(lp.row_cols) if m else np.zeros(0, dtype=np.int64)
-    vals = np.concatenate(lp.row_vals) * np.repeat(sign, nnz) if m else np.zeros(0)
-    rows = np.repeat(position, nnz)
+    rows, cols, vals = lp.coo()
+    vals = vals * sign[rows]
+    rows = position[rows]
     order = np.argsort(cols * m + rows)
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=n), out=start[1:])

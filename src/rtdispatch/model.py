@@ -663,11 +663,12 @@ def _read_series(text, label, case, required, optional=(), group="scenario",
     group's periods must be exactly 1..N.  Returns {group: [(prob,
     loads, pmaxes) per period]} in file order, prob 1 without a ``prob``
     column."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and not r[0].lstrip().startswith("#")]
+    # (file line, fields): numbered before comment and blank lines go
+    rows = [(i, r) for i, r in enumerate(csv.reader(io.StringIO(text)), start=1)
+            if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise CaseFormatError(f"{label}: empty")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     for name in required:
         if name not in header:
             raise CaseFormatError(f"{label}: missing '{name}' column")
@@ -696,7 +697,7 @@ def _read_series(text, label, case, required, optional=(), group="scenario",
         raise CaseFormatError(f"{label}: no load columns")
 
     groups = {}  # group -> {period -> (prob, loads, pmaxes)}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise CaseFormatError(f"{label} line {lineno}: expected {len(header)} fields")
         try:

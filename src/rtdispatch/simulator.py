@@ -6,7 +6,9 @@ forecast it is entitled to, commits its first-period dispatch, and that
 commitment is settled against the realized demand through one shared
 settlement model.  Costs are only ever accumulated from settled slices,
 so policies differ in nothing but the information they use — the
-comparisons stay fair by construction.
+comparisons stay fair by construction.  ``rtdispatch solve`` decides
+through the same planning step, and every dispatch LP is solved through
+one status check.
 
 Policies:
 
@@ -173,12 +175,8 @@ def settle_first_period(vc, state, load, pmax, x1, lp_opts=None, flows="full"):
                 )
             continue
         pins.append(([col], [1.0], "=", want, f"settle_{kind}({gid})"))
-    pinned = lp.with_rows(pins)
-    sol = solve_lp(pinned, lp_opts)
-    if sol.status != "optimal":
-        raise SimulationError(
-            f"period {state.wall_clock}: settlement came back '{sol.status}'"
-        )
+    sol = _solve_checked(lp.with_rows(pins), lp_opts,
+                         f"period {state.wall_clock}: settlement")
     d = extract_dispatch(sol, vmap)
     return d, itemize_costs(d, case)
 
@@ -209,16 +207,16 @@ def _forecast_window(vc, policy, actuals, t, length):
 def _full_day_plan(vc, state, actuals, policy):
     """The ``pd`` plan: the look-ahead model over the entire realized day."""
     lp, vmap = build_lad(vc, state, actuals, flows=policy.flows)
-    sol = solve_lp(lp, policy.lp)
-    if sol.status != "optimal":
-        raise SimulationError(f"full-day plan came back '{sol.status}'")
+    sol = _solve_checked(lp, policy.lp, f"period {state.wall_clock}: full-day plan")
     return extract_dispatch(sol, vmap), float(sol.objective)
 
 
 def _plan_step(vc, state, policy, actuals, t, length, plan=None):
-    """Choose the period-t commitment; returns (x1, objective, iters).
+    """Choose the period-t commitment; returns (x1, objective, trace).
 
-    With a full-day ``plan`` (``pd``), the commitment is its slice t."""
+    A single-scenario window is one look-ahead LP (empty ``trace``); more
+    go to the decomposition.  With a full-day ``plan`` (``pd``), the
+    commitment is its slice t."""
     if plan is not None:
         planned, objective = plan
         x1 = {
@@ -226,29 +224,19 @@ def _plan_step(vc, state, policy, actuals, t, length, plan=None):
             else planned.reserve_at(kind, gid, t)
             for kind, gid in first_stage_keys(vc.case)
         }
-        return x1, objective, 0
-    load, pmax = _realized_at(actuals, t)
+        return x1, objective, ()
 
-    if policy.kind == "sced" or length == 1:
-        lp, vmap = build_sced(vc, state, load, pmax=pmax, flows=policy.flows)
-        sol = solve_lp(lp, policy.lp)
-        if sol.status != "optimal":
-            raise SimulationError(f"period {t}: dispatch came back '{sol.status}'")
-        return first_stage_values(sol, vmap), float(sol.objective), 0
-
-    if policy.kind == "plad":
+    if policy.kind in ("sced", "plad") or length == 1:
         win = actuals.window(t, length)
     else:
         win = _forecast_window(vc, policy, actuals, t, length)
-
-    if policy.kind in ("lad", "plad") or win.n_scenarios == 1:
-        if win.n_scenarios > 1:
+        if policy.kind == "lad" and win.n_scenarios > 1:
             win = mean_forecast(win)
+
+    if win.n_scenarios == 1:
         lp, vmap = build_lad(vc, state, win, flows=policy.flows)
-        sol = solve_lp(lp, policy.lp)
-        if sol.status != "optimal":
-            raise SimulationError(f"period {t}: look-ahead came back '{sol.status}'")
-        return first_stage_values(sol, vmap), float(sol.objective), 0
+        sol = _solve_checked(lp, policy.lp, f"period {t}: dispatch")
+        return first_stage_values(sol, vmap), float(sol.objective), ()
 
     cfg = dataclasses.replace(policy.benders, flows=policy.flows, lp=policy.lp)
     res = run_benders(vc, state, win, cfg)
@@ -259,7 +247,16 @@ def _plan_step(vc, state, policy, actuals, t, length, plan=None):
         )
     if res.status != "optimal":
         raise SimulationError(f"period {t}: decomposition stopped at '{res.status}'")
-    return dict(res.x1), float(res.objective), res.iterations
+    return dict(res.x1), float(res.objective), res.trace
+
+
+def _solve_checked(lp, opts, what):
+    """Solve a dispatch model; any status but optimal is a SimulationError
+    whose message starts with ``what``."""
+    sol = solve_lp(lp, opts)
+    if sol.status != "optimal":
+        raise SimulationError(f"{what} came back '{sol.status}'")
+    return sol
 
 
 def run_simulation(vc, actuals, policy: PolicySpec, state=None) -> SimulationLog:
@@ -294,13 +291,13 @@ def run_simulation(vc, actuals, policy: PolicySpec, state=None) -> SimulationLog
         length = min(policy.horizon, T - t)
         load, pmax = _realized_at(actuals, t)
         avail = available_capacity(vc, state, pmax_now=pmax)
-        x1, objective, iters = _plan_step(vc, state, policy, actuals, t, length, plan)
+        x1, objective, trace = _plan_step(vc, state, policy, actuals, t, length, plan)
         d, costs = settle_first_period(
             vc, state, load, pmax, x1, policy.lp, policy.flows
         )
         steps.append(
             _record(t, d, costs, avail, objective,
-                    (time.perf_counter() - t0) * 1e3, iters)
+                    (time.perf_counter() - t0) * 1e3, len(trace))
         )
         totals = totals + costs
         state = SystemState(

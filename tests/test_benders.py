@@ -260,7 +260,7 @@ def test_lazy_generation_reaches_the_full_model():
 
 
 def test_lazy_rounds_keep_warm_start_past_an_empty_row(monkeypatch):
-    # presolve drops the vacuous row, so each round's warm basis must not count it
+    # the vacuous row keeps its slack in the basis, so each round's warm basis counts it
     vc, scen = _congested_setup()
     lazy_lp, lazy_vm = build_slad_extensive(vc, case3_state(), scen, flows="lazy")
     lazy_lp = lazy_lp.with_rows([([], [], "<=", 1.0, "vacuous")])
@@ -277,6 +277,24 @@ def test_lazy_rounds_keep_warm_start_past_an_empty_row(monkeypatch):
     assert sol.status == "optimal"
     assert final_lp.n_rows > lazy_lp.n_rows
     assert accepted and all(accepted), accepted
+
+
+def test_lazy_benders_solves_each_model_once(monkeypatch):
+    # every master and oracle model is solved once, then only its extensions
+    from rtdispatch import benders
+
+    vc, scen = _congested_setup()
+    handed = []
+
+    def recorded(lp, *args, **kwargs):
+        handed.append(lp)
+        return solve_lp(lp, *args, **kwargs)
+
+    monkeypatch.setattr(benders, "solve_lp", recorded)
+    res = run_benders(vc, case3_state(), scen, BendersConfig(flows="lazy"))
+    assert res.status == "optimal"
+    assert len(handed) > 1
+    assert all(a is not b for a, b in zip(handed, handed[1:]))
 
 
 def test_benders_with_lazy_flows_matches_full():

@@ -1,8 +1,10 @@
 """End-to-end command-line checks driven through main()."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +80,29 @@ def test_solve_demand_snapshot(files, capsys):
     assert doc["objective"] == pytest.approx(100.0, abs=1e-6)
     assert doc["first_stage"]["pg"]["G1"] == pytest.approx(10.0, abs=1e-6)
     assert doc["benders_iterations"] == 0
+
+
+def test_solve_demand_is_a_one_period_day(files, tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    one.write_text("period,load:B1\n1,10\n")
+    base = ["solve", "--case", files["case"], "--policy", "sced"]
+    assert main([*base, "--demand", "B1=10"]) == 0
+    from_demand = capsys.readouterr().out
+    assert main([*base, "--scenarios", str(one)]) == 0
+    assert capsys.readouterr().out == from_demand
+
+
+@pytest.mark.parametrize("kind", ["sced", "lad", "slad", "plad"])
+def test_solve_rejects_scenarios_that_disagree_now(files, tmp_path, capsys, kind):
+    split = tmp_path / "split.csv"
+    split.write_text("period,scenario,prob,load:B1\n"
+                     "1,lo,0.5,10\n2,lo,0.5,29\n1,hi,0.5,12\n2,hi,0.5,37\n")
+    rc = main(["solve", "--case", files["case"], "--scenarios", str(split),
+               "--policy", kind])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario 'hi'" in captured.err
 
 
 def test_solve_demand_validation(files, capsys):
@@ -297,3 +322,73 @@ def test_module_help_runs():
     assert proc.returncode == 0
     for word in ("solve", "simulate", "compare", "report"):
         assert word in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the bundled data
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+_TOY = ["--case", str(DATA / "toy_case.json")]
+_TOY_DAY = [*_TOY, "--actuals", str(DATA / "toy_day.csv"),
+            "--scenarios", str(DATA / "toy_scenarios.csv")]
+_NET_DAY = ["--case", str(DATA / "network_case.json"),
+            "--actuals", str(DATA / "network_day.csv"),
+            "--history", str(DATA / "network_history.csv"),
+            "--knn-k", "3", "--horizon", "4"]
+_ALL = ["--policies", "sced,lad,slad,plad,pd"]
+
+_TOY_SOLVE = ["solve", *_TOY, "--scenarios", str(DATA / "toy_scenarios.csv")]
+_DEMAND = ["solve", *_TOY, "--policy", "sced", "--demand", "B1=10"]
+
+BUNDLED_RUNS = {
+    "compare-toy-json": ["compare", *_TOY_DAY, *_ALL],
+    "compare-toy-csv": ["compare", *_TOY_DAY, *_ALL, "--format", "csv"],
+    "compare-network-simplex": ["compare", *_NET_DAY, *_ALL],
+    "compare-network-highs": ["compare", *_NET_DAY, *_ALL, "--backend", "highs"],
+    "compare-network-highs-lazy": ["compare", *_NET_DAY, *_ALL, "--backend", "highs",
+                                   "--flows", "lazy", "--workers", "2"],
+    **{f"solve-{kind}-trace": [*_TOY_SOLVE, "--policy", kind, "--trace"]
+       for kind in ("sced", "lad", "slad", "plad")},
+    "solve-slad-trace-csv": [*_TOY_SOLVE, "--policy", "slad", "--trace",
+                             "--format", "csv"],
+    "solve-demand-json": _DEMAND,
+    "solve-demand-csv": [*_DEMAND, "--format", "csv"],
+}
+
+# sha256 of each run's stdout; a change to any settled dollar, plan, trace
+# or formatting moves its digest.  Recorded with numpy 2.4 / scipy 1.17; as
+# with PIVOT_PATH in test_simulator.py, another BLAS can move the network
+# totals' last digits
+BUNDLED_SHA256 = {
+    "compare-toy-json":
+        "77248028ea5f47b18de18bb0ed2cdfb73442826210706b3d402296244f95e0bc",
+    "compare-toy-csv":
+        "755001ecca1b8c15055e76327e1e3bb20f446b7935bee27344511a3252318f38",
+    "compare-network-simplex":
+        "a1cef7cdf0e605c63f1a3b9fda9783168d672538db8fab3262ab1fc18665ef7f",
+    "compare-network-highs":
+        "209ee57c97f530a22cb843b6efc4f0008787dd0ef2ec0b731323ed39c055e03b",
+    "compare-network-highs-lazy":
+        "d2fb013ec10890e5a46951c8d61af9b4479b59f676455e97607b00da79f46aac",
+    "solve-sced-trace":
+        "c1d905a919306065633aa59488a23c9ff6c54464840e504805b43c6ca03fd041",
+    "solve-lad-trace":
+        "2b0eef4e63e520c98ad4b673c4d05432d79c2951334e35f2ea2054e58f406eed",
+    "solve-slad-trace":
+        "1db18eb386bd2a231b2ca601f0206f6fcc41520376908b910707c89f8595b392",
+    "solve-plad-trace":
+        "d4be16298b88eac848423e725253a162fdcdc2fca79f50aa40269fcba0afc174",
+    "solve-slad-trace-csv":
+        "ca3f57a37e3830d4116b0577977714ea3822014433ae5de1972f06d8648092a4",
+    "solve-demand-json":
+        "c1d905a919306065633aa59488a23c9ff6c54464840e504805b43c6ca03fd041",
+    "solve-demand-csv":
+        "5e0a0cbd7ae3bfe0f68da8b05d2172a0014f008a1fdb6a8e9fc87cbe00134a7a",
+}
+
+
+@pytest.mark.parametrize("name", list(BUNDLED_RUNS))
+def test_bundled_cli_outputs_are_pinned(name, capsys):
+    assert main(BUNDLED_RUNS[name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BUNDLED_SHA256[name]

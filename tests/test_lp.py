@@ -65,7 +65,7 @@ def test_two_var_append_row(backend):
 
 
 def test_append_row_keeps_warm_start_past_an_empty_row():
-    # presolve drops the vacuous row, so the warm basis must not count it
+    # the vacuous row keeps its slack in the basis, so the warm basis counts it
     lp = two_var_example()
     lp.add_row([], [], "<=", 5.0, name="vacuous")
     sol = solve_lp(lp)
@@ -78,6 +78,49 @@ def test_append_row_keeps_warm_start_past_an_empty_row():
     assert sol2.objective == pytest.approx(150.0, abs=1e-9)
     assert sol2.iterations == plain_sol.iterations == 1
     assert_solution_clean(lp.with_rows([([0], [1.0], "<=", 5.0)]), sol2)
+
+
+def _three_rows(empty=None):
+    lp = LinearProgram()
+    a = lp.add_var(0.0, 20.0, cost=10.0)
+    b = lp.add_var(0.0, 30.0, cost=20.0)
+    c = lp.add_var(0.0, 5.0, cost=-4.0)
+    lp.add_row([a, b], [1.0, 1.0], ">=", 10.0)
+    if empty is not None:
+        lp.add_row([], [], *empty, name="empty")
+    lp.add_row([a, c], [1.0, -1.0], "<=", 8.0)
+    lp.add_row([b, c], [1.0, 1.0], "=", 6.0)
+    return lp
+
+
+@pytest.mark.parametrize("empty", [("<=", 5.0), (">=", -1.0), ("=", 0.0)])
+def test_empty_row_in_the_middle_changes_nothing(empty, monkeypatch):
+    plain, lp = _three_rows(), _three_rows(empty)
+    ref, sol = solve_lp(plain), solve_lp(lp)
+    assert ref.status == sol.status == "optimal"
+    assert np.array_equal(sol.x, ref.x)
+    assert sol.objective == ref.objective
+    assert np.array_equal(np.delete(sol.duals, 1), ref.duals)
+    assert sol.duals[1] == 0.0
+    assert np.any(ref.duals != 0.0)
+
+    accepted = []
+    init_basis = lpmod._Simplex._init_basis
+
+    def recorded(self, warm):
+        init_basis(self, warm)
+        if warm is not None:
+            accepted.append(np.array_equal(self.basis, warm[0]))
+
+    monkeypatch.setattr(lpmod._Simplex, "_init_basis", recorded)
+    cut = [([0], [1.0], "<=", 7.0)]
+    ref2 = append_rows_and_resolve(plain, ref, cut)
+    sol2 = append_rows_and_resolve(lp, sol, cut)
+    assert accepted == [True, True]
+    assert np.array_equal(sol2.x, ref2.x)
+    assert sol2.objective == ref2.objective
+    assert sol2.iterations == ref2.iterations
+    assert np.array_equal(np.delete(sol2.duals, 1), ref2.duals)
 
 
 def test_single_var_dual():

@@ -206,6 +206,8 @@ READER_CASES = {
                         r"^day file line 3: expected 2 fields$"),
     "history-field-count": ("history", "date,period,load:B1\nd1,1\n",
                             r"^history file line 2: expected 3 fields$"),
+    "history-below-comments": ("history", "# a\n# b\ndate,period,load:B1\nd1,1,x\n",
+                               r"^history file line 4: bad load:B1 value 'x'$"),
     "day-period": ("day", "period,load:B1\n1.5,10\n",
                    r"^day file line 2: bad period '1.5'$"),
     "history-period": ("history", "date,period,load:B1\nd1,1,10\nd1,two,11\n",
