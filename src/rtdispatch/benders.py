@@ -12,10 +12,17 @@ An upper bound is evaluated at the master argmin every iteration, so
 the incumbent is always a genuinely feasible first stage with its true
 expected cost — the reported objective never relies on the cut model
 being complete.
+
+One master is built per decision; each iteration appends the pool's new
+cuts, which gives the rows a fresh build from the whole pool would.  Its
+lazy flowgate rows are generated afresh each iteration.  Each oracle
+re-solves rhs copies of one subproblem, which share its compiled
+structure, and the oracles share one thread pool per decision.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .formulation import (
+    append_rows,
+    benders_cut_rows,
     build_benders_master,
     build_benders_subproblem,
     first_stage_values,
@@ -181,12 +190,7 @@ def solve_with_lazy_flows(lp, vmap, opts=None, tol=LAZY_TOL, max_rounds=LAZY_MAX
         specs = flow_violations(vmap, sol, tol)
         if not specs:
             return sol, lp
-        n_rows = lp.n_rows
-        rows = []
-        for i, (key, cols, vals, sense, rhs, name) in enumerate(specs):
-            vmap.add_row(key, n_rows + i)
-            rows.append((cols, vals, sense, rhs, name))
-        ext = lp.with_rows(rows)
+        ext = append_rows(lp, vmap, specs)
         lp, sol = ext, solve_lp(ext, opts, warm=extend_warm_start(lp, sol, ext))
     raise LPNumericalError(
         f"flowgate generation did not settle within {max_rounds} rounds"
@@ -289,16 +293,12 @@ def _add_cuts(pool, results, x_rmp, theta, origin):
     return added
 
 
-def _query_all(oracles, x1, workers):
-    """Query every scenario oracle at a point, in scenario order."""
-    if workers <= 1 or len(oracles) <= 1:
+def _query_all(oracles, x1, executor):
+    """Query every scenario oracle at a point, in scenario order, on the
+    executor's threads when one is given."""
+    if executor is None:
         return [o.query(x1) for o in oracles]
-    out = [None] * len(oracles)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(o.query, x1): i for i, o in enumerate(oracles)}
-        for fut, i in futures.items():
-            out[i] = fut.result()
-    return out
+    return list(executor.map(lambda o: o.query(x1), oracles))
 
 
 # ---------------------------------------------------------------------------
@@ -336,52 +336,62 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
     trace = []
     status = "iteration_limit"
 
-    for it in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter()
-        lp, vm = build_benders_master(vc, state, scenarios, list(pool), flows=cfg.flows)
-        sol, lp = _solve(lp, vm, cfg)
-        if sol.status != "optimal":
-            raise LPNumericalError(f"master came back '{sol.status}'")
-        lower = float(sol.objective)
-        x_rmp = first_stage_values(sol, vm)
-        theta = [float(sol.x[vm.col(("theta", s))]) for s in range(S)]
-        stage_cost = lower - sum(p * th for p, th in zip(probs, theta))
-        if x_hat is None:
-            x_hat = dict(x_rmp)
+    # one master for the run, extended by each iteration's new cuts
+    master, vm = build_benders_master(vc, state, scenarios, list(pool), flows=cfg.flows)
+    in_master = len(pool)
+    threaded = cfg.workers > 1 and S > 1
+    with ThreadPoolExecutor(cfg.workers) if threaded else contextlib.nullcontext() as executor:
+        for it in range(1, cfg.max_iter + 1):
+            t0 = time.perf_counter()
+            new_cuts = list(pool)[in_master:]
+            if new_cuts:
+                master = append_rows(master, vm, benders_cut_rows(vm, new_cuts))
+                in_master += len(new_cuts)
+            # lazy flowgate rows extend a copy of the registry: they are
+            # generated afresh for every master
+            sol, _ = _solve(master, vm.copy(), cfg)
+            if sol.status != "optimal":
+                raise LPNumericalError(f"master came back '{sol.status}'")
+            lower = float(sol.objective)
+            x_rmp = first_stage_values(sol, vm)
+            theta = [float(sol.x[vm.col(("theta", s))]) for s in range(S)]
+            stage_cost = lower - sum(p * th for p, th in zip(probs, theta))
+            if x_hat is None:
+                x_hat = dict(x_rmp)
 
-        # pass 1: separate at the interior candidate
-        x_tilde = in_out_candidate(x_hat, x_rmp, cfg.alpha)
-        added = _add_cuts(pool, _query_all(oracles, x_tilde, cfg.workers),
-                          x_rmp, theta, (it, "interior"))
-        interior_hit = added > 0
+            # pass 1: separate at the interior candidate
+            x_tilde = in_out_candidate(x_hat, x_rmp, cfg.alpha)
+            added = _add_cuts(pool, _query_all(oracles, x_tilde, executor),
+                              x_rmp, theta, (it, "interior"))
+            interior_hit = added > 0
 
-        # upper bound at the master argmin (and pass 2 when pass 1 missed)
-        results = _query_all(oracles, x_rmp, cfg.workers)
-        upper = stage_cost + sum(p * q for p, (q, _s, _r) in zip(probs, results))
-        if upper < best_upper:
-            best_upper = upper
-            best_x1 = dict(x_rmp)
-            best_values = {
-                scenarios.scenarios[s].id: q for s, (q, _s, _r) in enumerate(results)
-            }
-        if not interior_hit:
-            added = _add_cuts(pool, results, x_rmp, theta, (it, "argmin"))
+            # upper bound at the master argmin (and pass 2 when pass 1 missed)
+            results = _query_all(oracles, x_rmp, executor)
+            upper = stage_cost + sum(p * q for p, (q, _s, _r) in zip(probs, results))
+            if upper < best_upper:
+                best_upper = upper
+                best_x1 = dict(x_rmp)
+                best_values = {
+                    scenarios.scenarios[s].id: q for s, (q, _s, _r) in enumerate(results)
+                }
+            if not interior_hit:
+                added = _add_cuts(pool, results, x_rmp, theta, (it, "argmin"))
 
-        x_hat = dict(x_tilde) if interior_hit else dict(x_rmp)
-        gap = relative_gap(best_upper, lower)
-        trace.append(
-            IterationRecord(
-                iteration=it,
-                lower=lower,
-                upper=best_upper,
-                gap=gap,
-                cuts_added=added,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
+            x_hat = dict(x_tilde) if interior_hit else dict(x_rmp)
+            gap = relative_gap(best_upper, lower)
+            trace.append(
+                IterationRecord(
+                    iteration=it,
+                    lower=lower,
+                    upper=best_upper,
+                    gap=gap,
+                    cuts_added=added,
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                )
             )
-        )
-        if gap <= cfg.epsilon or added == 0:
-            status = "optimal"
-            break
+            if gap <= cfg.epsilon or added == 0:
+                status = "optimal"
+                break
 
     return BendersResult(
         status=status,

@@ -96,6 +96,15 @@ class VariableMap:
     def add_bound_record(self, family, key, value):
         self.bound_records.setdefault(family, []).append((key, value))
 
+    def copy(self):
+        """A registry whose rows extend without touching this one's; the
+        columns, bound records and meta are shared."""
+        out = VariableMap()
+        out._col, out._col_rev = self._col, self._col_rev
+        out._row, out._row_rev = dict(self._row), dict(self._row_rev)
+        out.bound_records, out.meta = self.bound_records, self.meta
+        return out
+
     def columns(self):
         return self._col.items()
 
@@ -473,6 +482,14 @@ def flow_limit_rows(vmap, branch, t, s):
     return [up, dn]
 
 
+def append_rows(lp, vmap, specs):
+    """``lp`` with (key, cols, vals, sense, rhs, name) row specs appended;
+    the registry is extended in place."""
+    for i, spec in enumerate(specs):
+        vmap.add_row(spec[0], lp.n_rows + i)
+    return lp.with_rows([spec[1:] for spec in specs])
+
+
 # ---------------------------------------------------------------------------
 # public builders
 
@@ -573,33 +590,38 @@ def build_benders_master(vc, state, scenarios: ScenarioSet, cuts, flows="full"):
     asm.grid(weights=[1.0], prev_dispatch=state.prev_dispatch)
     lp, vm = asm.lp, asm.vmap
 
-    probs = [s.prob for s in scenarios.scenarios]
-    theta_cols = []
-    for s, p in enumerate(probs):
-        col = lp.add_var(-np.inf, np.inf, p, name=f"theta({s})")
-        vm.add_col(("theta", s), col)
-        theta_cols.append(col)
-
-    per_scenario = [0] * len(probs)
-    for cut in cuts:
-        s = cut.scenario
-        cols = [theta_cols[s]]
-        vals = [1.0]
-        for (kind, gid), coef in cut.coef_x1.items():
-            c = vm.get((kind, gid, 0, 0))
-            if c is not None and coef != 0.0:
-                cols.append(c)
-                vals.append(-float(coef))
-        r = lp.add_row(cols, vals, ">=", cut.rhs_const,
-                       name=f"cut({s},{per_scenario[s]})")
-        vm.add_row(("optimality_cut", s, per_scenario[s]), r)
-        per_scenario[s] += 1
-    for s, count in enumerate(per_scenario):
+    for s, sc in enumerate(scenarios.scenarios):
+        vm.add_col(("theta", s), lp.add_var(-np.inf, np.inf, sc.prob, name=f"theta({s})"))
+    vm.meta["cut_counts"] = [0] * scenarios.n_scenarios
+    for key, cols, vals, sense, rhs, name in benders_cut_rows(vm, cuts):
+        vm.add_row(key, lp.add_row(cols, vals, sense, rhs, name=name))
+    for s, count in enumerate(vm.meta["cut_counts"]):
         if count == 0:
             raise ValidationError(
                 f"scenario {s} has no cuts; seed the pool with the initialization floor"
             )
     return lp.freeze(), vm
+
+
+def benders_cut_rows(vmap, cuts):
+    """Row specs theta_s - coef_x1' x1 >= rhs_const for a master's registry,
+    each scenario's cuts numbered on from its count (kept in the meta), so
+    appending them gives the rows a build with every cut would have."""
+    counts = vmap.meta["cut_counts"]
+    specs = []
+    for cut in cuts:
+        s, k = cut.scenario, counts[cut.scenario]
+        cols = [vmap.col(("theta", s))]
+        vals = [1.0]
+        for (kind, gid), coef in cut.coef_x1.items():
+            c = vmap.get((kind, gid, 0, 0))
+            if c is not None and coef != 0.0:
+                cols.append(c)
+                vals.append(-float(coef))
+        specs.append((("optimality_cut", s, k), cols, vals, ">=", cut.rhs_const,
+                      f"cut({s},{k})"))
+        counts[s] += 1
+    return specs
 
 
 def build_benders_subproblem(vc, scenarios: ScenarioSet, s, x1=None, first_period=0,
@@ -740,6 +762,10 @@ def itemize_costs(d, case, period=None):
     energy = imports = no_load = reserves = 0.0
     pen_bal = pen_res = pen_flow = 0.0
     branch_price = {e.id: e.violation_price for e in case.branches}
+    # each cell's flow excess, in the dispatch's item order
+    flow_cells = {}
+    for (e, t, s), v in d.flow_excess.items():
+        flow_cells.setdefault((t, s), []).append(branch_price[e] * v)
     for t in periods:
         ta = d.first_period + t
         no_load += sum(
@@ -768,11 +794,7 @@ def itemize_costs(d, case, period=None):
                 + case.penalties.rspin * d.short_rspin.get((t, s), 0.0)
                 + case.penalties.op * d.short_op.get((t, s), 0.0)
             )
-            pen_flow += wh * sum(
-                branch_price[e] * v
-                for (e, tt, ss), v in d.flow_excess.items()
-                if tt == t and ss == s
-            )
+            pen_flow += wh * sum(flow_cells.get((t, s), ()))
     return CostBreakdown.build(
         energy=energy,
         imports=imports,

@@ -10,7 +10,7 @@ slack basis or a warm start from a previous solution — is a legal entry
 point.
 
 The work outside pricing and FTRAN touches only nonzeros: the slack-
-augmented matrix [A I] is assembled once per solve from the model's
+augmented matrix [A I] is assembled once per model structure from its
 ``coo()`` entries, one slack per model row (an empty row is kept, its
 slack basic, so the basis and the duals index model rows one to one),
 the entering column is read from its CSC arrays, the ratio test scans
@@ -32,11 +32,20 @@ bundles (scipy.optimize._highspy), in exactly the form
 scipy.optimize.linprog(method="highs") would, so its solutions are
 linprog's bit for bit without linprog's per-call overhead.  Both backends
 feed the same KKT verifier.
+
+A frozen model compiles its structure (``_Structure``) once, and its
+``with_rhs`` copies share it: read-only arrays, ``matrix()``, the
+simplex's [A I], and linprog's layout in a kept ``HighsLp`` that lacks
+only the row bounds.  A HiGHS solve writes those and ``passModel`` copies
+the model, both under a per-structure lock; ``run`` stays outside it.  An
+unfrozen model compiles on every query, so nothing cached goes stale.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,6 +99,7 @@ class LinearProgram:
         self.rhs = []
         self.row_names = []
         self._frozen = False
+        self._compiled = None
 
     # -- construction -----------------------------------------------------
 
@@ -135,36 +145,39 @@ class LinearProgram:
         self._frozen = True
         return self
 
+    def _structure(self):
+        """The compiled structure, kept only once frozen."""
+        out = self._compiled
+        if out is None:
+            out = _Structure(self)
+            if self._frozen:
+                self._compiled = out
+        return out
+
     # -- frozen views -----------------------------------------------------
 
     @property
     def cost(self):
-        return np.asarray(self._cost, dtype=np.float64)
+        return self._structure().cost
 
     @property
     def lower(self):
-        return np.asarray(self._lo, dtype=np.float64)
+        return self._structure().lower
 
     @property
     def upper(self):
-        return np.asarray(self._hi, dtype=np.float64)
+        return self._structure().upper
 
     def rhs_array(self):
         return np.asarray(self.rhs, dtype=np.float64)
 
     def coo(self):
         """The constraint entries as (row, col, value) arrays, in row order."""
-        m = self.n_rows
-        if m == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
-        nnz = np.fromiter(map(len, self.row_cols), dtype=np.int64, count=m)
-        rows = np.repeat(np.arange(m, dtype=np.int64), nnz)
-        return rows, np.concatenate(self.row_cols), np.concatenate(self.row_vals)
+        return self._structure().coo
 
     def matrix(self):
         """Constraint matrix as CSC (rows x vars)."""
-        rows, cols, data = self.coo()
-        return sp.csc_matrix((data, (rows, cols)), shape=(self.n_rows, self.n_vars))
+        return self._structure().form(_csc)
 
     def with_rows(self, extra_rows):
         """A new LinearProgram with ``extra_rows`` appended; storage shared.
@@ -177,10 +190,14 @@ class LinearProgram:
         return out.freeze()
 
     def with_rhs(self, updates):
-        """A new LinearProgram with rhs entries replaced ({row_index: value})."""
+        """A new LinearProgram with rhs entries replaced ({row_index: value}).
+
+        A frozen model's copies share its compiled structure."""
         out = self._share_columns(copy_rows=False)
         for i, v in updates.items():
             out.rhs[i] = float(v)
+        if self._frozen:
+            out._compiled = self._structure()
         return out.freeze()
 
     def _share_columns(self, copy_rows):
@@ -194,6 +211,46 @@ class LinearProgram:
             setattr(out, name, list(rows) if copy_rows else rows)
         out.rhs = list(self.rhs)
         return out
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+class _Structure:
+    """Everything of a model but its rhs, as read-only arrays, and each
+    consumer's form of them, built on first use."""
+
+    def __init__(self, lp):
+        self.n, self.m = lp.n_vars, lp.n_rows
+        self.cost, self.lower, self.upper = (
+            np.array(v, dtype=np.float64) for v in (lp._cost, lp._lo, lp._hi))
+        self.senses = np.array(lp.senses, dtype=np.int8)
+        if self.m == 0:
+            self.coo = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+        else:
+            nnz = np.fromiter(map(len, lp.row_cols), dtype=np.int64, count=self.m)
+            rows = np.repeat(np.arange(self.m, dtype=np.int64), nnz)
+            self.coo = rows, np.concatenate(lp.row_cols), np.concatenate(lp.row_vals)
+        _read_only(self.cost, self.lower, self.upper, self.senses, *self.coo)
+        self.lock = threading.Lock()
+        self._forms = {}
+
+    def form(self, build):
+        """``build(self)``, made on the first call and kept."""
+        with self.lock:
+            out = self._forms.get(build)
+            if out is None:
+                out = self._forms[build] = build(self)
+        return out
+
+
+def _csc(s):
+    rows, cols, data = s.coo
+    A = sp.csc_matrix((data, (rows, cols)), shape=(s.m, s.n))
+    _read_only(A.data, A.indices, A.indptr)
+    return A
 
 
 @dataclasses.dataclass
@@ -262,39 +319,46 @@ def extend_warm_start(lp, sol, ext):
 # reference simplex
 
 
+class _SlackForm:
+    """[A I] with the slacks' costs and bounds.  Equality rows get a fixed
+    zero slack; it may sit in a basis but can never enter one.  A row with
+    no coefficients stays, its slack fixed at the rhs."""
+
+    def __init__(self, s):
+        n, m = s.n, s.m
+        rows, cols, data = s.coo
+        self.empty = np.bincount(rows, minlength=m) == 0
+        self.slack_lo = np.where(s.senses == GE, -np.inf, 0.0)
+        self.slack_hi = np.where(s.senses == LE, np.inf, 0.0)
+        # entries of each column are in row order, so every sparse product
+        # sums in a fixed order
+        slack = np.arange(m, dtype=np.int64)
+        self.A = A = sp.csc_matrix(
+            (np.concatenate([data, np.ones(m)]),
+             (np.concatenate([rows, slack]), np.concatenate([cols, n + slack]))),
+            shape=(m, n + m),
+        )
+        self.AT = A.T
+        self.c = np.concatenate([s.cost, np.zeros(m)])
+        self.lo = np.concatenate([s.lower, self.slack_lo])
+        self.hi = np.concatenate([s.upper, self.slack_hi])
+        _read_only(A.data, A.indices, A.indptr, self.c, self.lo, self.hi)
+
+
 class _Simplex:
     def __init__(self, lp, opts, warm=None):
         self.lp = lp
         self.opts = opts
-        n, m = lp.n_vars, lp.n_rows
-        senses = np.asarray(lp.senses, dtype=np.int8)
+        f = lp._structure().form(_SlackForm)
         rhs = lp.rhs_array()
-
-        slack_lo = np.where(senses == GE, -np.inf, 0.0)
-        slack_hi = np.where(senses == LE, np.inf, 0.0)
-        # equality rows get a fixed zero slack; it may sit in a basis but
-        # can never enter one.  A row with no coefficients stays, its slack
-        # fixed at the rhs: infeasible if that is outside the slack's bounds
-        rows, cols, data = lp.coo()
-        empty = np.bincount(rows, minlength=m) == 0
+        # an empty row is infeasible if its rhs is outside the slack's bounds
         ftol = opts.feas_tol
         self.empty_row_infeasible = bool(np.any(
-            empty & ((rhs < slack_lo - ftol) | (rhs > slack_hi + ftol))
+            f.empty & ((rhs < f.slack_lo - ftol) | (rhs > f.slack_hi + ftol))
         ))
-        self.n, self.m = n, m
-        self.N = n + m
-        # [A I], assembled once; entries of each column are in row order,
-        # so every sparse product sums in a fixed order
-        slack = np.arange(m, dtype=np.int64)
-        self.A = sp.csc_matrix(
-            (np.concatenate([data, np.ones(m)]),
-             (np.concatenate([rows, slack]), np.concatenate([cols, n + slack]))),
-            shape=(m, self.N),
-        )
-        self.AT = self.A.T
-        self.c = np.concatenate([lp.cost, np.zeros(m)])
-        self.lo = np.concatenate([lp.lower, slack_lo])
-        self.hi = np.concatenate([lp.upper, slack_hi])
+        self.n, self.m = lp.n_vars, lp.n_rows
+        self.N = self.n + self.m
+        self.A, self.AT, self.c, self.lo, self.hi = f.A, f.AT, f.c, f.lo, f.hi
         self.b = rhs
         self.x = np.zeros(self.N)
         self.iterations = 0
@@ -618,6 +682,74 @@ class _Simplex:
 # HiGHS backend (the HiGHS core bundled with scipy)
 
 
+def _hc():
+    # imported on first use: loading it loads scipy.optimize, which the
+    # reference simplex never needs
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+def _highs_inf(v):
+    return np.where(np.isinf(v), np.copysign(_hc().kHighsInf, v), v)
+
+
+class _HighsForm:
+    """linprog's layout in a kept ``HighsLp`` that lacks the row bounds:
+    the <= and >= rows in model order, >= rows negated (their duals flip
+    back after the solve), then the = rows; HiGHS reads each row as
+    lhs <= a'x <= rhs."""
+
+    def __init__(self, s):
+        hc = _hc()
+        n, m = s.n, s.m
+        self.ub_rows = np.flatnonzero(s.senses != EQ)
+        self.eq_rows = np.flatnonzero(s.senses == EQ)
+        self.n_ub = n_ub = len(self.ub_rows)
+        sign = np.where(s.senses == GE, -1.0, 1.0)
+        self.ub_sign = sign[self.ub_rows]
+        position = np.empty(m, dtype=np.int64)
+        position[self.ub_rows] = np.arange(n_ub)
+        position[self.eq_rows] = np.arange(n_ub, m)
+
+        # CSC with sorted row indices; HiGHS drops explicit zeros itself
+        rows, cols, vals = s.coo
+        vals = vals * sign[rows]
+        rows = position[rows]
+        order = np.argsort(cols * m + rows)
+        start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+
+        model = self.model = hc.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = n
+        model.num_row_ = model.a_matrix_.num_row_ = m
+        model.a_matrix_.format_ = hc.MatrixFormat.kColwise
+        # the binding copies a float64 array in one piece but converts
+        # integer arrays element by element, which a list does faster
+        model.a_matrix_.start_ = start.tolist()
+        model.a_matrix_.index_ = rows[order].tolist()
+        model.a_matrix_.value_ = vals[order]
+        model.col_cost_ = s.cost
+        model.col_lower_ = _highs_inf(s.lower)
+        model.col_upper_ = _highs_inf(s.upper)
+
+
+@functools.lru_cache(maxsize=16)
+def _highs_options(feas_tol, opt_tol, max_iters):
+    hc = _hc()
+    options = hc.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = hc.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = hc.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    options.primal_feasibility_tolerance = feas_tol
+    options.dual_feasibility_tolerance = opt_tol
+    options.simplex_iteration_limit = max_iters
+    options.ipm_iteration_limit = max_iters
+    return options
+
+
 def _solve_highs(lp, opts):
     """Solve on HiGHS, handing it the model and options linprog would.
 
@@ -626,72 +758,26 @@ def _solve_highs(lp, opts):
     every solution is bit for bit the one linprog returns, without its
     input cleaning, option round trips and per-column loops.
     """
-    # imported here: loading it loads scipy.optimize, which the reference
-    # simplex never needs
-    from scipy.optimize._highspy import _core as hc
-
+    hc = _hc()
     n, m = lp.n_vars, lp.n_rows
-    senses = np.asarray(lp.senses, dtype=np.int8)
+    s = lp._structure()
+    f = s.form(_HighsForm)
     rhs = lp.rhs_array()
-    lower, upper = lp.lower, lp.upper
-
-    # linprog's layout: the <= and >= rows in model order, >= rows negated
-    # (their duals flip back below), then the = rows; HiGHS reads each row
-    # as lhs <= a'x <= rhs
-    ub_rows = np.flatnonzero(senses != EQ)
-    eq_rows = np.flatnonzero(senses == EQ)
-    n_ub = len(ub_rows)
-    sign = np.where(senses == GE, -1.0, 1.0)
-    position = np.empty(m, dtype=np.int64)
-    position[ub_rows] = np.arange(n_ub)
-    position[eq_rows] = np.arange(n_ub, m)
-    b_eq = rhs[eq_rows]
-    row_upper = np.concatenate([sign[ub_rows] * rhs[ub_rows], b_eq])
-    row_lower = np.concatenate([np.full(n_ub, -np.inf), b_eq])
-
-    # CSC with sorted row indices; HiGHS drops explicit zeros itself
-    rows, cols, vals = lp.coo()
-    vals = vals * sign[rows]
-    rows = position[rows]
-    order = np.argsort(cols * m + rows)
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
-
-    def highs_inf(v):
-        return np.where(np.isinf(v), np.copysign(hc.kHighsInf, v), v)
-
-    model = hc.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = m
-    model.a_matrix_.format_ = hc.MatrixFormat.kColwise
-    # the binding copies a float64 array in one piece but converts integer
-    # arrays element by element, which a list does faster
-    model.a_matrix_.start_ = start.tolist()
-    model.a_matrix_.index_ = rows[order].tolist()
-    model.a_matrix_.value_ = vals[order]
-    model.col_cost_ = lp.cost
-    model.col_lower_ = highs_inf(lower)
-    model.col_upper_ = highs_inf(upper)
-    model.row_lower_ = highs_inf(row_lower)
-    model.row_upper_ = highs_inf(row_upper)
-
-    options = hc.HighsOptions()
-    options.presolve = "on"
-    options.simplex_strategy = hc.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = hc.HighsDebugLevel.kHighsDebugLevelNone
-    options.output_flag = False
-    options.log_to_console = False
-    options.primal_feasibility_tolerance = opts.feas_tol
-    options.dual_feasibility_tolerance = opts.opt_tol
-    options.simplex_iteration_limit = opts.max_iters
-    options.ipm_iteration_limit = opts.max_iters
+    b_eq = rhs[f.eq_rows]
+    row_upper = np.concatenate([f.ub_sign * rhs[f.ub_rows], b_eq])
+    row_lower = np.concatenate([np.full(f.n_ub, -np.inf), b_eq])
+    n_ub, lower, upper = f.n_ub, s.lower, s.upper
 
     highs = hc._Highs()
     error = hc.HighsStatus.kError
-    if highs.passOptions(options) == error:
+    if highs.passOptions(_highs_options(opts.feas_tol, opts.opt_tol, opts.max_iters)) == error:
         raise LPNumericalError("HiGHS backend failed: options rejected")
     info = None  # stays None, as linprog's counts stay 0, if HiGHS did not run
-    if highs.passModel(model) == error:
+    with s.lock:  # passModel copies the model, then it is free again
+        f.model.row_lower_ = _highs_inf(row_lower)
+        f.model.row_upper_ = _highs_inf(row_upper)
+        passed = highs.passModel(f.model)
+    if passed == error:
         model_status = hc.HighsModelStatus.kModelError
     else:
         if highs.run() != error:
@@ -742,8 +828,8 @@ def _solve_highs(lp, opts):
         )
     row_dual = np.array(solution.row_dual)
     duals = np.zeros(m)
-    duals[ub_rows] = sign[ub_rows] * row_dual[:n_ub]
-    duals[eq_rows] = row_dual[n_ub:]
+    duals[f.ub_rows] = f.ub_sign * row_dual[:n_ub]
+    duals[f.eq_rows] = row_dual[n_ub:]
     # a column's reduced cost is its dual at a bound and 0 otherwise;
     # linprog summed a lower and an upper part, which turns -0.0 into 0.0
     col_status = np.fromiter(map(int, highs.getBasis().col_status), dtype=np.int8, count=n)

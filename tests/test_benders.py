@@ -16,6 +16,7 @@ from rtdispatch.benders import (
     solve_with_lazy_flows,
 )
 from rtdispatch.formulation import (
+    build_benders_master,
     build_benders_subproblem,
     build_slad_extensive,
     first_stage_keys,
@@ -308,3 +309,66 @@ def test_benders_with_lazy_flows_matches_full():
     )
     ext = _extensive_objective(vc, st, scen)
     assert res_full.objective == pytest.approx(ext, rel=1e-5)
+
+
+@pytest.mark.parametrize("flows", ["full", "lazy"])
+def test_the_kept_master_is_a_fresh_build_at_every_iteration(flows, monkeypatch):
+    # one master per run gains each iteration's cuts; lazy flowgate rows
+    # stay out of it, so each master is built afresh row for row
+    from rtdispatch import benders
+
+    vc, scen = _congested_setup()
+    st = case3_state()
+    handed = []
+    solve = benders._solve
+
+    def recorded(lp, vmap, cfg, warm=None):
+        if vmap.get(("theta", 0)) is not None:
+            handed.append((lp, dict(vmap.rows())))
+        return solve(lp, vmap, cfg, warm)
+
+    monkeypatch.setattr(benders, "_solve", recorded)
+    res = run_benders(vc, st, scen, BendersConfig(flows=flows))
+    assert res.status == "optimal"
+    assert len(handed) == res.iterations > 1
+    for lp, rows in handed:
+        n_cuts = sum(name.startswith("cut(") for name in lp.row_names)
+        want, want_vm = build_benders_master(vc, st, scen, res.cuts[:n_cuts], flows=flows)
+        for got, exp in zip(lp.coo() + (lp.cost, lp.lower, lp.upper),
+                            want.coo() + (want.cost, want.lower, want.upper)):
+            assert got.tobytes() == exp.tobytes()
+        assert (lp.senses, lp.rhs, lp.row_names, lp.obj_const) == (
+            want.senses, want.rhs, want.row_names, want.obj_const)
+        assert rows == dict(want_vm.rows())
+    assert n_cuts == len(res.cuts)
+
+
+@pytest.mark.parametrize("flows", ["full", "lazy"])
+def test_each_structure_compiles_once_per_run(flows, monkeypatch):
+    from rtdispatch import benders
+
+    vc, scen = _congested_setup()
+    compiled, solved = [], []  # each model's row-name list: its structure
+
+    class Counted(lpmod._Structure):
+        def __init__(self, lp):
+            super().__init__(lp)
+            compiled.append(lp.row_names)
+
+    def recorded(lp, *args, **kwargs):
+        solved.append(lp.row_names)
+        return solve_lp(lp, *args, **kwargs)
+
+    monkeypatch.setattr(lpmod, "_Structure", Counted)
+    monkeypatch.setattr(benders, "solve_lp", recorded)
+    cfg = BendersConfig(flows=flows, lp=LPOptions(backend="highs"))
+    res = run_benders(vc, case3_state(), scen, cfg)
+    assert res.status == "optimal"
+    ids = [id(r) for r in compiled]
+    assert len(set(ids)) == len(ids)  # no structure compiled twice
+    assert set(ids) == {id(r) for r in solved}
+    oracles = [r for r in compiled if any(n.startswith("pin_") for n in r)]
+    if flows == "full":
+        assert len(oracles) == scen.n_scenarios < res.subproblem_solves
+    else:
+        assert len(oracles) > scen.n_scenarios  # generated rows make new ones

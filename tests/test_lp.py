@@ -3,6 +3,7 @@
 import dataclasses
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from scipy.optimize import linprog
 
 from rtdispatch import lp as lpmod
 from rtdispatch.benders import BendersConfig, run_benders
-from rtdispatch.formulation import build_lad, build_sced
+from rtdispatch.formulation import (
+    build_benders_subproblem,
+    build_lad,
+    build_sced,
+    pin_rhs_updates,
+)
 from rtdispatch.lp import (
     LinearProgram,
     LPOptions,
@@ -549,3 +555,73 @@ def test_highs_matches_linprog_on_dispatch_models(system, monkeypatch):
     res = run_benders(vc, state, scen, BendersConfig(lp=highs))
     assert res.status == "optimal"
     assert len(solved) > 2 + res.iterations and set(solved) == {"optimal"}
+
+
+# ---------------------------------------------------------------------------
+# the compiled structure
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_unfrozen_model_solves_as_extended(backend):
+    opts = LPOptions(backend=backend)
+    lp = two_var_example()
+    assert solve_lp(lp, opts).objective == pytest.approx(100.0, abs=1e-9)
+    lp.add_row([0], [1.0], "<=", 5.0)
+    lp.add_var(0.0, 1.0, cost=-1.0)
+    sol = solve_lp(lp, opts)
+    assert sol.objective == pytest.approx(149.0, abs=1e-9)
+    assert sol.x == pytest.approx([5.0, 5.0, 1.0], abs=1e-9)
+    assert len(sol.duals) == 2 and lp.matrix().shape == (2, 3)
+    assert_solution_clean(lp, sol)
+
+
+def test_compiled_arrays_are_read_only():
+    lp = two_var_example().freeze()
+    copy = lp.with_rhs({0: 12.0})
+    for arr in (lp.cost, lp.lower, lp.upper, *lp.coo(), lp.matrix().data,
+                copy.cost, *copy.coo()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(RuntimeError, match="frozen"):
+        lp.add_row([0], [1.0], "<=", 5.0)
+    # a copy with new rhs shares its parent's arrays; one with new rows not
+    assert copy.coo() is lp.coo() and copy.cost is lp.cost
+    assert lp.with_rows([([0], [1.0], "<=", 5.0)]).coo() is not lp.coo()
+
+
+def test_concurrent_highs_solves_of_one_structure_match_serial():
+    # threads (more than this box's cores) solve pin copies of one Benders
+    # subproblem, each loading the same kept HiGHS model; with a tiny switch
+    # interval they interleave between every few bytecodes
+    vc = validate_case(conftest.make_case3())
+    lp, vm = build_benders_subproblem(vc, conftest.case3_scenarios(seed=59, horizon=3, n=2), 0)
+    rng = np.random.default_rng(11)
+    copies = []
+    for _ in range(6):
+        x1 = {("pg", g.id): float(rng.uniform(g.pmin, g.pmax)) for g in vc.case.generators}
+        copies.append(lp.with_rhs(pin_rhs_updates(vm, x1)))
+    opts = LPOptions(backend="highs")
+    serial = [solve_lp(c, opts) for c in copies]
+    assert {s.status for s in serial} == {"optimal"}
+    orders = [list(range(6)) * 20, list(range(6))[::-1] * 20, [1, 4, 0, 3, 5, 2] * 20]
+    barrier = threading.Barrier(len(orders), timeout=60)
+    got = [None] * len(orders)
+
+    def work(k):
+        barrier.wait()
+        got[k] = [solve_lp(copies[i], opts) for i in orders[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for order, sols in zip(orders, got, strict=True):
+        for i, sol in zip(order, sols, strict=True):
+            assert_same_bytes(sol, serial[i])
