@@ -313,6 +313,8 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
     cfg = config or BendersConfig()
     if not 0.0 <= cfg.alpha < 1.0:
         raise ValidationError(f"alpha must be in [0, 1), got {cfg.alpha}")
+    if cfg.max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {cfg.max_iter}")
     if scenarios.horizon < 2:
         raise ValidationError(
             "decomposition needs a look-ahead of at least two periods; "

@@ -16,12 +16,13 @@ import sys
 from .benders import BendersConfig
 from .forecast import load_history
 from .formulation import FIRST_STAGE_KINDS, require_common_first_period
-from .lp import LPOptions
+from .lp import LPNumericalError, LPOptions
 from .model import (
     CaseFormatError,
     Scenario,
     ScenarioSet,
     ValidationError,
+    finite_float,
     initial_state,
     parse_case,
     parse_timeseries,
@@ -159,7 +160,9 @@ def _parse_demand(text, case):
         bus = bus.strip()
         if not _ or bus not in case.buses:
             raise ValidationError(f"--demand: unknown bus assignment '{part}'")
-        out[bus] = float(val)
+        out[bus] = finite_float(val)
+        if out[bus] is None:
+            raise ValidationError(f"--demand: bad MW value '{val}' for bus '{bus}'")
     missing = [b for b in case.buses if b not in out]
     if missing:
         raise ValidationError(f"--demand misses buses: {', '.join(missing)}")
@@ -445,8 +448,8 @@ def main(argv=None) -> int:
     except IterationLimit as exc:
         print(f"rtdispatch: {exc}", file=sys.stderr)
         return 3
-    except (CaseFormatError, ValidationError, SimulationError, OSError,
-            json.JSONDecodeError) as exc:
+    except (CaseFormatError, ValidationError, SimulationError, LPNumericalError,
+            OSError, json.JSONDecodeError) as exc:
         print(f"rtdispatch: {exc}", file=sys.stderr)
         return 1
 

@@ -25,11 +25,16 @@ and availability flags resolve correctly.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 
 import numpy as np
 
 from .lp import LinearProgram
 from .model import (
+    RESERVE_PRODUCTS,
+    DispatchSolution,
+    Scenario,
     ScenarioSet,
     SystemState,
     ValidatedCase,
@@ -37,10 +42,8 @@ from .model import (
     check_scenarios,
 )
 
-#: reserve products in model order (regulating, spinning, supplemental on/off)
-PRODUCTS = ("reg", "spin", "supp_on", "supp_off")
 #: the per-generator quantities shared across scenarios at the binding period
-FIRST_STAGE_KINDS = ("pg",) + PRODUCTS
+FIRST_STAGE_KINDS = ("pg",) + RESERVE_PRODUCTS
 
 
 def first_stage_keys(case):
@@ -60,9 +63,7 @@ class VariableMap:
 
     def __init__(self):
         self._col = {}
-        self._col_rev = {}
         self._row = {}
-        self._row_rev = {}
         self.bound_records = {}  # family -> list of (key, value)
         self.meta = {}
 
@@ -70,7 +71,6 @@ class VariableMap:
         if key in self._col:
             raise ValueError(f"duplicate column key {key}")
         self._col[key] = idx
-        self._col_rev[idx] = key
 
     def col(self, key):
         return self._col[key]
@@ -78,20 +78,13 @@ class VariableMap:
     def get(self, key):
         return self._col.get(key)
 
-    def col_key(self, idx):
-        return self._col_rev[idx]
-
     def add_row(self, key, idx):
         if key in self._row:
             raise ValueError(f"duplicate row key {key}")
         self._row[key] = idx
-        self._row_rev[idx] = key
 
     def row(self, key):
         return self._row[key]
-
-    def row_key(self, idx):
-        return self._row_rev[idx]
 
     def add_bound_record(self, family, key, value):
         self.bound_records.setdefault(family, []).append((key, value))
@@ -100,8 +93,7 @@ class VariableMap:
         """A registry whose rows extend without touching this one's; the
         columns, bound records and meta are shared."""
         out = VariableMap()
-        out._col, out._col_rev = self._col, self._col_rev
-        out._row, out._row_rev = dict(self._row), dict(self._row_rev)
+        out._col, out._row = self._col, dict(self._row)
         out.bound_records, out.meta = self.bound_records, self.meta
         return out
 
@@ -127,31 +119,22 @@ class CostBreakdown:
 
     @classmethod
     def build(cls, **parts):
+        """The breakdown with ``total`` summed over the parts in field order."""
         out = cls(**parts)
-        out.total = (
-            out.energy
-            + out.imports
-            + out.no_load
-            + out.reserves
-            + out.penalty_balance
-            + out.penalty_reserves
-            + out.penalty_flow
-        )
+        out.total = functools.reduce(operator.add, (getattr(out, p) for p in _COST_PARTS))
         return out
 
     def __add__(self, other):
         return CostBreakdown.build(
-            energy=self.energy + other.energy,
-            imports=self.imports + other.imports,
-            no_load=self.no_load + other.no_load,
-            reserves=self.reserves + other.reserves,
-            penalty_balance=self.penalty_balance + other.penalty_balance,
-            penalty_reserves=self.penalty_reserves + other.penalty_reserves,
-            penalty_flow=self.penalty_flow + other.penalty_flow,
+            **{p: getattr(self, p) + getattr(other, p) for p in _COST_PARTS}
         )
 
     def as_dict(self):
         return dataclasses.asdict(self)
+
+
+#: the summed parts of a CostBreakdown: every field but ``total``
+_COST_PARTS = tuple(f.name for f in dataclasses.fields(CostBreakdown))[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +196,8 @@ class _Assembler:
             pg = lp.add_var(0.0, 0.0, 0.0, name=f"pg({g.id},{t},{s})")
             vm.add_col(("pg", g.id, t, s), pg)
             if g.supp_off_eligible(ta):
-                ub = g.cap("supp_off")
-                col = lp.add_var(0.0, ub, w * g.price("supp_off"),
-                                 name=f"supp_off({g.id},{t},{s})")
-                vm.add_col(("supp_off", g.id, t, s), col)
-                vm.add_bound_record("supp_off_limit", (g.id, t, s), ub)
-                vm.add_bound_record("reserve_cap", ("supp_off", g.id, t, s), ub)
+                self.reserve_col(g, "supp_off", t, s, w,
+                                 {"supp_off_limit": g.cap("supp_off")})
             return
 
         pg = lp.add_var(0.0, np.inf, 0.0, name=f"pg({g.id},{t},{s})")
@@ -238,31 +217,15 @@ class _Assembler:
         )
         vm.add_row(("dispatch_blocks", g.id, t, s), r)
 
+        band = pmax_ts - g.pmin
         reg = spin = supp_on = None
         if g.reg_eligible(ta):
-            band = 0.5 * (pmax_ts - g.pmin)
-            deploy = 5.0 * g.ramp_up
-            ub = min(g.cap("reg"), band, deploy)
-            reg = lp.add_var(0.0, ub, w * g.price("reg"), name=f"reg({g.id},{t},{s})")
-            vm.add_col(("reg", g.id, t, s), reg)
-            vm.add_bound_record("regulation_band", (g.id, t, s), band)
-            vm.add_bound_record("regulation_deploy", (g.id, t, s), deploy)
-            vm.add_bound_record("reserve_cap", ("reg", g.id, t, s), g.cap("reg"))
+            reg = self.reserve_col(g, "reg", t, s, w, {
+                "regulation_band": 0.5 * band, "regulation_deploy": 5.0 * g.ramp_up})
         if g.spin_eligible(ta):
-            band = pmax_ts - g.pmin
-            ub = min(g.cap("spin"), band)
-            spin = lp.add_var(0.0, ub, w * g.price("spin"), name=f"spin({g.id},{t},{s})")
-            vm.add_col(("spin", g.id, t, s), spin)
-            vm.add_bound_record("spinning_band", (g.id, t, s), band)
-            vm.add_bound_record("reserve_cap", ("spin", g.id, t, s), g.cap("spin"))
+            spin = self.reserve_col(g, "spin", t, s, w, {"spinning_band": band})
         if g.supp_on_eligible(ta):
-            band = pmax_ts - g.pmin
-            ub = min(g.cap("supp_on"), band)
-            supp_on = lp.add_var(0.0, ub, w * g.price("supp_on"),
-                                 name=f"supp_on({g.id},{t},{s})")
-            vm.add_col(("supp_on", g.id, t, s), supp_on)
-            vm.add_bound_record("supp_on_band", (g.id, t, s), band)
-            vm.add_bound_record("reserve_cap", ("supp_on", g.id, t, s), g.cap("supp_on"))
+            supp_on = self.reserve_col(g, "supp_on", t, s, w, {"supp_on_band": band})
 
         floor_cols, floor_vals = [pg], [1.0]
         if reg is not None:
@@ -284,6 +247,18 @@ class _Assembler:
                 name=f"contingency({g.id},{t},{s})",
             )
             vm.add_row(("contingency_deploy", g.id, t, s), r)
+
+    def reserve_col(self, g, product, t, s, w, limits):
+        """One reserve column, bounded above by the product's cap and each
+        of ``limits`` ({bound family: value}), all of them recorded."""
+        cap = g.cap(product)
+        col = self.lp.add_var(0.0, min(cap, *limits.values()), w * g.price(product),
+                              name=f"{product}({g.id},{t},{s})")
+        self.vmap.add_col((product, g.id, t, s), col)
+        for family, value in limits.items():
+            self.vmap.add_bound_record(family, (g.id, t, s), value)
+        self.vmap.add_bound_record("reserve_cap", (product, g.id, t, s), cap)
+        return col
 
     def ramp_rows(self, g, t, s, prev_col=None, prev_const=None):
         """Couple pg at window period t to period t-1 (column or constant)."""
@@ -347,7 +322,7 @@ class _Assembler:
         tiers = (
             ("req_regulation", "short_reg", req.reg, pen.reg, ("reg",)),
             ("req_reg_spin", "short_rspin", req.rspin, pen.rspin, ("reg", "spin")),
-            ("req_operating", "short_op", req.op, pen.op, PRODUCTS),
+            ("req_operating", "short_op", req.op, pen.op, RESERVE_PRODUCTS),
         )
         for family, slack_kind, target, price, products in tiers:
             slack = lp.add_var(0.0, np.inf, w * price, name=f"{slack_kind}({t},{s})")
@@ -435,9 +410,6 @@ class _Assembler:
 
     def anticipativity_rows(self):
         lp, vm = self.lp, self.vmap
-        fam = {"pg": "anticipativity_pg", "reg": "anticipativity_reg",
-               "spin": "anticipativity_spin", "supp_on": "anticipativity_supp_on",
-               "supp_off": "anticipativity_supp_off"}
         for s in range(1, self.scen.n_scenarios):
             for g in self.case.generators:
                 for kind in FIRST_STAGE_KINDS:
@@ -447,7 +419,7 @@ class _Assembler:
                         continue
                     r = lp.add_row([a, b], [1.0, -1.0], "=", 0.0,
                                    name=f"na_{kind}({g.id},{s})")
-                    vm.add_row((fam[kind], g.id, s), r)
+                    vm.add_row((f"anticipativity_{kind}", g.id, s), r)
 
 
 def flow_limit_rows(vmap, branch, t, s):
@@ -507,8 +479,6 @@ def build_sced(vc, state, demand, pmax=None, flows="full"):
     maps generator ids to their currently available capacity."""
     state = _as_state(state)
     case = vc.case if isinstance(vc, ValidatedCase) else vc
-    from .model import Scenario
-
     scen = ScenarioSet(
         scenarios=(
             Scenario(
@@ -667,12 +637,13 @@ def pin_duals(vmap, sol):
 # extraction and costing
 
 
-def first_stage_values(sol, vmap):
-    """First-stage quantities {(kind, gid): value} from any solved model."""
+def first_stage_values(sol, vmap, t=0):
+    """First-stage quantities {(kind, gid): value} from any solved model;
+    ``t`` reads window period t instead (a full-day plan's slice)."""
     case = vmap.meta["case"].case
     out = {}
     for kind, gid in first_stage_keys(case):
-        c = vmap.get((kind, gid, 0, 0))
+        c = vmap.get((kind, gid, t, 0))
         out[(kind, gid)] = float(sol.x[c]) if c is not None else 0.0
     return out
 
@@ -680,71 +651,45 @@ def first_stage_values(sol, vmap):
 _CLAMP_KINDS = {"surplus", "shortage", "short_reg", "short_rspin", "short_op",
                 "flow_excess"}
 _SLACK_CLAMP = 1e-9
+#: column kind -> the DispatchSolution field it is copied into; a reserve
+#: keeps its product in the key, every other kind drops it
+_FIELD_OF = {
+    **{kind: kind for kind in ("pg", "surplus", "shortage", "short_reg",
+                               "short_rspin", "short_op", "flow_excess")},
+    **{p: "reserve" for p in RESERVE_PRODUCTS},
+}
 
 
 def extract_dispatch(sol, vmap):
     """Copy a solved model into a DispatchSolution.
 
     Only optimal solutions are extractable; penalty slacks below 1e-9 are
-    clamped to exact zero; branch flows are recomputed from the nodal
-    injections (they are well-defined whether or not any flowgate rows
-    were materialized)."""
-    from .model import DispatchSolution
-
+    clamped to exact zero.  A branch without a flow-excess column
+    (unmonitored) reads zero excess in every cell.  No branch flows are
+    computed."""
     if sol.status != "optimal":
         raise RuntimeError(f"cannot extract dispatch from a '{sol.status}' solution")
     meta = vmap.meta
-    case = meta["case"].case
-    pg, reserve = {}, {}
-    shortage, surplus = {}, {}
-    short_reg, short_rspin, short_op = {}, {}, {}
-    flow, flow_excess = {}, {}
-    inj = {}
+    fields = {f: {} for f in _FIELD_OF.values()}
     for key, idx in vmap.columns():
-        kind = key[0]
+        field = _FIELD_OF.get(key[0])
+        if field is None:
+            continue
         v = float(sol.x[idx])
-        if kind in _CLAMP_KINDS and abs(v) < _SLACK_CLAMP:
+        if key[0] in _CLAMP_KINDS and abs(v) < _SLACK_CLAMP:
             v = 0.0
-        if kind == "pg":
-            pg[(key[1], key[2], key[3])] = v
-        elif kind in PRODUCTS:
-            reserve[(kind, key[1], key[2], key[3])] = v
-        elif kind == "surplus":
-            surplus[(key[1], key[2])] = v
-        elif kind == "shortage":
-            shortage[(key[1], key[2])] = v
-        elif kind == "short_reg":
-            short_reg[(key[1], key[2])] = v
-        elif kind == "short_rspin":
-            short_rspin[(key[1], key[2])] = v
-        elif kind == "short_op":
-            short_op[(key[1], key[2])] = v
-        elif kind == "flow_excess":
-            flow_excess[(key[1], key[2], key[3])] = v
-        elif kind == "inj":
-            inj[(key[1], key[2], key[3])] = v
-    cells = sorted({(t, s) for (_b, t, s) in inj})
-    for e in case.branches:
+        fields[field][key if field == "reserve" else key[1:]] = v
+    cells = sorted(fields["surplus"])  # every cell has a surplus column
+    for e in meta["case"].case.branches:
         for t, s in cells:
-            pf = sum(coef * inj.get((bus, t, s), 0.0) for bus, coef in e.ptdf.items())
-            flow[(e.id, t, s)] = pf
-            if (e.id, t, s) not in flow_excess:
-                flow_excess[(e.id, t, s)] = 0.0
+            fields["flow_excess"].setdefault((e.id, t, s), 0.0)
     return DispatchSolution(
         periods=meta["periods"],
         scenario_ids=meta["scenario_ids"],
         probs=meta["probs"],
         first_period=meta["first_period"],
-        pg=pg,
-        reserve=reserve,
-        shortage=shortage,
-        surplus=surplus,
-        short_reg=short_reg,
-        short_rspin=short_rspin,
-        short_op=short_op,
-        flow=flow,
-        flow_excess=flow_excess,
         objective=float(sol.objective),
+        **fields,
     )
 
 
@@ -781,7 +726,7 @@ def itemize_costs(d, case, period=None):
                         imports += c
                     else:
                         energy += c
-                for p in PRODUCTS:
+                for p in RESERVE_PRODUCTS:
                     r = d.reserve.get((p, g.id, t, s))
                     if r:
                         reserves += wh * g.price(p) * r

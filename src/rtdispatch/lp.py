@@ -31,7 +31,9 @@ A second backend hands the model to HiGHS through the binding scipy
 bundles (scipy.optimize._highspy), in exactly the form
 scipy.optimize.linprog(method="highs") would, so its solutions are
 linprog's bit for bit without linprog's per-call overhead.  Both backends
-feed the same KKT verifier.
+feed the same KKT verifier and share one primal feasibility and one dual
+optimality tolerance, the constants ``FEAS_TOL`` and ``OPT_TOL``;
+``LPOptions`` sets only the iteration limit and the backend.
 
 A frozen model compiles its structure (``_Structure``) once, and its
 ``with_rhs`` copies share it: read-only arrays, ``matrix()``, the
@@ -58,6 +60,8 @@ NB_LO, NB_UP, NB_FREE, BASIC, FIXED = 0, 1, 2, 3, 4
 
 #: product-form updates between refactorizations of the basis inverse
 REFACTOR_EVERY = 150
+#: primal feasibility and dual optimality tolerances of both backends
+FEAS_TOL = OPT_TOL = 1e-8
 #: degenerate pivots in a row before Bland's rule engages
 DEGEN_STREAK = 50
 
@@ -73,8 +77,6 @@ class LPNumericalError(RuntimeError):
 
 @dataclasses.dataclass
 class LPOptions:
-    feas_tol: float = 1e-8
-    opt_tol: float = 1e-8
     max_iters: int = 200_000
     backend: str = "simplex"  # or "highs"
 
@@ -352,9 +354,8 @@ class _Simplex:
         f = lp._structure().form(_SlackForm)
         rhs = lp.rhs_array()
         # an empty row is infeasible if its rhs is outside the slack's bounds
-        ftol = opts.feas_tol
         self.empty_row_infeasible = bool(np.any(
-            f.empty & ((rhs < f.slack_lo - ftol) | (rhs > f.slack_hi + ftol))
+            f.empty & ((rhs < f.slack_lo - FEAS_TOL) | (rhs > f.slack_hi + FEAS_TOL))
         ))
         self.n, self.m = lp.n_vars, lp.n_rows
         self.N = self.n + self.m
@@ -585,11 +586,10 @@ class _Simplex:
 
     def _run(self, phase):
         """Shared pivot loop; phase 1 minimizes basic bound violations."""
-        opts = self.opts
-        ftol = opts.feas_tol
+        ftol = FEAS_TOL
         stall_guard = 0
         while True:
-            if self.iterations >= opts.max_iters:
+            if self.iterations >= self.opts.max_iters:
                 return ITERATION_LIMIT
             if phase == 1:
                 c_work, any_inf = self._phase1_costs(ftol)
@@ -598,7 +598,7 @@ class _Simplex:
                 dtol = 1e-9
             else:
                 c_work = self.c
-                dtol = opts.opt_tol
+                dtol = OPT_TOL
             y, d = self._reduced_costs(c_work)
             bland = self._degen_streak >= DEGEN_STREAK
             j, sigma = self._pick_entering(d, dtol, bland)
@@ -629,7 +629,6 @@ class _Simplex:
                 self._degen_streak = 0
 
     def solve(self):
-        opts = self.opts
         if self.empty_row_infeasible:
             return self._package(INFEASIBLE)
         status = self._run(1)
@@ -644,12 +643,10 @@ class _Simplex:
             if not self._try_refactor():
                 raise LPNumericalError("basis refactorization failed")
             _, d = self._reduced_costs(self.c)
-            j, _sig = self._pick_entering(d, opts.opt_tol, False)
-            if j < 0 and self._infeasibility() <= opts.feas_tol * (
-                1 + abs(self.b).sum()
-            ):
+            j, _sig = self._pick_entering(d, OPT_TOL, False)
+            if j < 0 and self._infeasibility() <= FEAS_TOL * (1 + abs(self.b).sum()):
                 break
-            if self._infeasibility() > opts.feas_tol * (1 + abs(self.b).sum()):
+            if self._infeasibility() > FEAS_TOL * (1 + abs(self.b).sum()):
                 status = self._run(1)
                 if status in (INFEASIBLE, ITERATION_LIMIT):
                     return self._package(status)
@@ -735,7 +732,7 @@ class _HighsForm:
 
 
 @functools.lru_cache(maxsize=16)
-def _highs_options(feas_tol, opt_tol, max_iters):
+def _highs_options(max_iters):
     hc = _hc()
     options = hc.HighsOptions()
     options.presolve = "on"
@@ -743,8 +740,8 @@ def _highs_options(feas_tol, opt_tol, max_iters):
     options.highs_debug_level = hc.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = False
     options.log_to_console = False
-    options.primal_feasibility_tolerance = feas_tol
-    options.dual_feasibility_tolerance = opt_tol
+    options.primal_feasibility_tolerance = FEAS_TOL
+    options.dual_feasibility_tolerance = OPT_TOL
     options.simplex_iteration_limit = max_iters
     options.ipm_iteration_limit = max_iters
     return options
@@ -770,7 +767,7 @@ def _solve_highs(lp, opts):
 
     highs = hc._Highs()
     error = hc.HighsStatus.kError
-    if highs.passOptions(_highs_options(opts.feas_tol, opts.opt_tol, opts.max_iters)) == error:
+    if highs.passOptions(_highs_options(opts.max_iters)) == error:
         raise LPNumericalError("HiGHS backend failed: options rejected")
     info = None  # stays None, as linprog's counts stay 0, if HiGHS did not run
     with s.lock:  # passModel copies the model, then it is free again

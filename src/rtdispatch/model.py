@@ -41,20 +41,6 @@ class ValidationError(ValueError):
     """Raised when well-formed input violates a model invariant."""
 
 
-def _flag_profile(value):
-    """Normalize a commitment/availability flag to a tuple of bools.
-
-    Accepts a single bool (constant profile) or a sequence of bools; a
-    sequence shorter than the day is extended by repeating its last entry.
-    """
-    if isinstance(value, bool):
-        return (value,)
-    seq = tuple(bool(v) for v in value)
-    if not seq:
-        raise CaseFormatError("flag profile must not be empty")
-    return seq
-
-
 def _flag_at(profile, t):
     return profile[min(t, len(profile) - 1)]
 
@@ -305,7 +291,7 @@ class DispatchSolution:
     """Solved dispatch over a (periods x scenarios) window.
 
     Keys are (gen_id, t, s) with t a window-local 0-based period and s the
-    scenario position; slack fields are keyed (t, s) and flow fields
+    scenario position; slack fields are keyed (t, s) and ``flow_excess``
     (branch_id, t, s).  ``first_period`` records the absolute day period of
     window period 0 so costs can be itemized with the right flags.
     """
@@ -321,7 +307,6 @@ class DispatchSolution:
     short_reg: dict
     short_rspin: dict
     short_op: dict
-    flow: dict
     flow_excess: dict
     objective: float
 
@@ -343,6 +328,29 @@ class DispatchSolution:
 _MISSING = object()
 
 
+def _number(val, path):
+    """A JSON number as a float; NaN, infinities and integers too large
+    for a float are rejected."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise CaseFormatError(f"{path}: expected number, got {type(val).__name__}")
+    try:
+        out = float(val)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise CaseFormatError(f"{path}: expected a finite number, got {out}")
+    return out
+
+
+def finite_float(text):
+    """``float(text)`` if that is a finite number, else None."""
+    try:
+        val = float(text)
+    except ValueError:
+        return None
+    return val if math.isfinite(val) else None
+
+
 def _want(mapping, key, kind, path, default=_MISSING):
     if key not in mapping:
         if default is not _MISSING:
@@ -350,9 +358,7 @@ def _want(mapping, key, kind, path, default=_MISSING):
         raise CaseFormatError(f"{path}: missing required field '{key}'")
     val = mapping[key]
     if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise CaseFormatError(f"{path}.{key}: expected number, got {type(val).__name__}")
-        return float(val)
+        return _number(val, f"{path}.{key}")
     if kind is not None and not isinstance(val, kind):
         raise CaseFormatError(
             f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, got {type(val).__name__}"
@@ -407,8 +413,9 @@ def _parse_generator(raw, i):
         ramp_down=_want(raw, "ramp_down", float, path),
         segments=tuple(segs),
         no_load_cost=_want(raw, "no_load_cost", float, path, default=0.0),
-        reserve_caps={k: float(v) for k, v in caps.items()},
-        reserve_prices={k: float(v) for k, v in prices.items()},
+        reserve_caps={k: _number(v, f"{path}.reserve_caps.{k}") for k, v in caps.items()},
+        reserve_prices={k: _number(v, f"{path}.reserve_prices.{k}")
+                        for k, v in prices.items()},
         commit=flag("commit"),
         regulation=flag("regulation"),
         ra_reg=flag("ra_reg"),
@@ -424,11 +431,7 @@ def _parse_branch(raw, i):
     if not isinstance(raw, dict):
         raise CaseFormatError(f"{path}: expected object")
     ptdf_raw = _want(raw, "ptdf", dict, path)
-    ptdf = {}
-    for bus, coef in ptdf_raw.items():
-        if isinstance(coef, bool) or not isinstance(coef, (int, float)):
-            raise CaseFormatError(f"{path}.ptdf.{bus}: expected number")
-        ptdf[bus] = float(coef)
+    ptdf = {bus: _number(coef, f"{path}.ptdf.{bus}") for bus, coef in ptdf_raw.items()}
     return Branch(
         id=_want(raw, "id", str, path),
         ptdf=ptdf,
@@ -708,12 +711,10 @@ def _read_series(text, label, case, required, optional=(), group="scenario",
             ) from None
 
         def num(i, what):
-            try:
-                return float(row[i])
-            except ValueError:
-                raise CaseFormatError(
-                    f"{label} line {lineno}: bad {what} value '{row[i]}'"
-                ) from None
+            val = finite_float(row[i])
+            if val is None:
+                raise CaseFormatError(f"{label} line {lineno}: bad {what} value '{row[i]}'")
+            return val
 
         key = row[col[group]].strip() if group in col else "s1"
         prob = num(col["prob"], "prob") if "prob" in col else 1.0

@@ -25,8 +25,6 @@ from __future__ import annotations
 import dataclasses
 import time
 
-import numpy as np
-
 from .benders import BendersConfig, run_benders
 from .forecast import HistoryStore, knn_scenarios, mean_forecast
 from .formulation import (
@@ -205,10 +203,11 @@ def _forecast_window(vc, policy, actuals, t, length):
 
 
 def _full_day_plan(vc, state, actuals, policy):
-    """The ``pd`` plan: the look-ahead model over the entire realized day."""
+    """The ``pd`` plan: the look-ahead model over the entire realized day,
+    solved; returns (solution, registry)."""
     lp, vmap = build_lad(vc, state, actuals, flows=policy.flows)
     sol = _solve_checked(lp, policy.lp, f"period {state.wall_clock}: full-day plan")
-    return extract_dispatch(sol, vmap), float(sol.objective)
+    return sol, vmap
 
 
 def _plan_step(vc, state, policy, actuals, t, length, plan=None):
@@ -218,13 +217,8 @@ def _plan_step(vc, state, policy, actuals, t, length, plan=None):
     go to the decomposition.  With a full-day ``plan`` (``pd``), the
     commitment is its slice t."""
     if plan is not None:
-        planned, objective = plan
-        x1 = {
-            (kind, gid): planned.pg_at(gid, t) if kind == "pg"
-            else planned.reserve_at(kind, gid, t)
-            for kind, gid in first_stage_keys(vc.case)
-        }
-        return x1, objective, ()
+        sol, vmap = plan
+        return first_stage_values(sol, vmap, t), float(sol.objective), ()
 
     if policy.kind in ("sced", "plad") or length == 1:
         win = actuals.window(t, length)

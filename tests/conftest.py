@@ -1,5 +1,7 @@
 """Fixtures: a two-generator textbook system and a 3-bus congested system."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,14 @@ def make_case3(reserve_scale=1.0, limit_shift=0.0, price_jitter=None):
         ),
         step_minutes=5.0,
     )
+
+
+def make_case3_unmonitored():
+    """case3 with E1's limits 14 MW tighter, so its excess is priced, and E2
+    unmonitored: no flow-excess column and no flowgate rows for E2."""
+    case = make_case3(limit_shift=-14.0)
+    e1, e2 = case.branches
+    return dataclasses.replace(case, branches=(e1, dataclasses.replace(e2, monitored=False)))
 
 
 @pytest.fixture(scope="session")

@@ -165,6 +165,58 @@ def test_solve_error_exit_codes(files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _nan_day(files):
+    path = files["dir"] / "nan_day.csv"
+    path.write_text("period,load:B1\n1,nan\n2,35\n")
+    return str(path)
+
+
+def _nan_price_case(files):
+    raw = json.loads(Path(files["case"]).read_text())
+    raw["generators"][0]["segments"][0]["price"] = float("nan")  # dumped as NaN
+    path = files["dir"] / "nan_price.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+BAD_CALLS = {
+    "max-iter-0": lambda f: _solve_args(f, "--policy", "slad", "--max-iter", "0"),
+    "max-iter-negative": lambda f: [
+        "simulate", "--case", f["case"], "--actuals", f["day"],
+        "--scenarios", f["scenarios"], "--policy", "slad", "--max-iter", "-1"],
+    **{f"demand-{v}": (lambda f, v=v: ["solve", "--case", f["case"], "--policy", "sced",
+                                        "--demand", f"B1={v}"])
+       for v in ("nan", "inf", "abc")},
+    "day-load-nan": lambda f: ["simulate", "--case", f["case"],
+                               "--actuals", _nan_day(f), "--policy", "sced"],
+    "case-price-nan": lambda f: ["simulate", "--case", _nan_price_case(f),
+                                 "--actuals", f["day"], "--policy", "sced"],
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CALLS))
+def test_bad_calls_exit_1_with_one_message(name, files, capsys):
+    """Bad data exits 1 with one ``rtdispatch:`` line; an exception that
+    escaped main (a traceback on the command line) fails the test."""
+    assert main(BAD_CALLS[name](files)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rtdispatch: ") and captured.err.count("\n") == 1
+
+
+def test_numerical_failure_exits_1(files, capsys, monkeypatch):
+    from rtdispatch import simulator
+    from rtdispatch.lp import LPNumericalError
+
+    def broken(lp, opts=None, warm=None):
+        raise LPNumericalError("pivot element vanished")
+
+    monkeypatch.setattr(simulator, "solve_lp", broken)
+    assert main(["solve", "--case", files["case"], "--policy", "sced",
+                 "--demand", "B1=10"]) == 1
+    assert capsys.readouterr().err == "rtdispatch: pivot element vanished\n"
+
+
 def test_usage_errors_exit_2(files):
     with pytest.raises(SystemExit) as ei:
         main(_solve_args(files, "--policy", "nope"))

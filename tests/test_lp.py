@@ -384,8 +384,8 @@ def linprog_reference(lp, opts):
         b_eq=rhs[eq_rows] if len(eq_rows) else None,
         bounds=np.column_stack([lp.lower, lp.upper]),
         method="highs",
-        options={"maxiter": opts.max_iters, "dual_feasibility_tolerance": opts.opt_tol,
-                 "primal_feasibility_tolerance": opts.feas_tol},
+        options={"maxiter": opts.max_iters, "dual_feasibility_tolerance": lpmod.OPT_TOL,
+                 "primal_feasibility_tolerance": lpmod.FEAS_TOL},
     )
     status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(res.status)
     if status is None:

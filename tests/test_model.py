@@ -54,6 +54,28 @@ def test_parse_case_reports_field_paths():
         parse_case("not json {")
 
 
+@pytest.mark.parametrize("path,value", [
+    (("generators", 0, "segments", 0, "price"), "NaN"),
+    (("generators", 1, "pmax"), "Infinity"),
+    (("generators", 0, "reserve_caps", "reg"), "-Infinity"),
+    (("branches", 0, "ptdf", "B2"), "1e400"),
+    (("penalties", "shortage"), "NaN"),
+    (("generators", 2, "pmin"), "1" + "0" * 400),  # no float holds it
+], ids=["price-nan", "pmax-inf", "cap-minus-inf", "ptdf-1e400", "penalty-nan",
+        "pmin-huge-int"])
+def test_parse_case_rejects_non_finite_numbers(path, value):
+    import json
+
+    raw = json.loads(serialize_case(make_case3()))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    text = json.dumps(raw).replace('"@"', value)
+    with pytest.raises(CaseFormatError, match=r"expected a finite number"):
+        parse_case(text)
+
+
 def test_parse_case_rejects_dangling_references():
     import json
 
@@ -237,6 +259,14 @@ READER_CASES = {
                          r"^history file: unrecognized column 'scenario'$"),
     "history-prob": ("history", "date,period,prob,load:B1\nd1,1,1,10\n",
                      r"^history file: unrecognized column 'prob'$"),
+    "day-load-nan": ("day", "period,load:B1\n1,nan\n2,35\n",
+                     r"^day file line 2: bad load:B1 value 'nan'$"),
+    "history-load-inf": ("history", "date,period,load:B1\nd1,1,10\nd1,2,-inf\n",
+                         r"^history file line 3: bad load:B1 value '-inf'$"),
+    "day-pmax-overflow": ("day", "period,load:B1,pmax:G1\n1,10,1e400\n",
+                          r"^day file line 2: bad pmax:G1 value '1e400'$"),
+    "day-prob-nan": ("day", "period,scenario,prob,load:B1\n1,a,NaN,10\n",
+                     r"^day file line 2: bad prob value 'NaN'$"),
 }
 
 

@@ -9,6 +9,13 @@ import pytest
 from rtdispatch import lp as lpmod
 from rtdispatch.benders import BendersConfig
 from rtdispatch.forecast import HistoryDay, HistoryStore, load_history
+from rtdispatch.formulation import (
+    build_lad,
+    build_slad_extensive,
+    extract_dispatch,
+    first_stage_keys,
+    first_stage_values,
+)
 from rtdispatch.model import (
     SystemState,
     ValidationError,
@@ -31,7 +38,10 @@ from rtdispatch.simulator import (
 
 from conftest import (
     case3_actual_day,
+    case3_scenarios,
+    case3_state,
     make_case3,
+    make_case3_unmonitored,
     make_toy_case,
     make_toy_day,
     make_toy_scenarios,
@@ -364,6 +374,50 @@ def test_perfect_dispatch_is_the_pd_policy(day):
     # one plan: its objective on every slice, no decomposition
     assert len({s.planning_objective for s in rolled.steps}) == 1
     assert all(s.benders_iterations == 0 for s in rolled.steps)
+
+
+@pytest.mark.parametrize("day", ["toy", "network"])
+def test_first_stage_slice_of_the_full_day_plan(day):
+    """``pd`` commits slice t of its plan: first_stage_values at t reads
+    what the extracted full-day dispatch holds there."""
+    vc, actuals = _bundled_day(day)
+    lp, vmap = build_lad(vc, initial_state(vc), actuals)
+    sol = lpmod.solve_lp(lp)
+    d = extract_dispatch(sol, vmap)
+    for t in range(actuals.horizon):
+        want = [((kind, gid), d.pg_at(gid, t) if kind == "pg" else d.reserve_at(kind, gid, t))
+                for kind, gid in first_stage_keys(vc)]
+        assert list(first_stage_values(sol, vmap, t).items()) == want
+
+
+# settled totals (exact repr) of case3 with E1 binding and E2 unmonitored;
+# recorded with numpy 2.4 / scipy 1.17, like PIVOT_PATH
+UNMONITORED_TOTALS = {
+    "sced": "12724.084216207582",
+    "lad": "12724.084216207586",
+    "slad": "12724.084216207582",
+    "pd": "12724.084216207582",
+}
+
+
+def test_unmonitored_branch_reads_zero_flow_excess():
+    vc = validate_case(make_case3_unmonitored())
+    scen = case3_scenarios(seed=0, horizon=4, n=3)
+    lp, vmap = build_slad_extensive(vc, case3_state(), scen)
+    d = extract_dispatch(lpmod.solve_lp(lp), vmap)
+    # E1's columns in build order (scenario by scenario), then a zero for E2
+    # in every cell
+    cells = [(t, s) for s in range(3) for t in range(4)]
+    assert list(d.flow_excess) == (
+        [("E1", t, s) for t, s in cells] + [("E2", t, s) for t, s in sorted(cells)])
+    assert all(d.flow_excess[("E2", t, s)] == 0.0 for t, s in cells)
+
+    day = case3_actual_day(horizon=8)
+    scen = case3_scenarios(seed=0, horizon=8, n=5)
+    for kind, total in UNMONITORED_TOTALS.items():
+        log = run_simulation(vc, day, PolicySpec(kind=kind, horizon=4, scenarios=scen))
+        assert repr(log.total_cost) == total, kind
+        assert log.totals.penalty_flow > 0.0
 
 
 def test_public_and_traced_names_resolve(monkeypatch):
