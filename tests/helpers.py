@@ -1,5 +1,6 @@
-"""Shared test utilities: brute-force LP oracle and solution checks."""
+"""Shared test utilities: brute-force LP oracle, solution checks, model digests."""
 
+import hashlib
 import itertools
 import os
 
@@ -98,3 +99,28 @@ def random_box_lp(rng, n_max=6, m_max=8):
         lp.add_row(np.sort(cols), vals[np.argsort(cols)], sense, rng.uniform(-6, 6))
     lp.obj_const = float(rng.uniform(-3, 3))
     return lp
+
+
+def model_digest(lp, vmap):
+    """A hash of everything a built model holds, in order.
+
+    Covers the cost, bound and ``coo()`` arrays (dtype and bytes), senses,
+    rhs, column and row names, ``obj_const``, the registry's columns and
+    rows in insertion order, its bound records family by family, and its
+    meta without the case.  Two builds hash equal exactly when every solver
+    sees the same model and every reader of the registry the same keys."""
+    h = hashlib.sha256()
+
+    def put(x):
+        h.update(repr(x).encode())
+
+    for a in (lp.cost, lp.lower, lp.upper, *lp.coo(),
+              np.asarray(lp.senses, dtype=np.int8), lp.rhs_array()):
+        put(str(a.dtype))
+        h.update(a.tobytes())
+    put((lp.var_names, lp.row_names, lp.obj_const))
+    put((list(vmap.columns()), list(vmap.rows())))
+    put([(family, [(key, float(v)) for key, v in recs])
+         for family, recs in vmap.bound_records.items()])
+    put({k: v for k, v in vmap.meta.items() if k != "case"})
+    return h.hexdigest()

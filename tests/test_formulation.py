@@ -6,6 +6,7 @@ independent LP solver; see the inline derivations.
 """
 
 import dataclasses
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from rtdispatch.formulation import (
     pin_rhs_updates,
     require_common_first_period,
 )
+from rtdispatch.forecast import knn_scenarios, load_history
 from rtdispatch.lp import LPOptions, append_rows_and_resolve, solve_lp, verify_kkt
 from rtdispatch.model import (
     Scenario,
@@ -34,6 +36,8 @@ from rtdispatch.model import (
     SystemState,
     ValidationError,
     initial_state,
+    parse_case,
+    parse_timeseries,
     validate_case,
 )
 
@@ -46,6 +50,7 @@ from conftest import (
     make_toy_scenarios,
     toy_state,
 )
+from helpers import model_digest
 
 
 def _solve(lp, vmap, backend="simplex"):
@@ -515,3 +520,125 @@ def test_first_period_flags_follow_wall_clock(toy):
     sol, d = _solve(lp, vm)
     assert d.pg_at("G2", 0) == 0.0
     assert d.shortage[(0, 0)] == pytest.approx(5.0, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# every builder's model, pinned byte for byte
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _bundled_models(flows):
+    """(label, build) pairs over the bundled toy day (its scenario file) and
+    network day (history, k=3, horizon 4) at period 1."""
+    for day in ("toy", "network"):
+        vc = validate_case(parse_case((DATA / f"{day}_case.json").read_text()))
+        actuals = parse_timeseries((DATA / f"{day}_day.csv").read_text(), vc)
+        sc = actuals.scenarios[0]
+        load = {b: v[1] for b, v in sc.load.items()}
+        pmax = {g: v[1] for g, v in sc.pmax_override.items()}
+        if day == "toy":
+            scen = parse_timeseries((DATA / "toy_scenarios.csv").read_text(), vc)
+            scen = scen.with_period_data(0, load, pmax)
+        else:
+            hist = load_history((DATA / "network_history.csv").read_text(), vc)
+            obs = {b: v[:2] for b, v in sc.load.items()}
+            scen = knn_scenarios(hist, obs, k=3).window(1, 4).with_period_data(0, load, pmax)
+        st = SystemState(prev_dispatch={g.id: g.initial_output + 1.5
+                                        for g in vc.case.generators}, wall_clock=1)
+        x1 = {k: 2.0 + 0.25 * i for i, k in enumerate(first_stage_keys(vc))}
+        yield f"{day}/sced", lambda: build_sced(vc, st, load, pmax=pmax, flows=flows)
+        for n in (1, 4):
+            win = actuals.window(1, n)
+            yield f"{day}/lad{n}", lambda: build_lad(vc, st, win, flows=flows)
+        yield f"{day}/day", lambda: build_lad(vc, initial_state(vc), actuals, flows=flows)
+        yield f"{day}/extensive", lambda: build_slad_extensive(vc, st, scen, flows=flows)
+        yield f"{day}/master", lambda: build_benders_master(
+            vc, st, scen, _floor_cuts(scen.n_scenarios), flows=flows)
+        for s in range(scen.n_scenarios):
+            yield f"{day}/sub{s}", lambda: build_benders_subproblem(
+                vc, scen, s, x1=x1, first_period=1, flows=flows)
+
+
+# sha256 of model_digest per (flows, label); a change to any model's
+# columns, rows, entry order, names, registry or bound records moves it
+BUILT_MODELS = {
+    "full": {
+        "toy/sced":
+            "348a8eddf8f2235ec81083a883cc6fe4154c924b49e867c176ed1335c011ba9a",
+        "toy/lad1":
+            "ad0aa6c3570572a93cefd6bbbe606e01ccd715f2959cb2351300bb2dc07a7d59",
+        "toy/lad4":
+            "ad0aa6c3570572a93cefd6bbbe606e01ccd715f2959cb2351300bb2dc07a7d59",
+        "toy/day":
+            "40d90ee86823cf406f6f6037f5132f654eb68a0edabbe7d7fbe9bf9ef3fd5815",
+        "toy/extensive":
+            "5abf4e8f8c45b2d60504c8c620ba00434493bc98b8d2c8f447c08faab69b7d4f",
+        "toy/master":
+            "30c7f2e2546c4165362dfe592d3e428e24a163ecf778916b875dcf3febcaf804",
+        "toy/sub0":
+            "444ccbea759b54cde9ad92b60abee0bf1315e4fb4d788490e2841014f5cf48d5",
+        "toy/sub1":
+            "f1bea154b7550cde47bec413ae754450d90593fd80f7d3194c2f35211e07bff7",
+        "network/sced":
+            "03b55e524942dba2bfb0a55b1194bcc1dc4ed831312cfb7bee3be5448b3065a8",
+        "network/lad1":
+            "575e5fc1442cf2e61e04d2ce16166073067ab0f0b33517b67a81dfe5b2b1adc8",
+        "network/lad4":
+            "f4f2cee820690db6c8f01af90cb2901228993217152e6dd0b95c47533c02f6fe",
+        "network/day":
+            "ca0650ed426230d428103332a21890a8f63a56d25e759f1de4a4ae52fbfb0a4f",
+        "network/extensive":
+            "990e061a24ddec9dc2b8d2268d47441d3c30db9dcfc08f6dfb3918d74b69490e",
+        "network/master":
+            "17cd7302592628f6ec4cf7d0dd3db861265b8109bfb62e167e1f488242858b09",
+        "network/sub0":
+            "bef3c5b6b13227c6c7fbc8c2112c5ee40ede9f528f6e6857fb9e3ee6d8f4f284",
+        "network/sub1":
+            "61088d489422856fad11912cf0f47f6d6908fcca5a48e002a0652315f1c09571",
+        "network/sub2":
+            "966d57426d515a69184d50929cd8160d45362acec456ec5c2c36065072ba7fa7",
+    },
+    "lazy": {
+        "toy/sced":
+            "348a8eddf8f2235ec81083a883cc6fe4154c924b49e867c176ed1335c011ba9a",
+        "toy/lad1":
+            "ad0aa6c3570572a93cefd6bbbe606e01ccd715f2959cb2351300bb2dc07a7d59",
+        "toy/lad4":
+            "ad0aa6c3570572a93cefd6bbbe606e01ccd715f2959cb2351300bb2dc07a7d59",
+        "toy/day":
+            "40d90ee86823cf406f6f6037f5132f654eb68a0edabbe7d7fbe9bf9ef3fd5815",
+        "toy/extensive":
+            "5abf4e8f8c45b2d60504c8c620ba00434493bc98b8d2c8f447c08faab69b7d4f",
+        "toy/master":
+            "30c7f2e2546c4165362dfe592d3e428e24a163ecf778916b875dcf3febcaf804",
+        "toy/sub0":
+            "444ccbea759b54cde9ad92b60abee0bf1315e4fb4d788490e2841014f5cf48d5",
+        "toy/sub1":
+            "f1bea154b7550cde47bec413ae754450d90593fd80f7d3194c2f35211e07bff7",
+        "network/sced":
+            "71696edad8f5f910623188ef5d9f153b58900f8a0ec441fbbdb1bd0bddba553c",
+        "network/lad1":
+            "22857f3906fe54183c2a0da5b1601a6f8788a83bf3e69e63d54d63fb5da2cd7b",
+        "network/lad4":
+            "263651f575462475e0f21fdf8e26ebb9dd843967d70d7f528b150356574adf84",
+        "network/day":
+            "f8ed236d97010a27071a7f950c57cb2fd8a351409614493958a51fb44957fd5c",
+        "network/extensive":
+            "2197d0751bf766524ea986056dd098ff02c3284fec3f05111cf51ba95f2096b9",
+        "network/master":
+            "3196eacc6afb43b1f194913e8ffca43180b004ec1584194b0de63415cd6ace0c",
+        "network/sub0":
+            "63db56861db340cf5369e5ec7666c2d0021de0a3b9808193eba7ade1db9c8371",
+        "network/sub1":
+            "15de852f72e66f5e3cf496e7c7426374c8f9a0ad6e97c80b6be631b199b033de",
+        "network/sub2":
+            "03772aaf31825339c62b8b389875e09062cf7e2507a462e2bb6d060066fea67e",
+    },
+}
+
+
+@pytest.mark.parametrize("flows", ["full", "lazy"])
+def test_built_models_are_pinned(flows):
+    got = {label: model_digest(*build()) for label, build in _bundled_models(flows)}
+    assert got == BUILT_MODELS[flows]
