@@ -315,6 +315,8 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
         raise ValidationError(f"alpha must be in [0, 1), got {cfg.alpha}")
     if cfg.max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {cfg.max_iter}")
+    if not 0.0 <= cfg.epsilon < np.inf:
+        raise ValidationError(f"epsilon must be finite and nonnegative, got {cfg.epsilon}")
     if scenarios.horizon < 2:
         raise ValidationError(
             "decomposition needs a look-ahead of at least two periods; "

@@ -160,6 +160,8 @@ def _parse_demand(text, case):
         bus = bus.strip()
         if not _ or bus not in case.buses:
             raise ValidationError(f"--demand: unknown bus assignment '{part}'")
+        if bus in out:
+            raise ValidationError(f"--demand: bus '{bus}' is assigned twice")
         out[bus] = finite_float(val)
         if out[bus] is None:
             raise ValidationError(f"--demand: bad MW value '{val}' for bus '{bus}'")

@@ -20,6 +20,16 @@ tests can audit exactly which constraint families a model contains.
 Period indices inside a model are window-local (0-based); the absolute
 day period of window period 0 is carried along so per-period commitment
 and availability flags resolve correctly.
+
+A model is assembled a cell at a time.  The columns and rows of one
+(period, scenario) cell depend only on the case, the flow mode and which
+generators are committed and eligible for each reserve at that period, so
+their layout is worked out once, as a ``_CellTemplate`` cached on the
+``ValidatedCase``.  A cell is then one bulk add of columns and one of rows
+(``LinearProgram.add_vars`` / ``add_rows``) in which only the capacity-
+dependent bounds, the loads, the cell weight and the names and keys
+change.  Each scenario's ramp rows follow its cells as one more block.
+The result is the model a row-by-row build gives, entry for entry.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import operator
 
 import numpy as np
 
-from .lp import LinearProgram
+from .lp import EQ, GE, LE, LinearProgram
 from .model import (
     RESERVE_PRODUCTS,
     DispatchSolution,
@@ -67,10 +77,9 @@ class VariableMap:
         self.bound_records = {}  # family -> list of (key, value)
         self.meta = {}
 
-    def add_col(self, key, idx):
-        if key in self._col:
-            raise ValueError(f"duplicate column key {key}")
-        self._col[key] = idx
+    def add_cols(self, keys, start):
+        """Register ``keys`` as the columns from ``start`` on, in order."""
+        _register(self._col, keys, start, "column")
 
     def col(self, key):
         return self._col[key]
@@ -78,10 +87,9 @@ class VariableMap:
     def get(self, key):
         return self._col.get(key)
 
-    def add_row(self, key, idx):
-        if key in self._row:
-            raise ValueError(f"duplicate row key {key}")
-        self._row[key] = idx
+    def add_rows(self, keys, start):
+        """Register ``keys`` as the rows from ``start`` on, in order."""
+        _register(self._row, keys, start, "row")
 
     def row(self, key):
         return self._row[key]
@@ -102,6 +110,14 @@ class VariableMap:
 
     def rows(self):
         return self._row.items()
+
+
+def _register(table, keys, start, what):
+    new = dict(zip(keys, range(start, start + len(keys))))
+    if len(new) != len(keys) or not table.keys().isdisjoint(new):
+        dup = next(k for i, k in enumerate(keys) if k in table or k in keys[:i])
+        raise ValueError(f"duplicate {what} key {dup}")
+    table.update(new)
 
 
 @dataclasses.dataclass
@@ -141,7 +157,160 @@ _COST_PARTS = tuple(f.name for f in dataclasses.fields(CostBreakdown))[:-1]
 # assembler
 
 
+class _CellTemplate:
+    """The layout of one (period, scenario) cell for one case, flow mode and
+    commitment/eligibility pattern.
+
+    Its columns and rows come in assembly order: per generator its output,
+    bid segments and reserves with their block, floor, ceiling and
+    contingency rows; then the system block (injections, balance, reserve
+    tiers, flow excess and, under full flows, the flowgate rows).  Indices
+    are local to the cell; names lack their ``{t},{s})`` tail and keys
+    (bound-record keys too) their ``(t, s)`` tail.  What varies by cell is
+    listed by position: the reserve bounds and bound records that follow
+    the available band, and the ceiling and ``inj_def`` right-hand sides.
+    The per-generator arrays at the end serve the ramp rows."""
+
+    def __init__(self, vc, flows, ta):
+        case, gens = vc.case, vc.case.generators
+        columns, rows, cols, vals = [], [], [], []
+        records = {}  # family -> (key heads, static values, generators, scale)
+        banded, reserves, pg, ceilings, inj_rows = [], {}, [], [], []
+
+        def col(name, key, lo, hi, price):
+            columns.append((name, key, lo, hi, price))
+            return len(columns) - 1
+
+        def row(name, key, rcols, rvals, sense, rhs):
+            rows.append((name, key, len(rcols), sense, rhs))
+            cols.extend(rcols)
+            vals.extend(rvals)
+            return len(rows) - 1
+
+        def record(family, head, value=None, gen=None, scale=1.0):
+            parts = records.setdefault(family, ([], [], [], scale))
+            for part, x in zip(parts, (head, value, gen)):
+                part.append(x)
+
+        def reserve(i, g, product, band_family=None, scale=1.0, limits=()):
+            """A reserve column capped by the product's cap, the static
+            ``limits`` and, with a ``band_family``, ``scale`` times the
+            cell's band; every cap is recorded."""
+            cap = g.cap(product)
+            static = min([cap] + [v for _, v in limits])
+            c = reserves[(product, i)] = col(f"{product}({g.id},", (product, g.id), 0.0,
+                                             static, g.price(product))
+            if band_family:
+                banded.append((c, i, scale, static))
+                record(band_family, (g.id,), gen=i, scale=scale)
+            for family, v in limits:
+                record(family, (g.id,), v)
+            record("reserve_cap", (product, g.id), cap)
+            return c
+
+        for i, g in enumerate(gens):
+            tail = f"({g.id},"
+            if not g.committed(ta):
+                pg.append(col("pg" + tail, ("pg", g.id), 0.0, 0.0, 0.0))
+                if g.supp_off_eligible(ta):
+                    reserve(i, g, "supp_off", limits=[("supp_off_limit", g.cap("supp_off"))])
+                continue
+            pg.append(col("pg" + tail, ("pg", g.id), 0.0, np.inf, 0.0))
+            segs = []
+            for k, (width, price) in enumerate(g.segments):
+                segs.append(col(f"seg{k}" + tail, ("seg", g.id, k), 0.0, width, price))
+                record("segment_limit", (g.id, k), width)
+            row("blocks" + tail, ("dispatch_blocks", g.id), [pg[i]] + segs,
+                [1.0] + [-1.0] * len(segs), EQ, g.pmin)
+            reg = spin = supp_on = None
+            if g.reg_eligible(ta):
+                reg = reserve(i, g, "reg", "regulation_band", 0.5,
+                              [("regulation_deploy", 5.0 * g.ramp_up)])
+            if g.spin_eligible(ta):
+                spin = reserve(i, g, "spin", "spinning_band")
+            if g.supp_on_eligible(ta):
+                supp_on = reserve(i, g, "supp_on", "supp_on_band")
+            floor = [pg[i]] + ([reg] if reg is not None else [])
+            row("floor" + tail, ("floor_with_regulation", g.id), floor,
+                [1.0, -1.0][: len(floor)], GE, g.pmin)
+            ceil = [pg[i]] + [c for c in (reg, spin, supp_on) if c is not None]
+            ceilings.append((row("ceiling" + tail, ("ceiling_with_reserves", g.id), ceil,
+                                 [1.0] * len(ceil), LE, g.pmax), i))
+            cont = [c for c in (spin, supp_on) if c is not None]
+            if cont:
+                row("contingency" + tail, ("contingency_deploy", g.id), cont,
+                    [1.0] * len(cont), LE, 10.0 * g.ramp_up)
+
+        inj = []
+        for bus in case.buses:
+            inj.append(col(f"inj({bus},", ("inj", bus), -np.inf, np.inf, 0.0))
+            at_bus = [pg[i] for i, g in enumerate(gens) if g.bus == bus]
+            inj_rows.append(row(f"inj_def({bus},", ("injection_def", bus), at_bus + [inj[-1]],
+                                [1.0] * len(at_bus) + [-1.0], EQ, 0.0))
+        pen, req = case.penalties, case.reserve_req
+        slacks = [col("surplus(", ("surplus",), 0.0, np.inf, pen.surplus),
+                  col("shortage(", ("shortage",), 0.0, np.inf, pen.shortage)]
+        row("balance(", ("system_balance",), inj + slacks, [1.0] * len(inj) + [-1.0, 1.0],
+            EQ, 0.0)
+        tiers = (
+            ("req_regulation", "short_reg", req.reg, pen.reg, ("reg",)),
+            ("req_reg_spin", "short_rspin", req.rspin, pen.rspin, ("reg", "spin")),
+            ("req_operating", "short_op", req.op, pen.op, RESERVE_PRODUCTS),
+        )
+        for family, slack_kind, target, price, products in tiers:
+            tier = [col(f"{slack_kind}(", (slack_kind,), 0.0, np.inf, price)]
+            tier += [reserves[(p, i)] for i in range(len(gens)) for p in products
+                     if (p, i) in reserves]
+            row(f"{family}(", (family,), tier, [1.0] * len(tier), GE, target)
+        for e in case.branches:
+            if not e.monitored:
+                continue
+            df = col(f"flow_excess({e.id},", ("flow_excess", e.id), 0.0, np.inf,
+                     e.violation_price)
+            if flows == "full":  # the rows flow_limit_rows gives
+                ptdf = [(inj[vc.bus_index[b]], float(c)) for b, c in e.ptdf.items()
+                        if b in vc.bus_index and c != 0.0]
+                fcols, fvals = [c for c, _ in ptdf] + [df], [v for _, v in ptdf]
+                row(f"flow_hi({e.id},", ("flow_upper", e.id), fcols, fvals + [-1.0], LE,
+                    e.limit_hi)
+                row(f"flow_lo({e.id},", ("flow_lower", e.id), fcols, fvals + [1.0], GE,
+                    e.limit_lo)
+
+        self.col_names, self.col_keys, lo, hi, price = zip(*columns)
+        self.row_names, self.row_keys, counts, self.senses, rhs = zip(*rows)
+        self.lo, self.hi, self.price, self.vals, self.rhs = (
+            np.array(v, dtype=np.float64) for v in (lo, hi, price, vals, rhs))
+        self.cols, self.counts, self.pg, self.inj_rows = (
+            np.array(v, dtype=np.int64) for v in (cols, counts, pg, inj_rows))
+        banded = np.array(banded, dtype=np.float64).reshape(-1, 4).T
+        self.banded, self.banded_gens = banded[:2].astype(np.int64)
+        self.banded_scale, self.banded_caps = banded[2:]
+        self.ceil_rows, self.ceil_gens = np.array(ceilings, dtype=np.int64).reshape(-1, 2).T
+        self.records = [(family, heads, None if idx[0] is None else np.array(idx), values, s)
+                        for family, (heads, values, idx, s) in records.items()]
+        # per generator, for the ramp rows and the no-load cost
+        self.on = np.array([g.committed(ta) for g in gens])
+        self.no_load = [g.no_load_cost for g in gens if g.committed(ta)]
+        self.pmin, self.pmax, up, dn = np.array(
+            [(g.pmin, g.pmax, g.ramp_up, g.ramp_down) for g in gens], dtype=np.float64).T
+        self.up, self.dn = up * case.step_minutes, dn * case.step_minutes
+        self.ramp_names = [(f"rampup({g.id},", f"rampdn({g.id},") for g in gens]
+        self.ramp_keys = [(("ramp_up", g.id), ("ramp_down", g.id)) for g in gens]
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+
 class _Assembler:
+    """Builds one model a (period, scenario) cell at a time.
+
+    A cell is its template's columns and rows in one bulk add each, with
+    only what varies filled in: reserve upper bounds and ceiling
+    right-hand sides from the available capacity, ``inj_def`` right-hand
+    sides from the loads, costs as the cell's weight times the unit
+    prices, and ``(t, s)`` in every name, key and bound record.  A
+    scenario's ramp rows follow its cells as one more block."""
+
     def __init__(self, vc, scen, first_abs, flows):
         if not isinstance(vc, ValidatedCase):
             raise TypeError("model builders require a ValidatedCase (run validate_case)")
@@ -172,179 +341,82 @@ class _Assembler:
             }
         )
 
-    def abs_t(self, t):
-        return self.first_abs + t
+    def template(self, t):
+        """Window period t's cell template, cached on the case by flow mode
+        and period and shared by the periods of one pattern.  Builders on
+        two threads may both make a missing template; setdefault keeps one,
+        and both are the same layout."""
+        ta = self.first_abs + t
+        cache = self.vc.__dict__.setdefault("_cell_templates", {})
+        out = cache.get((self.flows, ta))
+        if out is None:
+            pattern = (self.flows, tuple(
+                (g.committed(ta), g.reg_eligible(ta), g.spin_eligible(ta),
+                 g.supp_on_eligible(ta), g.supp_off_eligible(ta)) for g in self.case.generators))
+            out = cache.get(pattern) or cache.setdefault(
+                pattern, _CellTemplate(self.vc, self.flows, ta))
+            cache[(self.flows, ta)] = out
+        return out
 
-    def pmax_at(self, g, t, s):
-        ov = self.scen.scenarios[s].pmax_override.get(g.id)
-        return float(ov[t]) if ov is not None else g.pmax
-
-    # -- per-generator block ---------------------------------------------
-
-    def gen_block(self, g, t, s, w):
-        """Columns and rows for one generator in one (period, scenario) cell.
-
-        ``w`` is the dollar weight on this cell's hourly prices (probability
-        times hours for stochastic models, zero to keep a cell out of the
-        objective)."""
+    def cell(self, tpl, t, s, w, load, pmax):
+        """Append cell (t, s) with weight ``w`` on its hourly prices, bus
+        loads ``load`` and available capacities ``pmax``; returns its pg
+        columns."""
         lp, vm = self.lp, self.vmap
-        ta = self.abs_t(t)
-        committed = g.committed(ta)
-        pmax_ts = self.pmax_at(g, t, s)
+        ts, tail = (t, s), f"{t},{s})"
+        band = pmax - tpl.pmin
+        hi = tpl.hi.copy()
+        hi[tpl.banded] = np.minimum(tpl.banded_caps, tpl.banded_scale * band[tpl.banded_gens])
+        c0 = lp.add_vars(tpl.lo, hi, w * tpl.price, [n + tail for n in tpl.col_names])
+        vm.add_cols([k + ts for k in tpl.col_keys], c0)
+        rhs = tpl.rhs.copy()
+        rhs[tpl.ceil_rows] = pmax[tpl.ceil_gens]
+        rhs[tpl.inj_rows] = load
+        r0 = lp.add_rows(tpl.cols + c0, tpl.vals, tpl.counts, tpl.senses, rhs,
+                         [n + tail for n in tpl.row_names])
+        vm.add_rows([k + ts for k in tpl.row_keys], r0)
+        for family, heads, gens, values, scale in tpl.records:
+            if gens is not None:
+                values = (scale * band[gens]).tolist()
+            vm.bound_records.setdefault(family, []).extend(
+                zip([h + ts for h in heads], values))
+        return tpl.pg + c0
 
-        if not committed:
-            pg = lp.add_var(0.0, 0.0, 0.0, name=f"pg({g.id},{t},{s})")
-            vm.add_col(("pg", g.id, t, s), pg)
-            if g.supp_off_eligible(ta):
-                self.reserve_col(g, "supp_off", t, s, w,
-                                 {"supp_off_limit": g.cap("supp_off")})
-            return
-
-        pg = lp.add_var(0.0, np.inf, 0.0, name=f"pg({g.id},{t},{s})")
-        vm.add_col(("pg", g.id, t, s), pg)
-        seg_cols = []
-        for k, (width, price) in enumerate(g.segments):
-            col = lp.add_var(0.0, width, w * price, name=f"seg{k}({g.id},{t},{s})")
-            vm.add_col(("seg", g.id, k, t, s), col)
-            vm.add_bound_record("segment_limit", (g.id, k, t, s), width)
-            seg_cols.append(col)
-        r = lp.add_row(
-            [pg] + seg_cols,
-            [1.0] + [-1.0] * len(seg_cols),
-            "=",
-            g.pmin,
-            name=f"blocks({g.id},{t},{s})",
-        )
-        vm.add_row(("dispatch_blocks", g.id, t, s), r)
-
-        band = pmax_ts - g.pmin
-        reg = spin = supp_on = None
-        if g.reg_eligible(ta):
-            reg = self.reserve_col(g, "reg", t, s, w, {
-                "regulation_band": 0.5 * band, "regulation_deploy": 5.0 * g.ramp_up})
-        if g.spin_eligible(ta):
-            spin = self.reserve_col(g, "spin", t, s, w, {"spinning_band": band})
-        if g.supp_on_eligible(ta):
-            supp_on = self.reserve_col(g, "supp_on", t, s, w, {"supp_on_band": band})
-
-        floor_cols, floor_vals = [pg], [1.0]
-        if reg is not None:
-            floor_cols.append(reg)
-            floor_vals.append(-1.0)
-        r = lp.add_row(floor_cols, floor_vals, ">=", g.pmin, name=f"floor({g.id},{t},{s})")
-        vm.add_row(("floor_with_regulation", g.id, t, s), r)
-
-        ceil_cols = [pg] + [c for c in (reg, spin, supp_on) if c is not None]
-        r = lp.add_row(
-            ceil_cols, [1.0] * len(ceil_cols), "<=", pmax_ts, name=f"ceiling({g.id},{t},{s})"
-        )
-        vm.add_row(("ceiling_with_reserves", g.id, t, s), r)
-
-        cont = [c for c in (spin, supp_on) if c is not None]
-        if cont:
-            r = lp.add_row(
-                cont, [1.0] * len(cont), "<=", 10.0 * g.ramp_up,
-                name=f"contingency({g.id},{t},{s})",
-            )
-            vm.add_row(("contingency_deploy", g.id, t, s), r)
-
-    def reserve_col(self, g, product, t, s, w, limits):
-        """One reserve column, bounded above by the product's cap and each
-        of ``limits`` ({bound family: value}), all of them recorded."""
-        cap = g.cap(product)
-        col = self.lp.add_var(0.0, min(cap, *limits.values()), w * g.price(product),
-                              name=f"{product}({g.id},{t},{s})")
-        self.vmap.add_col((product, g.id, t, s), col)
-        for family, value in limits.items():
-            self.vmap.add_bound_record(family, (g.id, t, s), value)
-        self.vmap.add_bound_record("reserve_cap", (product, g.id, t, s), cap)
-        return col
-
-    def ramp_rows(self, g, t, s, prev_col=None, prev_const=None):
-        """Couple pg at window period t to period t-1 (column or constant)."""
-        lp, vm = self.lp, self.vmap
-        dt = self.case.step_minutes
-        up, dn = g.ramp_up * dt, g.ramp_down * dt
-        cur = vm.get(("pg", g.id, t, s))
-        if prev_col is not None:
-            r = lp.add_row([cur, prev_col], [1.0, -1.0], "<=", up,
-                           name=f"rampup({g.id},{t},{s})")
-            vm.add_row(("ramp_up", g.id, t, s), r)
-            r = lp.add_row([prev_col, cur], [1.0, -1.0], "<=", dn,
-                           name=f"rampdn({g.id},{t},{s})")
-            vm.add_row(("ramp_down", g.id, t, s), r)
-        else:
-            r = lp.add_row([cur], [1.0], "<=", prev_const + up,
-                           name=f"rampup({g.id},{t},{s})")
-            vm.add_row(("ramp_up", g.id, t, s), r)
-            r = lp.add_row([cur], [1.0], ">=", prev_const - dn,
-                           name=f"rampdn({g.id},{t},{s})")
-            vm.add_row(("ramp_down", g.id, t, s), r)
-
-    # -- per-cell system block -------------------------------------------
-
-    def system_block(self, t, s, w):
-        lp, vm, case = self.lp, self.vmap, self.case
-        pen = case.penalties
-        loads = self.scen.period_load(s, t)
-
-        inj_cols = {}
-        for bus in case.buses:
-            inj = lp.add_var(-np.inf, np.inf, 0.0, name=f"inj({bus},{t},{s})")
-            vm.add_col(("inj", bus, t, s), inj)
-            inj_cols[bus] = inj
-            gen_cols = [
-                vm.col(("pg", g.id, t, s)) for g in case.generators if g.bus == bus
-            ]
-            r = lp.add_row(
-                gen_cols + [inj],
-                [1.0] * len(gen_cols) + [-1.0],
-                "=",
-                loads[bus],
-                name=f"inj_def({bus},{t},{s})",
-            )
-            vm.add_row(("injection_def", bus, t, s), r)
-
-        surplus = lp.add_var(0.0, np.inf, w * pen.surplus, name=f"surplus({t},{s})")
-        shortage = lp.add_var(0.0, np.inf, w * pen.shortage, name=f"shortage({t},{s})")
-        vm.add_col(("surplus", t, s), surplus)
-        vm.add_col(("shortage", t, s), shortage)
-        r = lp.add_row(
-            list(inj_cols.values()) + [surplus, shortage],
-            [1.0] * len(inj_cols) + [-1.0, 1.0],
-            "=",
-            0.0,
-            name=f"balance({t},{s})",
-        )
-        vm.add_row(("system_balance", t, s), r)
-
-        req = case.reserve_req
-        tiers = (
-            ("req_regulation", "short_reg", req.reg, pen.reg, ("reg",)),
-            ("req_reg_spin", "short_rspin", req.rspin, pen.rspin, ("reg", "spin")),
-            ("req_operating", "short_op", req.op, pen.op, RESERVE_PRODUCTS),
-        )
-        for family, slack_kind, target, price, products in tiers:
-            slack = lp.add_var(0.0, np.inf, w * price, name=f"{slack_kind}({t},{s})")
-            vm.add_col((slack_kind, t, s), slack)
-            cols = [slack]
-            for g in case.generators:
-                for p in products:
-                    c = vm.get((p, g.id, t, s))
-                    if c is not None:
-                        cols.append(c)
-            r = lp.add_row(cols, [1.0] * len(cols), ">=", target, name=f"{family}({t},{s})")
-            vm.add_row((family, t, s), r)
-
-        for e in case.branches:
-            if not e.monitored:
-                continue
-            df = lp.add_var(0.0, np.inf, w * e.violation_price,
-                            name=f"flow_excess({e.id},{t},{s})")
-            vm.add_col(("flow_excess", e.id, t, s), df)
-            if self.flows == "full":
-                for key, cols, vals, sense, rhs, name in flow_limit_rows(vm, e, t, s):
-                    vm.add_row(key, lp.add_row(cols, vals, sense, rhs, name=name))
+    def ramp_block(self, tpls, pg, s, start, prev_dispatch):
+        """Couple pg at each window period t >= start to period t-1: to its
+        pg columns ``pg[t-1]`` or, at t = 0, to the previous dispatch."""
+        blocks, names, keys = [], [], []
+        for t in range(start, len(tpls)):
+            tpl, cur = tpls[t], pg[t]
+            if t == 0:
+                on = np.flatnonzero(tpl.on)
+                try:
+                    prev = np.array([float(prev_dispatch[self.case.generators[i].id])
+                                     for i in on])
+                except KeyError as e:
+                    raise ValidationError(
+                        f"state has no previous dispatch for generator '{e.args[0]}'"
+                    ) from None
+                # [cur] <= prev + up, [cur] >= prev - dn
+                blocks.append((np.repeat(cur[on], 2), np.ones(2 * len(on)),
+                               np.full(2 * len(on), 1), np.tile([LE, GE], len(on)),
+                               (prev + tpl.up[on], prev - tpl.dn[on])))
+            else:
+                on = np.flatnonzero(tpl.on | tpls[t - 1].on)
+                c, p = cur[on], pg[t - 1][on]
+                # [cur, prev] <= up, [prev, cur] <= dn
+                blocks.append((np.column_stack((c, p, p, c)).ravel(),
+                               np.tile([1.0, -1.0], 2 * len(on)), np.full(2 * len(on), 2),
+                               np.full(2 * len(on), LE), (tpl.up[on], tpl.dn[on])))
+            tail, ts, on = f"{t},{s})", (t, s), on.tolist()
+            names += [n + tail for i in on for n in tpl.ramp_names[i]]
+            keys += [k + ts for i in on for k in tpl.ramp_keys[i]]
+        if blocks:
+            cols, vals, counts, senses, rhs = zip(*blocks)
+            rhs = np.concatenate([np.column_stack(r).ravel() for r in rhs])
+            r0 = self.lp.add_rows(np.concatenate(cols), np.concatenate(vals),
+                                  np.concatenate(counts), np.concatenate(senses), rhs, names)
+            self.vmap.add_rows(keys, r0)
 
     # -- first-stage pins (Benders subproblems) ---------------------------
 
@@ -355,54 +427,38 @@ class _Assembler:
         time) so their duals vanish; they are kept so the pin-row dual
         vector lines up with the full first-stage vector."""
         lp, vm = self.lp, self.vmap
-        pin_rows = []
         keys = first_stage_keys(self.case)
         vals = dict(x1 or {})
-        for kind, gid in keys:
-            col = lp.add_var(-np.inf, np.inf, 0.0, name=f"{kind}({gid},0,0)")
-            vm.add_col((kind, gid, 0, 0), col)
-            r = lp.add_row(
-                [col], [1.0], "=", float(vals.get((kind, gid), 0.0)),
-                name=f"pin_{kind}({gid})",
-            )
-            vm.add_row(("pin_first_stage", kind, gid), r)
-            pin_rows.append(r)
-        vm.meta["pin_rows"] = tuple(pin_rows)
+        n = len(keys)
+        c0 = lp.add_vars(np.full(n, -np.inf), np.full(n, np.inf), np.zeros(n),
+                         [f"{kind}({gid},0,0)" for kind, gid in keys])
+        vm.add_cols([(kind, gid, 0, 0) for kind, gid in keys], c0)
+        r0 = lp.add_rows(np.arange(c0, c0 + n), np.ones(n), [1] * n, [EQ] * n,
+                         [float(vals.get(k, 0.0)) for k in keys],
+                         [f"pin_{kind}({gid})" for kind, gid in keys])
+        vm.add_rows([("pin_first_stage", kind, gid) for kind, gid in keys], r0)
+        vm.meta["pin_rows"] = tuple(range(r0, r0 + n))
+        # the pinned pg columns: each generator's first key
+        self.pinned_pg = np.arange(c0, c0 + n, len(FIRST_STAGE_KINDS))
 
     # -- whole grid -------------------------------------------------------
 
     def grid(self, weights, prev_dispatch=None, anticipativity=False, start_period=0):
         case, scen = self.case, self.scen
-        for s in range(scen.n_scenarios):
+        tpls = [self.template(t) for t in range(scen.horizon)]
+        for s, sc in enumerate(scen.scenarios):
+            loads = np.array([sc.load[b] for b in case.buses], dtype=np.float64).T
+            pmax = np.tile(tpls[0].pmax, (scen.horizon, 1))
+            for gid, v in sc.pmax_override.items():
+                pmax[:, self.vc.gen_index[gid]] = v
+            # pg columns by window period; a subproblem's period 0 is its pins
+            pg = [self.pinned_pg] if start_period else []
             for t in range(start_period, scen.horizon):
-                w = weights[s] * self.h
-                for g in case.generators:
-                    self.gen_block(g, t, s, w)
-                self.system_block(t, s, w)
-            for t in range(start_period, scen.horizon):
-                for g in case.generators:
-                    ta = self.abs_t(t)
-                    if t == 0:
-                        if not g.committed(ta):
-                            continue
-                        try:
-                            prev = float(prev_dispatch[g.id])
-                        except KeyError:
-                            raise ValidationError(
-                                f"state has no previous dispatch for generator '{g.id}'"
-                            ) from None
-                        self.ramp_rows(g, t, s, prev_const=prev)
-                    else:
-                        was = g.committed(ta - 1)
-                        if not (g.committed(ta) or was):
-                            continue
-                        self.ramp_rows(g, t, s, prev_col=self.vmap.col(("pg", g.id, t - 1, s)))
+                pg.append(self.cell(tpls[t], t, s, weights[s] * self.h, loads[t], pmax[t]))
+            self.ramp_block(tpls, pg, s, start_period, prev_dispatch)
         noload = 0.0
         for t in range(start_period, scen.horizon):
-            ta = self.abs_t(t)
-            noload += sum(
-                self.h * g.no_load_cost for g in case.generators if g.committed(ta)
-            )
+            noload += sum(self.h * c for c in tpls[t].no_load)
         self.lp.obj_const += noload
         if anticipativity:
             self.anticipativity_rows()
@@ -419,15 +475,15 @@ class _Assembler:
                         continue
                     r = lp.add_row([a, b], [1.0, -1.0], "=", 0.0,
                                    name=f"na_{kind}({g.id},{s})")
-                    vm.add_row((f"anticipativity_{kind}", g.id, s), r)
+                    vm.add_rows([(f"anticipativity_{kind}", g.id, s)], r)
 
 
 def flow_limit_rows(vmap, branch, t, s):
     """Row specs limiting one branch's flow in one cell (both directions).
 
     Returns (key, cols, vals, sense, rhs, name) tuples referencing the
-    cell's injection and flow-excess columns; usable both for upfront
-    construction and for lazy appending."""
+    cell's injection and flow-excess columns, for lazy appending: the
+    same rows a full-flow cell template builds upfront."""
     cols, vals = [], []
     for bus, coef in branch.ptdf.items():
         c = vmap.get(("inj", bus, t, s))
@@ -457,8 +513,7 @@ def flow_limit_rows(vmap, branch, t, s):
 def append_rows(lp, vmap, specs):
     """``lp`` with (key, cols, vals, sense, rhs, name) row specs appended;
     the registry is extended in place."""
-    for i, spec in enumerate(specs):
-        vmap.add_row(spec[0], lp.n_rows + i)
+    vmap.add_rows([spec[0] for spec in specs], lp.n_rows)
     return lp.with_rows([spec[1:] for spec in specs])
 
 
@@ -561,16 +616,15 @@ def build_benders_master(vc, state, scenarios: ScenarioSet, cuts, flows="full"):
     lp, vm = asm.lp, asm.vmap
 
     for s, sc in enumerate(scenarios.scenarios):
-        vm.add_col(("theta", s), lp.add_var(-np.inf, np.inf, sc.prob, name=f"theta({s})"))
+        vm.add_cols([("theta", s)], lp.add_var(-np.inf, np.inf, sc.prob, name=f"theta({s})"))
     vm.meta["cut_counts"] = [0] * scenarios.n_scenarios
-    for key, cols, vals, sense, rhs, name in benders_cut_rows(vm, cuts):
-        vm.add_row(key, lp.add_row(cols, vals, sense, rhs, name=name))
+    lp = append_rows(lp, vm, benders_cut_rows(vm, cuts))
     for s, count in enumerate(vm.meta["cut_counts"]):
         if count == 0:
             raise ValidationError(
                 f"scenario {s} has no cuts; seed the pool with the initialization floor"
             )
-    return lp.freeze(), vm
+    return lp, vm
 
 
 def benders_cut_rows(vmap, cuts):

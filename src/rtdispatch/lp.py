@@ -41,6 +41,12 @@ simplex's [A I], and linprog's layout in a kept ``HighsLp`` that lacks
 only the row bounds.  A HiGHS solve writes those and ``passModel`` copies
 the model, both under a per-structure lock; ``run`` stays outside it.  An
 unfrozen model compiles on every query, so nothing cached goes stale.
+
+Models are built a column or row at a time or a block at a time
+(``add_vars`` / ``add_rows``, which check a block on its arrays).  Row
+entries are kept as the chunks they arrived in plus one entry count per
+row, so a block costs a few list appends however many rows it holds;
+``_Structure`` concatenates the chunks once.
 """
 
 from __future__ import annotations
@@ -84,9 +90,10 @@ class LPOptions:
 class LinearProgram:
     """Sparse LP container: min c'x + k s.t. rows, lo <= x <= hi.
 
-    Built incrementally (add_var / add_row) by the model builders and then
-    treated as immutable: extension happens through with_rows / with_rhs,
-    which share storage with the parent.  Solving never mutates the model.
+    Built by the model builders (add_var / add_vars, add_row / add_rows)
+    and then treated as immutable: extension happens through with_rows /
+    with_rhs, which share storage with the parent.  Solving never mutates
+    the model.
     """
 
     def __init__(self):
@@ -95,8 +102,9 @@ class LinearProgram:
         self._hi = []
         self.var_names = []
         self.obj_const = 0.0
-        self.row_cols = []  # per row: int array of column indices
-        self.row_vals = []  # per row: float array of coefficients
+        self._cols = []  # chunks of column indices (int64), rows in order
+        self._vals = []  # chunks of coefficients (float64)
+        self._nnz = []  # per row: its number of entries
         self.senses = []  # per row: LE | EQ | GE
         self.rhs = []
         self.row_names = []
@@ -111,36 +119,66 @@ class LinearProgram:
 
     @property
     def n_rows(self):
-        return len(self.row_cols)
+        return len(self.rhs)
 
-    def add_var(self, lo=0.0, hi=np.inf, cost=0.0, name=None):
+    def _check_open(self):
         if self._frozen:
             raise RuntimeError("LinearProgram is frozen; use with_rows/with_rhs")
+
+    def add_var(self, lo=0.0, hi=np.inf, cost=0.0, name=None):
+        self._check_open()
         self._cost.append(float(cost))
         self._lo.append(float(lo))
         self._hi.append(float(hi))
         self.var_names.append(name if name is not None else f"x{len(self._cost) - 1}")
         return len(self._cost) - 1
 
+    def add_vars(self, lo, hi, cost, names):
+        """Append one column per name; returns the first one's index."""
+        self._check_open()
+        arrays = [np.asarray(v, dtype=np.float64) for v in (lo, hi, cost)]
+        if any(a.shape != (len(names),) for a in arrays):
+            raise ValueError("column bounds, costs and names differ in length")
+        start = self.n_vars
+        for dst, a in zip((self._lo, self._hi, self._cost), arrays):
+            dst.extend(a.tolist())
+        self.var_names.extend(names)
+        return start
+
     def add_row(self, cols, vals, sense, rhs, name=None):
-        if self._frozen:
-            raise RuntimeError("LinearProgram is frozen; use with_rows/with_rhs")
+        cols = np.asarray(cols, dtype=np.int64)
+        return self.add_rows(cols, vals, [cols.size], [_sense(sense)], [rhs],
+                             [name if name is not None else f"r{self.n_rows}"])
+
+    def add_rows(self, cols, vals, counts, senses, rhs, names):
+        """Append one row per name; returns the first one's index.
+
+        Row i takes the next ``counts[i]`` entries of ``cols`` / ``vals``;
+        ``senses`` are codes (LE, EQ, GE).  add_row's checks are made on
+        the arrays: the lengths agree, every column exists, and no row
+        names a column twice."""
+        self._check_open()
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        if cols.shape != vals.shape:
+        counts = np.asarray(counts, dtype=np.int64)
+        m = len(names)
+        if (cols.shape != vals.shape or cols.shape != (counts.sum(),)
+                or not counts.shape == np.shape(senses) == np.shape(rhs) == (m,)):
             raise ValueError("row indices and values differ in length")
-        # checks on a plain list: numpy reductions cost more on short rows
-        idx = cols.tolist()
-        if idx and (min(idx) < 0 or max(idx) >= self.n_vars):
-            raise ValueError("row references a variable that does not exist")
-        if len(set(idx)) != len(idx):
-            raise ValueError("row has duplicate column indices")
-        self.row_cols.append(cols)
-        self.row_vals.append(vals)
-        self.senses.append(_SENSES[sense] if isinstance(sense, str) else int(sense))
-        self.rhs.append(float(rhs))
-        self.row_names.append(name if name is not None else f"r{len(self.rhs) - 1}")
-        return len(self.rhs) - 1
+        if cols.size:
+            if cols.min() < 0 or cols.max() >= self.n_vars:
+                raise ValueError("row references a variable that does not exist")
+            cells = np.sort(np.repeat(np.arange(m) * self.n_vars, counts) + cols)
+            if (cells[1:] == cells[:-1]).any():
+                raise ValueError("row has duplicate column indices")
+        start = self.n_rows
+        self._cols.append(cols)
+        self._vals.append(vals)
+        self._nnz.extend(counts.tolist())
+        self.senses.extend(np.asarray(senses, dtype=np.int64).tolist())
+        self.rhs.extend(np.asarray(rhs, dtype=np.float64).tolist())
+        self.row_names.extend(names)
+        return start
 
     def freeze(self):
         """Mark construction finished; afterwards only functional extension."""
@@ -170,6 +208,19 @@ class LinearProgram:
     def upper(self):
         return self._structure().upper
 
+    @property
+    def row_cols(self):
+        """Per row, its column indices (one array each)."""
+        return self._per_row(self.coo()[1])
+
+    @property
+    def row_vals(self):
+        """Per row, its coefficients (one array each)."""
+        return self._per_row(self.coo()[2])
+
+    def _per_row(self, entries):
+        return np.split(entries, np.cumsum(self._nnz)[:-1]) if self._nnz else []
+
     def rhs_array(self):
         return np.asarray(self.rhs, dtype=np.float64)
 
@@ -184,11 +235,20 @@ class LinearProgram:
     def with_rows(self, extra_rows):
         """A new LinearProgram with ``extra_rows`` appended; storage shared.
 
-        ``extra_rows`` entries are (cols, vals, sense, rhs[, name]) tuples.
+        ``extra_rows`` entries are (cols, vals, sense, rhs[, name]) tuples,
+        appended through one add_rows.
         """
         out = self._share_columns(copy_rows=True)
-        for row in extra_rows:
-            out.add_row(*row)
+        rows = list(extra_rows)
+        if rows:
+            cols = [np.asarray(r[0], dtype=np.int64) for r in rows]
+            vals = [np.asarray(r[1], dtype=np.float64) for r in rows]
+            if [c.shape for c in cols] != [v.shape for v in vals]:
+                raise ValueError("row indices and values differ in length")
+            names = [r[4] if len(r) > 4 and r[4] is not None else f"r{out.n_rows + i}"
+                     for i, r in enumerate(rows)]
+            out.add_rows(np.concatenate(cols), np.concatenate(vals), [c.size for c in cols],
+                         [_sense(r[2]) for r in rows], [r[3] for r in rows], names)
         return out.freeze()
 
     def with_rhs(self, updates):
@@ -208,11 +268,15 @@ class LinearProgram:
         out = LinearProgram()
         out._cost, out._lo, out._hi = self._cost, self._lo, self._hi
         out.var_names, out.obj_const = self.var_names, self.obj_const
-        for name in ("row_cols", "row_vals", "senses", "row_names"):
+        for name in ("_cols", "_vals", "_nnz", "senses", "row_names"):
             rows = getattr(self, name)
             setattr(out, name, list(rows) if copy_rows else rows)
         out.rhs = list(self.rhs)
         return out
+
+
+def _sense(sense):
+    return _SENSES[sense] if isinstance(sense, str) else int(sense)
 
 
 def _read_only(*arrays):
@@ -229,12 +293,9 @@ class _Structure:
         self.cost, self.lower, self.upper = (
             np.array(v, dtype=np.float64) for v in (lp._cost, lp._lo, lp._hi))
         self.senses = np.array(lp.senses, dtype=np.int8)
-        if self.m == 0:
-            self.coo = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
-        else:
-            nnz = np.fromiter(map(len, lp.row_cols), dtype=np.int64, count=self.m)
-            rows = np.repeat(np.arange(self.m, dtype=np.int64), nnz)
-            self.coo = rows, np.concatenate(lp.row_cols), np.concatenate(lp.row_vals)
+        rows = np.repeat(np.arange(self.m, dtype=np.int64), np.array(lp._nnz, dtype=np.int64))
+        self.coo = (rows, np.concatenate(lp._cols or [np.zeros(0, dtype=np.int64)]),
+                    np.concatenate(lp._vals or [np.zeros(0)]))
         _read_only(self.cost, self.lower, self.upper, self.senses, *self.coo)
         self.lock = threading.Lock()
         self._forms = {}
@@ -946,9 +1007,9 @@ def write_lp_format(lp: LinearProgram) -> str:
     out.append(" obj: " + (" ".join(parts) if parts else "0"))
     out.append("Subject To")
     rel = {LE: "<=", EQ: "=", GE: ">="}
-    for i in range(lp.n_rows):
+    for i, (cols, vals) in enumerate(zip(lp.row_cols, lp.row_vals)):
         parts = []
-        for c, v in zip(lp.row_cols[i], lp.row_vals[i]):
+        for c, v in zip(cols, vals):
             parts.append(term(v, lp.var_names[c], not parts))
         out.append(
             f" {lp.row_names[i]}: " + " ".join(parts) + f" {rel[lp.senses[i]]} {_num(lp.rhs[i])}"

@@ -184,6 +184,12 @@ def test_bad_alpha_is_rejected(toy, toy_scenarios):
         run_benders(toy, toy_state(), toy_scenarios, BendersConfig(alpha=1.0))
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), -1.0, float("inf")])
+def test_bad_epsilon_is_rejected(toy, toy_scenarios, epsilon):
+    with pytest.raises(ValidationError, match="epsilon"):
+        run_benders(toy, toy_state(), toy_scenarios, BendersConfig(epsilon=epsilon))
+
+
 def test_cut_pool_deduplicates():
     pool = CutPool()
     c1 = Cut(scenario=0, coef_x1={("pg", "G1"): -2.0}, rhs_const=10.0)

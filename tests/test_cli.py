@@ -115,6 +115,11 @@ def test_solve_demand_validation(files, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "B9" in err
+    # a bus given twice is named, not overwritten
+    rc = main(["solve", "--case", files["case"], "--policy", "sced",
+               "--demand", "B1=10,B1=20"])
+    assert rc == 1
+    assert "bus 'B1' is assigned twice" in capsys.readouterr().err
 
 
 def test_solve_csv_output(files, tmp_path):
@@ -187,6 +192,10 @@ BAD_CALLS = {
     **{f"demand-{v}": (lambda f, v=v: ["solve", "--case", f["case"], "--policy", "sced",
                                         "--demand", f"B1={v}"])
        for v in ("nan", "inf", "abc")},
+    "demand-bus-twice": lambda f: ["solve", "--case", f["case"], "--policy", "sced",
+                                   "--demand", "B1=10,B1=20"],
+    **{f"epsilon-{v}": (lambda f, v=v: _solve_args(f, "--policy", "slad", "--epsilon", v))
+       for v in ("nan", "-1")},
     "day-load-nan": lambda f: ["simulate", "--case", f["case"],
                                "--actuals", _nan_day(f), "--policy", "sced"],
     "case-price-nan": lambda f: ["simulate", "--case", _nan_price_case(f),

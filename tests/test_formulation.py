@@ -14,6 +14,7 @@ import pytest
 
 from rtdispatch.formulation import (
     FIRST_STAGE_KINDS,
+    VariableMap,
     build_benders_master,
     build_benders_subproblem,
     build_lad,
@@ -29,7 +30,7 @@ from rtdispatch.formulation import (
     require_common_first_period,
 )
 from rtdispatch.forecast import knn_scenarios, load_history
-from rtdispatch.lp import LPOptions, append_rows_and_resolve, solve_lp, verify_kkt
+from rtdispatch.lp import GE, LE, LPOptions, append_rows_and_resolve, solve_lp, verify_kkt
 from rtdispatch.model import (
     Scenario,
     ScenarioSet,
@@ -38,6 +39,7 @@ from rtdispatch.model import (
     initial_state,
     parse_case,
     parse_timeseries,
+    serialize_case,
     validate_case,
 )
 
@@ -248,6 +250,27 @@ def test_registry_in_lazy_mode_defers_flow_rows(case3):
     assert full_lp.n_rows - lazy_lp.n_rows == 2 * len(case3.case.branches) * n_cells
     # flow-excess columns exist either way (they carry the violation price)
     assert lazy_vm.get(("flow_excess", "E1", 1, 1)) is not None
+
+
+def test_lazy_flow_rows_are_the_full_models_rows(case3):
+    # the rows lazy generation appends are, entry for entry, the rows a
+    # full-flow build lays out in each cell
+    st = case3_state()
+    scen = case3_scenarios(seed=13, horizon=3, n=2)
+    full_lp, full_vm = build_slad_extensive(case3, st, scen, flows="full")
+    _, lazy_vm = build_slad_extensive(case3, st, scen, flows="lazy")
+    cols, vals = full_lp.row_cols, full_lp.row_vals
+    checked = 0
+    for e in case3.case.branches:
+        for s in range(scen.n_scenarios):
+            for t in range(scen.horizon):
+                for key, c, v, sense, rhs, name in flow_limit_rows(lazy_vm, e, t, s):
+                    r = full_vm.row(key)
+                    assert (cols[r].tolist(), vals[r].tolist(), full_lp.senses[r],
+                            full_lp.rhs[r], full_lp.row_names[r]) == (
+                        c, v, {"<=": LE, ">=": GE}[sense], rhs, name)
+                    checked += 1
+    assert checked == 2 * len(case3.case.branches) * scen.n_scenarios * scen.horizon
 
 
 def test_appending_flow_rows_reproduces_full_model(case3):
@@ -642,3 +665,43 @@ BUILT_MODELS = {
 def test_built_models_are_pinned(flows):
     got = {label: model_digest(*build()) for label, build in _bundled_models(flows)}
     assert got == BUILT_MODELS[flows]
+
+
+def test_cell_templates_stay_with_their_case():
+    # two cases that differ only in G2's commit profile, built alternately
+    # under both flow modes: each model must be what a fresh case gives
+    text = (DATA / "network_case.json").read_text()
+    base = parse_case(text)
+    gens = list(base.generators)
+    gens[1] = dataclasses.replace(gens[1], commit=(True, False, False, True))
+    texts = [text, serialize_case(dataclasses.replace(base, generators=tuple(gens)))]
+    cases = [validate_case(parse_case(t)) for t in texts]
+    actuals = parse_timeseries((DATA / "network_day.csv").read_text(), cases[0])
+    st = SystemState(prev_dispatch={g.id: g.initial_output for g in base.generators},
+                     wall_clock=1)
+    got = {}
+    for _ in range(2):
+        for flows in ("full", "lazy"):
+            for i, vc in enumerate(cases):
+                got.setdefault((i, flows), set()).add(
+                    model_digest(*build_lad(vc, st, actuals.window(1, 4), flows=flows)))
+    for (i, flows), digests in got.items():
+        fresh = validate_case(parse_case(texts[i]))
+        assert digests == {
+            model_digest(*build_lad(fresh, st, actuals.window(1, 4), flows=flows))}
+    assert len({d for ds in got.values() for d in ds}) == 4
+
+
+def test_bulk_registry_keeps_duplicate_keys_out():
+    vm = VariableMap()
+    vm.add_cols([("a", 0), ("b", 0)], 0)
+    vm.add_rows([("r", 0)], 0)
+    for add in (vm.add_cols, vm.add_rows):
+        with pytest.raises(ValueError, match="duplicate"):
+            add([("c", 0), ("c", 0)], 5)
+    with pytest.raises(ValueError, match=r"duplicate column key \('b', 0\)"):
+        vm.add_cols([("c", 0), ("b", 0)], 2)
+    with pytest.raises(ValueError, match="duplicate row key"):
+        vm.add_rows([("r", 0)], 1)
+    assert list(vm.columns()) == [(("a", 0), 0), (("b", 0), 1)]
+    assert list(vm.rows()) == [(("r", 0), 0)]

@@ -363,6 +363,72 @@ def test_row_validation():
         lp.add_row([3], [1.0], "<=", 1.0)  # unknown variable
 
 
+
+# ---------------------------------------------------------------------------
+# bulk construction
+
+
+def test_add_rows_validation():
+    lp = LinearProgram()
+    assert lp.add_vars([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], ["a", "b"]) == 0
+    with pytest.raises(ValueError, match="differ in length"):
+        lp.add_rows([0, 1], [1.0], [2], [lpmod.LE], [1.0], ["r"])
+    with pytest.raises(ValueError, match="differ in length"):
+        lp.add_rows([0, 1], [1.0, 1.0], [1], [lpmod.LE], [1.0], ["r"])
+    with pytest.raises(ValueError, match="does not exist"):
+        lp.add_rows([0, 2], [1.0, 1.0], [1, 1], [lpmod.LE] * 2, [1.0] * 2, ["r", "s"])
+    with pytest.raises(ValueError, match="duplicate"):
+        lp.add_rows([1, 0, 0], [1.0] * 3, [1, 2], [lpmod.LE] * 2, [1.0] * 2, ["r", "s"])
+    assert lp.n_rows == 0  # a refused block leaves nothing behind
+    # one column in two different rows is fine
+    assert lp.add_rows([0, 1, 0], [1.0, 2.0, 3.0], [2, 1], [lpmod.LE, lpmod.GE],
+                       [4.0, 1.0], ["r", "s"]) == 0
+    assert [c.tolist() for c in lp.row_cols] == [[0, 1], [0]]
+    lp.freeze()
+    with pytest.raises(RuntimeError, match="frozen"):
+        lp.add_rows([0], [1.0], [1], [lpmod.LE], [1.0], ["t"])
+    with pytest.raises(RuntimeError, match="frozen"):
+        lp.add_vars([0.0], [1.0], [0.0], ["c"])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_bulk_built_model_equals_its_row_by_row_twin(seed):
+    one = random_medium_lp(seed).freeze()
+    bulk = LinearProgram()
+    bulk.add_vars(one.lower, one.upper, one.cost, one.var_names)
+    cut = one.n_rows // 2  # two blocks: rows [0, cut) and [cut, m)
+    for lo, hi in ((0, cut), (cut, one.n_rows)):
+        bulk.add_rows(np.concatenate(one.row_cols[lo:hi]), np.concatenate(one.row_vals[lo:hi]),
+                      [len(c) for c in one.row_cols[lo:hi]], one.senses[lo:hi],
+                      one.rhs[lo:hi], one.row_names[lo:hi])
+    bulk.freeze()
+    for a, b in zip(bulk.coo(), one.coo()):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    for got, want in ((bulk.row_cols, one.row_cols), (bulk.row_vals, one.row_vals)):
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert write_lp_format(bulk) == write_lp_format(one)
+    for backend in BACKENDS:
+        a, b = (solve_lp(m, LPOptions(backend=backend)) for m in (bulk, one))
+        assert (a.status, repr(a.objective), a.iterations) == (
+            b.status, repr(b.objective), b.iterations)
+        for field in ("x", "duals", "reduced_costs"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+def test_with_rows_appends_as_add_row_would():
+    lp = two_var_example().freeze()
+    rows = [([0], [1.0], "<=", 5.0, "cap"), ([1, 0], [2.0, 1.0], ">=", 1.0)]
+    ext = lp.with_rows(rows)
+    twin = two_var_example()
+    for row in rows:
+        twin.add_row(*row)
+    assert write_lp_format(ext) == write_lp_format(twin)
+    assert ext.row_names == ["demand", "cap", "r2"]
+    with pytest.raises(ValueError, match="differ in length"):
+        lp.with_rows([([0, 1], [1.0], "<=", 5.0)])
+    assert lp.with_rows([]).row_names == lp.row_names
+
+
 # ---------------------------------------------------------------------------
 # the HiGHS backend against the scipy.optimize.linprog call it replaced
 
