@@ -1,13 +1,20 @@
-"""Shared test utilities: brute-force LP oracle, solution checks, model digests."""
+"""Shared test utilities: brute-force LP oracle, solution checks, model and
+Benders digests, the bundled days' look-ahead inputs."""
 
 import hashlib
 import itertools
 import os
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 import rtdispatch
 from rtdispatch import lp as lpmod
+from rtdispatch.forecast import knn_scenarios, load_history
+from rtdispatch.model import SystemState, parse_case, parse_timeseries, validate_case
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def child_env():
@@ -123,4 +130,46 @@ def model_digest(lp, vmap):
     put([(family, [(key, float(v)) for key, v in recs])
          for family, recs in vmap.bound_records.items()])
     put({k: v for k, v in vmap.meta.items() if k != "case"})
+    return h.hexdigest()
+
+
+def bundled_day(day):
+    """Look-ahead inputs at period 1 of a bundled day ("toy" or "network"):
+    the case, the realized day, a state off the initial outputs, that
+    period's realized load and pmax, and the scenarios (the toy day's
+    scenario file; the network day's history, k=3, horizon 4) with period
+    0 set to the realization."""
+    vc = validate_case(parse_case((DATA / f"{day}_case.json").read_text()))
+    actuals = parse_timeseries((DATA / f"{day}_day.csv").read_text(), vc)
+    sc = actuals.scenarios[0]
+    load = {b: v[1] for b, v in sc.load.items()}
+    pmax = {g: v[1] for g, v in sc.pmax_override.items()}
+    if day == "toy":
+        scen = parse_timeseries((DATA / "toy_scenarios.csv").read_text(), vc)
+        scen = scen.with_period_data(0, load, pmax)
+    else:
+        hist = load_history((DATA / "network_history.csv").read_text(), vc)
+        obs = {b: v[:2] for b, v in sc.load.items()}
+        scen = knn_scenarios(hist, obs, k=3).window(1, 4).with_period_data(0, load, pmax)
+    st = SystemState(prev_dispatch={g.id: g.initial_output + 1.5
+                                    for g in vc.case.generators}, wall_clock=1)
+    return SimpleNamespace(vc=vc, actuals=actuals, load=load, pmax=pmax,
+                           scenarios=scen, state=st)
+
+
+def benders_digest(res):
+    """A hash of a Benders run's answer, in order.
+
+    Covers ``x1``, the objective and bounds, every pooled cut's
+    ``coef_x1`` and ``rhs_const`` in pool order, each trace record's
+    ``lower``/``upper``/``gap``/``cuts_added`` (not its wall time) and
+    ``scenario_values``.  Floats enter through ``repr``, which round-trips
+    every bit, a zero's sign included."""
+    h = hashlib.sha256()
+    h.update(repr((
+        list(res.x1.items()), res.objective, res.lower, res.upper,
+        [(list(c.coef_x1.items()), c.rhs_const) for c in res.cuts],
+        [(r.lower, r.upper, r.gap, r.cuts_added) for r in res.trace],
+        list(res.scenario_values.items()),
+    )).encode())
     return h.hexdigest()

@@ -27,6 +27,7 @@ from rtdispatch.lp import LPNumericalError, LPOptions, solve_lp
 from rtdispatch.model import ValidationError, initial_state
 
 from conftest import case3_scenarios, case3_state, make_case3, toy_state
+from helpers import benders_digest, bundled_day
 
 
 def _extensive_objective(vc, state, scen, backend="simplex"):
@@ -378,3 +379,44 @@ def test_each_structure_compiles_once_per_run(flows, monkeypatch):
         assert len(oracles) == scen.n_scenarios < res.subproblem_solves
     else:
         assert len(oracles) > scen.n_scenarios  # generated rows make new ones
+
+
+# ---------------------------------------------------------------------------
+# slad on the bundled days, pinned bit for bit
+
+# sha256 of benders_digest per (day, backend, flows) at period 1; a change
+# to any bound, cut, trace record or first-stage value moves it
+BENDERS_RUNS = {
+    "toy": {
+        ("simplex", "full"):
+            "dedad08fde92cb455f953f0d51441d820a6ab697f9ea5467e95187e76ffa4ff5",
+        ("simplex", "lazy"):
+            "dedad08fde92cb455f953f0d51441d820a6ab697f9ea5467e95187e76ffa4ff5",
+        ("highs", "full"):
+            "f23ae3f70dc9c21f3ce61f1818500cdde5b4cb7720a1c5accaa74ca1696d48a7",
+        ("highs", "lazy"):
+            "f23ae3f70dc9c21f3ce61f1818500cdde5b4cb7720a1c5accaa74ca1696d48a7",
+    },
+    "network": {
+        ("simplex", "full"):
+            "928ab37956093fd495cf0617380f9747bc5233bf483db8e92c33a54442c09db6",
+        ("simplex", "lazy"):
+            "928ab37956093fd495cf0617380f9747bc5233bf483db8e92c33a54442c09db6",
+        ("highs", "full"):
+            "7ef359a66346727f4cb37cc96f7f7c6849e1f9dd3bb013fc9d408399a75e70de",
+        ("highs", "lazy"):
+            "7ef359a66346727f4cb37cc96f7f7c6849e1f9dd3bb013fc9d408399a75e70de",
+    },
+}
+
+
+@pytest.mark.parametrize("day", ["toy", "network"])
+def test_benders_runs_are_pinned(day):
+    b = bundled_day(day)
+    got = {
+        (backend, flows): benders_digest(run_benders(
+            b.vc, b.state, b.scenarios,
+            BendersConfig(flows=flows, lp=LPOptions(backend=backend))))
+        for backend in ("simplex", "highs") for flows in ("full", "lazy")
+    }
+    assert got == BENDERS_RUNS[day]

@@ -6,7 +6,6 @@ independent LP solver; see the inline derivations.
 """
 
 import dataclasses
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +28,6 @@ from rtdispatch.formulation import (
     pin_rhs_updates,
     require_common_first_period,
 )
-from rtdispatch.forecast import knn_scenarios, load_history
 from rtdispatch.lp import GE, LE, LPOptions, append_rows_and_resolve, solve_lp, verify_kkt
 from rtdispatch.model import (
     Scenario,
@@ -52,7 +50,7 @@ from conftest import (
     make_toy_scenarios,
     toy_state,
 )
-from helpers import model_digest
+from helpers import DATA, bundled_day, model_digest
 
 
 def _solve(lp, vmap, backend="simplex"):
@@ -548,27 +546,14 @@ def test_first_period_flags_follow_wall_clock(toy):
 # ---------------------------------------------------------------------------
 # every builder's model, pinned byte for byte
 
-DATA = Path(__file__).resolve().parent.parent / "data"
-
 
 def _bundled_models(flows):
     """(label, build) pairs over the bundled toy day (its scenario file) and
     network day (history, k=3, horizon 4) at period 1."""
     for day in ("toy", "network"):
-        vc = validate_case(parse_case((DATA / f"{day}_case.json").read_text()))
-        actuals = parse_timeseries((DATA / f"{day}_day.csv").read_text(), vc)
-        sc = actuals.scenarios[0]
-        load = {b: v[1] for b, v in sc.load.items()}
-        pmax = {g: v[1] for g, v in sc.pmax_override.items()}
-        if day == "toy":
-            scen = parse_timeseries((DATA / "toy_scenarios.csv").read_text(), vc)
-            scen = scen.with_period_data(0, load, pmax)
-        else:
-            hist = load_history((DATA / "network_history.csv").read_text(), vc)
-            obs = {b: v[:2] for b, v in sc.load.items()}
-            scen = knn_scenarios(hist, obs, k=3).window(1, 4).with_period_data(0, load, pmax)
-        st = SystemState(prev_dispatch={g.id: g.initial_output + 1.5
-                                        for g in vc.case.generators}, wall_clock=1)
+        b = bundled_day(day)
+        vc, actuals, st, scen, load, pmax = (
+            b.vc, b.actuals, b.state, b.scenarios, b.load, b.pmax)
         x1 = {k: 2.0 + 0.25 * i for i, k in enumerate(first_stage_keys(vc))}
         yield f"{day}/sced", lambda: build_sced(vc, st, load, pmax=pmax, flows=flows)
         for n in (1, 4):
