@@ -17,7 +17,8 @@ One master is built per decision; each iteration appends the pool's new
 cuts, which gives the rows a fresh build from the whole pool would.  Its
 lazy flowgate rows are generated afresh each iteration.  Each oracle
 re-solves rhs copies of one subproblem, which share its compiled
-structure, and the oracles share one thread pool per decision.
+structure, and answers a repeat of its last point without solving; the
+oracles share one thread pool per decision.
 """
 
 from __future__ import annotations
@@ -214,7 +215,11 @@ class _ScenarioOracle:
     """One scenario's future-cost oracle: value and subgradient at a point.
 
     The subproblem LP is built once with zero pins; each query rewrites
-    the pin right-hand sides and warm-starts from the previous basis.
+    the pin right-hand sides and warm-starts from the previous basis.  A
+    query whose pin right-hand sides equal the last query's bit for bit
+    returns the last answer and solves nothing: that re-solve would face
+    the same LP (under lazy flows, the last query's final model) from its
+    own optimal basis, so it could only give the same bytes.
     """
 
     def __init__(self, vc, scenarios, s, first_period, config):
@@ -226,11 +231,16 @@ class _ScenarioOracle:
         self.scenario_id = scenarios.scenarios[s].id
         self.position = s
         self._last = None
+        self._point = self._answer = None  # last pin rhs bytes, their answer
         self.solves = 0
 
     def query(self, x1):
         """Future cost, pin-dual subgradient, and cut constant at ``x1``."""
-        lp = self.lp.with_rhs(pin_rhs_updates(self.vmap, x1))
+        updates = pin_rhs_updates(self.vmap, x1)
+        point = np.fromiter(updates.values(), float, len(updates)).tobytes()
+        if point == self._point:
+            return self._answer
+        lp = self.lp.with_rhs(updates)
         warm = self._last.basis if self._last is not None else None
         sol, lp = _solve(lp, self.vmap, self.config, warm)
         if self.config.flows == "lazy":
@@ -247,7 +257,8 @@ class _ScenarioOracle:
         q = float(sol.objective)
         rhs_const = q - sum(sigma[k] * x1.get(k, 0.0) for k in sigma)
         self._check_cut_constant(lp, sol, x1, sigma, rhs_const)
-        return q, sigma, rhs_const
+        self._point, self._answer = point, (q, sigma, rhs_const)
+        return self._answer
 
     def _check_cut_constant(self, lp, sol, x1, sigma, rhs_const):
         """Recompute the cut constant through the dual objective.

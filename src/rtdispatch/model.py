@@ -792,7 +792,10 @@ def check_scenarios(ss: ScenarioSet, case=None):
         gens = {g.id: g for g in case.generators}
         for s in ss.scenarios:
             for gid, vals in s.pmax_override.items():
-                g = gens[gid]
+                g = gens.get(gid)
+                if g is None:
+                    raise ValidationError(
+                        f"scenario '{s.id}' pmax override names unknown generator '{gid}'")
                 for t, v in enumerate(vals):
                     if v < g.pmin - 1e-9:
                         raise ValidationError(

@@ -251,6 +251,14 @@ def _congested_setup(load_scale=1.3, limit_shift=-6.0):
     return vc, scen
 
 
+def _moving_argmin_state():
+    """case3_state with G1 at 45 MW: under _congested_setup the master's
+    first stage moves between iterations (three of them), where from
+    case3_state it stays at the first iteration's argmin."""
+    st = case3_state()
+    return dataclasses.replace(st, prev_dispatch={**st.prev_dispatch, "G1": 45.0})
+
+
 def test_lazy_generation_reaches_the_full_model():
     vc, scen = _congested_setup()
     st = case3_state()
@@ -369,7 +377,7 @@ def test_each_structure_compiles_once_per_run(flows, monkeypatch):
     monkeypatch.setattr(lpmod, "_Structure", Counted)
     monkeypatch.setattr(benders, "solve_lp", recorded)
     cfg = BendersConfig(flows=flows, lp=LPOptions(backend="highs"))
-    res = run_benders(vc, case3_state(), scen, cfg)
+    res = run_benders(vc, _moving_argmin_state(), scen, cfg)
     assert res.status == "optimal"
     ids = [id(r) for r in compiled]
     assert len(set(ids)) == len(ids)  # no structure compiled twice
@@ -379,6 +387,69 @@ def test_each_structure_compiles_once_per_run(flows, monkeypatch):
         assert len(oracles) == scen.n_scenarios < res.subproblem_solves
     else:
         assert len(oracles) > scen.n_scenarios  # generated rows make new ones
+
+
+# ---------------------------------------------------------------------------
+# an oracle asked about its last point again answers from its last answer
+
+
+def _oracle_at_optimum(backend):
+    vc, scen = _congested_setup()
+    x1 = run_benders(vc, _moving_argmin_state(), scen).x1
+    cfg = BendersConfig(lp=LPOptions(backend=backend))
+    return _ScenarioOracle(vc, scen, 0, 0, cfg), x1
+
+
+@pytest.mark.parametrize("backend", ["simplex", "highs"])
+def test_a_repeated_query_solves_nothing(backend):
+    oracle, x1 = _oracle_at_optimum(backend)
+    first = oracle.query(x1)
+    assert oracle.query(dict(x1)) is first
+    assert oracle.solves == 1
+    # keys that pin nothing, or a pin left out at its 0.0, name the same point
+    extra = {**x1, ("theta", 0): 5.0, ("pg", "G1", 1, 0): 7.0}
+    assert oracle.query(extra) is first
+    assert oracle.query({k: v for k, v in x1.items() if v != 0.0}) is first
+    assert oracle.solves == 1
+
+
+@pytest.mark.parametrize("backend", ["simplex", "highs"])
+def test_a_point_one_bit_away_solves_afresh(backend):
+    oracle, x1 = _oracle_at_optimum(backend)
+    zero = next(k for k, v in x1.items() if v == 0.0 and np.signbit(v) == 0)
+    moved = next(k for k, v in x1.items() if v > 0.0)
+    points = [
+        x1,
+        {**x1, zero: -0.0},
+        {**x1, moved: float(np.nextafter(x1[moved], np.inf))},
+        x1,  # only the last point is remembered
+    ]
+    for n, x in enumerate(points, 1):
+        oracle.query(x)
+        assert oracle.solves == n
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("flows", ["full", "lazy"])
+@pytest.mark.parametrize("backend", ["simplex", "highs"])
+def test_answer_reuse_leaves_the_run_unchanged(backend, flows, workers, monkeypatch):
+    from rtdispatch import benders
+
+    vc, scen = _congested_setup()
+    cfg = BendersConfig(flows=flows, workers=workers, lp=LPOptions(backend=backend))
+    reused = run_benders(vc, _moving_argmin_state(), scen, cfg)
+    query = benders._ScenarioOracle.query
+
+    def forgetful(self, x1):
+        self._point = None
+        return query(self, x1)
+
+    monkeypatch.setattr(benders._ScenarioOracle, "query", forgetful)
+    solved = run_benders(vc, _moving_argmin_state(), scen, cfg)
+    assert benders_digest(reused) == benders_digest(solved)
+    assert [c.origin for c in reused.cuts] == [c.origin for c in solved.cuts]
+    assert (reused.status, reused.iterations) == (solved.status, solved.iterations)
+    assert reused.subproblem_solves < solved.subproblem_solves
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from rtdispatch.forecast import load_history
+from rtdispatch.formulation import build_lad, build_sced, build_slad_extensive
 from rtdispatch.model import (
     CaseFormatError,
     Generator,
     Scenario,
     ScenarioSet,
+    SystemState,
     ValidationError,
     check_scenarios,
     format_timeseries,
@@ -346,6 +348,23 @@ def test_check_scenarios_override_against_pmin():
     )
     with pytest.raises(ValidationError, match="below pmin"):
         check_scenarios(ss, case)
+
+
+def test_check_scenarios_rejects_an_unknown_generator():
+    vc = validate_case(make_toy_case())
+    ss = ScenarioSet(
+        scenarios=(Scenario(id="day", prob=1.0, load={"B1": (10.0,)},
+                            pmax_override={"GX": (5.0,)}),),
+        horizon=1,
+    )
+    st = SystemState(prev_dispatch={"G1": 0.0, "G2": 0.0}, wall_clock=0)
+    for check in (lambda: check_scenarios(ss, vc),
+                  lambda: build_lad(vc, st, ss),
+                  lambda: build_sced(vc, st, {"B1": 10.0}, pmax={"GX": 5.0}),
+                  lambda: build_slad_extensive(vc, st, ss)):
+        with pytest.raises(ValidationError,
+                           match="scenario '.*' pmax override names unknown generator 'GX'"):
+            check()
 
 
 def test_window_and_with_period_data():
