@@ -101,27 +101,6 @@ def load_history(text: str, case=None) -> HistoryStore:
     )
 
 
-def format_history(store: HistoryStore, precision=10) -> str:
-    """Render a history back to its file layout."""
-    header = (
-        ["date", "period"]
-        + [f"load:{b}" for b in store.buses]
-        + [f"pmax:{g}" for g in store.gens]
-    )
-    out = [",".join(header)]
-
-    def fmt(x):
-        return format(float(x), f".{precision}g")
-
-    for d in store.days:
-        for t in range(store.horizon):
-            row = [d.date, str(t + 1)]
-            row += [fmt(d.load[b][t]) for b in store.buses]
-            row += [fmt(d.pmax[g][t]) for g in store.gens]
-            out.append(",".join(row))
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # forecasts
 

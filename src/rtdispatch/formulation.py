@@ -94,9 +94,6 @@ class VariableMap:
     def row(self, key):
         return self._row[key]
 
-    def add_bound_record(self, family, key, value):
-        self.bound_records.setdefault(family, []).append((key, value))
-
     def copy(self):
         """A registry whose rows extend without touching this one's; the
         columns, bound records and meta are shared."""
@@ -241,17 +238,17 @@ class _CellTemplate:
                 row("contingency" + tail, ("contingency_deploy", g.id), cont,
                     [1.0] * len(cont), LE, 10.0 * g.ramp_up)
 
-        inj = []
+        inj = {}
         for bus in case.buses:
-            inj.append(col(f"inj({bus},", ("inj", bus), -np.inf, np.inf, 0.0))
+            inj[bus] = col(f"inj({bus},", ("inj", bus), -np.inf, np.inf, 0.0)
             at_bus = [pg[i] for i, g in enumerate(gens) if g.bus == bus]
-            inj_rows.append(row(f"inj_def({bus},", ("injection_def", bus), at_bus + [inj[-1]],
+            inj_rows.append(row(f"inj_def({bus},", ("injection_def", bus), at_bus + [inj[bus]],
                                 [1.0] * len(at_bus) + [-1.0], EQ, 0.0))
         pen, req = case.penalties, case.reserve_req
         slacks = [col("surplus(", ("surplus",), 0.0, np.inf, pen.surplus),
                   col("shortage(", ("shortage",), 0.0, np.inf, pen.shortage)]
-        row("balance(", ("system_balance",), inj + slacks, [1.0] * len(inj) + [-1.0, 1.0],
-            EQ, 0.0)
+        row("balance(", ("system_balance",), [*inj.values(), *slacks],
+            [1.0] * len(inj) + [-1.0, 1.0], EQ, 0.0)
         tiers = (
             ("req_regulation", "short_reg", req.reg, pen.reg, ("reg",)),
             ("req_reg_spin", "short_rspin", req.rspin, pen.rspin, ("reg", "spin")),
@@ -267,14 +264,9 @@ class _CellTemplate:
                 continue
             df = col(f"flow_excess({e.id},", ("flow_excess", e.id), 0.0, np.inf,
                      e.violation_price)
-            if flows == "full":  # the rows flow_limit_rows gives
-                ptdf = [(inj[vc.bus_index[b]], float(c)) for b, c in e.ptdf.items()
-                        if b in vc.bus_index and c != 0.0]
-                fcols, fvals = [c for c, _ in ptdf] + [df], [v for _, v in ptdf]
-                row(f"flow_hi({e.id},", ("flow_upper", e.id), fcols, fvals + [-1.0], LE,
-                    e.limit_hi)
-                row(f"flow_lo({e.id},", ("flow_lower", e.id), fcols, fvals + [1.0], GE,
-                    e.limit_lo)
+            if flows == "full":
+                for (family, tag), spec in zip(_FLOWGATE_ROWS, _flowgate_rows(e, inj, df)):
+                    row(f"{tag}({e.id},", (family, e.id), *spec)
 
         self.col_names, self.col_keys, lo, hi, price = zip(*columns)
         self.row_names, self.row_keys, counts, self.senses, rhs = zip(*rows)
@@ -478,36 +470,30 @@ class _Assembler:
                     vm.add_rows([(f"anticipativity_{kind}", g.id, s)], r)
 
 
+#: (row family, name prefix) of a branch's upper and lower flowgate rows
+_FLOWGATE_ROWS = (("flow_upper", "flow_hi"), ("flow_lower", "flow_lo"))
+
+
+def _flowgate_rows(branch, inj, df):
+    """The (cols, vals, sense, rhs) of one cell's two flowgate rows: the
+    flow over the injection columns ``inj`` (bus -> column), less or plus
+    the flow-excess column ``df``, within the branch's limits."""
+    ptdf = [(inj[b], float(c)) for b, c in branch.ptdf.items() if b in inj and c != 0.0]
+    cols, vals = [c for c, _ in ptdf] + [df], [v for _, v in ptdf]
+    return [(cols, vals + [-1.0], LE, branch.limit_hi),
+            (cols, vals + [1.0], GE, branch.limit_lo)]
+
+
 def flow_limit_rows(vmap, branch, t, s):
     """Row specs limiting one branch's flow in one cell (both directions).
 
     Returns (key, cols, vals, sense, rhs, name) tuples referencing the
     cell's injection and flow-excess columns, for lazy appending: the
     same rows a full-flow cell template builds upfront."""
-    cols, vals = [], []
-    for bus, coef in branch.ptdf.items():
-        c = vmap.get(("inj", bus, t, s))
-        if c is not None and coef != 0.0:
-            cols.append(c)
-            vals.append(float(coef))
+    inj = {b: c for b in branch.ptdf if (c := vmap.get(("inj", b, t, s))) is not None}
     df = vmap.col(("flow_excess", branch.id, t, s))
-    up = (
-        ("flow_upper", branch.id, t, s),
-        cols + [df],
-        vals + [-1.0],
-        "<=",
-        branch.limit_hi,
-        f"flow_hi({branch.id},{t},{s})",
-    )
-    dn = (
-        ("flow_lower", branch.id, t, s),
-        cols + [df],
-        vals + [1.0],
-        ">=",
-        branch.limit_lo,
-        f"flow_lo({branch.id},{t},{s})",
-    )
-    return [up, dn]
+    return [((family, branch.id, t, s), *spec, f"{tag}({branch.id},{t},{s})")
+            for (family, tag), spec in zip(_FLOWGATE_ROWS, _flowgate_rows(branch, inj, df))]
 
 
 def append_rows(lp, vmap, specs):

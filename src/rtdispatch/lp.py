@@ -208,19 +208,6 @@ class LinearProgram:
     def upper(self):
         return self._structure().upper
 
-    @property
-    def row_cols(self):
-        """Per row, its column indices (one array each)."""
-        return self._per_row(self.coo()[1])
-
-    @property
-    def row_vals(self):
-        """Per row, its coefficients (one array each)."""
-        return self._per_row(self.coo()[2])
-
-    def _per_row(self, entries):
-        return np.split(entries, np.cumsum(self._nnz)[:-1]) if self._nnz else []
-
     def rhs_array(self):
         return np.asarray(self.rhs, dtype=np.float64)
 
@@ -349,16 +336,6 @@ def solve_lp(lp: LinearProgram, opts: LPOptions | None = None, warm=None) -> LPS
     if opts.backend != "simplex":
         raise ValueError(f"unknown LP backend '{opts.backend}'")
     return _Simplex(lp, opts, warm).solve()
-
-
-def append_rows_and_resolve(lp, sol, new_rows, opts=None):
-    """Solve lp with ``new_rows`` appended, warm-starting from ``sol``.
-
-    Contract: the result equals solve_lp on the extended model; the warm
-    start is purely a speed device.
-    """
-    ext = lp.with_rows(new_rows)
-    return solve_lp(ext, opts, warm=extend_warm_start(lp, sol, ext))
 
 
 def extend_warm_start(lp, sol, ext):
@@ -980,51 +957,3 @@ def verify_kkt(lp: LinearProgram, sol: LPSolution, tol=1e-6) -> KKTReport:
         duality_gap=gap,
         passed=(max_primal <= tol and max_dual <= tol and comp <= tol),
     )
-
-
-# ---------------------------------------------------------------------------
-# text export (interchange format, used by tests and for debugging)
-
-
-def write_lp_format(lp: LinearProgram) -> str:
-    """Render the model in CPLEX LP text format."""
-
-    def term(coef, name, lead):
-        if coef >= 0:
-            return f"{'' if lead else '+ '}{_num(coef)} {name}"
-        return f"- {_num(-coef)} {name}"
-
-    def _num(v):
-        return format(v, ".12g")
-
-    out = ["Minimize"]
-    parts = []
-    for j, coef in enumerate(lp.cost):
-        if coef != 0.0:
-            parts.append(term(coef, lp.var_names[j], not parts))
-    if lp.obj_const:
-        parts.append(term(lp.obj_const, "", not parts).rstrip())
-    out.append(" obj: " + (" ".join(parts) if parts else "0"))
-    out.append("Subject To")
-    rel = {LE: "<=", EQ: "=", GE: ">="}
-    for i, (cols, vals) in enumerate(zip(lp.row_cols, lp.row_vals)):
-        parts = []
-        for c, v in zip(cols, vals):
-            parts.append(term(v, lp.var_names[c], not parts))
-        out.append(
-            f" {lp.row_names[i]}: " + " ".join(parts) + f" {rel[lp.senses[i]]} {_num(lp.rhs[i])}"
-        )
-    out.append("Bounds")
-    for lo, hi, name in zip(lp.lower, lp.upper, lp.var_names):
-        if lo == hi:
-            out.append(f" {name} = {_num(lo)}")
-        elif np.isinf(-lo) and np.isinf(hi):
-            out.append(f" {name} free")
-        elif np.isinf(hi):
-            out.append(f" {_num(lo)} <= {name}")
-        elif np.isinf(-lo):
-            out.append(f" -inf <= {name} <= {_num(hi)}")
-        else:
-            out.append(f" {_num(lo)} <= {name} <= {_num(hi)}")
-    out.append("End")
-    return "\n".join(out) + "\n"

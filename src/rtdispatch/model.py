@@ -195,10 +195,6 @@ class ValidatedCase:
         self.case = case
         self.bus_index = {b: i for i, b in enumerate(case.buses)}
         self.gen_index = {g.id: i for i, g in enumerate(case.generators)}
-        self.branch_index = {e.id: i for i, e in enumerate(case.branches)}
-
-    def __getattr__(self, name):
-        return getattr(self.case, name)
 
     def __repr__(self):
         return f"ValidatedCase({self.case.name!r})"
@@ -266,10 +262,6 @@ class ScenarioSet:
             out.append(replace(s, load=load, pmax_override=pmax))
         return ScenarioSet(scenarios=tuple(out), horizon=self.horizon)
 
-    def period_load(self, s_idx, t):
-        sc = self.scenarios[s_idx]
-        return {b: v[t] for b, v in sc.load.items()}
-
 
 @dataclass(frozen=True)
 class SystemState:
@@ -312,10 +304,6 @@ class DispatchSolution:
 
     def pg_at(self, gid, t, s=0):
         return self.pg.get((gid, t, s), 0.0)
-
-    def reserve_at(self, product, gid, t, s=0):
-        """Reserve award; eligibility gaps read as zero."""
-        return self.reserve.get((product, gid, t, s), 0.0)
 
     def first_stage_pg(self):
         return {g: v for (g, t, s), v in self.pg.items() if t == 0 and s == 0}
@@ -523,73 +511,6 @@ def _check_ids(case):
                 raise ValidationError(f"branch '{e.id}' references unknown bus '{bus}'")
 
 
-def serialize_case(case: SystemCase) -> str:
-    """Render a SystemCase back to its JSON document form.
-
-    parse_case(serialize_case(c)) == c for any valid case; flag profiles
-    serialize as a scalar when constant.
-    """
-
-    def flag_out(profile):
-        return profile[0] if len(profile) == 1 else list(profile)
-
-    doc = {
-        "name": case.name,
-        "step_minutes": case.step_minutes,
-        "base_mva": case.base_mva,
-        "buses": list(case.buses),
-        "reserve_req": {
-            "reg": case.reserve_req.reg,
-            "rspin": case.reserve_req.rspin,
-            "op": case.reserve_req.op,
-        },
-        "penalties": {
-            "shortage": case.penalties.shortage,
-            "surplus": case.penalties.surplus,
-            "reg": case.penalties.reg,
-            "rspin": case.penalties.rspin,
-            "op": case.penalties.op,
-        },
-        "generators": [
-            {
-                "id": g.id,
-                "bus": g.bus,
-                "pmin": g.pmin,
-                "pmax": g.pmax,
-                "initial_output": g.initial_output,
-                "ramp_up": g.ramp_up,
-                "ramp_down": g.ramp_down,
-                "segments": [{"width": w, "price": p} for w, p in g.segments],
-                "no_load_cost": g.no_load_cost,
-                "reserve_caps": dict(g.reserve_caps),
-                "reserve_prices": dict(g.reserve_prices),
-                "flags": {
-                    "commit": flag_out(g.commit),
-                    "regulation": flag_out(g.regulation),
-                    "ra_reg": flag_out(g.ra_reg),
-                    "ra_spin": flag_out(g.ra_spin),
-                    "ra_s_on": flag_out(g.ra_s_on),
-                    "ra_s_off": flag_out(g.ra_s_off),
-                },
-                "is_import": g.is_import,
-            }
-            for g in case.generators
-        ],
-        "branches": [
-            {
-                "id": e.id,
-                "ptdf": dict(e.ptdf),
-                "limit_lo": e.limit_lo,
-                "limit_hi": e.limit_hi,
-                "violation_price": e.violation_price,
-                "monitored": e.monitored,
-            }
-            for e in case.branches
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def validate_case(case: SystemCase) -> ValidatedCase:
     """Check every model invariant; raise ValidationError listing all failures."""
     problems = []
@@ -789,8 +710,13 @@ def check_scenarios(ss: ScenarioSet, case=None):
                 raise ValidationError(f"scenario '{s.id}' pmax for '{g}' has wrong length")
     if case is not None:
         case = case.case if isinstance(case, ValidatedCase) else case
+        buses = set(case.buses)
         gens = {g.id: g for g in case.generators}
         for s in ss.scenarios:
+            unknown = [b for b in s.load if b not in buses]
+            if unknown:
+                raise ValidationError(
+                    f"scenario '{s.id}' has load at unknown bus '{unknown[0]}'")
             for gid, vals in s.pmax_override.items():
                 g = gens.get(gid)
                 if g is None:
@@ -803,24 +729,3 @@ def check_scenarios(ss: ScenarioSet, case=None):
                             f"is {v}, below pmin {g.pmin}"
                         )
     return ss
-
-
-def format_timeseries(ss: ScenarioSet, precision=10) -> str:
-    """Render a ScenarioSet back to the delimited day-file layout."""
-    buses = sorted({b for s in ss.scenarios for b in s.load})
-    gens = sorted({g for s in ss.scenarios for g in s.pmax_override})
-    single = len(ss.scenarios) == 1 and ss.scenarios[0].prob == 1.0
-    header = ["period"] + ([] if single else ["scenario", "prob"])
-    header += [f"load:{b}" for b in buses] + [f"pmax:{g}" for g in gens]
-    out = [",".join(header)]
-
-    def fmt(x):
-        return format(float(x), f".{precision}g")
-
-    for s in ss.scenarios:
-        for t in range(ss.horizon):
-            row = [str(t + 1)] + ([] if single else [s.id, fmt(s.prob)])
-            row += [fmt(s.load[b][t]) for b in buses]
-            row += [fmt(s.pmax_override[g][t]) for g in gens]
-            out.append(",".join(row))
-    return "\n".join(out) + "\n"

@@ -1,8 +1,10 @@
 """Shared test utilities: brute-force LP oracle, solution checks, model and
-Benders digests, the bundled days' look-ahead inputs."""
+Benders digests, the bundled days' look-ahead inputs, and writers of the
+case, day and history file formats."""
 
 import hashlib
 import itertools
+import json
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,8 +13,15 @@ import numpy as np
 
 import rtdispatch
 from rtdispatch import lp as lpmod
-from rtdispatch.forecast import knn_scenarios, load_history
-from rtdispatch.model import SystemState, parse_case, parse_timeseries, validate_case
+from rtdispatch.forecast import HistoryStore, knn_scenarios, load_history
+from rtdispatch.model import (
+    ScenarioSet,
+    SystemCase,
+    SystemState,
+    parse_case,
+    parse_timeseries,
+    validate_case,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -108,6 +117,13 @@ def random_box_lp(rng, n_max=6, m_max=8):
     return lp
 
 
+def row_entries(lp):
+    """Per row of ``lp``, its (column indices, coefficients) arrays."""
+    rows, cols, vals = lp.coo()
+    ends = np.searchsorted(rows, np.arange(lp.n_rows + 1))
+    return [(cols[a:b], vals[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+
+
 def model_digest(lp, vmap):
     """A hash of everything a built model holds, in order.
 
@@ -173,3 +189,112 @@ def benders_digest(res):
         list(res.scenario_values.items()),
     )).encode())
     return h.hexdigest()
+
+
+def serialize_case(case: SystemCase) -> str:
+    """Render a SystemCase back to its JSON document form.
+
+    parse_case(serialize_case(c)) == c for any valid case; flag profiles
+    serialize as a scalar when constant.
+    """
+
+    def flag_out(profile):
+        return profile[0] if len(profile) == 1 else list(profile)
+
+    doc = {
+        "name": case.name,
+        "step_minutes": case.step_minutes,
+        "base_mva": case.base_mva,
+        "buses": list(case.buses),
+        "reserve_req": {
+            "reg": case.reserve_req.reg,
+            "rspin": case.reserve_req.rspin,
+            "op": case.reserve_req.op,
+        },
+        "penalties": {
+            "shortage": case.penalties.shortage,
+            "surplus": case.penalties.surplus,
+            "reg": case.penalties.reg,
+            "rspin": case.penalties.rspin,
+            "op": case.penalties.op,
+        },
+        "generators": [
+            {
+                "id": g.id,
+                "bus": g.bus,
+                "pmin": g.pmin,
+                "pmax": g.pmax,
+                "initial_output": g.initial_output,
+                "ramp_up": g.ramp_up,
+                "ramp_down": g.ramp_down,
+                "segments": [{"width": w, "price": p} for w, p in g.segments],
+                "no_load_cost": g.no_load_cost,
+                "reserve_caps": dict(g.reserve_caps),
+                "reserve_prices": dict(g.reserve_prices),
+                "flags": {
+                    "commit": flag_out(g.commit),
+                    "regulation": flag_out(g.regulation),
+                    "ra_reg": flag_out(g.ra_reg),
+                    "ra_spin": flag_out(g.ra_spin),
+                    "ra_s_on": flag_out(g.ra_s_on),
+                    "ra_s_off": flag_out(g.ra_s_off),
+                },
+                "is_import": g.is_import,
+            }
+            for g in case.generators
+        ],
+        "branches": [
+            {
+                "id": e.id,
+                "ptdf": dict(e.ptdf),
+                "limit_lo": e.limit_lo,
+                "limit_hi": e.limit_hi,
+                "violation_price": e.violation_price,
+                "monitored": e.monitored,
+            }
+            for e in case.branches
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def format_timeseries(ss: ScenarioSet, precision=10) -> str:
+    """Render a ScenarioSet back to the delimited day-file layout."""
+    buses = sorted({b for s in ss.scenarios for b in s.load})
+    gens = sorted({g for s in ss.scenarios for g in s.pmax_override})
+    single = len(ss.scenarios) == 1 and ss.scenarios[0].prob == 1.0
+    header = ["period"] + ([] if single else ["scenario", "prob"])
+    header += [f"load:{b}" for b in buses] + [f"pmax:{g}" for g in gens]
+    out = [",".join(header)]
+
+    def fmt(x):
+        return format(float(x), f".{precision}g")
+
+    for s in ss.scenarios:
+        for t in range(ss.horizon):
+            row = [str(t + 1)] + ([] if single else [s.id, fmt(s.prob)])
+            row += [fmt(s.load[b][t]) for b in buses]
+            row += [fmt(s.pmax_override[g][t]) for g in gens]
+            out.append(",".join(row))
+    return "\n".join(out) + "\n"
+
+
+def format_history(store: HistoryStore, precision=10) -> str:
+    """Render a history back to its file layout."""
+    header = (
+        ["date", "period"]
+        + [f"load:{b}" for b in store.buses]
+        + [f"pmax:{g}" for g in store.gens]
+    )
+    out = [",".join(header)]
+
+    def fmt(x):
+        return format(float(x), f".{precision}g")
+
+    for d in store.days:
+        for t in range(store.horizon):
+            row = [d.date, str(t + 1)]
+            row += [fmt(d.load[b][t]) for b in store.buses]
+            row += [fmt(d.pmax[g][t]) for g in store.gens]
+            out.append(",".join(row))
+    return "\n".join(out) + "\n"

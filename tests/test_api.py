@@ -1,0 +1,47 @@
+"""The public API exports only what the program runs or README documents."""
+
+import ast
+import re
+from pathlib import Path
+
+import rtdispatch
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _names_used(paths):
+    """Every identifier read as a name or an attribute in ``paths``."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_or_documented():
+    program = [p for p in (ROOT / "src" / "rtdispatch").glob("*.py") if p.name != "__init__.py"]
+    used = _names_used(program + sorted((ROOT / "perfbench").glob("*.py")))
+    readme = (ROOT / "README.md").read_text()
+    unused = [name for name in rtdispatch.__all__
+              if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert unused == []
+
+
+def test_the_bench_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/run.py wraps program functions by name; a renamed or
+    # deleted one would otherwise show only as an AttributeError in a bench run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import run
+    import spans
+
+    tracer = spans.Tracer()
+    try:
+        run.wrap_layers(tracer)
+        patched = list(tracer._patches)
+        assert all(getattr(owner, attr) is not orig for owner, attr, orig in patched)
+    finally:
+        tracer.restore()
+    assert patched and all(getattr(owner, attr) is orig for owner, attr, orig in patched)

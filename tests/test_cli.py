@@ -9,11 +9,10 @@ from pathlib import Path
 import pytest
 
 from rtdispatch.cli import SCHEMA_VERSION, main
-from rtdispatch.model import format_timeseries, serialize_case
 from rtdispatch.simulator import STEP_COLUMNS
 
 from conftest import make_toy_case, make_toy_day, make_toy_scenarios
-from helpers import child_env
+from helpers import child_env, format_timeseries, serialize_case
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import pytest
 from rtdispatch.forecast import (
     HistoryDay,
     HistoryStore,
-    format_history,
     knn_scenarios,
     load_history,
     mean_forecast,
@@ -21,6 +20,7 @@ from rtdispatch.model import (
 )
 
 from conftest import make_case3, make_toy_scenarios
+from helpers import format_history
 
 
 def _toy_store(seed=0, n_days=9, horizon=6):

@@ -28,7 +28,7 @@ from rtdispatch.formulation import (
     pin_rhs_updates,
     require_common_first_period,
 )
-from rtdispatch.lp import GE, LE, LPOptions, append_rows_and_resolve, solve_lp, verify_kkt
+from rtdispatch.lp import LPOptions, extend_warm_start, solve_lp, verify_kkt
 from rtdispatch.model import (
     Scenario,
     ScenarioSet,
@@ -37,7 +37,6 @@ from rtdispatch.model import (
     initial_state,
     parse_case,
     parse_timeseries,
-    serialize_case,
     validate_case,
 )
 
@@ -50,7 +49,7 @@ from conftest import (
     make_toy_scenarios,
     toy_state,
 )
-from helpers import DATA, bundled_day, model_digest
+from helpers import DATA, bundled_day, model_digest, row_entries, serialize_case
 
 
 def _solve(lp, vmap, backend="simplex"):
@@ -257,16 +256,16 @@ def test_lazy_flow_rows_are_the_full_models_rows(case3):
     scen = case3_scenarios(seed=13, horizon=3, n=2)
     full_lp, full_vm = build_slad_extensive(case3, st, scen, flows="full")
     _, lazy_vm = build_slad_extensive(case3, st, scen, flows="lazy")
-    cols, vals = full_lp.row_cols, full_lp.row_vals
+    entries = row_entries(full_lp)
     checked = 0
     for e in case3.case.branches:
         for s in range(scen.n_scenarios):
             for t in range(scen.horizon):
                 for key, c, v, sense, rhs, name in flow_limit_rows(lazy_vm, e, t, s):
                     r = full_vm.row(key)
-                    assert (cols[r].tolist(), vals[r].tolist(), full_lp.senses[r],
-                            full_lp.rhs[r], full_lp.row_names[r]) == (
-                        c, v, {"<=": LE, ">=": GE}[sense], rhs, name)
+                    cols, vals = entries[r]
+                    assert (cols.tolist(), vals.tolist(), full_lp.senses[r],
+                            full_lp.rhs[r], full_lp.row_names[r]) == (c, v, sense, rhs, name)
                     checked += 1
     assert checked == 2 * len(case3.case.branches) * scen.n_scenarios * scen.horizon
 
@@ -285,7 +284,8 @@ def test_appending_flow_rows_reproduces_full_model(case3):
             for t in range(scen.horizon):
                 specs.extend(flow_limit_rows(lazy_vm, e, t, s))
     rows = [(cols, vals, sense, rhs, name) for _k, cols, vals, sense, rhs, name in specs]
-    sol_ext = append_rows_and_resolve(lazy_lp, sol_lazy, rows)
+    ext = lazy_lp.with_rows(rows)
+    sol_ext = solve_lp(ext, warm=extend_warm_start(lazy_lp, sol_lazy, ext))
     assert sol_ext.status == "optimal"
     assert sol_ext.objective == pytest.approx(
         sol_full.objective, abs=1e-7 * (1 + abs(sol_full.objective))
@@ -345,7 +345,7 @@ def test_contingency_deployability_binds(case3):
     row = vm.row(("contingency_deploy", "G2", 0, 0))
     assert lp.rhs_array()[row] == pytest.approx(20.0)
     sol, d = _solve(lp, vm)
-    award = d.reserve_at("spin", "G2", 0) + d.reserve_at("supp_on", "G2", 0)
+    award = sum(d.reserve.get((p, "G2", 0, 0), 0.0) for p in ("spin", "supp_on"))
     assert award <= 20.0 + 1e-8
 
 

@@ -18,18 +18,17 @@ from rtdispatch.formulation import (
     build_sced,
     pin_rhs_updates,
 )
-from rtdispatch.lp import (
-    LinearProgram,
-    LPOptions,
-    append_rows_and_resolve,
-    solve_lp,
-    verify_kkt,
-    write_lp_format,
-)
+from rtdispatch.lp import LinearProgram, LPOptions, extend_warm_start, solve_lp, verify_kkt
 from rtdispatch.model import validate_case
 
 import conftest
-from helpers import assert_solution_clean, child_env, enumerate_optimum, random_box_lp
+from helpers import (
+    assert_solution_clean,
+    child_env,
+    enumerate_optimum,
+    random_box_lp,
+    row_entries,
+)
 
 BACKENDS = ["simplex", "highs"]
 
@@ -40,6 +39,21 @@ def two_var_example():
     b = lp.add_var(0.0, 30.0, cost=20.0, name="b")
     lp.add_row([a, b], [1.0, 1.0], ">=", 10.0, name="demand")
     return lp
+
+
+def append_and_resolve(lp, sol, rows, opts=None):
+    """Solve ``lp`` with ``rows`` appended, warm-started from ``sol``."""
+    ext = lp.with_rows(rows)
+    return solve_lp(ext, opts, warm=extend_warm_start(lp, sol, ext))
+
+
+def assert_same_model(a, b):
+    """``a`` and ``b`` hold the same model, bit for bit."""
+    for x, y in zip((a.cost, a.lower, a.upper, *a.coo(), a.rhs_array()),
+                    (b.cost, b.lower, b.upper, *b.coo(), b.rhs_array())):
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
+    assert (list(a.senses), a.var_names, a.row_names, repr(a.obj_const)) == (
+        list(b.senses), b.var_names, b.row_names, repr(b.obj_const))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -59,7 +73,7 @@ def test_two_var_append_row(backend):
     lp = two_var_example()
     opts = LPOptions(backend=backend)
     sol = solve_lp(lp, opts)
-    sol2 = append_rows_and_resolve(lp, sol, [([0], [1.0], "<=", 5.0)], opts)
+    sol2 = append_and_resolve(lp, sol, [([0], [1.0], "<=", 5.0)], opts)
     assert sol2.status == "optimal"
     assert sol2.objective == pytest.approx(150.0, abs=1e-9)
     assert sol2.x == pytest.approx([5.0, 5.0], abs=1e-9)
@@ -75,11 +89,9 @@ def test_append_row_keeps_warm_start_past_an_empty_row():
     lp = two_var_example()
     lp.add_row([], [], "<=", 5.0, name="vacuous")
     sol = solve_lp(lp)
-    sol2 = append_rows_and_resolve(lp, sol, [([0], [1.0], "<=", 5.0)])
+    sol2 = append_and_resolve(lp, sol, [([0], [1.0], "<=", 5.0)])
     plain = two_var_example()
-    plain_sol = append_rows_and_resolve(
-        plain, solve_lp(plain), [([0], [1.0], "<=", 5.0)]
-    )
+    plain_sol = append_and_resolve(plain, solve_lp(plain), [([0], [1.0], "<=", 5.0)])
     assert sol2.status == "optimal"
     assert sol2.objective == pytest.approx(150.0, abs=1e-9)
     assert sol2.iterations == plain_sol.iterations == 1
@@ -120,8 +132,8 @@ def test_empty_row_in_the_middle_changes_nothing(empty, monkeypatch):
 
     monkeypatch.setattr(lpmod._Simplex, "_init_basis", recorded)
     cut = [([0], [1.0], "<=", 7.0)]
-    ref2 = append_rows_and_resolve(plain, ref, cut)
-    sol2 = append_rows_and_resolve(lp, sol, cut)
+    ref2 = append_and_resolve(plain, ref, cut)
+    sol2 = append_and_resolve(lp, sol, cut)
     assert accepted == [True, True]
     assert np.array_equal(sol2.x, ref2.x)
     assert sol2.objective == ref2.objective
@@ -291,7 +303,7 @@ def test_append_rows_matches_cold_solve(seed):
         cols = np.sort(rng.choice(lp.n_vars, size=k, replace=False))
         vals = rng.uniform(-3, 3, size=k)
         extra.append((cols, vals, "<=" if rng.uniform() < 0.5 else ">=", rng.uniform(-5, 5)))
-    warm = append_rows_and_resolve(lp, sol, extra)
+    warm = append_and_resolve(lp, sol, extra)
     cold = solve_lp(lp.with_rows(extra))
     assert warm.status == cold.status
     if warm.status == "optimal":
@@ -335,25 +347,6 @@ def test_strong_duality_gap_bound():
         assert rep.duality_gap <= 1e-6 * (1.0 + abs(sol.objective))
 
 
-def test_lp_format_export():
-    lp = LinearProgram()
-    a = lp.add_var(0.0, 20.0, cost=10.0, name="a")
-    b = lp.add_var(-np.inf, np.inf, cost=-2.5, name="b")
-    lp.add_row([a, b], [1.0, -1.0], ">=", 10.0, name="bal")
-    lp.obj_const = 4.0
-    text = write_lp_format(lp)
-    assert text == (
-        "Minimize\n"
-        " obj: 10 a - 2.5 b + 4\n"
-        "Subject To\n"
-        " bal: 1 a - 1 b >= 10\n"
-        "Bounds\n"
-        " 0 <= a <= 20\n"
-        " b free\n"
-        "End\n"
-    )
-
-
 def test_row_validation():
     lp = LinearProgram()
     lp.add_var(0, 1)
@@ -383,7 +376,7 @@ def test_add_rows_validation():
     # one column in two different rows is fine
     assert lp.add_rows([0, 1, 0], [1.0, 2.0, 3.0], [2, 1], [lpmod.LE, lpmod.GE],
                        [4.0, 1.0], ["r", "s"]) == 0
-    assert [c.tolist() for c in lp.row_cols] == [[0, 1], [0]]
+    assert [c.tolist() for c, _ in row_entries(lp)] == [[0, 1], [0]]
     lp.freeze()
     with pytest.raises(RuntimeError, match="frozen"):
         lp.add_rows([0], [1.0], [1], [lpmod.LE], [1.0], ["t"])
@@ -398,15 +391,11 @@ def test_a_bulk_built_model_equals_its_row_by_row_twin(seed):
     bulk.add_vars(one.lower, one.upper, one.cost, one.var_names)
     cut = one.n_rows // 2  # two blocks: rows [0, cut) and [cut, m)
     for lo, hi in ((0, cut), (cut, one.n_rows)):
-        bulk.add_rows(np.concatenate(one.row_cols[lo:hi]), np.concatenate(one.row_vals[lo:hi]),
-                      [len(c) for c in one.row_cols[lo:hi]], one.senses[lo:hi],
-                      one.rhs[lo:hi], one.row_names[lo:hi])
+        cols, vals = zip(*row_entries(one)[lo:hi])
+        bulk.add_rows(np.concatenate(cols), np.concatenate(vals), [len(c) for c in cols],
+                      one.senses[lo:hi], one.rhs[lo:hi], one.row_names[lo:hi])
     bulk.freeze()
-    for a, b in zip(bulk.coo(), one.coo()):
-        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
-    for got, want in ((bulk.row_cols, one.row_cols), (bulk.row_vals, one.row_vals)):
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    assert write_lp_format(bulk) == write_lp_format(one)
+    assert_same_model(bulk, one)
     for backend in BACKENDS:
         a, b = (solve_lp(m, LPOptions(backend=backend)) for m in (bulk, one))
         assert (a.status, repr(a.objective), a.iterations) == (
@@ -422,7 +411,7 @@ def test_with_rows_appends_as_add_row_would():
     twin = two_var_example()
     for row in rows:
         twin.add_row(*row)
-    assert write_lp_format(ext) == write_lp_format(twin)
+    assert_same_model(ext, twin)
     assert ext.row_names == ["demand", "cap", "r2"]
     with pytest.raises(ValueError, match="differ in length"):
         lp.with_rows([([0, 1], [1.0], "<=", 5.0)])

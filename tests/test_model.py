@@ -15,15 +15,14 @@ from rtdispatch.model import (
     SystemState,
     ValidationError,
     check_scenarios,
-    format_timeseries,
     initial_state,
     parse_case,
     parse_timeseries,
-    serialize_case,
     validate_case,
 )
 
 from conftest import case3_scenarios, make_case3, make_toy_case
+from helpers import format_timeseries, serialize_case
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +137,7 @@ def test_validated_case_indexes():
     vc = validate_case(make_case3())
     assert vc.gen_index["G2"] == 1
     assert vc.bus_index["B3"] == 2
-    assert vc.branch_index["E2"] == 1
     assert vc.case.name == "case3"
-    # attribute passthrough
-    assert vc.step_minutes == 5.0
 
 
 def test_flag_profiles_clamp_to_last_value():
@@ -364,6 +360,21 @@ def test_check_scenarios_rejects_an_unknown_generator():
                   lambda: build_slad_extensive(vc, st, ss)):
         with pytest.raises(ValidationError,
                            match="scenario '.*' pmax override names unknown generator 'GX'"):
+            check()
+
+
+def test_check_scenarios_rejects_a_load_at_an_unknown_bus():
+    # the builders read only the case's buses, so BX's 3 MW would go unserved
+    vc = validate_case(make_toy_case())
+    ss = ScenarioSet(
+        scenarios=(Scenario(id="day", prob=1.0, load={"B1": (10.0,), "BX": (3.0,)}),),
+        horizon=1,
+    )
+    st = SystemState(prev_dispatch={"G1": 0.0, "G2": 0.0}, wall_clock=0)
+    for check in (lambda: check_scenarios(ss, vc),
+                  lambda: build_lad(vc, st, ss),
+                  lambda: build_slad_extensive(vc, st, ss)):
+        with pytest.raises(ValidationError, match="scenario 'day' has load at unknown bus 'BX'"):
             check()
 
 

@@ -385,7 +385,8 @@ def test_first_stage_slice_of_the_full_day_plan(day):
     sol = lpmod.solve_lp(lp)
     d = extract_dispatch(sol, vmap)
     for t in range(actuals.horizon):
-        want = [((kind, gid), d.pg_at(gid, t) if kind == "pg" else d.reserve_at(kind, gid, t))
+        want = [((kind, gid),
+                 d.pg_at(gid, t) if kind == "pg" else d.reserve.get((kind, gid, t, 0), 0.0))
                 for kind, gid in first_stage_keys(vc)]
         assert list(first_stage_values(sol, vmap, t).items()) == want
 
