@@ -128,10 +128,10 @@ def model_digest(lp, vmap):
     """A hash of everything a built model holds, in order.
 
     Covers the cost, bound and ``coo()`` arrays (dtype and bytes), senses,
-    rhs, column and row names, ``obj_const``, the registry's columns and
-    rows in insertion order, its bound records family by family, and its
-    meta without the case.  Two builds hash equal exactly when every solver
-    sees the same model and every reader of the registry the same keys."""
+    rhs, ``obj_const``, the registry's columns and rows in insertion order,
+    and its meta without the case.  Two builds hash equal exactly when
+    every solver sees the same model and every reader of the registry the
+    same keys."""
     h = hashlib.sha256()
 
     def put(x):
@@ -141,10 +141,8 @@ def model_digest(lp, vmap):
               np.asarray(lp.senses, dtype=np.int8), lp.rhs_array()):
         put(str(a.dtype))
         h.update(a.tobytes())
-    put((lp.var_names, lp.row_names, lp.obj_const))
+    put(lp.obj_const)
     put((list(vmap.columns()), list(vmap.rows())))
-    put([(family, [(key, float(v)) for key, v in recs])
-         for family, recs in vmap.bound_records.items()])
     put({k: v for k, v in vmap.meta.items() if k != "case"})
     return h.hexdigest()
 

@@ -569,79 +569,79 @@ def _bundled_models(flows):
 
 
 # sha256 of model_digest per (flows, label); a change to any model's
-# columns, rows, entry order, names, registry or bound records moves it
+# columns, rows, entry order or registry moves it
 BUILT_MODELS = {
     "full": {
         "toy/sced":
-            "348a8eddf8f2235ec81083a883cc6fe4154c924b49e867c176ed1335c011ba9a",
+            "4a6e20ceff34a0b1a86fc5bd5a06025206af6a7f3d25ce803bdf6dcbb62ef191",
         "toy/lad1":
-            "ad0aa6c3570572a93cefd6bbbe606e01ccd715f2959cb2351300bb2dc07a7d59",
+            "0788d104cd0c127005969fa12469b1317918bd7aa705023d2e137a84196bc3af",
         "toy/lad4":
-            "ad0aa6c3570572a93cefd6bbbe606e01ccd715f2959cb2351300bb2dc07a7d59",
+            "0788d104cd0c127005969fa12469b1317918bd7aa705023d2e137a84196bc3af",
         "toy/day":
-            "40d90ee86823cf406f6f6037f5132f654eb68a0edabbe7d7fbe9bf9ef3fd5815",
+            "0bed5e538b696821a6f87dcf080a335c03a39f0ca3ad3cbf3cf9a4ff62ffe85e",
         "toy/extensive":
-            "5abf4e8f8c45b2d60504c8c620ba00434493bc98b8d2c8f447c08faab69b7d4f",
+            "1431873197ce35676e33ca2bb21ddbbba724fffa4f415dff0e0bba665b385aa2",
         "toy/master":
-            "30c7f2e2546c4165362dfe592d3e428e24a163ecf778916b875dcf3febcaf804",
+            "9f98c8b3a0ae2e693b6c3c8789c27ed125cafb5205bc3d0b52e32e5a01126f42",
         "toy/sub0":
-            "444ccbea759b54cde9ad92b60abee0bf1315e4fb4d788490e2841014f5cf48d5",
+            "ba5b8f6162f3c9aba1efcad9bfc08ebc26c568426b0ab1c898975767f1b7270a",
         "toy/sub1":
-            "f1bea154b7550cde47bec413ae754450d90593fd80f7d3194c2f35211e07bff7",
+            "56ae2c7485cb0d1a58b173dc8a80d5abeb2459b1fe1355bc63bb2b5b20155f96",
         "network/sced":
-            "03b55e524942dba2bfb0a55b1194bcc1dc4ed831312cfb7bee3be5448b3065a8",
+            "e1e018eb36796a6cd04680111c9340b74cd81373c8f950c9f84c46fd259801d3",
         "network/lad1":
-            "575e5fc1442cf2e61e04d2ce16166073067ab0f0b33517b67a81dfe5b2b1adc8",
+            "da0bf62673b2689d5368ddbd9f9db8412ea38e619ebf016b7c853c0a0b620e27",
         "network/lad4":
-            "f4f2cee820690db6c8f01af90cb2901228993217152e6dd0b95c47533c02f6fe",
+            "d62607734a29aa09920ee766f9d665a161326940367d9fd5d1c75f91923eb328",
         "network/day":
-            "ca0650ed426230d428103332a21890a8f63a56d25e759f1de4a4ae52fbfb0a4f",
+            "08805dd12e90f950305bb907908ddfe22b65a5f3382b3a1697b399050536561d",
         "network/extensive":
-            "990e061a24ddec9dc2b8d2268d47441d3c30db9dcfc08f6dfb3918d74b69490e",
+            "fe8723c442ef0488690943127b89819e573ad76bbf909c53bd0ebc3d61c0ce8f",
         "network/master":
-            "17cd7302592628f6ec4cf7d0dd3db861265b8109bfb62e167e1f488242858b09",
+            "519bd522f1d76f42f39529e6096ad3c6a1a2c33e603f87989825a2804bb87cbe",
         "network/sub0":
-            "bef3c5b6b13227c6c7fbc8c2112c5ee40ede9f528f6e6857fb9e3ee6d8f4f284",
+            "f5219700364c8f3847e9467ba1d6a21e14e365a97ddcb5ce5964f7d8fb043c7e",
         "network/sub1":
-            "61088d489422856fad11912cf0f47f6d6908fcca5a48e002a0652315f1c09571",
+            "1289f0d1a7894e22f61aabd499b3b182b41df346bea3ca1a99edf0fe14b4dd81",
         "network/sub2":
-            "966d57426d515a69184d50929cd8160d45362acec456ec5c2c36065072ba7fa7",
+            "55f229a1f44fb365482ef2e2da0f43867638a63a0e747673d6ddd0115a560e3d",
     },
     "lazy": {
         "toy/sced":
-            "348a8eddf8f2235ec81083a883cc6fe4154c924b49e867c176ed1335c011ba9a",
+            "4a6e20ceff34a0b1a86fc5bd5a06025206af6a7f3d25ce803bdf6dcbb62ef191",
         "toy/lad1":
-            "ad0aa6c3570572a93cefd6bbbe606e01ccd715f2959cb2351300bb2dc07a7d59",
+            "0788d104cd0c127005969fa12469b1317918bd7aa705023d2e137a84196bc3af",
         "toy/lad4":
-            "ad0aa6c3570572a93cefd6bbbe606e01ccd715f2959cb2351300bb2dc07a7d59",
+            "0788d104cd0c127005969fa12469b1317918bd7aa705023d2e137a84196bc3af",
         "toy/day":
-            "40d90ee86823cf406f6f6037f5132f654eb68a0edabbe7d7fbe9bf9ef3fd5815",
+            "0bed5e538b696821a6f87dcf080a335c03a39f0ca3ad3cbf3cf9a4ff62ffe85e",
         "toy/extensive":
-            "5abf4e8f8c45b2d60504c8c620ba00434493bc98b8d2c8f447c08faab69b7d4f",
+            "1431873197ce35676e33ca2bb21ddbbba724fffa4f415dff0e0bba665b385aa2",
         "toy/master":
-            "30c7f2e2546c4165362dfe592d3e428e24a163ecf778916b875dcf3febcaf804",
+            "9f98c8b3a0ae2e693b6c3c8789c27ed125cafb5205bc3d0b52e32e5a01126f42",
         "toy/sub0":
-            "444ccbea759b54cde9ad92b60abee0bf1315e4fb4d788490e2841014f5cf48d5",
+            "ba5b8f6162f3c9aba1efcad9bfc08ebc26c568426b0ab1c898975767f1b7270a",
         "toy/sub1":
-            "f1bea154b7550cde47bec413ae754450d90593fd80f7d3194c2f35211e07bff7",
+            "56ae2c7485cb0d1a58b173dc8a80d5abeb2459b1fe1355bc63bb2b5b20155f96",
         "network/sced":
-            "71696edad8f5f910623188ef5d9f153b58900f8a0ec441fbbdb1bd0bddba553c",
+            "ebe06100bcd920062e302723fc503842a6dc489d76707018ee4db31023337ac9",
         "network/lad1":
-            "22857f3906fe54183c2a0da5b1601a6f8788a83bf3e69e63d54d63fb5da2cd7b",
+            "c8546d23c5f7b17e3b608748c0a43a0ceb8305c281441da584fadc9efb2c7faa",
         "network/lad4":
-            "263651f575462475e0f21fdf8e26ebb9dd843967d70d7f528b150356574adf84",
+            "4848af891d31459ed90ca43cd42faec35d5decfe8d091a24e2470f69659795f3",
         "network/day":
-            "f8ed236d97010a27071a7f950c57cb2fd8a351409614493958a51fb44957fd5c",
+            "ba459e94e85c53adba607c553fabcb095d3a30e279fbac5f1dc2d93c9964353a",
         "network/extensive":
-            "2197d0751bf766524ea986056dd098ff02c3284fec3f05111cf51ba95f2096b9",
+            "f767c7d4db3d683000e3e93b1e15729152fd8c368338183a44430fb5ad4848c4",
         "network/master":
-            "3196eacc6afb43b1f194913e8ffca43180b004ec1584194b0de63415cd6ace0c",
+            "152238d5cda269249e4f37fb5325f6c7658643ca4a2ccfbe4fa8e93a5026363a",
         "network/sub0":
-            "63db56861db340cf5369e5ec7666c2d0021de0a3b9808193eba7ade1db9c8371",
+            "40c21eefd4d56d7f9bc077f3a6040f688ae151a73f3f332c9028f83b4ba3ba21",
         "network/sub1":
-            "15de852f72e66f5e3cf496e7c7426374c8f9a0ad6e97c80b6be631b199b033de",
+            "70d35dee3c14721efa81c88b30fd1a3fa185f0945e43d295ea2d1eeb142af5cb",
         "network/sub2":
-            "03772aaf31825339c62b8b389875e09062cf7e2507a462e2bb6d060066fea67e",
+            "02a0145ac3a82253c09ca6be93088aca2a33017190db441aa67352cd1cb815c2",
     },
 }
 
