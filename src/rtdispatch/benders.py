@@ -152,7 +152,7 @@ def relative_gap(upper, lower):
 def flow_violations(vmap, sol, tol):
     """Flowgate rows violated by a solution but absent from the model.
 
-    Returns (key, cols, vals, sense, rhs, name) row specs; an empty list
+    Returns (key, cols, vals, sense, rhs) row specs; an empty list
     certifies that every monitored limit holds within ``tol`` net of the
     priced excess already carried by the flow-excess column."""
     case = vmap.meta["case"].case

@@ -13,9 +13,9 @@ All builders assemble the same period/scenario grid of variables:
   upper/lower flowgate rows.
 
 Single-variable limits (bid-segment widths, reserve capability bands and
-caps, five-minute regulation deployability) are encoded as variable
-bounds and recorded in the registry next to the multi-variable rows, so
-tests can audit exactly which constraint families a model contains.
+caps, five-minute regulation deployability) are encoded as column bounds,
+not rows.  The registry (``VariableMap``) is a model's one naming: it keys
+every column and row, and the LP itself carries no names.
 
 Period indices inside a model are window-local (0-based); the absolute
 day period of window period 0 is carried along so per-period commitment
@@ -27,9 +27,9 @@ generators are committed and eligible for each reserve at that period, so
 their layout is worked out once, as a ``_CellTemplate`` cached on the
 ``ValidatedCase``.  A cell is then one bulk add of columns and one of rows
 (``LinearProgram.add_vars`` / ``add_rows``) in which only the capacity-
-dependent bounds, the loads, the cell weight and the names and keys
-change.  Each scenario's ramp rows follow its cells as one more block.
-The result is the model a row-by-row build gives, entry for entry.
+dependent bounds, the loads, the cell weight and the keys change.  Each
+scenario's ramp rows follow its cells as one more block.  The result is
+the model a row-by-row build gives, entry for entry.
 """
 
 from __future__ import annotations
@@ -66,15 +66,13 @@ class VariableMap:
     """Bijective registry between model coordinates and LP columns/rows.
 
     Column keys are tuples ``(kind, *ids, t, s)``; row keys are
-    ``(family, *ids)``.  Bound-encoded constraint families are recorded in
-    ``bound_records`` with the bound value they imposed, so the registry
-    covers every materialized constraint family, row-shaped or not.
+    ``(family, *ids)``.  Limits on a single column are its bounds in the
+    LP and have no key here.
     """
 
     def __init__(self):
         self._col = {}
         self._row = {}
-        self.bound_records = {}  # family -> list of (key, value)
         self.meta = {}
 
     def add_cols(self, keys, start):
@@ -96,10 +94,9 @@ class VariableMap:
 
     def copy(self):
         """A registry whose rows extend without touching this one's; the
-        columns, bound records and meta are shared."""
+        columns and meta are shared."""
         out = VariableMap()
-        out._col, out._row = self._col, dict(self._row)
-        out.bound_records, out.meta = self.bound_records, self.meta
+        out._col, out._row, out.meta = self._col, dict(self._row), self.meta
         return out
 
     def columns(self):
@@ -162,92 +159,73 @@ class _CellTemplate:
     bid segments and reserves with their block, floor, ceiling and
     contingency rows; then the system block (injections, balance, reserve
     tiers, flow excess and, under full flows, the flowgate rows).  Indices
-    are local to the cell; names lack their ``{t},{s})`` tail and keys
-    (bound-record keys too) their ``(t, s)`` tail.  What varies by cell is
-    listed by position: the reserve bounds and bound records that follow
-    the available band, and the ceiling and ``inj_def`` right-hand sides.
-    The per-generator arrays at the end serve the ramp rows."""
+    are local to the cell, and keys lack their ``(t, s)`` tail.  What varies
+    by cell is listed by position: the reserve bounds that follow the
+    available band, and the ceiling and ``inj_def`` right-hand sides.  The
+    per-generator arrays at the end serve the ramp rows."""
 
     def __init__(self, vc, flows, ta):
         case, gens = vc.case, vc.case.generators
         columns, rows, cols, vals = [], [], [], []
-        records = {}  # family -> (key heads, static values, generators, scale)
         banded, reserves, pg, ceilings, inj_rows = [], {}, [], [], []
 
-        def col(name, key, lo, hi, price):
-            columns.append((name, key, lo, hi, price))
+        def col(key, lo, hi, price):
+            columns.append((key, lo, hi, price))
             return len(columns) - 1
 
-        def row(name, key, rcols, rvals, sense, rhs):
-            rows.append((name, key, len(rcols), sense, rhs))
+        def row(key, rcols, rvals, sense, rhs):
+            rows.append((key, len(rcols), sense, rhs))
             cols.extend(rcols)
             vals.extend(rvals)
             return len(rows) - 1
 
-        def record(family, head, value=None, gen=None, scale=1.0):
-            parts = records.setdefault(family, ([], [], [], scale))
-            for part, x in zip(parts, (head, value, gen)):
-                part.append(x)
-
-        def reserve(i, g, product, band_family=None, scale=1.0, limits=()):
-            """A reserve column capped by the product's cap, the static
-            ``limits`` and, with a ``band_family``, ``scale`` times the
-            cell's band; every cap is recorded."""
-            cap = g.cap(product)
-            static = min([cap] + [v for _, v in limits])
-            c = reserves[(product, i)] = col(f"{product}({g.id},", (product, g.id), 0.0,
-                                             static, g.price(product))
-            if band_family:
+        def reserve(i, g, product, scale=None, limit=np.inf):
+            """A reserve column capped by the product's cap, ``limit`` and,
+            with a ``scale``, ``scale`` times the cell's band."""
+            static = min(g.cap(product), limit)
+            c = reserves[(product, i)] = col((product, g.id), 0.0, static, g.price(product))
+            if scale is not None:
                 banded.append((c, i, scale, static))
-                record(band_family, (g.id,), gen=i, scale=scale)
-            for family, v in limits:
-                record(family, (g.id,), v)
-            record("reserve_cap", (product, g.id), cap)
             return c
 
         for i, g in enumerate(gens):
-            tail = f"({g.id},"
             if not g.committed(ta):
-                pg.append(col("pg" + tail, ("pg", g.id), 0.0, 0.0, 0.0))
+                pg.append(col(("pg", g.id), 0.0, 0.0, 0.0))
                 if g.supp_off_eligible(ta):
-                    reserve(i, g, "supp_off", limits=[("supp_off_limit", g.cap("supp_off"))])
+                    reserve(i, g, "supp_off")
                 continue
-            pg.append(col("pg" + tail, ("pg", g.id), 0.0, np.inf, 0.0))
-            segs = []
-            for k, (width, price) in enumerate(g.segments):
-                segs.append(col(f"seg{k}" + tail, ("seg", g.id, k), 0.0, width, price))
-                record("segment_limit", (g.id, k), width)
-            row("blocks" + tail, ("dispatch_blocks", g.id), [pg[i]] + segs,
+            pg.append(col(("pg", g.id), 0.0, np.inf, 0.0))
+            segs = [col(("seg", g.id, k), 0.0, width, price)
+                    for k, (width, price) in enumerate(g.segments)]
+            row(("dispatch_blocks", g.id), [pg[i]] + segs,
                 [1.0] + [-1.0] * len(segs), EQ, g.pmin)
             reg = spin = supp_on = None
             if g.reg_eligible(ta):
-                reg = reserve(i, g, "reg", "regulation_band", 0.5,
-                              [("regulation_deploy", 5.0 * g.ramp_up)])
+                reg = reserve(i, g, "reg", 0.5, 5.0 * g.ramp_up)
             if g.spin_eligible(ta):
-                spin = reserve(i, g, "spin", "spinning_band")
+                spin = reserve(i, g, "spin", 1.0)
             if g.supp_on_eligible(ta):
-                supp_on = reserve(i, g, "supp_on", "supp_on_band")
+                supp_on = reserve(i, g, "supp_on", 1.0)
             floor = [pg[i]] + ([reg] if reg is not None else [])
-            row("floor" + tail, ("floor_with_regulation", g.id), floor,
-                [1.0, -1.0][: len(floor)], GE, g.pmin)
+            row(("floor_with_regulation", g.id), floor, [1.0, -1.0][: len(floor)], GE, g.pmin)
             ceil = [pg[i]] + [c for c in (reg, spin, supp_on) if c is not None]
-            ceilings.append((row("ceiling" + tail, ("ceiling_with_reserves", g.id), ceil,
+            ceilings.append((row(("ceiling_with_reserves", g.id), ceil,
                                  [1.0] * len(ceil), LE, g.pmax), i))
             cont = [c for c in (spin, supp_on) if c is not None]
             if cont:
-                row("contingency" + tail, ("contingency_deploy", g.id), cont,
-                    [1.0] * len(cont), LE, 10.0 * g.ramp_up)
+                row(("contingency_deploy", g.id), cont, [1.0] * len(cont), LE,
+                    10.0 * g.ramp_up)
 
         inj = {}
         for bus in case.buses:
-            inj[bus] = col(f"inj({bus},", ("inj", bus), -np.inf, np.inf, 0.0)
+            inj[bus] = col(("inj", bus), -np.inf, np.inf, 0.0)
             at_bus = [pg[i] for i, g in enumerate(gens) if g.bus == bus]
-            inj_rows.append(row(f"inj_def({bus},", ("injection_def", bus), at_bus + [inj[bus]],
+            inj_rows.append(row(("injection_def", bus), at_bus + [inj[bus]],
                                 [1.0] * len(at_bus) + [-1.0], EQ, 0.0))
         pen, req = case.penalties, case.reserve_req
-        slacks = [col("surplus(", ("surplus",), 0.0, np.inf, pen.surplus),
-                  col("shortage(", ("shortage",), 0.0, np.inf, pen.shortage)]
-        row("balance(", ("system_balance",), [*inj.values(), *slacks],
+        slacks = [col(("surplus",), 0.0, np.inf, pen.surplus),
+                  col(("shortage",), 0.0, np.inf, pen.shortage)]
+        row(("system_balance",), [*inj.values(), *slacks],
             [1.0] * len(inj) + [-1.0, 1.0], EQ, 0.0)
         tiers = (
             ("req_regulation", "short_reg", req.reg, pen.reg, ("reg",)),
@@ -255,21 +233,20 @@ class _CellTemplate:
             ("req_operating", "short_op", req.op, pen.op, RESERVE_PRODUCTS),
         )
         for family, slack_kind, target, price, products in tiers:
-            tier = [col(f"{slack_kind}(", (slack_kind,), 0.0, np.inf, price)]
+            tier = [col((slack_kind,), 0.0, np.inf, price)]
             tier += [reserves[(p, i)] for i in range(len(gens)) for p in products
                      if (p, i) in reserves]
-            row(f"{family}(", (family,), tier, [1.0] * len(tier), GE, target)
+            row((family,), tier, [1.0] * len(tier), GE, target)
         for e in case.branches:
             if not e.monitored:
                 continue
-            df = col(f"flow_excess({e.id},", ("flow_excess", e.id), 0.0, np.inf,
-                     e.violation_price)
+            df = col(("flow_excess", e.id), 0.0, np.inf, e.violation_price)
             if flows == "full":
-                for (family, tag), spec in zip(_FLOWGATE_ROWS, _flowgate_rows(e, inj, df)):
-                    row(f"{tag}({e.id},", (family, e.id), *spec)
+                for family, spec in zip(_FLOWGATE_ROWS, _flowgate_rows(e, inj, df)):
+                    row((family, e.id), *spec)
 
-        self.col_names, self.col_keys, lo, hi, price = zip(*columns)
-        self.row_names, self.row_keys, counts, self.senses, rhs = zip(*rows)
+        self.col_keys, lo, hi, price = zip(*columns)
+        self.row_keys, counts, self.senses, rhs = zip(*rows)
         self.lo, self.hi, self.price, self.vals, self.rhs = (
             np.array(v, dtype=np.float64) for v in (lo, hi, price, vals, rhs))
         self.cols, self.counts, self.pg, self.inj_rows = (
@@ -278,15 +255,12 @@ class _CellTemplate:
         self.banded, self.banded_gens = banded[:2].astype(np.int64)
         self.banded_scale, self.banded_caps = banded[2:]
         self.ceil_rows, self.ceil_gens = np.array(ceilings, dtype=np.int64).reshape(-1, 2).T
-        self.records = [(family, heads, None if idx[0] is None else np.array(idx), values, s)
-                        for family, (heads, values, idx, s) in records.items()]
         # per generator, for the ramp rows and the no-load cost
         self.on = np.array([g.committed(ta) for g in gens])
         self.no_load = [g.no_load_cost for g in gens if g.committed(ta)]
         self.pmin, self.pmax, up, dn = np.array(
             [(g.pmin, g.pmax, g.ramp_up, g.ramp_down) for g in gens], dtype=np.float64).T
         self.up, self.dn = up * case.step_minutes, dn * case.step_minutes
-        self.ramp_names = [(f"rampup({g.id},", f"rampdn({g.id},") for g in gens]
         self.ramp_keys = [(("ramp_up", g.id), ("ramp_down", g.id)) for g in gens]
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
@@ -300,8 +274,8 @@ class _Assembler:
     only what varies filled in: reserve upper bounds and ceiling
     right-hand sides from the available capacity, ``inj_def`` right-hand
     sides from the loads, costs as the cell's weight times the unit
-    prices, and ``(t, s)`` in every name, key and bound record.  A
-    scenario's ramp rows follow its cells as one more block."""
+    prices, and ``(t, s)`` on every key.  A scenario's ramp rows follow its
+    cells as one more block."""
 
     def __init__(self, vc, scen, first_abs, flows):
         if not isinstance(vc, ValidatedCase):
@@ -354,30 +328,23 @@ class _Assembler:
         """Append cell (t, s) with weight ``w`` on its hourly prices, bus
         loads ``load`` and available capacities ``pmax``; returns its pg
         columns."""
-        lp, vm = self.lp, self.vmap
-        ts, tail = (t, s), f"{t},{s})"
+        lp, vm, ts = self.lp, self.vmap, (t, s)
         band = pmax - tpl.pmin
         hi = tpl.hi.copy()
         hi[tpl.banded] = np.minimum(tpl.banded_caps, tpl.banded_scale * band[tpl.banded_gens])
-        c0 = lp.add_vars(tpl.lo, hi, w * tpl.price, [n + tail for n in tpl.col_names])
+        c0 = lp.add_vars(tpl.lo, hi, w * tpl.price)
         vm.add_cols([k + ts for k in tpl.col_keys], c0)
         rhs = tpl.rhs.copy()
         rhs[tpl.ceil_rows] = pmax[tpl.ceil_gens]
         rhs[tpl.inj_rows] = load
-        r0 = lp.add_rows(tpl.cols + c0, tpl.vals, tpl.counts, tpl.senses, rhs,
-                         [n + tail for n in tpl.row_names])
+        r0 = lp.add_rows(tpl.cols + c0, tpl.vals, tpl.counts, tpl.senses, rhs)
         vm.add_rows([k + ts for k in tpl.row_keys], r0)
-        for family, heads, gens, values, scale in tpl.records:
-            if gens is not None:
-                values = (scale * band[gens]).tolist()
-            vm.bound_records.setdefault(family, []).extend(
-                zip([h + ts for h in heads], values))
         return tpl.pg + c0
 
     def ramp_block(self, tpls, pg, s, start, prev_dispatch):
         """Couple pg at each window period t >= start to period t-1: to its
         pg columns ``pg[t-1]`` or, at t = 0, to the previous dispatch."""
-        blocks, names, keys = [], [], []
+        blocks, keys = [], []
         for t in range(start, len(tpls)):
             tpl, cur = tpls[t], pg[t]
             if t == 0:
@@ -400,14 +367,12 @@ class _Assembler:
                 blocks.append((np.column_stack((c, p, p, c)).ravel(),
                                np.tile([1.0, -1.0], 2 * len(on)), np.full(2 * len(on), 2),
                                np.full(2 * len(on), LE), (tpl.up[on], tpl.dn[on])))
-            tail, ts, on = f"{t},{s})", (t, s), on.tolist()
-            names += [n + tail for i in on for n in tpl.ramp_names[i]]
-            keys += [k + ts for i in on for k in tpl.ramp_keys[i]]
+            keys += [k + (t, s) for i in on.tolist() for k in tpl.ramp_keys[i]]
         if blocks:
             cols, vals, counts, senses, rhs = zip(*blocks)
             rhs = np.concatenate([np.column_stack(r).ravel() for r in rhs])
             r0 = self.lp.add_rows(np.concatenate(cols), np.concatenate(vals),
-                                  np.concatenate(counts), np.concatenate(senses), rhs, names)
+                                  np.concatenate(counts), np.concatenate(senses), rhs)
             self.vmap.add_rows(keys, r0)
 
     # -- first-stage pins (Benders subproblems) ---------------------------
@@ -422,12 +387,10 @@ class _Assembler:
         keys = first_stage_keys(self.case)
         vals = dict(x1 or {})
         n = len(keys)
-        c0 = lp.add_vars(np.full(n, -np.inf), np.full(n, np.inf), np.zeros(n),
-                         [f"{kind}({gid},0,0)" for kind, gid in keys])
+        c0 = lp.add_vars(np.full(n, -np.inf), np.full(n, np.inf), np.zeros(n))
         vm.add_cols([(kind, gid, 0, 0) for kind, gid in keys], c0)
         r0 = lp.add_rows(np.arange(c0, c0 + n), np.ones(n), [1] * n, [EQ] * n,
-                         [float(vals.get(k, 0.0)) for k in keys],
-                         [f"pin_{kind}({gid})" for kind, gid in keys])
+                         [float(vals.get(k, 0.0)) for k in keys])
         vm.add_rows([("pin_first_stage", kind, gid) for kind, gid in keys], r0)
         vm.meta["pin_rows"] = tuple(range(r0, r0 + n))
         # the pinned pg columns: each generator's first key
@@ -465,13 +428,12 @@ class _Assembler:
                     b = vm.get((kind, g.id, 0, 0))
                     if a is None or b is None:
                         continue
-                    r = lp.add_row([a, b], [1.0, -1.0], "=", 0.0,
-                                   name=f"na_{kind}({g.id},{s})")
+                    r = lp.add_row([a, b], [1.0, -1.0], "=", 0.0)
                     vm.add_rows([(f"anticipativity_{kind}", g.id, s)], r)
 
 
-#: (row family, name prefix) of a branch's upper and lower flowgate rows
-_FLOWGATE_ROWS = (("flow_upper", "flow_hi"), ("flow_lower", "flow_lo"))
+#: the row families of a branch's upper and lower flowgate rows
+_FLOWGATE_ROWS = ("flow_upper", "flow_lower")
 
 
 def _flowgate_rows(branch, inj, df):
@@ -487,18 +449,18 @@ def _flowgate_rows(branch, inj, df):
 def flow_limit_rows(vmap, branch, t, s):
     """Row specs limiting one branch's flow in one cell (both directions).
 
-    Returns (key, cols, vals, sense, rhs, name) tuples referencing the
-    cell's injection and flow-excess columns, for lazy appending: the
-    same rows a full-flow cell template builds upfront."""
+    Returns (key, cols, vals, sense, rhs) tuples referencing the cell's
+    injection and flow-excess columns, for lazy appending: the same rows a
+    full-flow cell template builds upfront."""
     inj = {b: c for b in branch.ptdf if (c := vmap.get(("inj", b, t, s))) is not None}
     df = vmap.col(("flow_excess", branch.id, t, s))
-    return [((family, branch.id, t, s), *spec, f"{tag}({branch.id},{t},{s})")
-            for (family, tag), spec in zip(_FLOWGATE_ROWS, _flowgate_rows(branch, inj, df))]
+    return [((family, branch.id, t, s), *spec)
+            for family, spec in zip(_FLOWGATE_ROWS, _flowgate_rows(branch, inj, df))]
 
 
 def append_rows(lp, vmap, specs):
-    """``lp`` with (key, cols, vals, sense, rhs, name) row specs appended;
-    the registry is extended in place."""
+    """``lp`` with (key, cols, vals, sense, rhs) row specs appended; the
+    registry is extended in place."""
     vmap.add_rows([spec[0] for spec in specs], lp.n_rows)
     return lp.with_rows([spec[1:] for spec in specs])
 
@@ -602,7 +564,7 @@ def build_benders_master(vc, state, scenarios: ScenarioSet, cuts, flows="full"):
     lp, vm = asm.lp, asm.vmap
 
     for s, sc in enumerate(scenarios.scenarios):
-        vm.add_cols([("theta", s)], lp.add_var(-np.inf, np.inf, sc.prob, name=f"theta({s})"))
+        vm.add_cols([("theta", s)], lp.add_var(-np.inf, np.inf, sc.prob))
     vm.meta["cut_counts"] = [0] * scenarios.n_scenarios
     lp = append_rows(lp, vm, benders_cut_rows(vm, cuts))
     for s, count in enumerate(vm.meta["cut_counts"]):
@@ -628,8 +590,7 @@ def benders_cut_rows(vmap, cuts):
             if c is not None and coef != 0.0:
                 cols.append(c)
                 vals.append(-float(coef))
-        specs.append((("optimality_cut", s, k), cols, vals, ">=", cut.rhs_const,
-                      f"cut({s},{k})"))
+        specs.append((("optimality_cut", s, k), cols, vals, ">=", cut.rhs_const))
         counts[s] += 1
     return specs
 

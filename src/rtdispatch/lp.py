@@ -100,14 +100,12 @@ class LinearProgram:
         self._cost = []
         self._lo = []
         self._hi = []
-        self.var_names = []
         self.obj_const = 0.0
         self._cols = []  # chunks of column indices (int64), rows in order
         self._vals = []  # chunks of coefficients (float64)
         self._nnz = []  # per row: its number of entries
         self.senses = []  # per row: LE | EQ | GE
         self.rhs = []
-        self.row_names = []
         self._frozen = False
         self._compiled = None
 
@@ -125,33 +123,26 @@ class LinearProgram:
         if self._frozen:
             raise RuntimeError("LinearProgram is frozen; use with_rows/with_rhs")
 
-    def add_var(self, lo=0.0, hi=np.inf, cost=0.0, name=None):
-        self._check_open()
-        self._cost.append(float(cost))
-        self._lo.append(float(lo))
-        self._hi.append(float(hi))
-        self.var_names.append(name if name is not None else f"x{len(self._cost) - 1}")
-        return len(self._cost) - 1
+    def add_var(self, lo=0.0, hi=np.inf, cost=0.0):
+        return self.add_vars([lo], [hi], [cost])
 
-    def add_vars(self, lo, hi, cost, names):
-        """Append one column per name; returns the first one's index."""
+    def add_vars(self, lo, hi, cost):
+        """Append one column per entry; returns the first one's index."""
         self._check_open()
         arrays = [np.asarray(v, dtype=np.float64) for v in (lo, hi, cost)]
-        if any(a.shape != (len(names),) for a in arrays):
-            raise ValueError("column bounds, costs and names differ in length")
+        if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
+            raise ValueError("column bounds and costs differ in length")
         start = self.n_vars
         for dst, a in zip((self._lo, self._hi, self._cost), arrays):
             dst.extend(a.tolist())
-        self.var_names.extend(names)
         return start
 
-    def add_row(self, cols, vals, sense, rhs, name=None):
+    def add_row(self, cols, vals, sense, rhs):
         cols = np.asarray(cols, dtype=np.int64)
-        return self.add_rows(cols, vals, [cols.size], [_sense(sense)], [rhs],
-                             [name if name is not None else f"r{self.n_rows}"])
+        return self.add_rows(cols, vals, [cols.size], [_sense(sense)], [rhs])
 
-    def add_rows(self, cols, vals, counts, senses, rhs, names):
-        """Append one row per name; returns the first one's index.
+    def add_rows(self, cols, vals, counts, senses, rhs):
+        """Append one row per count; returns the first one's index.
 
         Row i takes the next ``counts[i]`` entries of ``cols`` / ``vals``;
         ``senses`` are codes (LE, EQ, GE).  add_row's checks are made on
@@ -161,7 +152,7 @@ class LinearProgram:
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         counts = np.asarray(counts, dtype=np.int64)
-        m = len(names)
+        m = counts.size
         if (cols.shape != vals.shape or cols.shape != (counts.sum(),)
                 or not counts.shape == np.shape(senses) == np.shape(rhs) == (m,)):
             raise ValueError("row indices and values differ in length")
@@ -177,7 +168,6 @@ class LinearProgram:
         self._nnz.extend(counts.tolist())
         self.senses.extend(np.asarray(senses, dtype=np.int64).tolist())
         self.rhs.extend(np.asarray(rhs, dtype=np.float64).tolist())
-        self.row_names.extend(names)
         return start
 
     def freeze(self):
@@ -222,20 +212,19 @@ class LinearProgram:
     def with_rows(self, extra_rows):
         """A new LinearProgram with ``extra_rows`` appended; storage shared.
 
-        ``extra_rows`` entries are (cols, vals, sense, rhs[, name]) tuples,
-        appended through one add_rows.
+        ``extra_rows`` entries are (cols, vals, sense, rhs) tuples, appended
+        through one add_rows.
         """
         out = self._share_columns(copy_rows=True)
         rows = list(extra_rows)
         if rows:
-            cols = [np.asarray(r[0], dtype=np.int64) for r in rows]
-            vals = [np.asarray(r[1], dtype=np.float64) for r in rows]
+            cols, vals, senses, rhs = zip(*rows, strict=True)
+            cols = [np.asarray(c, dtype=np.int64) for c in cols]
+            vals = [np.asarray(v, dtype=np.float64) for v in vals]
             if [c.shape for c in cols] != [v.shape for v in vals]:
                 raise ValueError("row indices and values differ in length")
-            names = [r[4] if len(r) > 4 and r[4] is not None else f"r{out.n_rows + i}"
-                     for i, r in enumerate(rows)]
             out.add_rows(np.concatenate(cols), np.concatenate(vals), [c.size for c in cols],
-                         [_sense(r[2]) for r in rows], [r[3] for r in rows], names)
+                         [_sense(x) for x in senses], rhs)
         return out.freeze()
 
     def with_rhs(self, updates):
@@ -254,8 +243,8 @@ class LinearProgram:
         of its rhs; the other row lists are copied or shared."""
         out = LinearProgram()
         out._cost, out._lo, out._hi = self._cost, self._lo, self._hi
-        out.var_names, out.obj_const = self.var_names, self.obj_const
-        for name in ("_cols", "_vals", "_nnz", "senses", "row_names"):
+        out.obj_const = self.obj_const
+        for name in ("_cols", "_vals", "_nnz", "senses"):
             rows = getattr(self, name)
             setattr(out, name, list(rows) if copy_rows else rows)
         out.rhs = list(self.rhs)

@@ -172,7 +172,7 @@ def settle_first_period(vc, state, load, pmax, x1, lp_opts=None, flows="full"):
                     f"'{kind}' on '{gid}', which is not eligible this period"
                 )
             continue
-        pins.append(([col], [1.0], "=", want, f"settle_{kind}({gid})"))
+        pins.append(([col], [1.0], "=", want))
     sol = _solve_checked(lp.with_rows(pins), lp_opts,
                          f"period {state.wall_clock}: settlement")
     d = extract_dispatch(sol, vmap)

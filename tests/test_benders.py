@@ -279,7 +279,7 @@ def test_lazy_rounds_keep_warm_start_past_an_empty_row(monkeypatch):
     # the vacuous row keeps its slack in the basis, so each round's warm basis counts it
     vc, scen = _congested_setup()
     lazy_lp, lazy_vm = build_slad_extensive(vc, case3_state(), scen, flows="lazy")
-    lazy_lp = lazy_lp.with_rows([([], [], "<=", 1.0, "vacuous")])
+    lazy_lp = lazy_lp.with_rows([([], [], "<=", 1.0)])
     accepted = []
     init_basis = lpmod._Simplex._init_basis
 
@@ -347,13 +347,12 @@ def test_the_kept_master_is_a_fresh_build_at_every_iteration(flows, monkeypatch)
     assert res.status == "optimal"
     assert len(handed) == res.iterations > 1
     for lp, rows in handed:
-        n_cuts = sum(name.startswith("cut(") for name in lp.row_names)
+        n_cuts = sum(key[0] == "optimality_cut" for key in rows)
         want, want_vm = build_benders_master(vc, st, scen, res.cuts[:n_cuts], flows=flows)
         for got, exp in zip(lp.coo() + (lp.cost, lp.lower, lp.upper),
                             want.coo() + (want.cost, want.lower, want.upper)):
             assert got.tobytes() == exp.tobytes()
-        assert (lp.senses, lp.rhs, lp.row_names, lp.obj_const) == (
-            want.senses, want.rhs, want.row_names, want.obj_const)
+        assert (lp.senses, lp.rhs, lp.obj_const) == (want.senses, want.rhs, want.obj_const)
         assert rows == dict(want_vm.rows())
     assert n_cuts == len(res.cuts)
 
@@ -363,26 +362,41 @@ def test_each_structure_compiles_once_per_run(flows, monkeypatch):
     from rtdispatch import benders
 
     vc, scen = _congested_setup()
-    compiled, solved = [], []  # each model's row-name list: its structure
+    # a model's senses list is its structure's: with_rhs copies share it
+    compiled, solved, owned = [], [], []  # senses, senses, (senses, registry)
+    solve, append = benders._solve, benders.append_rows
 
     class Counted(lpmod._Structure):
         def __init__(self, lp):
             super().__init__(lp)
-            compiled.append(lp.row_names)
+            compiled.append(lp.senses)
 
     def recorded(lp, *args, **kwargs):
-        solved.append(lp.row_names)
+        solved.append(lp.senses)
         return solve_lp(lp, *args, **kwargs)
+
+    def handed(lp, vmap, cfg, warm=None):
+        owned.append((lp.senses, vmap))
+        return solve(lp, vmap, cfg, warm)
+
+    def extended(lp, vmap, specs):
+        out = append(lp, vmap, specs)
+        owned.append((out.senses, vmap))
+        return out
 
     monkeypatch.setattr(lpmod, "_Structure", Counted)
     monkeypatch.setattr(benders, "solve_lp", recorded)
+    monkeypatch.setattr(benders, "_solve", handed)
+    monkeypatch.setattr(benders, "append_rows", extended)
     cfg = BendersConfig(flows=flows, lp=LPOptions(backend="highs"))
     res = run_benders(vc, _moving_argmin_state(), scen, cfg)
     assert res.status == "optimal"
     ids = [id(r) for r in compiled]
     assert len(set(ids)) == len(ids)  # no structure compiled twice
-    assert set(ids) == {id(r) for r in solved}
-    oracles = [r for r in compiled if any(n.startswith("pin_") for n in r)]
+    assert set(ids) == {id(r) for r in solved} <= {id(r) for r, _ in owned}
+    # an oracle is a model whose registry pins the first stage
+    pinned = {id(r) for r, vmap in owned if "pin_rows" in vmap.meta}
+    oracles = [r for r in compiled if id(r) in pinned]
     if flows == "full":
         assert len(oracles) == scen.n_scenarios < res.subproblem_solves
     else:

@@ -30,6 +30,7 @@ from rtdispatch.formulation import (
 )
 from rtdispatch.lp import LPOptions, extend_warm_start, solve_lp, verify_kkt
 from rtdispatch.model import (
+    RESERVE_PRODUCTS,
     Scenario,
     ScenarioSet,
     SystemState,
@@ -215,24 +216,45 @@ def _audit(lp, vmap):
     col_keys = dict(vmap.columns())
     assert len(col_keys) == lp.n_vars
     assert sorted(col_keys.values()) == list(range(lp.n_vars))
-    return {k[0] for k in row_keys}, set(vmap.bound_records)
+    return {k[0] for k in row_keys}
 
 
-def test_registry_covers_every_row_and_column(case3):
+def test_registry_covers_every_row_and_column():
+    # G3 offers reserves up to caps its derated band often falls below
+    case = make_case3()
+    gens = list(case.generators)
+    products = {"reg": 30.0, "spin": 25.0, "supp_on": 25.0}
+    gens[2] = dataclasses.replace(gens[2], reserve_caps=products,
+                                  reserve_prices=dict.fromkeys(products, 1.0))
+    vc = validate_case(dataclasses.replace(case, generators=tuple(gens)))
     st = case3_state()
     scen = case3_scenarios(seed=11, horizon=4, n=3)
-    lp, vm = build_slad_extensive(case3, st, scen, flows="full")
-    fams, bound_fams = _audit(lp, vm)
+    lp, vm = build_slad_extensive(vc, st, scen, flows="full")
     assert {
         "dispatch_blocks", "floor_with_regulation", "ceiling_with_reserves",
         "contingency_deploy", "ramp_up", "ramp_down", "injection_def",
         "system_balance", "req_regulation", "req_reg_spin", "req_operating",
         "flow_upper", "flow_lower", "anticipativity_pg",
-    } <= fams
-    assert {
-        "segment_limit", "regulation_band", "regulation_deploy",
-        "spinning_band", "supp_on_band", "reserve_cap",
-    } <= bound_fams
+    } <= _audit(lp, vm)
+    # single-column limits are bounds: segment widths, reserve caps, the
+    # capability band and five-minute regulation deployability
+    gens = {g.id: g for g in vc.case.generators}
+    checked = set()
+    for key, c in vm.columns():
+        kind, (t, s) = key[0], key[-2:]
+        if kind not in ("seg", *RESERVE_PRODUCTS):
+            continue
+        g = gens[key[1]]
+        if kind == "seg":
+            want = g.segments[key[2]][0]
+        else:
+            pmax = scen.scenarios[s].pmax_override.get(g.id, [g.pmax] * scen.horizon)[t]
+            cap, band = g.cap(kind), pmax - g.pmin
+            want = {"reg": min(cap, 5.0 * g.ramp_up, 0.5 * band), "spin": min(cap, band),
+                    "supp_on": min(cap, band), "supp_off": cap}[kind]
+        assert lp.upper[c] == want, key
+        checked.add(kind)
+    assert checked >= {"seg", "reg", "spin", "supp_on"}
 
 
 def test_registry_in_lazy_mode_defers_flow_rows(case3):
@@ -240,8 +262,8 @@ def test_registry_in_lazy_mode_defers_flow_rows(case3):
     scen = case3_scenarios(seed=11, horizon=2, n=2)
     full_lp, full_vm = build_slad_extensive(case3, st, scen, flows="full")
     lazy_lp, lazy_vm = build_slad_extensive(case3, st, scen, flows="lazy")
-    fams_full, _ = _audit(full_lp, full_vm)
-    fams_lazy, _ = _audit(lazy_lp, lazy_vm)
+    fams_full = _audit(full_lp, full_vm)
+    fams_lazy = _audit(lazy_lp, lazy_vm)
     assert "flow_upper" in fams_full and "flow_upper" not in fams_lazy
     n_cells = 2 * 2  # periods x scenarios
     assert full_lp.n_rows - lazy_lp.n_rows == 2 * len(case3.case.branches) * n_cells
@@ -261,11 +283,11 @@ def test_lazy_flow_rows_are_the_full_models_rows(case3):
     for e in case3.case.branches:
         for s in range(scen.n_scenarios):
             for t in range(scen.horizon):
-                for key, c, v, sense, rhs, name in flow_limit_rows(lazy_vm, e, t, s):
+                for key, c, v, sense, rhs in flow_limit_rows(lazy_vm, e, t, s):
                     r = full_vm.row(key)
                     cols, vals = entries[r]
                     assert (cols.tolist(), vals.tolist(), full_lp.senses[r],
-                            full_lp.rhs[r], full_lp.row_names[r]) == (c, v, sense, rhs, name)
+                            full_lp.rhs[r]) == (c, v, sense, rhs)
                     checked += 1
     assert checked == 2 * len(case3.case.branches) * scen.n_scenarios * scen.horizon
 
@@ -283,8 +305,7 @@ def test_appending_flow_rows_reproduces_full_model(case3):
         for s in range(scen.n_scenarios):
             for t in range(scen.horizon):
                 specs.extend(flow_limit_rows(lazy_vm, e, t, s))
-    rows = [(cols, vals, sense, rhs, name) for _k, cols, vals, sense, rhs, name in specs]
-    ext = lazy_lp.with_rows(rows)
+    ext = lazy_lp.with_rows([spec[1:] for spec in specs])
     sol_ext = solve_lp(ext, warm=extend_warm_start(lazy_lp, sol_lazy, ext))
     assert sol_ext.status == "optimal"
     assert sol_ext.objective == pytest.approx(
@@ -329,8 +350,6 @@ def test_regulation_deployability_bounds_the_award():
     lp, vm = build_lad(vc, case3_state(), scen)
     reg = vm.col(("reg", "G1", 0, 0))
     assert lp.upper[reg] == pytest.approx(5.0)  # min(cap 6, band 25, 5*ramp 5)
-    recs = dict(vm.bound_records["regulation_deploy"])
-    assert recs[("G1", 0, 0)] == pytest.approx(5.0)
 
 
 def test_contingency_deployability_binds(case3):

@@ -35,9 +35,9 @@ BACKENDS = ["simplex", "highs"]
 
 def two_var_example():
     lp = LinearProgram()
-    a = lp.add_var(0.0, 20.0, cost=10.0, name="a")
-    b = lp.add_var(0.0, 30.0, cost=20.0, name="b")
-    lp.add_row([a, b], [1.0, 1.0], ">=", 10.0, name="demand")
+    a = lp.add_var(0.0, 20.0, cost=10.0)
+    b = lp.add_var(0.0, 30.0, cost=20.0)
+    lp.add_row([a, b], [1.0, 1.0], ">=", 10.0)
     return lp
 
 
@@ -52,8 +52,7 @@ def assert_same_model(a, b):
     for x, y in zip((a.cost, a.lower, a.upper, *a.coo(), a.rhs_array()),
                     (b.cost, b.lower, b.upper, *b.coo(), b.rhs_array())):
         assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
-    assert (list(a.senses), a.var_names, a.row_names, repr(a.obj_const)) == (
-        list(b.senses), b.var_names, b.row_names, repr(b.obj_const))
+    assert (list(a.senses), repr(a.obj_const)) == (list(b.senses), repr(b.obj_const))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -87,7 +86,7 @@ def test_two_var_append_row(backend):
 def test_append_row_keeps_warm_start_past_an_empty_row():
     # the vacuous row keeps its slack in the basis, so the warm basis counts it
     lp = two_var_example()
-    lp.add_row([], [], "<=", 5.0, name="vacuous")
+    lp.add_row([], [], "<=", 5.0)
     sol = solve_lp(lp)
     sol2 = append_and_resolve(lp, sol, [([0], [1.0], "<=", 5.0)])
     plain = two_var_example()
@@ -105,7 +104,7 @@ def _three_rows(empty=None):
     c = lp.add_var(0.0, 5.0, cost=-4.0)
     lp.add_row([a, b], [1.0, 1.0], ">=", 10.0)
     if empty is not None:
-        lp.add_row([], [], *empty, name="empty")
+        lp.add_row([], [], *empty)
     lp.add_row([a, c], [1.0, -1.0], "<=", 8.0)
     lp.add_row([b, c], [1.0, 1.0], "=", 6.0)
     return lp
@@ -363,37 +362,42 @@ def test_row_validation():
 
 def test_add_rows_validation():
     lp = LinearProgram()
-    assert lp.add_vars([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], ["a", "b"]) == 0
+    assert lp.add_vars([0.0, 0.0], [1.0, 1.0], [0.0, 0.0]) == 0
     with pytest.raises(ValueError, match="differ in length"):
-        lp.add_rows([0, 1], [1.0], [2], [lpmod.LE], [1.0], ["r"])
+        lp.add_vars([0.0], [1.0, 1.0], [0.0])
+    assert lp.n_vars == 2
     with pytest.raises(ValueError, match="differ in length"):
-        lp.add_rows([0, 1], [1.0, 1.0], [1], [lpmod.LE], [1.0], ["r"])
+        lp.add_rows([0, 1], [1.0], [2], [lpmod.LE], [1.0])
+    with pytest.raises(ValueError, match="differ in length"):
+        lp.add_rows([0, 1], [1.0, 1.0], [1], [lpmod.LE], [1.0])
+    with pytest.raises(ValueError, match="differ in length"):
+        lp.add_rows([0], [1.0], [1], [lpmod.LE] * 2, [1.0] * 2)
     with pytest.raises(ValueError, match="does not exist"):
-        lp.add_rows([0, 2], [1.0, 1.0], [1, 1], [lpmod.LE] * 2, [1.0] * 2, ["r", "s"])
+        lp.add_rows([0, 2], [1.0, 1.0], [1, 1], [lpmod.LE] * 2, [1.0] * 2)
     with pytest.raises(ValueError, match="duplicate"):
-        lp.add_rows([1, 0, 0], [1.0] * 3, [1, 2], [lpmod.LE] * 2, [1.0] * 2, ["r", "s"])
+        lp.add_rows([1, 0, 0], [1.0] * 3, [1, 2], [lpmod.LE] * 2, [1.0] * 2)
     assert lp.n_rows == 0  # a refused block leaves nothing behind
     # one column in two different rows is fine
     assert lp.add_rows([0, 1, 0], [1.0, 2.0, 3.0], [2, 1], [lpmod.LE, lpmod.GE],
-                       [4.0, 1.0], ["r", "s"]) == 0
+                       [4.0, 1.0]) == 0
     assert [c.tolist() for c, _ in row_entries(lp)] == [[0, 1], [0]]
     lp.freeze()
     with pytest.raises(RuntimeError, match="frozen"):
-        lp.add_rows([0], [1.0], [1], [lpmod.LE], [1.0], ["t"])
+        lp.add_rows([0], [1.0], [1], [lpmod.LE], [1.0])
     with pytest.raises(RuntimeError, match="frozen"):
-        lp.add_vars([0.0], [1.0], [0.0], ["c"])
+        lp.add_vars([0.0], [1.0], [0.0])
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_a_bulk_built_model_equals_its_row_by_row_twin(seed):
     one = random_medium_lp(seed).freeze()
     bulk = LinearProgram()
-    bulk.add_vars(one.lower, one.upper, one.cost, one.var_names)
+    bulk.add_vars(one.lower, one.upper, one.cost)
     cut = one.n_rows // 2  # two blocks: rows [0, cut) and [cut, m)
     for lo, hi in ((0, cut), (cut, one.n_rows)):
         cols, vals = zip(*row_entries(one)[lo:hi])
         bulk.add_rows(np.concatenate(cols), np.concatenate(vals), [len(c) for c in cols],
-                      one.senses[lo:hi], one.rhs[lo:hi], one.row_names[lo:hi])
+                      one.senses[lo:hi], one.rhs[lo:hi])
     bulk.freeze()
     assert_same_model(bulk, one)
     for backend in BACKENDS:
@@ -406,16 +410,19 @@ def test_a_bulk_built_model_equals_its_row_by_row_twin(seed):
 
 def test_with_rows_appends_as_add_row_would():
     lp = two_var_example().freeze()
-    rows = [([0], [1.0], "<=", 5.0, "cap"), ([1, 0], [2.0, 1.0], ">=", 1.0)]
+    rows = [([0], [1.0], "<=", 5.0), ([1, 0], [2.0, 1.0], ">=", 1.0)]
     ext = lp.with_rows(rows)
     twin = two_var_example()
     for row in rows:
         twin.add_row(*row)
     assert_same_model(ext, twin)
-    assert ext.row_names == ["demand", "cap", "r2"]
     with pytest.raises(ValueError, match="differ in length"):
         lp.with_rows([([0, 1], [1.0], "<=", 5.0)])
-    assert lp.with_rows([]).row_names == lp.row_names
+    # a row spec is exactly (cols, vals, sense, rhs): a fifth field raises
+    for stale in ([rows[0] + ("cap",)], [rows[0], rows[1] + ("cap",)]):
+        with pytest.raises(ValueError):
+            lp.with_rows(stale)
+    assert_same_model(lp.with_rows([]), lp)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +521,7 @@ def _unbounded():
 
 def _empty_row():
     lp = two_var_example()
-    lp.add_row([], [], "<=", 5.0, name="vacuous")
+    lp.add_row([], [], "<=", 5.0)
     return lp
 
 
