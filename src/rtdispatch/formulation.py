@@ -283,12 +283,6 @@ class _Assembler:
         if flows not in ("full", "lazy"):
             raise ValueError(f"unknown flow mode '{flows}'")
         check_scenarios(scen, vc)
-        for s in scen.scenarios:
-            missing = [b for b in vc.case.buses if b not in s.load]
-            if missing:
-                raise ValidationError(
-                    f"scenario '{s.id}' lacks load data for bus '{missing[0]}'"
-                )
         self.vc = vc
         self.case = vc.case
         self.scen = scen
@@ -479,15 +473,15 @@ def build_sced(vc, state, demand, pmax=None, flows="full"):
     """Single-period security-constrained dispatch at the current period.
 
     ``demand`` maps every bus to its realized MW load; ``pmax`` optionally
-    maps generator ids to their currently available capacity."""
+    maps generator ids to their currently available capacity.  Both are
+    checked against the case as the one-period scenario ``now``."""
     state = _as_state(state)
-    case = vc.case if isinstance(vc, ValidatedCase) else vc
     scen = ScenarioSet(
         scenarios=(
             Scenario(
                 id="now",
                 prob=1.0,
-                load={b: (float(demand[b]),) for b in case.buses},
+                load={b: (float(v),) for b, v in demand.items()},
                 pmax_override={g: (float(v),) for g, v in (pmax or {}).items()},
             ),
         ),

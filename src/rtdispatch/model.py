@@ -691,7 +691,9 @@ def parse_timeseries(text: str, case) -> ScenarioSet:
 
 
 def check_scenarios(ss: ScenarioSet, case=None):
-    """Validate scenario-set invariants (and cross-check against a case)."""
+    """Validate scenario-set invariants and, given a case, cross-check the
+    set against it: a load for every bus and at no other, and pmax
+    overrides only of the case's generators and not below their pmin."""
     if not ss.scenarios:
         raise ValidationError("scenario set is empty")
     total = sum(s.prob for s in ss.scenarios)
@@ -717,6 +719,10 @@ def check_scenarios(ss: ScenarioSet, case=None):
             if unknown:
                 raise ValidationError(
                     f"scenario '{s.id}' has load at unknown bus '{unknown[0]}'")
+            missing = [b for b in case.buses if b not in s.load]
+            if missing:
+                raise ValidationError(
+                    f"scenario '{s.id}' lacks load data for bus '{missing[0]}'")
             for gid, vals in s.pmax_override.items():
                 g = gens.get(gid)
                 if g is None:

@@ -378,6 +378,27 @@ def test_check_scenarios_rejects_a_load_at_an_unknown_bus():
             check()
 
 
+def test_check_scenarios_rejects_a_bus_without_load():
+    vc = validate_case(make_case3())
+    ss = ScenarioSet(
+        scenarios=(Scenario(id="day", prob=1.0, load={"B1": (10.0,), "B3": (5.0,)}),),
+        horizon=1,
+    )
+    with pytest.raises(ValidationError, match="scenario 'day' lacks load data for bus 'B2'"):
+        check_scenarios(ss, vc)
+    assert check_scenarios(ss) is ss  # without a case no bus is required
+
+
+def test_build_sced_checks_its_demand_against_the_case():
+    # BX's 3 MW would go unserved; a missing bus's load cannot be read
+    vc = validate_case(make_case3())
+    st = SystemState(prev_dispatch={g.id: 0.0 for g in vc.case.generators}, wall_clock=0)
+    with pytest.raises(ValidationError, match="scenario 'now' has load at unknown bus 'BX'"):
+        build_sced(vc, st, {"B1": 10.0, "B2": 0.0, "B3": 0.0, "BX": 3.0})
+    with pytest.raises(ValidationError, match="scenario 'now' lacks load data for bus 'B2'"):
+        build_sced(vc, st, {"B1": 10.0, "B3": 0.0})
+
+
 def test_window_and_with_period_data():
     ss = case3_scenarios(seed=1, horizon=6, n=2)
     w = ss.window(2, 3)
