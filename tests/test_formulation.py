@@ -238,13 +238,13 @@ def test_registry_covers_every_row_and_column():
     } <= _audit(lp, vm)
     # single-column limits are bounds: segment widths, reserve caps, the
     # capability band and five-minute regulation deployability
-    gens = {g.id: g for g in vc.case.generators}
+    by_id = {g.id: g for g in vc.case.generators}
     checked = set()
     for key, c in vm.columns():
         kind, (t, s) = key[0], key[-2:]
         if kind not in ("seg", *RESERVE_PRODUCTS):
             continue
-        g = gens[key[1]]
+        g = by_id[key[1]]
         if kind == "seg":
             want = g.segments[key[2]][0]
         else:
