@@ -17,8 +17,8 @@ One master is built per decision; each iteration appends the pool's new
 cuts, which gives the rows a fresh build from the whole pool would.  Its
 lazy flowgate rows are generated afresh each iteration.  Each oracle
 re-solves rhs copies of one subproblem, which share its compiled
-structure, and answers a repeat of its last point without solving; the
-oracles share one thread pool per decision.
+structure, and answers any query it has answered before without solving
+again; the oracles share one thread pool per decision.
 """
 
 from __future__ import annotations
@@ -215,11 +215,17 @@ class _ScenarioOracle:
     """One scenario's future-cost oracle: value and subgradient at a point.
 
     The subproblem LP is built once with zero pins; each query rewrites
-    the pin right-hand sides and warm-starts from the previous basis.  A
-    query whose pin right-hand sides equal the last query's bit for bit
-    returns the last answer and solves nothing: that re-solve would face
-    the same LP (under lazy flows, the last query's final model) from its
-    own optimal basis, so it could only give the same bytes.
+    the pin right-hand sides and warm-starts from the previous basis.
+
+    Answers are remembered, so a query solves only what no earlier solve
+    has seen.  A query whose pin right-hand sides equal the last query's
+    bit for bit returns the last answer: that re-solve would face the same
+    LP (under lazy flows, the last query's final model) from its own
+    optimal basis.  Any other query is keyed on its pin right-hand side
+    bytes, its warm basis bytes (None on HiGHS, which starts cold) and the
+    model's row count; an equal key means the same LP from the same start,
+    so the remembered solve is the one a re-solve would make.  A hit also
+    restores that solve as the source of the next warm start.
     """
 
     def __init__(self, vc, scenarios, s, first_period, config):
@@ -228,10 +234,12 @@ class _ScenarioOracle:
         )
         self.config = config
         self._pin_rows = np.asarray(self.vmap.meta["pin_rows"], dtype=np.int64)
+        self._other_rows = np.zeros(0, dtype=bool)  # the non-pin rows
         self.scenario_id = scenarios.scenarios[s].id
         self.position = s
         self._last = None
         self._point = self._answer = None  # last pin rhs bytes, their answer
+        self._memo = {}  # (pin rhs, warm basis, rows) -> (solution, answer)
         self.solves = 0
 
     def query(self, x1):
@@ -240,9 +248,19 @@ class _ScenarioOracle:
         point = np.fromiter(updates.values(), float, len(updates)).tobytes()
         if point == self._point:
             return self._answer
-        lp = self.lp.with_rhs(updates)
         warm = self._last.basis if self._last is not None else None
-        sol, lp = _solve(lp, self.vmap, self.config, warm)
+        start = None if warm is None else (warm[0].tobytes(), warm[1].tobytes())
+        key = (point, start, self.lp.n_rows)
+        known = self._memo.get(key)
+        if known is None:
+            known = self._memo[key] = self._solve_at(x1, updates, warm)
+        self._last, self._answer = known
+        self._point = point
+        return self._answer
+
+    def _solve_at(self, x1, updates, warm):
+        """Solve at ``x1`` from ``warm``; returns (solution, answer)."""
+        sol, lp = _solve(self.lp.with_rhs(updates), self.vmap, self.config, warm)
         if self.config.flows == "lazy":
             self.lp = lp  # keep generated rows for later queries
         self.solves += 1
@@ -252,13 +270,11 @@ class _ScenarioOracle:
                 f"'{sol.status}' — the future is expected to be feasible "
                 "and bounded from every reachable first stage"
             )
-        self._last = sol
         sigma = pin_duals(self.vmap, sol)
         q = float(sol.objective)
         rhs_const = q - sum(sigma[k] * x1.get(k, 0.0) for k in sigma)
         self._check_cut_constant(lp, sol, x1, sigma, rhs_const)
-        self._point, self._answer = point, (q, sigma, rhs_const)
-        return self._answer
+        return sol, (q, sigma, rhs_const)
 
     def _check_cut_constant(self, lp, sol, x1, sigma, rhs_const):
         """Recompute the cut constant through the dual objective.
@@ -267,8 +283,10 @@ class _ScenarioOracle:
         non-pin rows plus the bound terms.  They agree iff strong duality
         held at the solve, so a disagreement flags a numerical failure
         rather than being absorbed into the cut pool."""
-        other = np.ones(lp.n_rows, dtype=bool)
-        other[self._pin_rows] = False
+        other = self._other_rows
+        if other.size != lp.n_rows:  # lazy flows append non-pin rows
+            other = self._other_rows = np.ones(lp.n_rows, dtype=bool)
+            other[self._pin_rows] = False
         dual_obj = lp.obj_const + float(sol.duals[other] @ lp.rhs_array()[other])
         z = sol.reduced_costs
         lo, hi = lp.lower, lp.upper

@@ -10,6 +10,7 @@ become equiprobable scenarios for the remainder of the day.
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 
@@ -66,15 +67,19 @@ class HistoryStore:
         self.horizon = days[0].period_count()
         self.buses = tuple(sorted(days[0].load))
         self.gens = tuple(sorted(days[0].pmax))
+        self._scales = None
 
     def __len__(self):
         return len(self.days)
 
     def channel_scales(self):
-        """Per-channel standard deviations over the whole history.
+        """Per-channel standard deviations over the whole history, worked
+        out on the first call and kept (a read-only view).
 
         Channels with no variation scale to 1 so they drop out of the
         distance without dividing by zero."""
+        if self._scales is not None:
+            return self._scales
         scales = {}
         for b in self.buses:
             vals = np.array([d.load[b] for d in self.days], dtype=float)
@@ -84,7 +89,8 @@ class HistoryStore:
             vals = np.array([d.pmax[g] for d in self.days], dtype=float)
             s = float(vals.std())
             scales[("pmax", g)] = s if s > 1e-12 else 1.0
-        return scales
+        self._scales = types.MappingProxyType(scales)
+        return self._scales
 
 
 def load_history(text: str, case=None) -> HistoryStore:

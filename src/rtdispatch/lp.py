@@ -33,7 +33,8 @@ scipy.optimize.linprog(method="highs") would, so its solutions are
 linprog's bit for bit without linprog's per-call overhead.  Both backends
 feed the same KKT verifier and share one primal feasibility and one dual
 optimality tolerance, the constants ``FEAS_TOL`` and ``OPT_TOL``;
-``LPOptions`` sets only the iteration limit and the backend.
+``LPOptions`` sets only the iteration limit and the backend, and checks
+both when it is made.
 
 A frozen model compiles its structure (``_Structure``) once, and its
 ``with_rhs`` copies share it: read-only arrays, ``matrix()``, the
@@ -41,6 +42,11 @@ simplex's [A I], and linprog's layout in a kept ``HighsLp`` that lacks
 only the row bounds.  A HiGHS solve writes those and ``passModel`` copies
 the model, both under a per-structure lock; ``run`` stays outside it.  An
 unfrozen model compiles on every query, so nothing cached goes stale.
+Each thread keeps one HiGHS instance and passes it options only when the
+iteration limit changes; ``passModel`` clears the previous solve, so the
+kept instance gives a fresh one's bytes.  Reduced costs are read off the
+basic-variable list and a per-structure mask of columns with a finite
+bound, not a basis status object per column.
 
 Models are built a column or row at a time or a block at a time
 (``add_vars`` / ``add_rows``, which check a block on its arrays).  Row
@@ -81,10 +87,19 @@ class LPNumericalError(RuntimeError):
     """Basis handling broke down (singular or hopelessly ill-conditioned)."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class LPOptions:
+    """Checked when made, and frozen, so every solve sees valid options."""
+
     max_iters: int = 200_000
     backend: str = "simplex"  # or "highs"
+
+    def __post_init__(self):
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {n!r}")
+        if self.backend not in ("simplex", "highs"):
+            raise ValueError(f"unknown LP backend '{self.backend}'")
 
 
 class LinearProgram:
@@ -322,8 +337,6 @@ def solve_lp(lp: LinearProgram, opts: LPOptions | None = None, warm=None) -> LPS
     opts = opts or LPOptions()
     if opts.backend == "highs":
         return _solve_highs(lp, opts)
-    if opts.backend != "simplex":
-        raise ValueError(f"unknown LP backend '{opts.backend}'")
     return _Simplex(lp, opts, warm).solve()
 
 
@@ -735,6 +748,9 @@ class _HighsForm:
         position = np.empty(m, dtype=np.int64)
         position[self.ub_rows] = np.arange(n_ub)
         position[self.eq_rows] = np.arange(n_ub, m)
+        # a nonbasic column is at a bound unless both of its bounds are
+        # infinite (HiGHS' kZero)
+        self.bounded = np.isfinite(s.lower) | np.isfinite(s.upper)
 
         # CSC with sorted row indices; HiGHS drops explicit zeros itself
         rows, cols, vals = s.coo
@@ -774,13 +790,53 @@ def _highs_options(max_iters):
     return options
 
 
+@functools.cache
+def _model_status():
+    """HiGHS model status -> solve_lp status, as linprog maps them."""
+    ms = _hc().HighsModelStatus
+    return {
+        ms.kOptimal: OPTIMAL,
+        ms.kTimeLimit: ITERATION_LIMIT,
+        ms.kIterationLimit: ITERATION_LIMIT,
+        ms.kInfeasible: INFEASIBLE,
+        ms.kModelError: INFEASIBLE,
+        ms.kUnbounded: UNBOUNDED,
+    }
+
+
+_kept = threading.local()
+
+
+def _kept_highs(max_iters):
+    """This thread's HiGHS instance, its options set for ``max_iters``.
+
+    ``passModel`` replaces the model and clears the last run's basis,
+    solution and info, so each solve on a kept instance is the one a fresh
+    instance makes.  Options are passed again only when the limit changes.
+    """
+    hc = _hc()
+    max_iters = min(max_iters, hc.kHighsIInf)  # HiGHS counts in 32 bits
+    if not hasattr(_kept, "highs"):
+        _kept.highs, _kept.max_iters = hc._Highs(), None
+    highs = _kept.highs
+    if _kept.max_iters != max_iters:
+        _kept.max_iters = None  # unknown until HiGHS accepts the new ones
+        if highs.passOptions(_highs_options(max_iters)) == hc.HighsStatus.kError:
+            raise LPNumericalError("HiGHS backend failed: options rejected")
+        _kept.max_iters = max_iters
+    return highs
+
+
 def _solve_highs(lp, opts):
     """Solve on HiGHS, handing it the model and options linprog would.
 
     The call mirrors ``scipy.optimize.linprog(method="highs")`` step for
     step (row layout, matrix, options, read-back and post-solve check), so
     every solution is bit for bit the one linprog returns, without its
-    input cleaning, option round trips and per-column loops.
+    input cleaning, option round trips and per-column loops.  Each thread
+    keeps one HiGHS instance and loads every model into it; the reduced
+    costs are read off the basic-variable list, not a status enum per
+    column.
     """
     hc = _hc()
     n, m = lp.n_vars, lp.n_rows
@@ -792,10 +848,8 @@ def _solve_highs(lp, opts):
     row_lower = np.concatenate([np.full(f.n_ub, -np.inf), b_eq])
     n_ub, lower, upper = f.n_ub, s.lower, s.upper
 
-    highs = hc._Highs()
+    highs = _kept_highs(opts.max_iters)
     error = hc.HighsStatus.kError
-    if highs.passOptions(_highs_options(opts.max_iters)) == error:
-        raise LPNumericalError("HiGHS backend failed: options rejected")
     info = None  # stays None, as linprog's counts stay 0, if HiGHS did not run
     with s.lock:  # passModel copies the model, then it is free again
         f.model.row_lower_ = _highs_inf(row_lower)
@@ -807,15 +861,7 @@ def _solve_highs(lp, opts):
         if highs.run() != error:
             info = highs.getInfo()
         model_status = highs.getModelStatus()
-    ms = hc.HighsModelStatus
-    status = {
-        ms.kOptimal: OPTIMAL,
-        ms.kTimeLimit: ITERATION_LIMIT,
-        ms.kIterationLimit: ITERATION_LIMIT,
-        ms.kInfeasible: INFEASIBLE,
-        ms.kModelError: INFEASIBLE,
-        ms.kUnbounded: UNBOUNDED,
-    }.get(model_status)
+    status = _model_status().get(model_status)
     if status is None or (status == OPTIMAL and info is None):
         raise LPNumericalError(
             f"HiGHS backend failed: {highs.modelStatusToString(model_status)}"
@@ -856,10 +902,11 @@ def _solve_highs(lp, opts):
     duals[f.eq_rows] = row_dual[n_ub:]
     # a column's reduced cost is its dual at a bound and 0 otherwise;
     # linprog summed a lower and an upper part, which turns -0.0 into 0.0
-    col_status = np.fromiter(map(int, highs.getBasis().col_status), dtype=np.int8, count=n)
-    at_bound = (col_status == int(hc.HighsBasisStatus.kLower)) | (
-        col_status == int(hc.HighsBasisStatus.kUpper)
-    )
+    read, basic = highs.getBasicVariables()
+    if read == error:
+        raise LPNumericalError("HiGHS backend failed: no basis after an optimal solve")
+    at_bound = f.bounded.copy()
+    at_bound[basic[basic >= 0]] = False
     rc = np.where(at_bound, np.array(solution.col_dual), 0.0) + 0.0
     return LPSolution(
         status=status,

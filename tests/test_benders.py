@@ -1,6 +1,7 @@
 """Decomposition tests: convergence, bounds, cut validity, determinism."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from rtdispatch.lp import LPNumericalError, LPOptions, solve_lp
 from rtdispatch.model import ValidationError, initial_state
 
 from conftest import case3_scenarios, case3_state, make_case3, toy_state
-from helpers import benders_digest, bundled_day
+from helpers import DATA, benders_digest, bundled_day
 
 
 def _extensive_objective(vc, state, scen, backend="simplex"):
@@ -404,7 +405,7 @@ def test_each_structure_compiles_once_per_run(flows, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# an oracle asked about its last point again answers from its last answer
+# an oracle asked about a point again answers from what it remembers
 
 
 def _oracle_at_optimum(backend):
@@ -432,15 +433,60 @@ def test_a_point_one_bit_away_solves_afresh(backend):
     oracle, x1 = _oracle_at_optimum(backend)
     zero = next(k for k, v in x1.items() if v == 0.0 and np.signbit(v) == 0)
     moved = next(k for k, v in x1.items() if v > 0.0)
+    first = oracle.query(x1)
     points = [
-        x1,
         {**x1, zero: -0.0},
         {**x1, moved: float(np.nextafter(x1[moved], np.inf))},
-        x1,  # only the last point is remembered
     ]
-    for n, x in enumerate(points, 1):
+    for n, x in enumerate(points, 2):
         oracle.query(x)
         assert oracle.solves == n
+    # back at x1: HiGHS starts cold, so its first answer stands; the simplex
+    # would start from another basis than x1's first (cold) solve did
+    again = oracle.query(x1)
+    if backend == "highs":
+        assert again is first and oracle.solves == 3
+    else:
+        assert oracle.solves == 4
+
+
+def _forget(oracle):
+    oracle._point = None
+    oracle._memo.clear()
+
+
+@pytest.mark.parametrize("flows", ["full", "lazy"])
+@pytest.mark.parametrize("backend", ["simplex", "highs"])
+def test_an_earlier_answer_is_the_one_a_re_solve_gives(backend, flows):
+    vc, scen = _congested_setup()
+    x1 = run_benders(vc, _moving_argmin_state(), scen).x1
+    moved = next(k for k, v in x1.items() if v > 0.0)
+    y, z = ({**x1, moved: f * x1[moved]} for f in (0.9, 0.8))
+    points = [x1, y] * 3 + [z, x1, y]  # no point repeats the one before it
+    cfg = BendersConfig(flows=flows, lp=LPOptions(backend=backend))
+    kept, fresh = (_ScenarioOracle(vc, scen, 0, 0, cfg) for _ in range(2))
+    hits, asked = 0, {}  # point -> the row counts it was asked at
+    for x in points:
+        _forget(fresh)
+        solves, rows = kept.solves, kept.lp.n_rows
+        got, want = kept.query(x), fresh.query(x)
+        seen = asked.setdefault(repr(sorted(x.items())), set())
+        if kept.solves == solves:
+            hits += 1
+            assert rows in seen  # rows generated since make another model
+        seen.add(rows)
+        assert repr(got) == repr(want)
+        # the next warm start is the one a re-solve would have left
+        a, b = kept._last, fresh._last
+        for field in ("x", "duals", "reduced_costs"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        if backend == "highs":
+            assert a.basis is b.basis is None
+        else:
+            assert [v.tobytes() for v in a.basis] == [v.tobytes() for v in b.basis]
+        assert kept.lp.n_rows == fresh.lp.n_rows
+    assert hits == len(points) - kept.solves > 0
+    assert fresh.solves == len(points)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -455,7 +501,7 @@ def test_answer_reuse_leaves_the_run_unchanged(backend, flows, workers, monkeypa
     query = benders._ScenarioOracle.query
 
     def forgetful(self, x1):
-        self._point = None
+        _forget(self)
         return query(self, x1)
 
     monkeypatch.setattr(benders._ScenarioOracle, "query", forgetful)
@@ -464,6 +510,48 @@ def test_answer_reuse_leaves_the_run_unchanged(backend, flows, workers, monkeypa
     assert [c.origin for c in reused.cuts] == [c.origin for c in solved.cuts]
     assert (reused.status, reused.iterations) == (solved.status, solved.iterations)
     assert reused.subproblem_solves < solved.subproblem_solves
+
+
+@pytest.mark.parametrize("flows", ["full", "lazy"])
+def test_remembered_answers_leave_a_slad_day_unchanged(flows, tmp_path, monkeypatch):
+    # the bench's mid rung repeats earlier, non-consecutive oracle points on
+    # HiGHS; every decision's run must be the one that solves them again
+    import rtdispatch as rd
+    from rtdispatch import benders, simulator
+
+    monkeypatch.syspath_prepend(str(DATA.parent / "perfbench"))
+    import gen
+
+    paths = gen.write_inputs(tmp_path, gen.RUNGS["mid"], seed=3, instance=0)
+    texts = {k: Path(p).read_text() for k, p in paths.items()}
+    vc = rd.validate_case(rd.parse_case(texts["case"]))
+    day = rd.parse_timeseries(texts["day"], vc)
+    spec = rd.PolicySpec(kind="slad", horizon=4, history=rd.load_history(texts["history"], vc),
+                         knn_k=2, lp=LPOptions(backend="highs"), flows=flows)
+    query, run = benders._ScenarioOracle.query, simulator.run_benders
+    hits, digests = [0], []
+
+    def counted(self, x1):
+        solves, last = self.solves, self._point
+        out = query(self, x1)
+        hits[0] += self.solves == solves and self._point != last
+        return out
+
+    def digested(*args, **kwargs):
+        res = run(*args, **kwargs)
+        digests.append(benders_digest(res))
+        return res
+
+    monkeypatch.setattr(simulator, "run_benders", digested)
+    monkeypatch.setattr(benders._ScenarioOracle, "query", counted)
+    reused = rd.run_simulation(vc, day, spec)
+    assert hits[0] > 0
+    remembered, digests[:] = list(digests), []
+    monkeypatch.setattr(benders._ScenarioOracle, "query",
+                        lambda self, x1: (_forget(self), query(self, x1))[1])
+    solved = rd.run_simulation(vc, day, spec)
+    assert digests == remembered
+    assert repr(reused.total_cost) == repr(solved.total_cost)
 
 
 # ---------------------------------------------------------------------------

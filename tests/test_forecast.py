@@ -153,6 +153,25 @@ def test_knn_matches_brute_force():
         check_scenarios(got)
 
 
+def test_channel_scales_are_kept_and_equal_a_recomputation():
+    store = _case3_store()
+    flat = HistoryStore([HistoryDay(date=f"d{i}", load={"B1": (5.0, 5.0)}, pmax={})
+                         for i in range(3)])
+    for st in (store, flat):
+        scales = st.channel_scales()
+        assert st.channel_scales() is scales  # worked out once per store
+        want = {}
+        for kind, names, field in (("load", st.buses, "load"), ("pmax", st.gens, "pmax")):
+            for name in names:
+                std = float(np.array([getattr(d, field)[name] for d in st.days]).std())
+                want[(kind, name)] = std if std > 1e-12 else 1.0
+        assert list(scales.items()) == list(want.items())
+        assert [repr(v) for v in scales.values()] == [repr(v) for v in want.values()]
+        with pytest.raises(TypeError):
+            scales[("load", "B1")] = 2.0
+    assert flat.channel_scales() == {("load", "B1"): 1.0}
+
+
 def test_knn_returns_full_trajectories():
     store = _case3_store()
     obs = {b: store.days[3].load[b][:2] for b in store.buses}

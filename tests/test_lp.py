@@ -230,6 +230,29 @@ def test_iteration_limit_status():
     assert sol.status == "iteration_limit"
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("max_iters", [-1, 2.5, True, False, "5", None, np.float64(3.0)])
+def test_a_bad_iteration_limit_is_rejected(backend, max_iters):
+    with pytest.raises(ValueError, match="max_iters must be an integer >= 0"):
+        LPOptions(max_iters=max_iters, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["", "HiGHS", "linprog", None])
+def test_an_unknown_backend_is_rejected(backend):
+    with pytest.raises(ValueError, match="unknown LP backend"):
+        LPOptions(backend=backend)
+    with pytest.raises(ValueError, match="unknown LP backend"):
+        dataclasses.replace(LPOptions(), backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("max_iters", [0, np.int64(0), 2**40])
+def test_any_iteration_limit_from_zero_up_solves(backend, max_iters):
+    # HiGHS counts iterations in 32 bits; a larger limit means no limit
+    sol = solve_lp(two_var_example(), LPOptions(max_iters=max_iters, backend=backend))
+    assert sol.status == ("iteration_limit" if max_iters == 0 else "optimal")
+
+
 def test_determinism_bitwise():
     rng = np.random.default_rng(7)
     lp = random_box_lp(rng, n_max=6, m_max=8)
@@ -533,6 +556,18 @@ def _no_rows():
     return lp
 
 
+def _free_nonbasic():
+    # a free column with a cost inside the dual tolerance stays nonbasic at
+    # zero (HiGHS' kZero) with a nonzero dual; it is at no bound
+    lp = LinearProgram()
+    a = lp.add_var(0.0, 20.0, cost=10.0)
+    lp.add_var(-np.inf, np.inf, cost=-1e-9)
+    g = lp.add_var(-np.inf, np.inf, cost=-1e-9)
+    lp.add_row([a], [1.0], ">=", 10.0)
+    lp.add_row([a, g], [1.0, 1e-3], "<=", 15.0)
+    return lp
+
+
 def _unloadable():
     # a coefficient past HiGHS' large_matrix_value: the model does not load,
     # which linprog reports as infeasible
@@ -547,6 +582,7 @@ def _unloadable():
     (_empty_row, "optimal"),
     (_no_rows, "optimal"),
     (_fixed_and_free, "optimal"),
+    (_free_nonbasic, "optimal"),
     (_infeasible, "infeasible"),
     (_unbounded, "unbounded"),
 ])
@@ -687,3 +723,94 @@ def test_concurrent_highs_solves_of_one_structure_match_serial():
     for order, sols in zip(orders, got, strict=True):
         for i, sol in zip(order, sols, strict=True):
             assert_same_bytes(sol, serial[i])
+
+
+# ---------------------------------------------------------------------------
+# one kept HiGHS instance per thread
+
+
+def _fresh_highs_solve(lp, opts):
+    """solve_lp on a HiGHS instance made for this solve alone: a new thread
+    starts without a kept instance."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(solve_lp(lp, opts)))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    return out[0]
+
+
+def _kept_instance_sequence():
+    """(model, options) pairs that take one instance through every outcome:
+    optimal, infeasible, unbounded, an iteration limit, optimal again, then
+    another structure and a model that does not load."""
+    highs = LPOptions(backend="highs")
+    return [
+        (two_var_example().freeze(), highs),
+        (_infeasible(), highs),
+        (_unbounded(), highs),
+        (two_var_example(), LPOptions(max_iters=0, backend="highs")),
+        (two_var_example().freeze().with_rhs({0: 12.0}), highs),
+        (_fixed_and_free(), highs),
+        (_unloadable(), highs),
+        (_no_rows(), highs),
+        (build_lad(validate_case(conftest.make_toy_case()), conftest.toy_state(),
+                   conftest.make_toy_day())[0], highs),
+    ]
+
+
+def test_a_kept_highs_instance_solves_as_a_fresh_one():
+    steps = _kept_instance_sequence()
+    want = [_fresh_highs_solve(lp, opts) for lp, opts in steps]
+    got = [solve_lp(lp, opts) for lp, opts in steps]
+    kept = lpmod._kept.highs
+    got += [solve_lp(lp, opts) for lp, opts in steps]
+    assert lpmod._kept.highs is kept  # one instance took every solve
+    assert [s.status for s in want] == ["optimal", "infeasible", "unbounded",
+                                        "iteration_limit", "optimal", "optimal",
+                                        "infeasible", "optimal", "optimal"]
+    for sol, ref in zip(got, want * 2, strict=True):
+        assert_same_bytes(sol, ref)
+
+
+def test_kept_highs_instances_on_two_threads_solve_as_fresh_ones():
+    from concurrent.futures import ThreadPoolExecutor
+
+    steps = _kept_instance_sequence()
+    want = [_fresh_highs_solve(lp, opts) for lp, opts in steps]
+    orders = [list(range(len(steps))) * 3, list(range(len(steps)))[::-1] * 3]
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(lambda order: [solve_lp(*steps[i]) for i in order], orders))
+    for order, sols in zip(orders, got, strict=True):
+        for i, sol in zip(order, sols, strict=True):
+            assert_same_bytes(sol, want[i])
+
+
+@pytest.mark.parametrize("flows", ["full", "lazy"])
+@pytest.mark.parametrize("day", ["toy", "network"])
+def test_highs_reduced_costs_match_a_basis_status_read(day, flows, monkeypatch):
+    # the backend reads which columns are basic; a status enum per column
+    # (kLower or kUpper: at a bound) must give the same reduced costs
+    from helpers import bundled_day
+
+    solve = lpmod._solve_highs
+    checked = []
+
+    def compared(lp, opts):
+        sol = solve(lp, opts)
+        if sol.status == "optimal":
+            highs = lpmod._kept.highs
+            status = highs.getBasis().col_status
+            hbs = lpmod._hc().HighsBasisStatus
+            at_bound = np.array([v in (hbs.kLower, hbs.kUpper) for v in status])
+            rc = np.where(at_bound, np.array(highs.getSolution().col_dual), 0.0) + 0.0
+            assert rc.tobytes() == sol.reduced_costs.tobytes()
+            checked.append(lp.n_vars)
+        return sol
+
+    monkeypatch.setattr(lpmod, "_solve_highs", compared)
+    b = bundled_day(day)
+    res = run_benders(b.vc, b.state, b.scenarios,
+                      BendersConfig(flows=flows, lp=LPOptions(backend="highs")))
+    assert res.status == "optimal"
+    assert len(checked) > res.iterations
