@@ -14,6 +14,7 @@ import numpy as np
 import rtdispatch
 from rtdispatch import lp as lpmod
 from rtdispatch.forecast import HistoryStore, knn_scenarios, load_history
+from rtdispatch.formulation import first_stage_keys
 from rtdispatch.model import (
     ScenarioSet,
     SystemCase,
@@ -171,18 +172,24 @@ def bundled_day(day):
                            scenarios=scen, state=st)
 
 
-def benders_digest(res):
+def benders_digest(res, vc):
     """A hash of a Benders run's answer, in order.
 
     Covers ``x1``, the objective and bounds, every pooled cut's
     ``coef_x1`` and ``rhs_const`` in pool order, each trace record's
     ``lower``/``upper``/``gap``/``cuts_added`` (not its wall time) and
-    ``scenario_values``.  Floats enter through ``repr``, which round-trips
-    every bit, a zero's sign included."""
+    ``scenario_values``.  A first-stage vector enters as a list of floats
+    in ``first_stage_keys(vc)`` order, a key it lacks as 0.0.  Floats enter
+    through ``repr``, which round-trips every bit, a zero's sign included."""
+    keys = first_stage_keys(vc)
+
+    def stage(x):
+        return [float(x.get(k, 0.0)) for k in keys]
+
     h = hashlib.sha256()
     h.update(repr((
-        list(res.x1.items()), res.objective, res.lower, res.upper,
-        [(list(c.coef_x1.items()), c.rhs_const) for c in res.cuts],
+        stage(res.x1), res.objective, res.lower, res.upper,
+        [(stage(c.coef_x1), c.rhs_const) for c in res.cuts],
         [(r.lower, r.upper, r.gap, r.cuts_added) for r in res.trace],
         list(res.scenario_values.items()),
     )).encode())

@@ -506,7 +506,7 @@ def test_answer_reuse_leaves_the_run_unchanged(backend, flows, workers, monkeypa
 
     monkeypatch.setattr(benders._ScenarioOracle, "query", forgetful)
     solved = run_benders(vc, _moving_argmin_state(), scen, cfg)
-    assert benders_digest(reused) == benders_digest(solved)
+    assert benders_digest(reused, vc) == benders_digest(solved, vc)
     assert [c.origin for c in reused.cuts] == [c.origin for c in solved.cuts]
     assert (reused.status, reused.iterations) == (solved.status, solved.iterations)
     assert reused.subproblem_solves < solved.subproblem_solves
@@ -539,7 +539,7 @@ def test_remembered_answers_leave_a_slad_day_unchanged(flows, tmp_path, monkeypa
 
     def digested(*args, **kwargs):
         res = run(*args, **kwargs)
-        digests.append(benders_digest(res))
+        digests.append(benders_digest(res, args[0]))
         return res
 
     monkeypatch.setattr(simulator, "run_benders", digested)
@@ -562,23 +562,23 @@ def test_remembered_answers_leave_a_slad_day_unchanged(flows, tmp_path, monkeypa
 BENDERS_RUNS = {
     "toy": {
         ("simplex", "full"):
-            "dedad08fde92cb455f953f0d51441d820a6ab697f9ea5467e95187e76ffa4ff5",
+            "147a6657ddc7ccb28533726edaa1b39a02512970dc0ca6a4cd09c4c8ac65d76d",
         ("simplex", "lazy"):
-            "dedad08fde92cb455f953f0d51441d820a6ab697f9ea5467e95187e76ffa4ff5",
+            "147a6657ddc7ccb28533726edaa1b39a02512970dc0ca6a4cd09c4c8ac65d76d",
         ("highs", "full"):
-            "f23ae3f70dc9c21f3ce61f1818500cdde5b4cb7720a1c5accaa74ca1696d48a7",
+            "5d62c4f0d27f5248b0cd5480673fcdd96fb3cceb306c6153f832fc3ee0cf87b5",
         ("highs", "lazy"):
-            "f23ae3f70dc9c21f3ce61f1818500cdde5b4cb7720a1c5accaa74ca1696d48a7",
+            "5d62c4f0d27f5248b0cd5480673fcdd96fb3cceb306c6153f832fc3ee0cf87b5",
     },
     "network": {
         ("simplex", "full"):
-            "928ab37956093fd495cf0617380f9747bc5233bf483db8e92c33a54442c09db6",
+            "1a24ccfddb649bd8dbf575d37031a017eda1f490644b96f3eca43060ec20074f",
         ("simplex", "lazy"):
-            "928ab37956093fd495cf0617380f9747bc5233bf483db8e92c33a54442c09db6",
+            "1a24ccfddb649bd8dbf575d37031a017eda1f490644b96f3eca43060ec20074f",
         ("highs", "full"):
-            "7ef359a66346727f4cb37cc96f7f7c6849e1f9dd3bb013fc9d408399a75e70de",
+            "b706fadb41a2db67be407824768ca7df45097984bf4f5c29615e24a1670d18a8",
         ("highs", "lazy"):
-            "7ef359a66346727f4cb37cc96f7f7c6849e1f9dd3bb013fc9d408399a75e70de",
+            "b706fadb41a2db67be407824768ca7df45097984bf4f5c29615e24a1670d18a8",
     },
 }
 
@@ -589,7 +589,7 @@ def test_benders_runs_are_pinned(day):
     got = {
         (backend, flows): benders_digest(run_benders(
             b.vc, b.state, b.scenarios,
-            BendersConfig(flows=flows, lp=LPOptions(backend=backend))))
+            BendersConfig(flows=flows, lp=LPOptions(backend=backend))), b.vc)
         for backend in ("simplex", "highs") for flows in ("full", "lazy")
     }
     assert got == BENDERS_RUNS[day]
