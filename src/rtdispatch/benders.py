@@ -3,10 +3,12 @@
 The extensive form is split into a first-period master and one future
 subproblem per scenario.  Each master iteration prices the scenarios'
 value functions through cuts built from the subproblems' first-stage
-pin duals.  Separation runs at an interior candidate between the
-current stabilization point and the master argmin; when the interior
-pass yields nothing, separation re-seeds at the argmin itself, and if
-that also yields nothing the bound is tight.
+pin duals.  The first stage (the binding period's dispatch and reserves)
+is one read-only vector in ``first_stage_keys`` order throughout.
+Separation runs at an interior candidate between the current
+stabilization point and the master argmin; when the interior pass
+yields nothing, separation re-seeds at the argmin itself, and if that
+also yields nothing the bound is tight.
 
 An upper bound is evaluated at the master argmin every iteration, so
 the incumbent is always a genuinely feasible first stage with its true
@@ -17,8 +19,8 @@ One master is built per decision; each iteration appends the pool's new
 cuts, which gives the rows a fresh build from the whole pool would.  Its
 lazy flowgate rows are generated afresh each iteration.  Each oracle
 re-solves rhs copies of one subproblem, which share its compiled
-structure, and answers any query it has answered before without solving
-again; the oracles share one thread pool per decision.
+structure, and answers any query whose solve it has made before without
+solving again; the oracles share one thread pool per decision.
 """
 
 from __future__ import annotations
@@ -54,24 +56,26 @@ LAZY_MAX_ROUNDS = 50
 
 @dataclasses.dataclass(frozen=True)
 class Cut:
-    """One optimality cut: theta_s - coef_x1' x1 >= rhs_const."""
+    """One optimality cut: theta_s - coef_x1' x1 >= rhs_const, with
+    ``coef_x1`` a first-stage vector (all zeros for a floor cut)."""
 
     scenario: int
-    coef_x1: dict
+    coef_x1: np.ndarray
     rhs_const: float
     origin: tuple = ()  # (iteration, seed) for the record; not identity
 
     def value_at(self, x1):
         """The cut's lower bound on theta_s at a first-stage point."""
-        return self.rhs_const + sum(
-            c * x1.get(k, 0.0) for k, c in self.coef_x1.items()
-        )
+        return self.rhs_const + _dot(self.coef_x1, x1)
 
     def _signature(self):
-        coefs = tuple(
-            sorted((k, round(v, 9)) for k, v in self.coef_x1.items() if v != 0.0)
-        )
+        coefs = tuple((i, round(v, 9)) for i, v in enumerate(self.coef_x1.tolist()) if v != 0.0)
         return (self.scenario, coefs, round(self.rhs_const, 6))
+
+
+def _dot(a, b):
+    """a'b summed left to right in Python floats, as the outputs were."""
+    return sum((a * b).tolist())
 
 
 class CutPool:
@@ -122,7 +126,7 @@ class IterationRecord:
 class BendersResult:
     status: str                  # "optimal" | "iteration_limit"
     objective: float             # best upper bound (true cost of x1)
-    x1: dict                     # incumbent first stage
+    x1: np.ndarray               # incumbent first stage (read-only vector)
     lower: float
     upper: float
     iterations: int
@@ -134,11 +138,7 @@ class BendersResult:
 
 def in_out_candidate(x_hat, x_rmp, alpha):
     """Convex combination of the stabilization point and the master argmin."""
-    keys = set(x_hat) | set(x_rmp)
-    return {
-        k: alpha * x_hat.get(k, 0.0) + (1.0 - alpha) * x_rmp.get(k, 0.0)
-        for k in keys
-    }
+    return alpha * x_hat + (1.0 - alpha) * x_rmp
 
 
 def relative_gap(upper, lower):
@@ -218,14 +218,13 @@ class _ScenarioOracle:
     the pin right-hand sides and warm-starts from the previous basis.
 
     Answers are remembered, so a query solves only what no earlier solve
-    has seen.  A query whose pin right-hand sides equal the last query's
-    bit for bit returns the last answer: that re-solve would face the same
-    LP (under lazy flows, the last query's final model) from its own
-    optimal basis.  Any other query is keyed on its pin right-hand side
-    bytes, its warm basis bytes (None on HiGHS, which starts cold) and the
-    model's row count; an equal key means the same LP from the same start,
-    so the remembered solve is the one a re-solve would make.  A hit also
-    restores that solve as the source of the next warm start.
+    has seen.  A query is keyed on its point's bytes, its warm basis bytes
+    (None on HiGHS, which starts cold) and the model's row count; an equal
+    key means the same LP from the same start, so the remembered solve is
+    the one a re-solve would make.  Each solve is also filed under the key
+    the next query at its point carries: its own basis and the final row
+    count, the same LP from its own optimal basis.  A hit restores its
+    solve as the source of the next warm start.
     """
 
     def __init__(self, vc, scenarios, s, first_period, config):
@@ -236,30 +235,25 @@ class _ScenarioOracle:
         self._pin_rows = np.asarray(self.vmap.meta["pin_rows"], dtype=np.int64)
         self._other_rows = np.zeros(0, dtype=bool)  # the non-pin rows
         self.scenario_id = scenarios.scenarios[s].id
-        self.position = s
         self._last = None
-        self._point = self._answer = None  # last pin rhs bytes, their answer
-        self._memo = {}  # (pin rhs, warm basis, rows) -> (solution, answer)
+        self._memo = {}  # (x1 bytes, warm basis bytes, rows) -> (solution, answer)
         self.solves = 0
 
     def query(self, x1):
         """Future cost, pin-dual subgradient, and cut constant at ``x1``."""
-        updates = pin_rhs_updates(self.vmap, x1)
-        point = np.fromiter(updates.values(), float, len(updates)).tobytes()
-        if point == self._point:
-            return self._answer
+        point = x1.tobytes()
         warm = self._last.basis if self._last is not None else None
-        start = None if warm is None else (warm[0].tobytes(), warm[1].tobytes())
-        key = (point, start, self.lp.n_rows)
+        key = (point, _basis_bytes(warm), self.lp.n_rows)
         known = self._memo.get(key)
         if known is None:
-            known = self._memo[key] = self._solve_at(x1, updates, warm)
-        self._last, self._answer = known
-        self._point = point
-        return self._answer
+            known = self._memo[key] = self._solve_at(x1, warm)
+            self._memo.setdefault((point, _basis_bytes(known[0].basis), self.lp.n_rows), known)
+        self._last = known[0]
+        return known[1]
 
-    def _solve_at(self, x1, updates, warm):
+    def _solve_at(self, x1, warm):
         """Solve at ``x1`` from ``warm``; returns (solution, answer)."""
+        updates = pin_rhs_updates(self.vmap, x1)
         sol, lp = _solve(self.lp.with_rhs(updates), self.vmap, self.config, warm)
         if self.config.flows == "lazy":
             self.lp = lp  # keep generated rows for later queries
@@ -272,11 +266,11 @@ class _ScenarioOracle:
             )
         sigma = pin_duals(self.vmap, sol)
         q = float(sol.objective)
-        rhs_const = q - sum(sigma[k] * x1.get(k, 0.0) for k in sigma)
-        self._check_cut_constant(lp, sol, x1, sigma, rhs_const)
+        rhs_const = q - _dot(sigma, x1)
+        self._check_cut_constant(lp, sol, rhs_const)
         return sol, (q, sigma, rhs_const)
 
-    def _check_cut_constant(self, lp, sol, x1, sigma, rhs_const):
+    def _check_cut_constant(self, lp, sol, rhs_const):
         """Recompute the cut constant through the dual objective.
 
         The primal route is Q - sigma'x; the dual route sums y'b over the
@@ -308,6 +302,10 @@ class _ScenarioOracle:
                 f"scenario '{self.scenario_id}': cut constant {rhs_const:.6g} "
                 f"disagrees with the dual-route value {dual_obj:.6g}"
             )
+
+
+def _basis_bytes(basis):
+    return None if basis is None else (basis[0].tobytes(), basis[1].tobytes())
 
 
 def _add_cuts(pool, results, x_rmp, theta, origin):
@@ -344,6 +342,8 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
         raise ValidationError(f"alpha must be in [0, 1), got {cfg.alpha}")
     if cfg.max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {cfg.max_iter}")
+    if cfg.workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {cfg.workers}")
     if not 0.0 <= cfg.epsilon < np.inf:
         raise ValidationError(f"epsilon must be finite and nonnegative, got {cfg.epsilon}")
     if scenarios.horizon < 2:
@@ -353,13 +353,15 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
         )
     S = scenarios.n_scenarios
     probs = [s.prob for s in scenarios.scenarios]
-    pool = CutPool(
-        Cut(scenario=s, coef_x1={}, rhs_const=INIT_FLOOR, origin=(0, "floor"))
-        for s in range(S)
-    )
     oracles = [
         _ScenarioOracle(vc, scenarios, s, state.wall_clock, cfg) for s in range(S)
     ]
+    flat = np.zeros(oracles[0]._pin_rows.size)  # a floor cut's slope
+    flat.flags.writeable = False
+    pool = CutPool(
+        Cut(scenario=s, coef_x1=flat, rhs_const=INIT_FLOOR, origin=(0, "floor"))
+        for s in range(S)
+    )
 
     x_hat = None
     best_upper = np.inf
@@ -390,7 +392,7 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
             theta = [float(sol.x[vm.col(("theta", s))]) for s in range(S)]
             stage_cost = lower - sum(p * th for p, th in zip(probs, theta))
             if x_hat is None:
-                x_hat = dict(x_rmp)
+                x_hat = x_rmp
 
             # pass 1: separate at the interior candidate
             x_tilde = in_out_candidate(x_hat, x_rmp, cfg.alpha)
@@ -403,14 +405,14 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
             upper = stage_cost + sum(p * q for p, (q, _s, _r) in zip(probs, results))
             if upper < best_upper:
                 best_upper = upper
-                best_x1 = dict(x_rmp)
+                best_x1 = x_rmp
                 best_values = {
                     scenarios.scenarios[s].id: q for s, (q, _s, _r) in enumerate(results)
                 }
             if not interior_hit:
                 added = _add_cuts(pool, results, x_rmp, theta, (it, "argmin"))
 
-            x_hat = dict(x_tilde) if interior_hit else dict(x_rmp)
+            x_hat = x_tilde if interior_hit else x_rmp
             gap = relative_gap(best_upper, lower)
             trace.append(
                 IterationRecord(

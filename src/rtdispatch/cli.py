@@ -15,7 +15,7 @@ import sys
 
 from .benders import BendersConfig
 from .forecast import load_history
-from .formulation import FIRST_STAGE_KINDS, require_common_first_period
+from .formulation import FIRST_STAGE_KINDS, first_stage_keys, require_common_first_period
 from .lp import LPNumericalError, LPOptions
 from .model import (
     CaseFormatError,
@@ -204,13 +204,12 @@ def cmd_solve(args):
     length = min(policy.horizon, actuals.horizon)
     x1, objective, trace = _plan_step(vc, initial_state(vc), policy, actuals, 0, length)
 
+    labelled = sorted(zip(first_stage_keys(vc), x1.tolist()))
     stage = {}
     for kind in FIRST_STAGE_KINDS:
-        vals = {
-            gid: v for (k, gid), v in sorted(x1.items()) if k == kind and abs(v) > 1e-9
-        }
+        vals = {gid: round(v, 9) for (k, gid), v in labelled if k == kind and abs(v) > 1e-9}
         if kind == "pg" or vals:
-            stage[kind] = {g: round(v, 9) for g, v in sorted(vals.items())}
+            stage[kind] = vals
 
     if args.format == "json":
         payload = {

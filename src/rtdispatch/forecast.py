@@ -38,7 +38,8 @@ class HistoryDay:
 
 
 class HistoryStore:
-    """Equal-length observed days, ordered as loaded."""
+    """Equal-length observed days, ordered as loaded, with one read-only
+    (days x periods) array per channel, ``("load", bus)`` or ``("pmax", gen)``."""
 
     def __init__(self, days):
         days = tuple(days)
@@ -67,6 +68,11 @@ class HistoryStore:
         self.horizon = days[0].period_count()
         self.buses = tuple(sorted(days[0].load))
         self.gens = tuple(sorted(days[0].pmax))
+        self.channels = {(kind, name): np.array([getattr(d, kind)[name] for d in days], float)
+                         for kind, names in (("load", self.buses), ("pmax", self.gens))
+                         for name in names}
+        for a in self.channels.values():
+            a.flags.writeable = False
         self._scales = None
 
     def __len__(self):
@@ -78,18 +84,9 @@ class HistoryStore:
 
         Channels with no variation scale to 1 so they drop out of the
         distance without dividing by zero."""
-        if self._scales is not None:
-            return self._scales
-        scales = {}
-        for b in self.buses:
-            vals = np.array([d.load[b] for d in self.days], dtype=float)
-            s = float(vals.std())
-            scales[("load", b)] = s if s > 1e-12 else 1.0
-        for g in self.gens:
-            vals = np.array([d.pmax[g] for d in self.days], dtype=float)
-            s = float(vals.std())
-            scales[("pmax", g)] = s if s > 1e-12 else 1.0
-        self._scales = types.MappingProxyType(scales)
+        if self._scales is None:
+            self._scales = types.MappingProxyType({
+                ch: s if (s := float(a.std())) > 1e-12 else 1.0 for ch, a in self.channels.items()})
         return self._scales
 
 
@@ -168,21 +165,14 @@ def knn_scenarios(store: HistoryStore, observed_load, k=10,
         if g not in store.gens:
             raise ValidationError(f"observed pmax for '{g}' not tracked by the history")
 
+    # every day's squared distance, accumulated channel by channel
     scales = store.channel_scales()
+    prefix = [(("load", b), observed_load[b]) for b in store.buses]
+    prefix += [(("pmax", g), vals) for g, vals in observed_pmax.items()]
     dist2 = np.zeros(len(store))
-    for i, day in enumerate(store.days):
-        acc = 0.0
-        for b in store.buses:
-            s = scales[("load", b)]
-            hist = np.asarray(day.load[b][:n_obs], dtype=float)
-            obs = np.asarray(observed_load[b], dtype=float)
-            acc += float(np.sum(((hist - obs) / s) ** 2))
-        for g, vals in observed_pmax.items():
-            s = scales[("pmax", g)]
-            hist = np.asarray(day.pmax[g][: len(vals)], dtype=float)
-            obs = np.asarray(vals, dtype=float)
-            acc += float(np.sum(((hist - obs) / s) ** 2))
-        dist2[i] = acc
+    for ch, obs in prefix:
+        hist = store.channels[ch][:, : len(obs)]
+        dist2 += np.sum(((hist - np.asarray(obs, dtype=float)) / scales[ch]) ** 2, axis=1)
     order = np.argsort(dist2, kind="stable")  # stable: ties keep history order
     chosen = order[:k]
     prob = 1.0 / k

@@ -17,6 +17,10 @@ caps, five-minute regulation deployability) are encoded as column bounds,
 not rows.  The registry (``VariableMap``) is a model's one naming: it keys
 every column and row, and the LP itself carries no names.
 
+The first stage (each generator's ``pg`` and reserves at the binding
+period) is a float64 vector in ``first_stage_keys`` order wherever it
+travels; only this module maps its positions to a model's columns.
+
 Period indices inside a model are window-local (0-based); the absolute
 day period of window period 0 is carried along so per-period commitment
 and availability flags resolve correctly.
@@ -57,9 +61,16 @@ FIRST_STAGE_KINDS = ("pg",) + RESERVE_PRODUCTS
 
 
 def first_stage_keys(case):
-    """Ordered (kind, generator id) pairs defining the first-stage vector."""
+    """Ordered (kind, generator id) labels of the first-stage vector."""
     case = case.case if isinstance(case, ValidatedCase) else case
     return [(kind, g.id) for g in case.generators for kind in FIRST_STAGE_KINDS]
+
+
+def first_stage_columns(vmap, t=0, s=0):
+    """Each first-stage position's column at window period ``t`` of
+    scenario ``s``, -1 where the model has none."""
+    return np.array([-1 if (c := vmap.get((kind, gid, t, s))) is None else c
+                     for kind, gid in first_stage_keys(vmap.meta["case"])], dtype=np.int64)
 
 
 class VariableMap:
@@ -376,15 +387,14 @@ class _Assembler:
 
         Reserve pins never feed later periods (reserves do not couple in
         time) so their duals vanish; they are kept so the pin-row dual
-        vector lines up with the full first-stage vector."""
+        vector lines up with the full first-stage vector (zeros if None)."""
         lp, vm = self.lp, self.vmap
         keys = first_stage_keys(self.case)
-        vals = dict(x1 or {})
         n = len(keys)
         c0 = lp.add_vars(np.full(n, -np.inf), np.full(n, np.inf), np.zeros(n))
         vm.add_cols([(kind, gid, 0, 0) for kind, gid in keys], c0)
         r0 = lp.add_rows(np.arange(c0, c0 + n), np.ones(n), [1] * n, [EQ] * n,
-                         [float(vals.get(k, 0.0)) for k in keys])
+                         np.zeros(n) if x1 is None else x1)
         vm.add_rows([("pin_first_stage", kind, gid) for kind, gid in keys], r0)
         vm.meta["pin_rows"] = tuple(range(r0, r0 + n))
         # the pinned pg columns: each generator's first key
@@ -415,15 +425,13 @@ class _Assembler:
 
     def anticipativity_rows(self):
         lp, vm = self.lp, self.vmap
+        base = first_stage_columns(vm).tolist()
         for s in range(1, self.scen.n_scenarios):
-            for g in self.case.generators:
-                for kind in FIRST_STAGE_KINDS:
-                    a = vm.get((kind, g.id, 0, s))
-                    b = vm.get((kind, g.id, 0, 0))
-                    if a is None or b is None:
-                        continue
+            cols = first_stage_columns(vm, s=s).tolist()
+            for (kind, gid), a, b in zip(first_stage_keys(self.case), cols, base):
+                if a >= 0 and b >= 0:
                     r = lp.add_row([a, b], [1.0, -1.0], "=", 0.0)
-                    vm.add_rows([(f"anticipativity_{kind}", g.id, s)], r)
+                    vm.add_rows([(f"anticipativity_{kind}", gid, s)], r)
 
 
 #: the row families of a branch's upper and lower flowgate rows
@@ -574,17 +582,13 @@ def benders_cut_rows(vmap, cuts):
     each scenario's cuts numbered on from its count (kept in the meta), so
     appending them gives the rows a build with every cut would have."""
     counts = vmap.meta["cut_counts"]
+    stage = first_stage_columns(vmap)
     specs = []
     for cut in cuts:
         s, k = cut.scenario, counts[cut.scenario]
-        cols = [vmap.col(("theta", s))]
-        vals = [1.0]
-        for (kind, gid), coef in cut.coef_x1.items():
-            c = vmap.get((kind, gid, 0, 0))
-            if c is not None and coef != 0.0:
-                cols.append(c)
-                vals.append(-float(coef))
-        specs.append((("optimality_cut", s, k), cols, vals, ">=", cut.rhs_const))
+        on = np.flatnonzero((stage >= 0) & (cut.coef_x1 != 0.0))
+        specs.append((("optimality_cut", s, k), [vmap.col(("theta", s))] + stage[on].tolist(),
+                      [1.0] + (-cut.coef_x1[on]).tolist(), ">=", cut.rhs_const))
         counts[s] += 1
     return specs
 
@@ -613,19 +617,15 @@ def build_benders_subproblem(vc, scenarios: ScenarioSet, s, x1=None, first_perio
 
 
 def pin_rhs_updates(vmap, x1):
-    """rhs update map repointing a subproblem's pins at a new trial point."""
-    case = vmap.meta["case"].case
-    rows = vmap.meta["pin_rows"]
-    keys = first_stage_keys(case)
-    return {rows[i]: float(x1.get(k, 0.0)) for i, k in enumerate(keys)}
+    """rhs update map repointing a subproblem's pins at first stage ``x1``."""
+    return dict(zip(vmap.meta["pin_rows"], x1.tolist(), strict=True))
 
 
 def pin_duals(vmap, sol):
-    """Pin-row duals as a {(kind, gid): sigma} map (the cut slope)."""
-    case = vmap.meta["case"].case
-    rows = vmap.meta["pin_rows"]
-    keys = first_stage_keys(case)
-    return {k: float(sol.duals[rows[i]]) for i, k in enumerate(keys)}
+    """Pin-row duals as a read-only first-stage vector (the cut slope)."""
+    out = sol.duals[list(vmap.meta["pin_rows"])]
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +633,32 @@ def pin_duals(vmap, sol):
 
 
 def first_stage_values(sol, vmap, t=0):
-    """First-stage quantities {(kind, gid): value} from any solved model;
-    ``t`` reads window period t instead (a full-day plan's slice)."""
-    case = vmap.meta["case"].case
-    out = {}
-    for kind, gid in first_stage_keys(case):
-        c = vmap.get((kind, gid, t, 0))
-        out[(kind, gid)] = float(sol.x[c]) if c is not None else 0.0
+    """The read-only first-stage vector of any solved model, 0.0 where it
+    has no column; ``t`` reads window period t (a full-day plan's slice)."""
+    cols = first_stage_columns(vmap, t)
+    out = np.where(cols >= 0, sol.x[cols], 0.0)
+    out.flags.writeable = False
     return out
+
+
+def settlement_pins(vmap, x1):
+    """Row specs pinning a one-period model's first stage at ``x1``
+    clipped at zero.  An off-line generator's output is fixed at zero and
+    gets no pin; more than 1e-7 MW there, or of a reserve the generator is
+    not eligible for, is a ValidationError."""
+    vc, ta = vmap.meta["case"], vmap.meta["first_period"]
+    pins = []
+    for (kind, gid), col, want in zip(first_stage_keys(vc), first_stage_columns(vmap),
+                                      np.maximum(x1, 0.0).tolist(), strict=True):
+        off = kind == "pg" and not vc.case.generators[vc.gen_index[gid]].committed(ta)
+        if off or col < 0:
+            if want > 1e-7:
+                raise ValidationError(f"committed {want:.4g} MW " + (
+                    f"on '{gid}', which is off-line" if off
+                    else f"of '{kind}' on '{gid}', which is not eligible") + " this period")
+            continue
+        pins.append(([int(col)], [1.0], "=", want))
+    return pins
 
 
 _CLAMP_KINDS = {"surplus", "shortage", "short_reg", "short_rspin", "short_op",

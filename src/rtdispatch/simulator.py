@@ -8,7 +8,8 @@ settlement model.  Costs are only ever accumulated from settled slices,
 so policies differ in nothing but the information they use — the
 comparisons stay fair by construction.  ``rtdispatch solve`` decides
 through the same planning step, and every dispatch LP is solved through
-one status check.
+one status check.  A commitment is a first-stage vector in
+``first_stage_keys`` order, from any plan through to settlement.
 
 Policies:
 
@@ -32,9 +33,9 @@ from .formulation import (
     build_lad,
     build_sced,
     extract_dispatch,
-    first_stage_keys,
     first_stage_values,
     itemize_costs,
+    settlement_pins,
 )
 from .lp import LPOptions, solve_lp
 from .model import (
@@ -146,37 +147,21 @@ def _persistence_window(case, load, pmax, length):
 def settle_first_period(vc, state, load, pmax, x1, lp_opts=None, flows="full"):
     """Price a committed first stage against the realized period.
 
-    The commitment is pinned into a single-period model; demand imbalance
-    and reserve shortfalls land on the priced slacks.  Returns the
-    extracted dispatch and its cost breakdown."""
+    The commitment ``x1``, a first-stage vector, is pinned into a
+    single-period model; demand imbalance and reserve shortfalls land on
+    the priced slacks.  Returns the extracted dispatch and its cost
+    breakdown."""
     if not isinstance(vc, ValidatedCase):
         raise TypeError("settlement requires a ValidatedCase")
-    case = vc.case
     lp, vmap = build_sced(vc, state, load, pmax=pmax, flows=flows)
-    pins = []
-    for kind, gid in first_stage_keys(case):
-        want = max(0.0, float(x1.get((kind, gid), 0.0)))
-        g = case.generators[vc.gen_index[gid]]
-        if kind == "pg" and not g.committed(state.wall_clock):
-            if want > 1e-7:
-                raise SimulationError(
-                    f"period {state.wall_clock}: committed {want:.4g} MW on "
-                    f"'{gid}', which is off-line this period"
-                )
-            continue  # pg is fixed at zero; nothing to pin
-        col = vmap.get((kind, gid, 0, 0))
-        if col is None:
-            if want > 1e-7:
-                raise SimulationError(
-                    f"period {state.wall_clock}: committed {want:.4g} MW of "
-                    f"'{kind}' on '{gid}', which is not eligible this period"
-                )
-            continue
-        pins.append(([col], [1.0], "=", want))
+    try:
+        pins = settlement_pins(vmap, x1)
+    except ValidationError as e:
+        raise SimulationError(f"period {state.wall_clock}: {e}") from None
     sol = _solve_checked(lp.with_rows(pins), lp_opts,
                          f"period {state.wall_clock}: settlement")
     d = extract_dispatch(sol, vmap)
-    return d, itemize_costs(d, case)
+    return d, itemize_costs(d, vc.case)
 
 
 def _forecast_window(vc, policy, actuals, t, length):
@@ -241,7 +226,7 @@ def _plan_step(vc, state, policy, actuals, t, length, plan=None):
         )
     if res.status != "optimal":
         raise SimulationError(f"period {t}: decomposition stopped at '{res.status}'")
-    return dict(res.x1), float(res.objective), res.trace
+    return res.x1, float(res.objective), res.trace
 
 
 def _solve_checked(lp, opts, what):

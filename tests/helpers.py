@@ -179,12 +179,13 @@ def benders_digest(res, vc):
     ``coef_x1`` and ``rhs_const`` in pool order, each trace record's
     ``lower``/``upper``/``gap``/``cuts_added`` (not its wall time) and
     ``scenario_values``.  A first-stage vector enters as a list of floats
-    in ``first_stage_keys(vc)`` order, a key it lacks as 0.0.  Floats enter
-    through ``repr``, which round-trips every bit, a zero's sign included."""
-    keys = first_stage_keys(vc)
+    in ``first_stage_keys(vc)`` order.  Floats enter through ``repr``,
+    which round-trips every bit, a zero's sign included."""
+    n = len(first_stage_keys(vc))
 
     def stage(x):
-        return [float(x.get(k, 0.0)) for k in keys]
+        assert x.dtype == np.float64 and x.shape == (n,)
+        return x.tolist()
 
     h = hashlib.sha256()
     h.update(repr((
@@ -194,6 +195,34 @@ def benders_digest(res, vc):
         list(res.scenario_values.items()),
     )).encode())
     return h.hexdigest()
+
+
+def stage_vector(vc, values):
+    """The first-stage vector holding ``values`` ({(kind, gid): MW}) and
+    0.0 at every other key."""
+    return np.array([float(values.get(k, 0.0)) for k in first_stage_keys(vc)])
+
+
+def stage_dict(vc, x):
+    """A first-stage vector as {(kind, gid): value}."""
+    return dict(zip(first_stage_keys(vc), x.tolist(), strict=True))
+
+
+def walked_first_stage_values(sol, vmap, t=0):
+    """first_stage_values made by walking the keys through the registry,
+    0.0 for a key without a column: the reference for the vector read."""
+    vc = vmap.meta["case"]
+    out = []
+    for kind, gid in first_stage_keys(vc):
+        c = vmap.get((kind, gid, t, 0))
+        out.append(float(sol.x[c]) if c is not None else 0.0)
+    return out
+
+
+def walked_pin_duals(vmap, sol):
+    """pin_duals made by walking the keys through the pin rows."""
+    return [float(sol.duals[vmap.row(("pin_first_stage", kind, gid))])
+            for kind, gid in first_stage_keys(vmap.meta["case"])]
 
 
 def serialize_case(case: SystemCase) -> str:

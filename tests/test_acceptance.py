@@ -45,6 +45,7 @@ from conftest import (
     make_toy_scenarios,
     toy_state,
 )
+from helpers import stage_vector
 
 HIGHS = LPOptions(backend="highs")
 
@@ -256,7 +257,7 @@ def _feasible_points(vc, state, scen, n, seed):
             x[("pg", g.id)] = float(rng.uniform(lo, max(lo, hi)))
             for kind in ("reg", "spin", "supp_on", "supp_off"):
                 x[(kind, g.id)] = float(rng.uniform(0.0, g.cap(kind)))
-        pts.append(x)
+        pts.append(stage_vector(vc, x))
     return pts
 
 

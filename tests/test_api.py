@@ -45,3 +45,16 @@ def test_the_bench_finds_every_name_it_wraps(monkeypatch):
     finally:
         tracer.restore()
     assert patched and all(getattr(owner, attr) is orig for owner, attr, orig in patched)
+
+
+def test_only_formulation_and_cli_read_the_first_stage_keys():
+    # the first stage travels as a vector; formulation.py alone maps its
+    # positions to model columns, and cli.py labels it for output
+    readers = set()
+    for path in (ROOT / "src" / "rtdispatch").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", getattr(f, "attr", None)) == "first_stage_keys":
+                    readers.add(path.name)
+    assert readers == {"formulation.py", "cli.py"}

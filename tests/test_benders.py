@@ -19,8 +19,10 @@ from rtdispatch.benders import (
 from rtdispatch.formulation import (
     build_benders_master,
     build_benders_subproblem,
+    build_lad,
     build_slad_extensive,
     first_stage_keys,
+    first_stage_values,
     pin_rhs_updates,
 )
 from rtdispatch import lp as lpmod
@@ -28,7 +30,15 @@ from rtdispatch.lp import LPNumericalError, LPOptions, solve_lp
 from rtdispatch.model import ValidationError, initial_state
 
 from conftest import case3_scenarios, case3_state, make_case3, toy_state
-from helpers import DATA, benders_digest, bundled_day
+from helpers import (
+    DATA,
+    benders_digest,
+    bundled_day,
+    stage_dict,
+    stage_vector,
+    walked_first_stage_values,
+    walked_pin_duals,
+)
 
 
 def _extensive_objective(vc, state, scen, backend="simplex"):
@@ -48,8 +58,9 @@ def test_toy_converges_in_three_iterations(toy, toy_scenarios):
     assert res.objective == pytest.approx(630.0, abs=1e-5)
     assert res.lower == pytest.approx(630.0, abs=1e-5)
     assert res.iterations == 3
-    assert res.x1[("pg", "G1")] == pytest.approx(3.0, abs=1e-6)
-    assert res.x1[("pg", "G2")] == pytest.approx(7.0, abs=1e-6)
+    x1 = stage_dict(toy, res.x1)
+    assert x1[("pg", "G1")] == pytest.approx(3.0, abs=1e-6)
+    assert x1[("pg", "G2")] == pytest.approx(7.0, abs=1e-6)
     assert res.scenario_values["lo"] == pytest.approx(380.0, abs=1e-6)
     assert res.scenario_values["hi"] == pytest.approx(540.0, abs=1e-6)
 
@@ -66,7 +77,7 @@ def test_toy_converges_in_three_iterations(toy, toy_scenarios):
     assert len(real) == 3
     assert real[0].scenario == 0 and real[0].rhs_const == pytest.approx(380.0, abs=1e-6)
     assert real[1].scenario == 1 and real[1].rhs_const == pytest.approx(7400.0, abs=1e-6)
-    assert real[1].coef_x1[("pg", "G2")] == pytest.approx(-980.0, abs=1e-6)
+    assert stage_dict(toy, real[1].coef_x1)[("pg", "G2")] == pytest.approx(-980.0, abs=1e-6)
     assert real[2].scenario == 1 and real[2].rhs_const == pytest.approx(540.0, abs=1e-6)
 
 
@@ -124,7 +135,7 @@ def test_worker_count_does_not_change_the_run(case3):
     a, b = runs
     assert a.objective == b.objective  # bit-identical
     assert a.iterations == b.iterations
-    assert a.x1 == b.x1
+    assert a.x1.tobytes() == b.x1.tobytes()
     for ra, rb in zip(a.trace, b.trace):
         assert (ra.lower, ra.upper, ra.gap, ra.cuts_added) == (
             rb.lower, rb.upper, rb.gap, rb.cuts_added
@@ -151,6 +162,7 @@ def test_cuts_underestimate_future_cost(case3):
             x[("pg", g.id)] = float(rng.uniform(g.pmin, pmax0))
             for kind in ("reg", "spin", "supp_on", "supp_off"):
                 x[(kind, g.id)] = float(rng.uniform(0.0, g.cap(kind)))
+        x = stage_vector(case3, x)
         for s in range(scen.n_scenarios):
             lp, vm = subs[s]
             sol = solve_lp(lp.with_rhs(pin_rhs_updates(vm, x)))
@@ -172,7 +184,7 @@ def test_iteration_limit_reports_honestly(toy, toy_scenarios):
     assert res.iterations == 1
     # the reported objective is still a true cost of a feasible first stage
     assert res.objective == pytest.approx(3990.0, abs=1e-6)
-    assert res.x1[("pg", "G1")] == pytest.approx(10.0, abs=1e-6)
+    assert stage_dict(toy, res.x1)[("pg", "G1")] == pytest.approx(10.0, abs=1e-6)
     assert res.lower < res.objective
 
 
@@ -186,6 +198,12 @@ def test_bad_alpha_is_rejected(toy, toy_scenarios):
         run_benders(toy, toy_state(), toy_scenarios, BendersConfig(alpha=1.0))
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_bad_worker_count_is_rejected(toy, toy_scenarios, workers):
+    with pytest.raises(ValidationError, match="workers"):
+        run_benders(toy, toy_state(), toy_scenarios, BendersConfig(workers=workers))
+
+
 @pytest.mark.parametrize("epsilon", [float("nan"), -1.0, float("inf")])
 def test_bad_epsilon_is_rejected(toy, toy_scenarios, epsilon):
     with pytest.raises(ValidationError, match="epsilon"):
@@ -194,29 +212,27 @@ def test_bad_epsilon_is_rejected(toy, toy_scenarios, epsilon):
 
 def test_cut_pool_deduplicates():
     pool = CutPool()
-    c1 = Cut(scenario=0, coef_x1={("pg", "G1"): -2.0}, rhs_const=10.0)
-    c2 = Cut(scenario=0, coef_x1={("pg", "G1"): -2.0}, rhs_const=10.0, origin=(3, "x"))
-    c3 = Cut(scenario=1, coef_x1={("pg", "G1"): -2.0}, rhs_const=10.0)
+    c1 = Cut(scenario=0, coef_x1=np.array([-2.0, 0.0]), rhs_const=10.0)
+    c2 = Cut(scenario=0, coef_x1=np.array([-2.0, -0.0]), rhs_const=10.0, origin=(3, "x"))
+    c3 = Cut(scenario=1, coef_x1=np.array([-2.0, 0.0]), rhs_const=10.0)
     assert pool.add(c1) is True
     assert pool.add(c2) is False  # same content, different origin
     assert pool.add(c3) is True   # same content, different scenario
     assert len(pool) == 2
-    assert c1.value_at({("pg", "G1"): 4.0}) == pytest.approx(2.0)
+    assert c1.value_at(np.array([4.0, 1.0])) == pytest.approx(2.0)
 
 
 def test_in_out_candidate_blends():
-    a = {("pg", "G1"): 10.0}
-    b = {("pg", "G1"): 0.0, ("pg", "G2"): 8.0}
-    mid = in_out_candidate(a, b, 0.25)
-    assert mid[("pg", "G1")] == pytest.approx(2.5)
-    assert mid[("pg", "G2")] == pytest.approx(6.0)
+    a = np.array([10.0, 0.0])
+    b = np.array([0.0, 8.0])
+    assert in_out_candidate(a, b, 0.25).tolist() == [2.5, 6.0]
 
 
 def test_cut_constant_check_prices_every_non_pin_row(case3):
     scen = case3_scenarios(seed=59, horizon=3, n=2)
     x1 = run_benders(case3, case3_state(), scen).x1
     oracle = _ScenarioOracle(case3, scen, 0, 0, BendersConfig())
-    _q, sigma, rhs_const = oracle.query(x1)
+    _q, _sigma, rhs_const = oracle.query(x1)
     lp = oracle.lp.with_rhs(pin_rhs_updates(oracle.vmap, x1))
     sol = oracle._last
     pins = set(oracle.vmap.meta["pin_rows"])
@@ -227,9 +243,7 @@ def test_cut_constant_check_prices_every_non_pin_row(case3):
     def check(row, shift):
         duals = sol.duals.copy()
         duals[row] += shift
-        oracle._check_cut_constant(
-            lp, dataclasses.replace(sol, duals=duals), x1, sigma, rhs_const
-        )
+        oracle._check_cut_constant(lp, dataclasses.replace(sol, duals=duals), rhs_const)
 
     check(pin, 0.0)
     check(pin, 1e3)  # pin rows are priced through sigma, not the dual route
@@ -419,39 +433,33 @@ def _oracle_at_optimum(backend):
 def test_a_repeated_query_solves_nothing(backend):
     oracle, x1 = _oracle_at_optimum(backend)
     first = oracle.query(x1)
-    assert oracle.query(dict(x1)) is first
-    assert oracle.solves == 1
-    # keys that pin nothing, or a pin left out at its 0.0, name the same point
-    extra = {**x1, ("theta", 0): 5.0, ("pg", "G1", 1, 0): 7.0}
-    assert oracle.query(extra) is first
-    assert oracle.query({k: v for k, v in x1.items() if v or np.signbit(v)}) is first
+    assert oracle.query(x1.copy()) is first
+    # a vector built afresh with the same floats names the same point
+    assert oracle.query(np.array(x1.tolist())) is first
     assert oracle.solves == 1
 
 
 @pytest.mark.parametrize("backend", ["simplex", "highs"])
 def test_a_point_one_bit_away_solves_afresh(backend):
     oracle, x1 = _oracle_at_optimum(backend)
-    zero = next(k for k, v in x1.items() if v == 0.0 and np.signbit(v) == 0)
-    moved = next(k for k, v in x1.items() if v > 0.0)
+    values = x1.tolist()
+    zero = next(i for i, v in enumerate(values) if v == 0.0 and np.signbit(v) == 0)
+    moved = next(i for i, v in enumerate(values) if v > 0.0)
     first = oracle.query(x1)
-    points = [
-        {**x1, zero: -0.0},
-        {**x1, moved: float(np.nextafter(x1[moved], np.inf))},
-    ]
+    points = [x1.copy(), x1.copy()]
+    points[0][zero] = -0.0
+    points[1][moved] = np.nextafter(x1[moved], np.inf)
     for n, x in enumerate(points, 2):
         oracle.query(x)
         assert oracle.solves == n
-    # back at x1: HiGHS starts cold, so its first answer stands; the simplex
-    # would start from another basis than x1's first (cold) solve did
+    # back at x1: HiGHS starts cold, so its first answer stands; on the
+    # simplex the last point's optimal basis is x1's own, under which x1's
+    # solve was also filed
     again = oracle.query(x1)
-    if backend == "highs":
-        assert again is first and oracle.solves == 3
-    else:
-        assert oracle.solves == 4
+    assert again is first and oracle.solves == 3
 
 
 def _forget(oracle):
-    oracle._point = None
     oracle._memo.clear()
 
 
@@ -460,21 +468,23 @@ def _forget(oracle):
 def test_an_earlier_answer_is_the_one_a_re_solve_gives(backend, flows):
     vc, scen = _congested_setup()
     x1 = run_benders(vc, _moving_argmin_state(), scen).x1
-    moved = next(k for k, v in x1.items() if v > 0.0)
-    y, z = ({**x1, moved: f * x1[moved]} for f in (0.9, 0.8))
+    moved = next(i for i, v in enumerate(x1.tolist()) if v > 0.0)
+    y, z = x1.copy(), x1.copy()
+    y[moved] *= 0.9
+    z[moved] *= 0.8
     points = [x1, y] * 3 + [z, x1, y]  # no point repeats the one before it
     cfg = BendersConfig(flows=flows, lp=LPOptions(backend=backend))
     kept, fresh = (_ScenarioOracle(vc, scen, 0, 0, cfg) for _ in range(2))
-    hits, asked = 0, {}  # point -> the row counts it was asked at
+    hits, seen = 0, {}  # point -> the row counts it was asked at or solved to
     for x in points:
         _forget(fresh)
         solves, rows = kept.solves, kept.lp.n_rows
         got, want = kept.query(x), fresh.query(x)
-        seen = asked.setdefault(repr(sorted(x.items())), set())
+        counts = seen.setdefault(x.tobytes(), set())
         if kept.solves == solves:
             hits += 1
-            assert rows in seen  # rows generated since make another model
-        seen.add(rows)
+            assert rows in counts  # rows generated since make another model
+        counts |= {rows, kept.lp.n_rows}
         assert repr(got) == repr(want)
         # the next warm start is the one a re-solve would have left
         a, b = kept._last, fresh._last
@@ -529,12 +539,13 @@ def test_remembered_answers_leave_a_slad_day_unchanged(flows, tmp_path, monkeypa
     spec = rd.PolicySpec(kind="slad", horizon=4, history=rd.load_history(texts["history"], vc),
                          knn_k=2, lp=LPOptions(backend="highs"), flows=flows)
     query, run = benders._ScenarioOracle.query, simulator.run_benders
-    hits, digests = [0], []
+    hits, digests, last = [0], [], {}  # last: oracle -> the point asked before
 
     def counted(self, x1):
-        solves, last = self.solves, self._point
+        solves, point = self.solves, x1.tobytes()
         out = query(self, x1)
-        hits[0] += self.solves == solves and self._point != last
+        hits[0] += self.solves == solves and last.get(self) != point
+        last[self] = point
         return out
 
     def digested(*args, **kwargs):
@@ -593,3 +604,55 @@ def test_benders_runs_are_pinned(day):
         for backend in ("simplex", "highs") for flows in ("full", "lazy")
     }
     assert got == BENDERS_RUNS[day]
+
+
+# ---------------------------------------------------------------------------
+# the first stage travels as one vector
+
+
+@pytest.mark.parametrize("flows", ["full", "lazy"])
+@pytest.mark.parametrize("backend", ["simplex", "highs"])
+@pytest.mark.parametrize("day", ["toy", "network"])
+def test_the_first_stage_is_one_vector_from_plan_to_result(day, backend, flows, monkeypatch):
+    # every reader of a solved model gives a read-only float64 vector in
+    # first_stage_keys order, equal bit for bit to a walk of the keys
+    from rtdispatch import benders
+
+    b = bundled_day(day)
+    opts = LPOptions(backend=backend)
+    n = len(first_stage_keys(b.vc))
+
+    def same(got, walked):
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == (n,) and not got.flags.writeable
+        assert got.tobytes() == np.array(walked, dtype=np.float64).tobytes()
+        return got.tobytes()
+
+    lp, vmap = build_lad(b.vc, initial_state(b.vc), b.actuals, flows=flows)
+    sol = solve_lp(lp, opts)
+    for t in range(b.actuals.horizon):  # the pd plan's slice at every period
+        same(first_stage_values(sol, vmap, t), walked_first_stage_values(sol, vmap, t))
+
+    def checked(name, walk):
+        """Check every vector the decomposition reads through ``name``;
+        returns the set of their bytes."""
+        read, seen = getattr(benders, name), set()
+
+        def wrapped(a, b):
+            out = read(a, b)
+            seen.add(same(out, walk(a, b)))
+            return out
+
+        monkeypatch.setattr(benders, name, wrapped)
+        return seen
+
+    slopes = checked("pin_duals", walked_pin_duals)
+    points = checked("first_stage_values", walked_first_stage_values)
+    res = run_benders(b.vc, b.state, b.scenarios, BendersConfig(flows=flows, lp=opts))
+    assert res.status == "optimal" and slopes and points
+    assert same(res.x1, res.x1.tolist()) in points  # an argmin of the master
+    for cut in res.cuts:
+        if cut.origin[1] == "floor":
+            same(cut.coef_x1, [0.0] * n)
+        else:
+            assert same(cut.coef_x1, cut.coef_x1.tolist()) in slopes

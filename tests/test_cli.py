@@ -188,6 +188,8 @@ BAD_CALLS = {
     "max-iter-negative": lambda f: [
         "simulate", "--case", f["case"], "--actuals", f["day"],
         "--scenarios", f["scenarios"], "--policy", "slad", "--max-iter", "-1"],
+    "workers-0": lambda f: _solve_args(f, "--workers", "0", "--backend", "highs"),
+    "workers-negative": lambda f: _solve_args(f, "--policy", "slad", "--workers", "-3"),
     **{f"demand-{v}": (lambda f, v=v: ["solve", "--case", f["case"], "--policy", "sced",
                                         "--demand", f"B1={v}"])
        for v in ("nan", "inf", "abc")},

@@ -172,6 +172,51 @@ def test_channel_scales_are_kept_and_equal_a_recomputation():
     assert flat.channel_scales() == {("load", "B1"): 1.0}
 
 
+def _per_day_nearest(store, obs_load, obs_pmax, k):
+    """The k nearest days by a distance summed day by day, channel by
+    channel: the per-day loop knn_scenarios must agree with."""
+    scales = store.channel_scales()
+    dist2 = np.zeros(len(store))
+    for i, day in enumerate(store.days):
+        acc = 0.0
+        for b in store.buses:
+            hist = np.asarray(day.load[b][: len(obs_load[b])], dtype=float)
+            acc += float(np.sum(((hist - np.asarray(obs_load[b])) / scales[("load", b)]) ** 2))
+        for g, vals in obs_pmax.items():
+            hist = np.asarray(day.pmax[g][: len(vals)], dtype=float)
+            acc += float(np.sum(((hist - np.asarray(vals)) / scales[("pmax", g)]) ** 2))
+        dist2[i] = acc
+    return [store.days[i].date for i in np.argsort(dist2, kind="stable")[:k]]
+
+
+@pytest.mark.parametrize("rung", ["small", "mid", "large"])
+def test_knn_picks_the_days_a_per_day_loop_picks(rung, tmp_path, monkeypatch):
+    # each bench rung's history, with two days repeated under later dates so
+    # that ties occur; every prefix of the rung's own day, with and without
+    # the tracked derates
+    from pathlib import Path
+
+    from rtdispatch.model import parse_case, parse_timeseries
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import gen
+
+    paths = gen.write_inputs(tmp_path, gen.RUNGS[rung], seed=3, instance=0)
+    vc = validate_case(parse_case(Path(paths["case"]).read_text()))
+    day = parse_timeseries(Path(paths["day"]).read_text(), vc).scenarios[0]
+    hist = load_history(Path(paths["history"]).read_text(), vc)
+    repeats = [HistoryDay(date=f"z{i}", load=d.load, pmax=d.pmax)
+               for i, d in enumerate(hist.days[3:5])]
+    store = HistoryStore(hist.days + tuple(repeats))
+    for n_obs in range(1, store.horizon + 1):
+        obs_load = {b: day.load[b][:n_obs] for b in store.buses}
+        for obs_pmax in ({}, {g: day.pmax_override[g][:n_obs] for g in store.gens}):
+            for k in (1, 4, len(store)):
+                got = knn_scenarios(store, obs_load, k=k, observed_pmax=obs_pmax)
+                want = _per_day_nearest(store, obs_load, obs_pmax, k)
+                assert [s.id for s in got.scenarios] == want
+
+
 def test_knn_returns_full_trajectories():
     store = _case3_store()
     obs = {b: store.days[3].load[b][:2] for b in store.buses}

@@ -50,7 +50,15 @@ from conftest import (
     make_toy_scenarios,
     toy_state,
 )
-from helpers import DATA, bundled_day, model_digest, row_entries, serialize_case
+from helpers import (
+    DATA,
+    bundled_day,
+    model_digest,
+    row_entries,
+    serialize_case,
+    stage_dict,
+    stage_vector,
+)
 
 
 def _solve(lp, vmap, backend="simplex"):
@@ -61,11 +69,12 @@ def _solve(lp, vmap, backend="simplex"):
     return sol, extract_dispatch(sol, vmap)
 
 
-def _floor_cuts(n, M=-1e12):
-    return [
-        SimpleNamespace(scenario=s, coef_theta=1.0, coef_x1={}, rhs_const=M)
-        for s in range(n)
-    ]
+def _cut(vc, s, rhs, coefs=None):
+    return SimpleNamespace(scenario=s, coef_x1=stage_vector(vc, coefs or {}), rhs_const=rhs)
+
+
+def _floor_cuts(vc, n, M=-1e12):
+    return [_cut(vc, s, M) for s in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +145,7 @@ def test_extensive_golden(toy, toy_scenarios):
     lp, vmap = build_slad_extensive(toy, toy_state(), toy_scenarios)
     sol, d = _solve(lp, vmap)
     assert sol.objective == pytest.approx(630.0, abs=1e-8)
-    x1 = first_stage_values(sol, vmap)
+    x1 = stage_dict(toy, first_stage_values(sol, vmap))
     assert x1[("pg", "G1")] == pytest.approx(3.0, abs=1e-8)
     assert x1[("pg", "G2")] == pytest.approx(7.0, abs=1e-8)
     # the same first stage appears in every scenario copy
@@ -373,7 +382,7 @@ def test_contingency_deployability_binds(case3):
 
 
 def test_subproblem_goldens(toy, toy_scenarios):
-    at_hedge = {("pg", "G1"): 3.0, ("pg", "G2"): 7.0}
+    at_hedge = stage_vector(toy, {("pg", "G1"): 3.0, ("pg", "G2"): 7.0})
     # low scenario at the hedge point: demand 29 from (3,7); windows 23/17
     # leave the 20 MW cap and the 17 MW window slack: future cost 380, no
     # sensitivity to the first stage.
@@ -381,7 +390,7 @@ def test_subproblem_goldens(toy, toy_scenarios):
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(380.0, abs=1e-8)
-    sig = pin_duals(vm, sol)
+    sig = stage_dict(toy, pin_duals(vm, sol))
     assert sig[("pg", "G1")] == pytest.approx(0.0, abs=1e-8)
     assert sig[("pg", "G2")] == pytest.approx(0.0, abs=1e-8)
     assert all(abs(v) < 1e-8 for (k, _g), v in sig.items() if k != "pg")
@@ -391,16 +400,16 @@ def test_subproblem_goldens(toy, toy_scenarios):
     lp, vm = build_benders_subproblem(toy, toy_scenarios, 1, x1=at_hedge)
     sol = solve_lp(lp)
     assert sol.objective == pytest.approx(540.0, abs=1e-8)
-    sig = pin_duals(vm, sol)
+    sig = stage_dict(toy, pin_duals(vm, sol))
     assert -980.0 - 1e-6 <= sig[("pg", "G2")] <= 1e-6
 
     # high scenario at the greedy point (10, 0): 5 + 2 MW short after both
     # windows max out; cost 7400, and one more MW of G2 now is worth 980.
-    greedy = {("pg", "G1"): 10.0, ("pg", "G2"): 0.0}
+    greedy = stage_vector(toy, {("pg", "G1"): 10.0, ("pg", "G2"): 0.0})
     lp, vm = build_benders_subproblem(toy, toy_scenarios, 1, x1=greedy)
     sol = solve_lp(lp)
     assert sol.objective == pytest.approx(7400.0, abs=1e-8)
-    sig = pin_duals(vm, sol)
+    sig = stage_dict(toy, pin_duals(vm, sol))
     assert sig[("pg", "G2")] == pytest.approx(-980.0, abs=1e-6)
     assert sig[("pg", "G1")] == pytest.approx(0.0, abs=1e-8)
 
@@ -408,24 +417,22 @@ def test_subproblem_goldens(toy, toy_scenarios):
 def test_subproblem_cut_is_a_valid_underestimate(toy, toy_scenarios):
     # theta >= Q(xbar) + sigma'(x - xbar) must hold with Q convex; probe the
     # high scenario's cut from (10, 0) across the reachable first stages.
-    greedy = {("pg", "G1"): 10.0, ("pg", "G2"): 0.0}
+    greedy = stage_vector(toy, {("pg", "G1"): 10.0, ("pg", "G2"): 0.0})
     lp, vm = build_benders_subproblem(toy, toy_scenarios, 1, x1=greedy)
     sol = solve_lp(lp)
     q0, sig = sol.objective, pin_duals(vm, sol)
     for g2 in (0.0, 3.0, 5.0, 7.0, 10.0):
-        probe = {("pg", "G1"): 10.0 - g2, ("pg", "G2"): g2}
+        probe = stage_vector(toy, {("pg", "G1"): 10.0 - g2, ("pg", "G2"): g2})
         lp2 = lp.with_rhs(pin_rhs_updates(vm, probe))
         s2 = solve_lp(lp2, warm=sol.basis)
-        predicted = q0 + sum(
-            sig[k] * (probe.get(k, 0.0) - greedy.get(k, 0.0)) for k in sig
-        )
+        predicted = q0 + float(sig @ (probe - greedy))
         assert s2.objective >= predicted - 1e-6
 
 
 def test_subproblem_repin_matches_fresh_build(toy, toy_scenarios):
     lp0, vm = build_benders_subproblem(toy, toy_scenarios, 1)  # pins at zero
     sol0 = solve_lp(lp0)
-    hedge = {("pg", "G1"): 3.0, ("pg", "G2"): 7.0}
+    hedge = stage_vector(toy, {("pg", "G1"): 3.0, ("pg", "G2"): 7.0})
     lp1 = lp0.with_rhs(pin_rhs_updates(vm, hedge))
     warm = solve_lp(lp1, warm=sol0.basis)
     cold_lp, _ = build_benders_subproblem(toy, toy_scenarios, 1, x1=hedge)
@@ -460,30 +467,27 @@ def test_extensive_equals_master_cost_plus_expected_recourse(case3):
 
 def test_master_with_floor_cuts_is_myopic(toy, toy_scenarios):
     M = -1e9
-    lp, vm = build_benders_master(toy, toy_state(), toy_scenarios, _floor_cuts(2, M))
+    lp, vm = build_benders_master(toy, toy_state(), toy_scenarios, _floor_cuts(toy, 2, M))
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     # future looks free, so the first period is dispatched greedily (100 $)
     assert sol.objective == pytest.approx(100.0 + M, rel=1e-12)
-    x1 = first_stage_values(sol, vm)
+    x1 = stage_dict(toy, first_stage_values(sol, vm))
     assert x1[("pg", "G1")] == pytest.approx(10.0, abs=1e-8)
     assert x1[("pg", "G2")] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_master_with_hand_cuts_recovers_the_hedge(toy, toy_scenarios):
     # the three cuts the decomposition discovers on this system
-    cuts = _floor_cuts(2) + [
-        SimpleNamespace(scenario=0, coef_theta=1.0, coef_x1={}, rhs_const=380.0),
-        SimpleNamespace(
-            scenario=1, coef_theta=1.0,
-            coef_x1={("pg", "G2"): -980.0}, rhs_const=7400.0,
-        ),
-        SimpleNamespace(scenario=1, coef_theta=1.0, coef_x1={}, rhs_const=540.0),
+    cuts = _floor_cuts(toy, 2) + [
+        _cut(toy, 0, 380.0),
+        _cut(toy, 1, 7400.0, {("pg", "G2"): -980.0}),
+        _cut(toy, 1, 540.0),
     ]
     lp, vm = build_benders_master(toy, toy_state(), toy_scenarios, cuts)
     sol = solve_lp(lp)
     assert sol.objective == pytest.approx(630.0, abs=1e-8)
-    x1 = first_stage_values(sol, vm)
+    x1 = stage_dict(toy, first_stage_values(sol, vm))
     assert x1[("pg", "G2")] == pytest.approx(7.0, abs=1e-8)
     theta_lo = sol.x[vm.col(("theta", 0))]
     theta_hi = sol.x[vm.col(("theta", 1))]
@@ -493,7 +497,7 @@ def test_master_with_hand_cuts_recovers_the_hedge(toy, toy_scenarios):
 
 def test_master_requires_a_cut_per_scenario(toy, toy_scenarios):
     with pytest.raises(ValidationError, match="no cuts"):
-        build_benders_master(toy, toy_state(), toy_scenarios, _floor_cuts(1))
+        build_benders_master(toy, toy_state(), toy_scenarios, _floor_cuts(toy, 1))
 
 
 def test_master_requires_common_first_period(toy):
@@ -507,7 +511,7 @@ def test_master_requires_common_first_period(toy):
     with pytest.raises(ValidationError, match="disagrees"):
         require_common_first_period(skew)
     with pytest.raises(ValidationError, match="disagrees"):
-        build_benders_master(toy, toy_state(), skew, _floor_cuts(2))
+        build_benders_master(toy, toy_state(), skew, _floor_cuts(toy, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +577,7 @@ def _bundled_models(flows):
         b = bundled_day(day)
         vc, actuals, st, scen, load, pmax = (
             b.vc, b.actuals, b.state, b.scenarios, b.load, b.pmax)
-        x1 = {k: 2.0 + 0.25 * i for i, k in enumerate(first_stage_keys(vc))}
+        x1 = 2.0 + 0.25 * np.arange(len(first_stage_keys(vc)))
         yield f"{day}/sced", lambda: build_sced(vc, st, load, pmax=pmax, flows=flows)
         for n in (1, 4):
             win = actuals.window(1, n)
@@ -581,7 +585,7 @@ def _bundled_models(flows):
         yield f"{day}/day", lambda: build_lad(vc, initial_state(vc), actuals, flows=flows)
         yield f"{day}/extensive", lambda: build_slad_extensive(vc, st, scen, flows=flows)
         yield f"{day}/master", lambda: build_benders_master(
-            vc, st, scen, _floor_cuts(scen.n_scenarios), flows=flows)
+            vc, st, scen, _floor_cuts(vc, scen.n_scenarios), flows=flows)
         for s in range(scen.n_scenarios):
             yield f"{day}/sub{s}", lambda: build_benders_subproblem(
                 vc, scen, s, x1=x1, first_period=1, flows=flows)

@@ -28,6 +28,7 @@ from helpers import (
     enumerate_optimum,
     random_box_lp,
     row_entries,
+    stage_vector,
 )
 
 BACKENDS = ["simplex", "highs"]
@@ -697,7 +698,7 @@ def test_concurrent_highs_solves_of_one_structure_match_serial():
     copies = []
     for _ in range(6):
         x1 = {("pg", g.id): float(rng.uniform(g.pmin, g.pmax)) for g in vc.case.generators}
-        copies.append(lp.with_rhs(pin_rhs_updates(vm, x1)))
+        copies.append(lp.with_rhs(pin_rhs_updates(vm, stage_vector(vc, x1))))
     opts = LPOptions(backend="highs")
     serial = [solve_lp(c, opts) for c in copies]
     assert {s.status for s in serial} == {"optimal"}

@@ -47,6 +47,7 @@ from conftest import (
     make_toy_scenarios,
     toy_state,
 )
+from helpers import stage_vector
 
 
 def _costs(log):
@@ -121,8 +122,8 @@ def test_policy_ordering_and_savings(toy, toy_day, toy_scenarios):
 def test_settlement_reprices_a_corrupted_plan(toy):
     # over-commit the cheap unit by 2 MW: settlement must charge the real
     # surplus penalty instead of taking the plan's word for it
-    good = {("pg", "G1"): 5.0, ("pg", "G2"): 5.0}
-    bad = {("pg", "G1"): 7.0, ("pg", "G2"): 5.0}
+    good = stage_vector(toy, {("pg", "G1"): 5.0, ("pg", "G2"): 5.0})
+    bad = stage_vector(toy, {("pg", "G1"): 7.0, ("pg", "G2"): 5.0})
     d, costs = settle_first_period(toy, toy_state(), {"B1": 10.0}, {}, good)
     assert costs.total == pytest.approx(150.0, abs=1e-8)
     d2, costs2 = settle_first_period(toy, toy_state(), {"B1": 10.0}, {}, bad)
@@ -137,11 +138,11 @@ def test_settlement_rejects_impossible_commitments(toy):
     vc = validate_case(dataclasses.replace(case, generators=tuple(gens)))
     with pytest.raises(SimulationError, match="off-line"):
         settle_first_period(
-            vc, toy_state(), {"B1": 10.0}, {}, {("pg", "G2"): 3.0}
+            vc, toy_state(), {"B1": 10.0}, {}, stage_vector(vc, {("pg", "G2"): 3.0})
         )
     with pytest.raises(SimulationError, match="not eligible"):
         settle_first_period(
-            toy, toy_state(), {"B1": 10.0}, {}, {("reg", "G1"): 1.0}
+            toy, toy_state(), {"B1": 10.0}, {}, stage_vector(toy, {("reg", "G1"): 1.0})
         )
 
 
@@ -151,14 +152,14 @@ def test_policies_share_the_settlement_path(case3):
     day = case3_actual_day(seed=5, horizon=4)
     load = {b: day.scenarios[0].load[b][0] for b in case3.case.buses}
     pmax = {"G3": day.scenarios[0].pmax_override["G3"][0]}
-    x1 = {("pg", "G1"): 30.0, ("pg", "G2"): 22.0, ("pg", "G3"): 20.0,
-          ("pg", "GI"): 0.0, ("spin", "G2"): 5.0}
+    x1 = stage_vector(case3, {("pg", "G1"): 30.0, ("pg", "G2"): 22.0, ("pg", "G3"): 20.0,
+                              ("pg", "GI"): 0.0, ("spin", "G2"): 5.0})
     from rtdispatch.model import SystemState
 
     st = SystemState(prev_dispatch={"G1": 30.0, "G2": 20.0, "G3": 15.0, "GI": 0.0},
                      wall_clock=0)
     a = settle_first_period(case3, st, load, pmax, x1)
-    b = settle_first_period(case3, st, load, pmax, dict(x1))
+    b = settle_first_period(case3, st, load, pmax, x1.copy())
     assert a[1].as_dict() == b[1].as_dict()
 
 
@@ -385,10 +386,9 @@ def test_first_stage_slice_of_the_full_day_plan(day):
     sol = lpmod.solve_lp(lp)
     d = extract_dispatch(sol, vmap)
     for t in range(actuals.horizon):
-        want = [((kind, gid),
-                 d.pg_at(gid, t) if kind == "pg" else d.reserve.get((kind, gid, t, 0), 0.0))
+        want = [d.pg_at(gid, t) if kind == "pg" else d.reserve.get((kind, gid, t, 0), 0.0)
                 for kind, gid in first_stage_keys(vc)]
-        assert list(first_stage_values(sol, vmap, t).items()) == want
+        assert first_stage_values(sol, vmap, t).tolist() == want
 
 
 # settled totals (exact repr) of case3 with E1 binding and E2 unmonitored;
