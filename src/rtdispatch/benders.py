@@ -54,7 +54,7 @@ LAZY_TOL = 1e-6
 LAZY_MAX_ROUNDS = 50
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Cut:
     """One optimality cut: theta_s - coef_x1' x1 >= rhs_const, with
     ``coef_x1`` a first-stage vector (all zeros for a floor cut)."""
@@ -74,7 +74,8 @@ class Cut:
 
 
 def _dot(a, b):
-    """a'b summed left to right in Python floats, as the outputs were."""
+    """a'b added left to right in Python floats: cut values and constants
+    reach the outputs, so their rounding is fixed."""
     return sum((a * b).tolist())
 
 
@@ -122,7 +123,7 @@ class IterationRecord:
     wall_ms: float
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class BendersResult:
     status: str                  # "optimal" | "iteration_limit"
     objective: float             # best upper bound (true cost of x1)

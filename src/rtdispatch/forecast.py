@@ -165,7 +165,7 @@ def knn_scenarios(store: HistoryStore, observed_load, k=10,
         if g not in store.gens:
             raise ValidationError(f"observed pmax for '{g}' not tracked by the history")
 
-    # every day's squared distance, accumulated channel by channel
+    # added channel by channel: the order of the additions decides ties
     scales = store.channel_scales()
     prefix = [(("load", b), observed_load[b]) for b in store.buses]
     prefix += [(("pmax", g), vals) for g, vals in observed_pmax.items()]

@@ -146,6 +146,25 @@ def test_settlement_rejects_impossible_commitments(toy):
         )
 
 
+def test_settlement_pins_a_negative_zero_commitment_at_positive_zero(toy, monkeypatch):
+    # a plan may carry -0.0 or a tiny negative; each is pinned as the +0.0
+    # that max(0.0, v) gives, so the settlement model's bytes do not follow it
+    from rtdispatch import simulator
+
+    handed, solve = [], simulator._solve_checked
+
+    def recorded(lp, *args):
+        handed.append(lp)
+        return solve(lp, *args)
+
+    monkeypatch.setattr(simulator, "_solve_checked", recorded)
+    x1 = stage_vector(toy, {("pg", "G1"): -1e-9, ("pg", "G2"): -0.0})
+    assert np.signbit(x1).any()
+    settle_first_period(toy, toy_state(), {"B1": 10.0}, {}, x1)
+    rhs = handed[0].rhs_array()
+    assert not np.signbit(rhs[rhs == 0.0]).any()
+
+
 def test_policies_share_the_settlement_path(case3):
     # same commitment, same realized period => same settled dollars,
     # regardless of which policy produced it
