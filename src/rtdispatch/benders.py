@@ -4,7 +4,7 @@ The extensive form is split into a first-period master and one future
 subproblem per scenario.  Each master iteration prices the scenarios'
 value functions through cuts built from the subproblems' first-stage
 pin duals.  The first stage (the binding period's dispatch and reserves)
-is one read-only vector in ``first_stage_keys`` order throughout.
+is one float64 vector in ``first_stage_keys`` order throughout.
 Separation runs at an interior candidate between the current
 stabilization point and the master argmin; when the interior pass
 yields nothing, separation re-seeds at the argmin itself, and if that
