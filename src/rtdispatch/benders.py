@@ -15,12 +15,13 @@ the incumbent is always a genuinely feasible first stage with its true
 expected cost — the reported objective never relies on the cut model
 being complete.
 
-One master is built per decision; each iteration appends the pool's new
-cuts, which gives the rows a fresh build from the whole pool would.  Its
-lazy flowgate rows are generated afresh each iteration.  Each oracle
-re-solves rhs copies of one subproblem, which share its compiled
-structure, and answers any query whose solve it has made before without
-solving again; the oracles share one thread pool per decision.
+One master is built per decision (or refilled from a rolling day's
+``ModelSlots``); each iteration appends the pool's new cuts, which gives
+the rows a fresh build from the whole pool would.  Its lazy flowgate rows
+are generated afresh each iteration.  The oracles fill one subproblem
+layout, so they and the rhs copies they re-solve share one compiled
+structure; each answers any query whose solve it has made before without
+solving again, and they share one thread pool per decision.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .formulation import (
+    ModelSlots,
     append_rows,
     benders_cut_rows,
     build_benders_master,
@@ -41,6 +43,7 @@ from .formulation import (
     flow_limit_rows,
     pin_duals,
     pin_rhs_updates,
+    structure_key,
 )
 from .lp import LPNumericalError, LPOptions, extend_warm_start, solve_lp
 from .model import ValidationError
@@ -228,10 +231,13 @@ class _ScenarioOracle:
     solve as the source of the next warm start.
     """
 
-    def __init__(self, vc, scenarios, s, first_period, config):
-        self.lp, self.vmap = build_benders_subproblem(
-            vc, scenarios, s, x1=None, first_period=first_period, flows=config.flows
-        )
+    def __init__(self, vc, scenarios, s, first_period, config, slots=None):
+        flows = config.flows
+        self.lp, self.vmap = (slots or ModelSlots()).model(
+            "subproblem", structure_key(vc, flows, first_period, scenarios.horizon, start=1),
+            lambda: build_benders_subproblem(vc, scenarios, s, first_period=first_period,
+                                             flows=flows),
+            lambda layout: layout.subproblem(scenarios, s, None, first_period))
         self.config = config
         self._pin_rows = np.asarray(self.vmap.meta["pin_rows"], dtype=np.int64)
         self._other_rows = np.zeros(0, dtype=bool)  # the non-pin rows
@@ -333,11 +339,14 @@ def _query_all(oracles, x1, executor):
 # the decomposition loop
 
 
-def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
+def run_benders(vc, state, scenarios, config: BendersConfig | None = None, slots=None):
     """Solve the two-stage dispatch by cutting-plane decomposition.
 
     Deterministic for a fixed model and configuration, including under
-    ``workers > 1`` (results are aggregated in scenario order)."""
+    ``workers > 1`` (results are aggregated in scenario order).  The
+    oracles fill one subproblem layout, and the master is refilled from
+    ``slots`` (a rolling day's ``ModelSlots``) when it holds one of the
+    same structure."""
     cfg = config or BendersConfig()
     if not 0.0 <= cfg.alpha < 1.0:
         raise ValidationError(f"alpha must be in [0, 1), got {cfg.alpha}")
@@ -354,8 +363,9 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
         )
     S = scenarios.n_scenarios
     probs = [s.prob for s in scenarios.scenarios]
+    slots = slots or ModelSlots()
     oracles = [
-        _ScenarioOracle(vc, scenarios, s, state.wall_clock, cfg) for s in range(S)
+        _ScenarioOracle(vc, scenarios, s, state.wall_clock, cfg, slots) for s in range(S)
     ]
     flat = np.zeros(oracles[0]._pin_rows.size)  # a floor cut's slope
     flat.flags.writeable = False
@@ -373,7 +383,12 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None):
     status = "iteration_limit"
 
     # one master for the run, extended by each iteration's new cuts
-    master, vm = build_benders_master(vc, state, scenarios, list(pool), flows=cfg.flows)
+    floors = list(pool)
+    master, vm = slots.model(
+        "master", structure_key(vc, cfg.flows, state.wall_clock, 1)
+        + (tuple((c.scenario, c.coef_x1.tobytes()) for c in floors),),
+        lambda: build_benders_master(vc, state, scenarios, floors, flows=cfg.flows),
+        lambda layout: layout.master(state, scenarios, floors))
     in_master = len(pool)
     threaded = cfg.workers > 1 and S > 1
     with ThreadPoolExecutor(cfg.workers) if threaded else contextlib.nullcontext() as executor:

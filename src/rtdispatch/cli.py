@@ -35,6 +35,7 @@ from .simulator import (
     PolicySpec,
     SimulationError,
     _plan_step,
+    _plan_window,
     daily_savings,
     log_rows,
     log_summary,
@@ -202,7 +203,8 @@ def cmd_solve(args):
         first = dataclasses.replace(policy.scenarios.scenarios[0], prob=1.0)
         actuals = ScenarioSet(scenarios=(first,), horizon=policy.scenarios.horizon)
     length = min(policy.horizon, actuals.horizon)
-    x1, objective, trace = _plan_step(vc, initial_state(vc), policy, actuals, 0, length)
+    win = _plan_window(vc, policy, actuals, 0, length)
+    x1, objective, trace = _plan_step(vc, initial_state(vc), policy, win, 0)
 
     labelled = sorted(zip(first_stage_keys(vc), x1.tolist()))
     stage = {}

@@ -25,19 +25,25 @@ Period indices inside a model are window-local (0-based); the absolute
 day period of window period 0 is carried along so per-period commitment
 and availability flags resolve correctly.
 
-A model is assembled a cell at a time.  The columns and rows of one
-(period, scenario) cell depend only on the case, the flow mode and which
-generators are committed and eligible for each reserve at that period, so
-their layout is worked out once, as a ``_CellTemplate`` cached on the
-``ValidatedCase``.  A cell is then one bulk add of columns and one of rows
-(``LinearProgram.add_vars`` / ``add_rows``) in which only the capacity-
-dependent bounds, the loads, the cell weight and the keys change.  Each
-scenario's ramp rows follow its cells as one more block.  The result is
-the model a row-by-row build gives, entry for entry.
+A model is built in two steps, a layout and a fill.  The columns and rows
+of one (period, scenario) cell depend only on the case, the flow mode and
+which generators are committed and eligible for each reserve at that
+period, so their layout is worked out once, as a ``_CellTemplate`` cached
+on the ``ValidatedCase``.  A model's ``_Layout`` adds each cell as one bulk
+add of columns and one of rows (``LinearProgram.add_vars`` / ``add_rows``),
+each scenario's ramp rows as one more block, and freezes the result: the
+matrix, senses and registry, plus index arrays that say where each number
+that varies goes.  Its fill writes only those numbers (cell costs,
+capacity-dependent bounds, loads, ramps to the previous dispatch, pins)
+into a copy on the same structure, with its own registry.  Every public
+builder is a layout and a fill; ``ModelSlots`` refills a rolling day's
+layout while its ``structure_key`` holds.  The result is the model a
+row-by-row build gives, entry for entry.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import operator
@@ -85,6 +91,7 @@ class VariableMap:
         self._col = {}
         self._row = {}
         self.meta = {}
+        self.layout = None  # the layout a builder filled this registry from
 
     def add_cols(self, keys, start):
         """Register ``keys`` as the columns from ``start`` on, in order."""
@@ -103,11 +110,12 @@ class VariableMap:
     def row(self, key):
         return self._row[key]
 
-    def copy(self):
+    def copy(self, meta=None):
         """A registry whose rows extend without touching this one's; the
-        columns and meta are shared."""
+        columns are shared, and so is the meta unless ``meta`` is given."""
         out = VariableMap()
-        out._col, out._row, out.meta = self._col, dict(self._row), self.meta
+        out._col, out._row = self._col, dict(self._row)
+        out.meta = self.meta if meta is None else meta
         return out
 
     def columns(self):
@@ -278,93 +286,108 @@ class _CellTemplate:
                 a.flags.writeable = False
 
 
-class _Assembler:
-    """Builds one model a (period, scenario) cell at a time.
+def _check_inputs(vc, flows):
+    if not isinstance(vc, ValidatedCase):
+        raise TypeError("model builders require a ValidatedCase (run validate_case)")
+    if flows not in ("full", "lazy"):
+        raise ValueError(f"unknown flow mode '{flows}'")
 
-    A cell is its template's columns and rows in one bulk add each, with
-    only what varies filled in: reserve upper bounds and ceiling
-    right-hand sides from the available capacity, ``inj_def`` right-hand
-    sides from the loads, costs as the cell's weight times the unit
-    prices, and ``(t, s)`` on every key.  A scenario's ramp rows follow its
-    cells as one more block."""
 
-    def __init__(self, vc, scen, first_abs, flows):
-        if not isinstance(vc, ValidatedCase):
-            raise TypeError("model builders require a ValidatedCase (run validate_case)")
-        if flows not in ("full", "lazy"):
-            raise ValueError(f"unknown flow mode '{flows}'")
-        check_scenarios(scen, vc)
-        self.vc = vc
-        self.case = vc.case
-        self.scen = scen
-        self.first_abs = first_abs
-        self.flows = flows
+def _template(vc, flows, ta):
+    """Absolute period ta's cell template, cached on the case by flow mode
+    and period and shared by the periods of one pattern.  Builders on two
+    threads may both make a missing template; setdefault keeps one, and
+    both are the same layout."""
+    cache = vc.__dict__.setdefault("_cell_templates", {})
+    out = cache.get((flows, ta))
+    if out is None:
+        pattern = (flows, tuple(
+            (g.committed(ta), g.reg_eligible(ta), g.spin_eligible(ta),
+             g.supp_on_eligible(ta), g.supp_off_eligible(ta)) for g in vc.case.generators))
+        out = cache.get(pattern) or cache.setdefault(pattern, _CellTemplate(vc, flows, ta))
+        cache[(flows, ta)] = out
+    return out
+
+
+def structure_key(vc, flows, first_abs, horizon, start=0):
+    """What the structure of a one-scenario model over ``horizon`` periods
+    from absolute period ``first_abs`` depends on: the flow mode, each
+    period's cell template (one per commitment/eligibility pattern), the
+    window length and the first period assembled as cells (1 for a Benders
+    subproblem).  Two such models with equal keys differ only in their
+    numbers; a master's key also needs its cuts' pattern, which gives its
+    scenario count."""
+    _check_inputs(vc, flows)
+    return (flows, tuple(_template(vc, flows, first_abs + t) for t in range(horizon)),
+            horizon, start)
+
+
+class _Layout:
+    """A model's structure, built once, and where its numbers go.
+
+    ``lp`` and ``vmap`` are the frozen matrix, senses and registry, with
+    each number a fill writes at a placeholder.  The index arrays say
+    where those numbers go: every cell column's cost (the cell weight times
+    its unit price), the reserve upper bounds that follow the available
+    band, the ceiling and ``inj_def`` right-hand sides (capacity, load),
+    the period-0 ramp right-hand sides (the previous dispatch), and pin,
+    theta and cut numbers where the model has them.
+
+    ``fill`` writes only numbers and hands out a copy of ``lp`` on the same
+    structure and a copy of the registry with its own meta, so a fresh
+    build (layout, then fill) and a refilled layout run the same code.
+    The role methods (``sced``, ``lad``, ...) take a builder's inputs."""
+
+    def __init__(self, vc, flows, first_abs, horizon, n_scen=1):
+        _check_inputs(vc, flows)
+        self.vc, self.case, self.n_scen = vc, vc.case, n_scen
         self.h = self.case.step_minutes / 60.0
-        self.lp = LinearProgram()
-        self.vmap = VariableMap()
-        self.vmap.meta.update(
-            {
-                "periods": scen.horizon,
-                "scenario_ids": tuple(s.id for s in scen.scenarios),
-                "probs": tuple(s.prob for s in scen.scenarios),
-                "first_period": first_abs,
-                "case": vc,
-            }
-        )
+        self.tpls = [_template(vc, flows, first_abs + t) for t in range(horizon)]
+        self.lp, self.vmap = LinearProgram(), VariableMap()
+        self.vmap.meta["case"] = vc
+        # index chunks per cell and block, concatenated by freeze()
+        self._at = {k: [] for k in _FILLED}
+        self.pinned_pg = None
 
-    def template(self, t):
-        """Window period t's cell template, cached on the case by flow mode
-        and period and shared by the periods of one pattern.  Builders on
-        two threads may both make a missing template; setdefault keeps one,
-        and both are the same layout."""
-        ta = self.first_abs + t
-        cache = self.vc.__dict__.setdefault("_cell_templates", {})
-        out = cache.get((self.flows, ta))
-        if out is None:
-            pattern = (self.flows, tuple(
-                (g.committed(ta), g.reg_eligible(ta), g.spin_eligible(ta),
-                 g.supp_on_eligible(ta), g.supp_off_eligible(ta)) for g in self.case.generators))
-            out = cache.get(pattern) or cache.setdefault(
-                pattern, _CellTemplate(self.vc, self.flows, ta))
-            cache[(self.flows, ta)] = out
-        return out
+    # -- assembly ---------------------------------------------------------
 
-    def cell(self, tpl, t, s, w, load, pmax):
-        """Append cell (t, s) with weight ``w`` on its hourly prices, bus
-        loads ``load`` and available capacities ``pmax``; returns its pg
+    def cell(self, tpl, t, s):
+        """Append cell (t, s) at the template's own numbers; returns its pg
         columns."""
-        lp, vm, ts = self.lp, self.vmap, (t, s)
-        band = pmax - tpl.pmin
-        hi = tpl.hi.copy()
-        hi[tpl.banded] = np.minimum(tpl.banded_caps, tpl.banded_scale * band[tpl.banded_gens])
-        c0 = lp.add_vars(tpl.lo, hi, w * tpl.price)
+        lp, vm, ts, at = self.lp, self.vmap, (t, s), self._at
+        c0 = lp.add_vars(tpl.lo, tpl.hi, tpl.price)
         vm.add_cols([k + ts for k in tpl.col_keys], c0)
-        rhs = tpl.rhs.copy()
-        rhs[tpl.ceil_rows] = pmax[tpl.ceil_gens]
-        rhs[tpl.inj_rows] = load
-        r0 = lp.add_rows(tpl.cols + c0, tpl.vals, tpl.counts, tpl.senses, rhs)
+        r0 = lp.add_rows(tpl.cols + c0, tpl.vals, tpl.counts, tpl.senses, tpl.rhs)
         vm.add_rows([k + ts for k in tpl.row_keys], r0)
+        n_gens, n_buses = tpl.pmin.size, tpl.inj_rows.size
+        cell = s * len(self.tpls) + t  # position in a fill's (scenario, period) grid
+        at["priced"].append(np.arange(c0, c0 + tpl.price.size))
+        at["price"].append(tpl.price)
+        at["priced_scen"].append(np.full(tpl.price.size, s))
+        at["banded"].append(tpl.banded + c0)
+        at["banded_at"].append(tpl.banded_gens + cell * n_gens)
+        at["banded_pmin"].append(tpl.pmin[tpl.banded_gens])
+        at["banded_scale"].append(tpl.banded_scale)
+        at["banded_caps"].append(tpl.banded_caps)
+        at["ceil"].append(tpl.ceil_rows + r0)
+        at["ceil_at"].append(tpl.ceil_gens + cell * n_gens)
+        at["inj"].append(tpl.inj_rows + r0)
+        at["inj_at"].append(np.arange(n_buses) + cell * n_buses)
         return tpl.pg + c0
 
-    def ramp_block(self, tpls, pg, s, start, prev_dispatch):
+    def ramp_block(self, pg, s, start):
         """Couple pg at each window period t >= start to period t-1: to its
-        pg columns ``pg[t-1]`` or, at t = 0, to the previous dispatch."""
-        blocks, keys = [], []
+        pg columns ``pg[t-1]`` or, at t = 0, to the previous dispatch,
+        whose right-hand sides the fill writes."""
+        tpls, blocks, keys = self.tpls, [], []
         for t in range(start, len(tpls)):
             tpl, cur = tpls[t], pg[t]
             if t == 0:
                 on = np.flatnonzero(tpl.on)
-                try:
-                    prev = np.array([float(prev_dispatch[self.case.generators[i].id])
-                                     for i in on])
-                except KeyError as e:
-                    raise ValidationError(
-                        f"state has no previous dispatch for generator '{e.args[0]}'"
-                    ) from None
                 # [cur] <= prev + up, [cur] >= prev - dn
                 blocks.append((np.repeat(cur[on], 2), np.ones(2 * len(on)),
                                np.full(2 * len(on), 1), np.tile([LE, GE], len(on)),
-                               (prev + tpl.up[on], prev - tpl.dn[on])))
+                               (np.zeros(len(on)), np.zeros(len(on)))))
             else:
                 on = np.flatnonzero(tpl.on | tpls[t - 1].on)
                 c, p = cur[on], pg[t - 1][on]
@@ -379,44 +402,41 @@ class _Assembler:
             r0 = self.lp.add_rows(np.concatenate(cols), np.concatenate(vals),
                                   np.concatenate(counts), np.concatenate(senses), rhs)
             self.vmap.add_rows(keys, r0)
+            if start == 0:
+                n_on = np.count_nonzero(tpls[0].on)
+                self._at["ramp_up"].append(np.arange(r0, r0 + 2 * n_on, 2))
+                self._at["ramp_dn"].append(np.arange(r0 + 1, r0 + 2 * n_on, 2))
 
-    # -- first-stage pins (Benders subproblems) ---------------------------
-
-    def pin_columns(self, x1):
-        """Free period-0 columns fixed by equality rows to the master trial.
+    def pins(self):
+        """Free period-0 columns fixed by equality rows to the first stage.
 
         Reserve pins never feed later periods (reserves do not couple in
         time) so their duals vanish; they are kept so the pin-row dual
-        vector lines up with the full first-stage vector (zeros if None)."""
+        vector lines up with the full first-stage vector."""
         lp, vm = self.lp, self.vmap
         keys = first_stage_keys(self.case)
         n = len(keys)
         c0 = lp.add_vars(np.full(n, -np.inf), np.full(n, np.inf), np.zeros(n))
         vm.add_cols([(kind, gid, 0, 0) for kind, gid in keys], c0)
-        r0 = lp.add_rows(np.arange(c0, c0 + n), np.ones(n), [1] * n, [EQ] * n,
-                         np.zeros(n) if x1 is None else x1)
+        r0 = lp.add_rows(np.arange(c0, c0 + n), np.ones(n), [1] * n, [EQ] * n, np.zeros(n))
         vm.add_rows([("pin_first_stage", kind, gid) for kind, gid in keys], r0)
         vm.meta["pin_rows"] = tuple(range(r0, r0 + n))
+        self._at["pins"].append(np.arange(r0, r0 + n))
+        self._at["pins_at"].append(np.arange(n))
         # the pinned pg columns: each generator's first key
         self.pinned_pg = np.arange(c0, c0 + n, len(FIRST_STAGE_KINDS))
+        return self
 
-    # -- whole grid -------------------------------------------------------
-
-    def grid(self, weights, prev_dispatch=None, anticipativity=False, start_period=0):
-        case, scen = self.case, self.scen
-        tpls = [self.template(t) for t in range(scen.horizon)]
-        for s, sc in enumerate(scen.scenarios):
-            loads = np.array([sc.load[b] for b in case.buses], dtype=np.float64).T
-            pmax = np.tile(tpls[0].pmax, (scen.horizon, 1))
-            for gid, v in sc.pmax_override.items():
-                pmax[:, self.vc.gen_index[gid]] = v
-            # pg columns by window period; a subproblem's period 0 is its pins
-            pg = [self.pinned_pg] if start_period else []
-            for t in range(start_period, scen.horizon):
-                pg.append(self.cell(tpls[t], t, s, weights[s] * self.h, loads[t], pmax[t]))
-            self.ramp_block(tpls, pg, s, start_period, prev_dispatch)
+    def grid(self, start=0, anticipativity=False):
+        """Every scenario's cells from window period ``start`` on, each
+        followed by its ramp rows; a subproblem's period 0 is its pins."""
+        tpls = self.tpls
+        for s in range(self.n_scen):
+            pg = [self.pinned_pg] if start else []
+            pg += [self.cell(tpls[t], t, s) for t in range(start, len(tpls))]
+            self.ramp_block(pg, s, start)
         noload = 0.0
-        for t in range(start_period, scen.horizon):
+        for t in range(start, len(tpls)):
             noload += sum(self.h * c for c in tpls[t].no_load)
         self.lp.obj_const += noload
         if anticipativity:
@@ -424,14 +444,202 @@ class _Assembler:
         return self
 
     def anticipativity_rows(self):
-        lp, vm = self.lp, self.vmap
-        base = first_stage_columns(vm).tolist()
-        for s in range(1, self.scen.n_scenarios):
-            cols = first_stage_columns(vm, s=s).tolist()
+        base = first_stage_columns(self.vmap).tolist()
+        for s in range(1, self.n_scen):
+            cols = first_stage_columns(self.vmap, s=s).tolist()
             for (kind, gid), a, b in zip(first_stage_keys(self.case), cols, base):
                 if a >= 0 and b >= 0:
-                    r = lp.add_row([a, b], [1.0, -1.0], "=", 0.0)
-                    vm.add_rows([(f"anticipativity_{kind}", gid, s)], r)
+                    self.add_rows([((f"anticipativity_{kind}", gid, s), [a, b], [1.0, -1.0],
+                                    "=", 0.0)])
+
+    def add_rows(self, specs):
+        """Append (key, cols, vals, sense, rhs) row specs."""
+        for key, *row in specs:
+            self.vmap.add_rows([key], self.lp.add_row(*row))
+
+    def thetas_and_cuts(self, probs, cuts):
+        """A master's value-function columns, one per scenario, and its
+        cut rows."""
+        lp, vm = self.lp, self.vmap
+        c0 = lp.add_vars(np.full(len(probs), -np.inf), np.full(len(probs), np.inf), probs)
+        vm.add_cols([("theta", s) for s in range(len(probs))], c0)
+        self._at["thetas"].append(np.arange(c0, c0 + len(probs)))
+        vm.meta["cut_counts"] = [0] * len(probs)
+        r0 = lp.n_rows
+        self.add_rows(benders_cut_rows(vm, cuts))
+        self._at["cut_rows"].append(np.arange(r0, lp.n_rows))
+        for s, count in enumerate(vm.meta["cut_counts"]):
+            if count == 0:
+                raise ValidationError(
+                    f"scenario {s} has no cuts; seed the pool with the initialization floor")
+        return self
+
+    def freeze(self):
+        for k, chunks in self._at.items():
+            v = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+            setattr(self, k, v)
+            v.flags.writeable = False
+        del self._at
+        # each number a fill writes is NaN until it does, so one it missed
+        # cannot pass for a number
+        lp = self.lp.freeze()
+        self.lp = lp.with_numbers(
+            cost=_nan_at(lp.cost, self.priced, self.thetas),
+            upper=_nan_at(lp.upper, self.banded),
+            rhs=_nan_at(lp.rhs, self.ceil, self.inj, self.ramp_up, self.ramp_dn, self.pins,
+                        self.cut_rows))
+        return self
+
+    def settlement(self):
+        """This one-period layout with each first-stage position that can
+        be pinned pinned by an equality row: all but an off-line
+        generator's output and a column the period lacks."""
+        cols = first_stage_columns(self.vmap)
+        out = copy.copy(self)
+        out.off = np.zeros(cols.size, dtype=bool)
+        out.off[::len(FIRST_STAGE_KINDS)] = ~self.tpls[0].on
+        out.unpinned = out.off | (cols < 0)
+        out.pins_at = np.flatnonzero(~out.unpinned)
+        n = self.lp.n_rows
+        out.lp = self.lp.with_rows([([int(c)], [1.0], "=", np.nan) for c in cols[out.pins_at]])
+        out.pins = np.arange(n, out.lp.n_rows)
+        return out
+
+    # -- numbers ----------------------------------------------------------
+
+    def fill(self, scen, first_abs, weights, prev_dispatch=None, pins=None, thetas=None,
+             cuts=()):
+        """The model with the numbers of scenarios ``scen`` at window
+        weights ``weights``, and its own registry.
+
+        ``prev_dispatch`` maps generator ids to the previous period's
+        output (the period-0 ramp rows); ``pins`` is the first-stage vector
+        pinned, ``thetas`` a master's scenario probabilities and ``cuts``
+        its cuts."""
+        check_scenarios(scen, self.vc)
+        case, n_scen, horizon = self.case, scen.n_scenarios, scen.horizon
+        loads = np.array([[sc.load[b] for b in case.buses] for sc in scen.scenarios],
+                         dtype=np.float64).transpose(0, 2, 1).ravel()
+        pmax = np.tile(self.tpls[0].pmax, (n_scen, horizon, 1))
+        for s, sc in enumerate(scen.scenarios):
+            for gid, v in sc.pmax_override.items():
+                pmax[s, :, self.vc.gen_index[gid]] = v
+        pmax = pmax.ravel()
+        cost, upper, rhs = (a.copy() for a in (self.lp.cost, self.lp.upper, self.lp.rhs))
+        cost[self.priced] = (np.asarray(weights, dtype=np.float64) * self.h)[
+            self.priced_scen] * self.price
+        upper[self.banded] = np.minimum(
+            self.banded_caps, self.banded_scale * (pmax[self.banded_at] - self.banded_pmin))
+        rhs[self.ceil] = pmax[self.ceil_at]
+        rhs[self.inj] = loads[self.inj_at]
+        if self.ramp_up.size:
+            on = np.flatnonzero(self.tpls[0].on)
+            try:
+                prev = np.array([float(prev_dispatch[case.generators[i].id]) for i in on])
+            except KeyError as e:
+                raise ValidationError(
+                    f"state has no previous dispatch for generator '{e.args[0]}'"
+                ) from None
+            rhs[self.ramp_up] = np.tile(prev + self.tpls[0].up[on], n_scen)
+            rhs[self.ramp_dn] = np.tile(prev - self.tpls[0].dn[on], n_scen)
+        if pins is not None:
+            n = len(case.generators) * len(FIRST_STAGE_KINDS)
+            if pins.shape != (n,):
+                raise ValueError(f"first-stage vector of shape {pins.shape}, expected ({n},)")
+            rhs[self.pins] = pins[self.pins_at]
+        if thetas is not None:
+            cost[self.thetas] = thetas
+            rhs[self.cut_rows] = [cut.rhs_const for cut in cuts]
+        vm = self.vmap.copy(meta={
+            "periods": horizon,
+            "scenario_ids": tuple(s.id for s in scen.scenarios),
+            "probs": tuple(s.prob for s in scen.scenarios),
+            "first_period": first_abs,
+            "case": self.vc,
+            **{k: copy.copy(v) for k, v in self.vmap.meta.items() if k != "case"},
+        })
+        vm.layout = self
+        return self.lp.with_numbers(cost=cost, upper=upper, rhs=rhs), vm
+
+    def sced(self, state, demand, pmax=None, x1=None):
+        """``build_sced``'s model; with ``x1``, a settlement layout's pins
+        at ``x1`` clipped at zero."""
+        scen = ScenarioSet(
+            scenarios=(
+                Scenario(
+                    id="now",
+                    prob=1.0,
+                    load={b: (float(v),) for b, v in demand.items()},
+                    pmax_override={g: (float(v),) for g, v in (pmax or {}).items()},
+                ),
+            ),
+            horizon=1,
+        )
+        return self.fill(scen, state.wall_clock, [1.0], state.prev_dispatch,
+                         pins=None if x1 is None else np.maximum(x1, 0.0))
+
+    def lad(self, state, forecast):
+        """``build_lad``'s model."""
+        return self.fill(forecast, state.wall_clock, [1.0], state.prev_dispatch)
+
+    def extensive(self, state, scenarios):
+        """``build_slad_extensive``'s model."""
+        return self.fill(scenarios, state.wall_clock, [s.prob for s in scenarios.scenarios],
+                         state.prev_dispatch)
+
+    def master(self, state, scenarios, cuts):
+        """``build_benders_master``'s model."""
+        require_common_first_period(scenarios)
+        first = scenarios.window(0, 1)
+        master_scen = ScenarioSet(
+            scenarios=(dataclasses.replace(first.scenarios[0], id="now", prob=1.0),), horizon=1
+        )
+        return self.fill(master_scen, state.wall_clock, [1.0], state.prev_dispatch,
+                         thetas=[s.prob for s in scenarios.scenarios], cuts=cuts)
+
+    def subproblem(self, scenarios, s, x1, first_period):
+        """``build_benders_subproblem``'s model."""
+        sub_scen = ScenarioSet(
+            scenarios=(dataclasses.replace(scenarios.scenarios[s], prob=1.0),),
+            horizon=scenarios.horizon,
+        )
+        return self.fill(sub_scen, first_period, [1.0],
+                         pins=np.zeros(len(self.pins)) if x1 is None else x1)
+
+
+def _nan_at(a, *where):
+    out = a.copy()
+    for i in where:
+        out[i] = np.nan
+    return out
+
+
+#: the index arrays a layout keeps for its fills
+_FILLED = ("priced", "price", "priced_scen", "banded", "banded_at", "banded_pmin",
+           "banded_scale", "banded_caps", "ceil", "ceil_at", "inj", "inj_at", "ramp_up",
+           "ramp_dn", "pins", "pins_at", "thetas", "cut_rows")
+
+
+class ModelSlots:
+    """One model layout per role for one rolling day.
+
+    ``model(role, key, build, fill)`` gives the role's model: ``fill`` of
+    the layout held when its key equals ``key`` (see ``structure_key``),
+    else ``build()``, a public builder, whose layout it then holds.  In a
+    rolling day the models of one structure come one after another, so one
+    layout per role finds them, and a day never holds more.  Used on one
+    thread."""
+
+    def __init__(self):
+        self._held = {}  # role -> (key, layout)
+
+    def model(self, role, key, build, fill):
+        held = self._held.get(role)
+        if held is not None and held[0] == key:
+            return fill(held[1])
+        lp, vmap = build()
+        self._held[role] = (key, vmap.layout)
+        return lp, vmap
 
 
 #: the row families of a branch's upper and lower flowgate rows
@@ -484,20 +692,7 @@ def build_sced(vc, state, demand, pmax=None, flows="full"):
     maps generator ids to their currently available capacity.  Both are
     checked against the case as the one-period scenario ``now``."""
     state = _as_state(state)
-    scen = ScenarioSet(
-        scenarios=(
-            Scenario(
-                id="now",
-                prob=1.0,
-                load={b: (float(v),) for b, v in demand.items()},
-                pmax_override={g: (float(v),) for g, v in (pmax or {}).items()},
-            ),
-        ),
-        horizon=1,
-    )
-    asm = _Assembler(vc, scen, state.wall_clock, flows)
-    asm.grid(weights=[1.0], prev_dispatch=state.prev_dispatch)
-    return asm.lp.freeze(), asm.vmap
+    return _Layout(vc, flows, state.wall_clock, 1).grid().freeze().sced(state, demand, pmax)
 
 
 def build_lad(vc, state, forecast: ScenarioSet, periods=None, flows="full"):
@@ -512,9 +707,8 @@ def build_lad(vc, state, forecast: ScenarioSet, periods=None, flows="full"):
         raise ValidationError(
             f"window of {periods} periods does not match forecast horizon {forecast.horizon}"
         )
-    asm = _Assembler(vc, forecast, state.wall_clock, flows)
-    asm.grid(weights=[1.0], prev_dispatch=state.prev_dispatch)
-    return asm.lp.freeze(), asm.vmap
+    layout = _Layout(vc, flows, state.wall_clock, forecast.horizon)
+    return layout.grid().freeze().lad(state, forecast)
 
 
 def build_slad_extensive(vc, state, scenarios: ScenarioSet, flows="full"):
@@ -523,10 +717,8 @@ def build_slad_extensive(vc, state, scenarios: ScenarioSet, flows="full"):
     Every scenario gets its own copy of all periods; first-period columns
     are equalized across scenarios by anticipativity rows."""
     state = _as_state(state)
-    weights = [s.prob for s in scenarios.scenarios]
-    asm = _Assembler(vc, scenarios, state.wall_clock, flows)
-    asm.grid(weights=weights, prev_dispatch=state.prev_dispatch, anticipativity=True)
-    return asm.lp.freeze(), asm.vmap
+    layout = _Layout(vc, flows, state.wall_clock, scenarios.horizon, scenarios.n_scenarios)
+    return layout.grid(anticipativity=True).freeze().extensive(state, scenarios)
 
 
 def require_common_first_period(scenarios: ScenarioSet):
@@ -556,25 +748,9 @@ def build_benders_master(vc, state, scenarios: ScenarioSet, cuts, flows="full"):
     contain at least one cut per scenario — the initialization floor —
     or the model would be unbounded by construction."""
     state = _as_state(state)
-    require_common_first_period(scenarios)
-    first = scenarios.window(0, 1)
-    master_scen = ScenarioSet(
-        scenarios=(dataclasses.replace(first.scenarios[0], id="now", prob=1.0),), horizon=1
-    )
-    asm = _Assembler(vc, master_scen, state.wall_clock, flows)
-    asm.grid(weights=[1.0], prev_dispatch=state.prev_dispatch)
-    lp, vm = asm.lp, asm.vmap
-
-    for s, sc in enumerate(scenarios.scenarios):
-        vm.add_cols([("theta", s)], lp.add_var(-np.inf, np.inf, sc.prob))
-    vm.meta["cut_counts"] = [0] * scenarios.n_scenarios
-    lp = append_rows(lp, vm, benders_cut_rows(vm, cuts))
-    for s, count in enumerate(vm.meta["cut_counts"]):
-        if count == 0:
-            raise ValidationError(
-                f"scenario {s} has no cuts; seed the pool with the initialization floor"
-            )
-    return lp, vm
+    layout = _Layout(vc, flows, state.wall_clock, 1).grid()
+    layout.thetas_and_cuts([s.prob for s in scenarios.scenarios], cuts)
+    return layout.freeze().master(state, scenarios, cuts)
 
 
 def benders_cut_rows(vmap, cuts):
@@ -603,17 +779,8 @@ def build_benders_subproblem(vc, scenarios: ScenarioSet, s, x1=None, first_perio
     periods 1..T-1, unweighted by probability."""
     if scenarios.horizon < 2:
         raise ValidationError("a subproblem needs at least two periods in the window")
-    sub_scen = ScenarioSet(
-        scenarios=(
-            dataclasses.replace(scenarios.scenarios[s], id=scenarios.scenarios[s].id,
-                                prob=1.0),
-        ),
-        horizon=scenarios.horizon,
-    )
-    asm = _Assembler(vc, sub_scen, first_period, flows)
-    asm.pin_columns(x1)
-    asm.grid(weights=[1.0], start_period=1)
-    return asm.lp.freeze(), asm.vmap
+    layout = _Layout(vc, flows, first_period, scenarios.horizon).pins().grid(start=1)
+    return layout.freeze().subproblem(scenarios, s, x1, first_period)
 
 
 def pin_rhs_updates(vmap, x1):
@@ -641,24 +808,19 @@ def first_stage_values(sol, vmap, t=0):
     return out
 
 
-def settlement_pins(vmap, x1):
-    """Row specs pinning a one-period model's first stage at ``x1``
-    clipped at zero.  An off-line generator's output is fixed at zero and
-    gets no pin; more than 1e-7 MW there, or of a reserve the generator is
-    not eligible for, is a ValidationError."""
-    vc, ta = vmap.meta["case"], vmap.meta["first_period"]
-    pins = []
-    for (kind, gid), col, want in zip(first_stage_keys(vc), first_stage_columns(vmap),
-                                      np.maximum(x1, 0.0).tolist(), strict=True):
-        off = kind == "pg" and not vc.case.generators[vc.gen_index[gid]].committed(ta)
-        if off or col < 0:
-            if want > 1e-7:
-                raise ValidationError(f"committed {want:.4g} MW " + (
-                    f"on '{gid}', which is off-line" if off
-                    else f"of '{kind}' on '{gid}', which is not eligible") + " this period")
-            continue
-        pins.append(([int(col)], [1.0], "=", want))
-    return pins
+def check_commitment(vmap, x1):
+    """Raise ValidationError where a settlement model cannot pin ``x1``
+    clipped at zero: more than 1e-7 MW on an off-line generator, or of a
+    reserve the generator is not eligible for this period."""
+    layout = vmap.layout
+    want = np.maximum(x1, 0.0)
+    bad = np.flatnonzero(layout.unpinned & (want > 1e-7))
+    if bad.size:
+        i = int(bad[0])
+        kind, gid = first_stage_keys(layout.vc)[i]
+        raise ValidationError(f"committed {want[i]:.4g} MW " + (
+            f"on '{gid}', which is off-line" if layout.off[i]
+            else f"of '{kind}' on '{gid}', which is not eligible") + " this period")
 
 
 _CLAMP_KINDS = {"surplus", "shortage", "short_reg", "short_rspin", "short_op",

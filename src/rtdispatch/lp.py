@@ -36,23 +36,25 @@ optimality tolerance, the constants ``FEAS_TOL`` and ``OPT_TOL``;
 ``LPOptions`` sets only the iteration limit and the backend, and checks
 both when it is made.
 
-A frozen model compiles its structure (``_Structure``) once, and its
-``with_rhs`` copies share it: read-only arrays, ``matrix()``, the
-simplex's [A I], and linprog's layout in a kept ``HighsLp`` that lacks
-only the row bounds.  A HiGHS solve writes those and ``passModel`` copies
-the model, both under a per-structure lock; ``run`` stays outside it.  An
-unfrozen model compiles on every query, so nothing cached goes stale.
-Each thread keeps one HiGHS instance and passes it options only when the
-iteration limit changes; ``passModel`` clears the previous solve, so the
-kept instance gives a fresh one's bytes.  Reduced costs are read off the
-basic-variable list and a per-structure mask of columns with a finite
-bound, not a basis status object per column.
+A frozen model is a compiled structure (``_Structure``: the matrix and
+row senses as read-only arrays, the simplex's [A I], and linprog's layout
+of the matrix in a kept ``HighsLp``) plus its own float64 costs, bounds
+and right-hand sides.  ``with_numbers`` swaps numbers on the same
+structure (``with_rhs`` is one use of it), and ``with_rows`` extends the
+parent's arrays.  A HiGHS solve writes its model's costs, column bounds
+and row bounds into the kept ``HighsLp`` and ``passModel`` copies it, both
+under a per-structure lock; ``run`` stays outside it.  An unfrozen model
+compiles on every query, so nothing cached goes stale.  Each thread keeps
+one HiGHS instance and passes it options only when the iteration limit
+changes; ``passModel`` clears the previous solve, so the kept instance
+gives a fresh one's bytes.  Reduced costs are read off the basic-variable
+list and the model's finite bounds, not a basis status object per column.
 
 Models are built a column or row at a time or a block at a time
 (``add_vars`` / ``add_rows``, which check a block on its arrays).  Row
 entries are kept as the chunks they arrived in plus one entry count per
 row, so a block costs a few list appends however many rows it holds;
-``_Structure`` concatenates the chunks once.
+freezing concatenates the chunks once.
 """
 
 from __future__ import annotations
@@ -105,38 +107,40 @@ class LPOptions:
 class LinearProgram:
     """Sparse LP container: min c'x + k s.t. rows, lo <= x <= hi.
 
-    Built by the model builders (add_var / add_vars, add_row / add_rows)
-    and then treated as immutable: extension happens through with_rows /
-    with_rhs, which share storage with the parent.  Solving never mutates
-    the model.
+    A model is open while the builders add to it (add_var / add_vars,
+    add_row / add_rows) and is then frozen.  A frozen model is a compiled
+    ``_Structure`` (its matrix and row senses) plus its own read-only
+    float64 numbers ``cost``, ``lower``, ``upper`` and ``rhs``.  It never
+    changes: ``with_numbers`` (and ``with_rhs``, one use of it) gives a
+    copy on the same structure with other numbers, and ``with_rows`` one
+    whose structure is this one's arrays plus the new rows.  An open model
+    is compiled afresh on every query.  Solving never mutates the model.
     """
 
     def __init__(self):
-        self._cost = []
-        self._lo = []
-        self._hi = []
         self.obj_const = 0.0
+        # an open model's lists, dropped when it is frozen
+        self._cost, self._lo, self._hi, self._rhs = [], [], [], []
         self._cols = []  # chunks of column indices (int64), rows in order
         self._vals = []  # chunks of coefficients (float64)
         self._nnz = []  # per row: its number of entries
-        self.senses = []  # per row: LE | EQ | GE
-        self.rhs = []
-        self._frozen = False
-        self._compiled = None
+        self._senses = []  # per row: LE | EQ | GE
+        # a frozen model's structure and (cost, lower, upper, rhs)
+        self._s = self._numbers = None
 
     # -- construction -----------------------------------------------------
 
     @property
     def n_vars(self):
-        return len(self._cost)
+        return len(self._cost) if self._s is None else self._s.n
 
     @property
     def n_rows(self):
-        return len(self.rhs)
+        return len(self._nnz) if self._s is None else self._s.m
 
     def _check_open(self):
-        if self._frozen:
-            raise RuntimeError("LinearProgram is frozen; use with_rows/with_rhs")
+        if self._s is not None:
+            raise RuntimeError("LinearProgram is frozen; use with_rows/with_numbers")
 
     def add_var(self, lo=0.0, hi=np.inf, cost=0.0):
         return self.add_vars([lo], [hi], [cost])
@@ -160,109 +164,119 @@ class LinearProgram:
         """Append one row per count; returns the first one's index.
 
         Row i takes the next ``counts[i]`` entries of ``cols`` / ``vals``;
-        ``senses`` are codes (LE, EQ, GE).  add_row's checks are made on
-        the arrays: the lengths agree, every column exists, and no row
-        names a column twice."""
+        ``senses`` are codes (LE, EQ, GE).  The block is checked on its
+        arrays (``_checked_rows``)."""
         self._check_open()
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        counts = np.asarray(counts, dtype=np.int64)
-        m = counts.size
-        if (cols.shape != vals.shape or cols.shape != (counts.sum(),)
-                or not counts.shape == np.shape(senses) == np.shape(rhs) == (m,)):
-            raise ValueError("row indices and values differ in length")
-        if cols.size:
-            if cols.min() < 0 or cols.max() >= self.n_vars:
-                raise ValueError("row references a variable that does not exist")
-            cells = np.sort(np.repeat(np.arange(m) * self.n_vars, counts) + cols)
-            if (cells[1:] == cells[:-1]).any():
-                raise ValueError("row has duplicate column indices")
+        cols, vals, counts, senses, rhs = _checked_rows(self.n_vars, cols, vals, counts,
+                                                        senses, rhs)
         start = self.n_rows
         self._cols.append(cols)
         self._vals.append(vals)
         self._nnz.extend(counts.tolist())
-        self.senses.extend(np.asarray(senses, dtype=np.int64).tolist())
-        self.rhs.extend(np.asarray(rhs, dtype=np.float64).tolist())
+        self._senses.extend(senses.tolist())
+        self._rhs.extend(rhs.tolist())
         return start
 
     def freeze(self):
-        """Mark construction finished; afterwards only functional extension."""
-        self._frozen = True
+        """Compile the model; afterwards only functional extension."""
+        if self._s is None:
+            self._set_frozen(*_compile(self))
         return self
 
-    def _structure(self):
-        """The compiled structure, kept only once frozen."""
-        out = self._compiled
-        if out is None:
-            out = _Structure(self)
-            if self._frozen:
-                self._compiled = out
-        return out
+    def _view(self):
+        """(structure, (cost, lower, upper, rhs)): a frozen model's own, an
+        open model's compiled afresh, so nothing cached goes stale."""
+        return _compile(self) if self._s is None else (self._s, self._numbers)
 
     # -- frozen views -----------------------------------------------------
 
     @property
     def cost(self):
-        return self._structure().cost
+        return self._view()[1][0]
 
     @property
     def lower(self):
-        return self._structure().lower
+        return self._view()[1][1]
 
     @property
     def upper(self):
-        return self._structure().upper
+        return self._view()[1][2]
+
+    @property
+    def rhs(self):
+        return self._view()[1][3]
 
     def rhs_array(self):
-        return np.asarray(self.rhs, dtype=np.float64)
+        return self.rhs
+
+    @property
+    def senses(self):
+        """Per row its sense code (LE, EQ, GE), as an int8 array."""
+        return self._view()[0].senses
 
     def coo(self):
         """The constraint entries as (row, col, value) arrays, in row order."""
-        return self._structure().coo
+        return self._view()[0].coo
 
     def matrix(self):
         """Constraint matrix as CSC (rows x vars)."""
-        return self._structure().form(_csc)
+        return self._view()[0].form(_csc)
 
-    def with_rows(self, extra_rows):
-        """A new LinearProgram with ``extra_rows`` appended; storage shared.
+    def with_numbers(self, cost=None, lower=None, upper=None, rhs=None):
+        """A frozen copy on this model's structure with numbers replaced.
 
-        ``extra_rows`` entries are (cols, vals, sense, rhs) tuples, appended
-        through one add_rows.
+        Each argument is None (keep this model's), a full float64 array of
+        the model's length, or a ``{index: value}`` map of the entries to
+        replace, every index an integer in range; anything else raises
+        ValueError.  The copy shares the structure and the arrays it keeps.
         """
-        out = self._share_columns(copy_rows=True)
-        rows = list(extra_rows)
-        if rows:
-            cols, vals, senses, rhs = zip(*rows, strict=True)
-            cols = [np.asarray(c, dtype=np.int64) for c in cols]
-            vals = [np.asarray(v, dtype=np.float64) for v in vals]
-            if [c.shape for c in cols] != [v.shape for v in vals]:
-                raise ValueError("row indices and values differ in length")
-            out.add_rows(np.concatenate(cols), np.concatenate(vals), [c.size for c in cols],
-                         [_sense(x) for x in senses], rhs)
-        return out.freeze()
+        s, numbers = self._view()
+        return LinearProgram._frozen(s, tuple(
+            _replaced(old, new, name) for old, new, name in zip(
+                numbers, (cost, lower, upper, rhs), ("cost", "lower", "upper", "rhs"))),
+            self.obj_const)
 
     def with_rhs(self, updates):
-        """A new LinearProgram with rhs entries replaced ({row_index: value}).
+        """A frozen copy with rhs entries replaced ({row_index: value})."""
+        return self.with_numbers(rhs=updates)
 
-        A frozen model's copies share its compiled structure."""
-        out = self._share_columns(copy_rows=False)
-        for i, v in updates.items():
-            out.rhs[i] = float(v)
-        if self._frozen:
-            out._compiled = self._structure()
-        return out.freeze()
+    def with_rows(self, extra_rows):
+        """A frozen copy with ``extra_rows`` appended.
 
-    def _share_columns(self, copy_rows):
-        """An unfrozen LinearProgram sharing this one's columns and a copy
-        of its rhs; the other row lists are copied or shared."""
-        out = LinearProgram()
-        out._cost, out._lo, out._hi = self._cost, self._lo, self._hi
-        out.obj_const = self.obj_const
-        for name in ("_cols", "_vals", "_nnz", "senses"):
-            rows = getattr(self, name)
-            setattr(out, name, list(rows) if copy_rows else rows)
-        out.rhs = list(self.rhs)
+        ``extra_rows`` entries are (cols, vals, sense, rhs) tuples, checked
+        as add_rows checks a block.  The copy's structure is this one's
+        arrays with the new entries concatenated, equal to a row-by-row
+        build's; its columns' numbers are shared."""
+        s, (cost, lower, upper, rhs) = self._view()
+        rows = list(extra_rows)
+        if not rows:
+            return self.with_numbers()
+        cols, vals, senses, extra = zip(*rows, strict=True)
+        cols = [np.asarray(c, dtype=np.int64) for c in cols]
+        vals = [np.asarray(v, dtype=np.float64) for v in vals]
+        if [c.shape for c in cols] != [v.shape for v in vals]:
+            raise ValueError("row indices and values differ in length")
+        cols, vals, counts, senses, extra = _checked_rows(
+            s.n, np.concatenate(cols), np.concatenate(vals), [c.size for c in cols],
+            [_sense(x) for x in senses], extra)
+        coo = (np.concatenate([s.coo[0], np.repeat(np.arange(s.m, s.m + counts.size), counts)]),
+               np.concatenate([s.coo[1], cols]), np.concatenate([s.coo[2], vals]))
+        structure = _Structure(s.n, coo, np.concatenate([s.senses, senses.astype(np.int8)]))
+        return LinearProgram._frozen(
+            structure, (cost, lower, upper, _read_only(np.concatenate([rhs, extra]))),
+            self.obj_const)
+
+    def _set_frozen(self, structure, numbers):
+        self._s, self._numbers = structure, numbers
+        self._cost = self._lo = self._hi = self._rhs = None
+        self._cols = self._vals = self._nnz = self._senses = None
+
+    @classmethod
+    def _frozen(cls, structure, numbers, obj_const):
+        """The frozen model made of these parts."""
+        out = cls()
+        out.obj_const = obj_const
+        out._set_frozen(structure, numbers)
         return out
 
 
@@ -270,24 +284,70 @@ def _sense(sense):
     return _SENSES[sense] if isinstance(sense, str) else int(sense)
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _checked_rows(n, cols, vals, counts, senses, rhs):
+    """A block of rows as arrays, checked: the lengths agree, every column
+    exists among ``n``, and no row names a column twice."""
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    m = counts.size
+    if (cols.shape != vals.shape or cols.shape != (counts.sum(),)
+            or not counts.shape == np.shape(senses) == np.shape(rhs) == (m,)):
+        raise ValueError("row indices and values differ in length")
+    if cols.size:
+        if cols.min() < 0 or cols.max() >= n:
+            raise ValueError("row references a variable that does not exist")
+        cells = np.sort(np.repeat(np.arange(m) * n, counts) + cols)
+        if (cells[1:] == cells[:-1]).any():
+            raise ValueError("row has duplicate column indices")
+    return (cols, vals, counts, np.asarray(senses, dtype=np.int64),
+            np.asarray(rhs, dtype=np.float64))
+
+
+def _replaced(old, new, what):
+    """``old`` with ``new`` swapped in, read-only: see ``with_numbers``."""
+    if new is None:
+        return old
+    if isinstance(new, np.ndarray):
+        if new.dtype != np.float64 or new.shape != old.shape:
+            raise ValueError(f"{what} must be a float64 array of length {old.size}, "
+                             f"got {new.dtype} of shape {new.shape}")
+        return _read_only(new.copy())
+    if not isinstance(new, dict):
+        raise ValueError(f"{what} must be a float64 array or an {{index: value}} map")
+    for i in new:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < old.size:
+            raise ValueError(f"{what} index {i!r} is not an integer in [0, {old.size})")
+    out = old.copy()
+    out[list(new)] = [float(v) for v in new.values()]
+    return _read_only(out)
+
+
+def _compile(lp):
+    """An open model's (structure, numbers)."""
+    numbers = tuple(_read_only(np.array(v, dtype=np.float64))
+                    for v in (lp._cost, lp._lo, lp._hi, lp._rhs))
+    rows = np.repeat(np.arange(len(lp._nnz), dtype=np.int64), np.array(lp._nnz, dtype=np.int64))
+    coo = (rows, np.concatenate(lp._cols or [np.zeros(0, dtype=np.int64)]),
+           np.concatenate(lp._vals or [np.zeros(0)]))
+    return _Structure(len(lp._cost), coo, np.array(lp._senses, dtype=np.int8)), numbers
 
 
 class _Structure:
-    """Everything of a model but its rhs, as read-only arrays, and each
+    """A frozen model's matrix (``coo``, in row order) and row senses as
+    read-only arrays, shared by its copies with other numbers, and each
     consumer's form of them, built on first use."""
 
-    def __init__(self, lp):
-        self.n, self.m = lp.n_vars, lp.n_rows
-        self.cost, self.lower, self.upper = (
-            np.array(v, dtype=np.float64) for v in (lp._cost, lp._lo, lp._hi))
-        self.senses = np.array(lp.senses, dtype=np.int8)
-        rows = np.repeat(np.arange(self.m, dtype=np.int64), np.array(lp._nnz, dtype=np.int64))
-        self.coo = (rows, np.concatenate(lp._cols or [np.zeros(0, dtype=np.int64)]),
-                    np.concatenate(lp._vals or [np.zeros(0)]))
-        _read_only(self.cost, self.lower, self.upper, self.senses, *self.coo)
+    def __init__(self, n, coo, senses):
+        self.n, self.m = n, senses.size
+        self.coo, self.senses = coo, senses
+        for a in (*coo, senses):
+            _read_only(a)
         self.lock = threading.Lock()
         self._forms = {}
 
@@ -303,7 +363,8 @@ class _Structure:
 def _csc(s):
     rows, cols, data = s.coo
     A = sp.csc_matrix((data, (rows, cols)), shape=(s.m, s.n))
-    _read_only(A.data, A.indices, A.indptr)
+    for a in (A.data, A.indices, A.indptr):
+        _read_only(a)
     return A
 
 
@@ -362,9 +423,10 @@ def extend_warm_start(lp, sol, ext):
 
 
 class _SlackForm:
-    """[A I] with the slacks' costs and bounds.  Equality rows get a fixed
-    zero slack; it may sit in a basis but can never enter one.  A row with
-    no coefficients stays, its slack fixed at the rhs."""
+    """[A I] and the slacks' bounds.  Equality rows get a fixed zero slack;
+    it may sit in a basis but can never enter one.  A row with no
+    coefficients stays, its slack fixed at the rhs.  The columns' costs and
+    bounds are the solved model's own."""
 
     def __init__(self, s):
         n, m = s.n, s.m
@@ -381,26 +443,26 @@ class _SlackForm:
             shape=(m, n + m),
         )
         self.AT = A.T
-        self.c = np.concatenate([s.cost, np.zeros(m)])
-        self.lo = np.concatenate([s.lower, self.slack_lo])
-        self.hi = np.concatenate([s.upper, self.slack_hi])
-        _read_only(A.data, A.indices, A.indptr, self.c, self.lo, self.hi)
+        for a in (A.data, A.indices, A.indptr, self.slack_lo, self.slack_hi):
+            _read_only(a)
 
 
 class _Simplex:
     def __init__(self, lp, opts, warm=None):
         self.lp = lp
         self.opts = opts
-        f = lp._structure().form(_SlackForm)
-        rhs = lp.rhs_array()
+        s, (cost, lower, upper, rhs) = lp._view()
+        f = s.form(_SlackForm)
         # an empty row is infeasible if its rhs is outside the slack's bounds
         self.empty_row_infeasible = bool(np.any(
             f.empty & ((rhs < f.slack_lo - FEAS_TOL) | (rhs > f.slack_hi + FEAS_TOL))
         ))
-        self.n, self.m = lp.n_vars, lp.n_rows
+        self.n, self.m = s.n, s.m
         self.N = self.n + self.m
-        self.A, self.AT, self.c, self.lo, self.hi = f.A, f.AT, f.c, f.lo, f.hi
-        self.b = rhs
+        self.A, self.AT, self.b = f.A, f.AT, rhs
+        self.c = np.concatenate([cost, np.zeros(self.m)])
+        self.lo = np.concatenate([lower, f.slack_lo])
+        self.hi = np.concatenate([upper, f.slack_hi])
         self.x = np.zeros(self.N)
         self.iterations = 0
         self._since_refactor = 0
@@ -732,10 +794,11 @@ def _highs_inf(v):
 
 
 class _HighsForm:
-    """linprog's layout in a kept ``HighsLp`` that lacks the row bounds:
-    the <= and >= rows in model order, >= rows negated (their duals flip
-    back after the solve), then the = rows; HiGHS reads each row as
-    lhs <= a'x <= rhs."""
+    """linprog's layout of a structure in a kept ``HighsLp`` that lacks
+    every number but the matrix's: the <= and >= rows in model order, >=
+    rows negated (their duals flip back after the solve), then the = rows;
+    HiGHS reads each row as lhs <= a'x <= rhs.  Each solve writes its own
+    model's column costs and bounds and row bounds."""
 
     def __init__(self, s):
         hc = _hc()
@@ -748,9 +811,6 @@ class _HighsForm:
         position = np.empty(m, dtype=np.int64)
         position[self.ub_rows] = np.arange(n_ub)
         position[self.eq_rows] = np.arange(n_ub, m)
-        # a nonbasic column is at a bound unless both of its bounds are
-        # infinite (HiGHS' kZero)
-        self.bounded = np.isfinite(s.lower) | np.isfinite(s.upper)
 
         # CSC with sorted row indices; HiGHS drops explicit zeros itself
         rows, cols, vals = s.coo
@@ -769,9 +829,6 @@ class _HighsForm:
         model.a_matrix_.start_ = start.tolist()
         model.a_matrix_.index_ = rows[order].tolist()
         model.a_matrix_.value_ = vals[order]
-        model.col_cost_ = s.cost
-        model.col_lower_ = _highs_inf(s.lower)
-        model.col_upper_ = _highs_inf(s.upper)
 
 
 @functools.lru_cache(maxsize=16)
@@ -839,21 +896,20 @@ def _solve_highs(lp, opts):
     column.
     """
     hc = _hc()
-    n, m = lp.n_vars, lp.n_rows
-    s = lp._structure()
+    s, (cost, lower, upper, rhs) = lp._view()
     f = s.form(_HighsForm)
-    rhs = lp.rhs_array()
+    n, m, n_ub = s.n, s.m, f.n_ub
     b_eq = rhs[f.eq_rows]
     row_upper = np.concatenate([f.ub_sign * rhs[f.ub_rows], b_eq])
-    row_lower = np.concatenate([np.full(f.n_ub, -np.inf), b_eq])
-    n_ub, lower, upper = f.n_ub, s.lower, s.upper
+    row_lower = np.concatenate([np.full(n_ub, -np.inf), b_eq])
+    numbers = [cost] + [_highs_inf(v) for v in (lower, upper, row_lower, row_upper)]
 
     highs = _kept_highs(opts.max_iters)
     error = hc.HighsStatus.kError
     info = None  # stays None, as linprog's counts stay 0, if HiGHS did not run
     with s.lock:  # passModel copies the model, then it is free again
-        f.model.row_lower_ = _highs_inf(row_lower)
-        f.model.row_upper_ = _highs_inf(row_upper)
+        (f.model.col_cost_, f.model.col_lower_, f.model.col_upper_, f.model.row_lower_,
+         f.model.row_upper_) = numbers
         passed = highs.passModel(f.model)
     if passed == error:
         model_status = hc.HighsModelStatus.kModelError
@@ -905,7 +961,9 @@ def _solve_highs(lp, opts):
     read, basic = highs.getBasicVariables()
     if read == error:
         raise LPNumericalError("HiGHS backend failed: no basis after an optimal solve")
-    at_bound = f.bounded.copy()
+    # a nonbasic column is at a bound unless both of its bounds are
+    # infinite (HiGHS' kZero)
+    at_bound = np.isfinite(lower) | np.isfinite(upper)
     at_bound[basic[basic >= 0]] = False
     rc = np.where(at_bound, np.array(solution.col_dual), 0.0) + 0.0
     return LPSolution(

@@ -9,7 +9,10 @@ so policies differ in nothing but the information they use — the
 comparisons stay fair by construction.  ``rtdispatch solve`` decides
 through the same planning step, and every dispatch LP is solved through
 one status check.  A commitment is a first-stage vector in
-``first_stage_keys`` order, from any plan through to settlement.
+``first_stage_keys`` order, from any plan through to settlement.  A day
+keeps one model layout per role (``ModelSlots``): a period whose model has
+the structure of the one before swaps only its numbers.  A numerical
+failure names its period and stage.
 
 Policies:
 
@@ -23,6 +26,7 @@ Policies:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 
@@ -30,14 +34,16 @@ from .benders import BendersConfig, run_benders
 from .forecast import HistoryStore, knn_scenarios, mean_forecast
 from .formulation import (
     CostBreakdown,
+    ModelSlots,
     build_lad,
     build_sced,
+    check_commitment,
     extract_dispatch,
     first_stage_values,
     itemize_costs,
-    settlement_pins,
+    structure_key,
 )
-from .lp import LPOptions, solve_lp
+from .lp import LPNumericalError, LPOptions, solve_lp
 from .model import (
     Scenario,
     ScenarioSet,
@@ -144,22 +150,29 @@ def _persistence_window(case, load, pmax, length):
     return ScenarioSet(scenarios=(scen,), horizon=length)
 
 
-def settle_first_period(vc, state, load, pmax, x1, lp_opts=None, flows="full"):
+def settle_first_period(vc, state, load, pmax, x1, lp_opts=None, flows="full", slots=None):
     """Price a committed first stage against the realized period.
 
     The commitment ``x1``, a first-stage vector, is pinned into a
     single-period model; demand imbalance and reserve shortfalls land on
-    the priced slacks.  Returns the extracted dispatch and its cost
-    breakdown."""
+    the priced slacks.  ``slots`` (a day's ``ModelSlots``) lets the
+    settlements of a day share one model structure.  Returns the extracted
+    dispatch and its cost breakdown."""
     if not isinstance(vc, ValidatedCase):
         raise TypeError("settlement requires a ValidatedCase")
-    lp, vmap = build_sced(vc, state, load, pmax=pmax, flows=flows)
+
+    def build():
+        lp, vmap = build_sced(vc, state, load, pmax=pmax, flows=flows)
+        return vmap.layout.settlement().sced(state, load, pmax, x1)
+
+    lp, vmap = (slots or ModelSlots()).model(
+        "settlement", structure_key(vc, flows, state.wall_clock, 1), build,
+        lambda layout: layout.sced(state, load, pmax, x1))
     try:
-        pins = settlement_pins(vmap, x1)
+        check_commitment(vmap, x1)
     except ValidationError as e:
         raise SimulationError(f"period {state.wall_clock}: {e}") from None
-    sol = _solve_checked(lp.with_rows(pins), lp_opts,
-                         f"period {state.wall_clock}: settlement")
+    sol = _solve_checked(lp, lp_opts, f"period {state.wall_clock}: settlement")
     d = extract_dispatch(sol, vmap)
     return d, itemize_costs(d, vc.case)
 
@@ -195,30 +208,35 @@ def _full_day_plan(vc, state, actuals, policy):
     return sol, vmap
 
 
-def _plan_step(vc, state, policy, actuals, t, length, plan=None):
-    """Choose the period-t commitment; returns (x1, objective, trace).
+def _plan_window(vc, policy, actuals, t, length):
+    """The window a policy plans period t on: the realized one for ``sced``
+    and ``plad`` and at the day's last period, else its forecast (its mean
+    for ``lad``)."""
+    if policy.kind in ("sced", "plad") or length == 1:
+        return actuals.window(t, length)
+    win = _forecast_window(vc, policy, actuals, t, length)
+    if policy.kind == "lad" and win.n_scenarios > 1:
+        win = mean_forecast(win)
+    return win
+
+
+def _plan_step(vc, state, policy, win, t, slots=None):
+    """Choose the period-t commitment on window ``win``; returns (x1,
+    objective, trace).
 
     A single-scenario window is one look-ahead LP (empty ``trace``); more
-    go to the decomposition.  With a full-day ``plan`` (``pd``), the
-    commitment is its slice t."""
-    if plan is not None:
-        sol, vmap = plan
-        return first_stage_values(sol, vmap, t), float(sol.objective), ()
-
-    if policy.kind in ("sced", "plad") or length == 1:
-        win = actuals.window(t, length)
-    else:
-        win = _forecast_window(vc, policy, actuals, t, length)
-        if policy.kind == "lad" and win.n_scenarios > 1:
-            win = mean_forecast(win)
-
+    go to the decomposition.  ``slots`` holds the day's model layouts."""
+    slots = slots or ModelSlots()
     if win.n_scenarios == 1:
-        lp, vmap = build_lad(vc, state, win, flows=policy.flows)
+        lp, vmap = slots.model(
+            "window", structure_key(vc, policy.flows, state.wall_clock, win.horizon),
+            lambda: build_lad(vc, state, win, flows=policy.flows),
+            lambda layout: layout.lad(state, win))
         sol = _solve_checked(lp, policy.lp, f"period {t}: dispatch")
         return first_stage_values(sol, vmap), float(sol.objective), ()
 
     cfg = dataclasses.replace(policy.benders, flows=policy.flows, lp=policy.lp)
-    res = run_benders(vc, state, win, cfg)
+    res = run_benders(vc, state, win, cfg, slots=slots)
     if res.status == "iteration_limit":
         raise IterationLimit(
             f"period {t}: decomposition used all {cfg.max_iter} iterations "
@@ -227,6 +245,15 @@ def _plan_step(vc, state, policy, actuals, t, length, plan=None):
     if res.status != "optimal":
         raise SimulationError(f"period {t}: decomposition stopped at '{res.status}'")
     return res.x1, float(res.objective), res.trace
+
+
+@contextlib.contextmanager
+def _stage(t, name):
+    """A numerical failure inside names period t and the stage."""
+    try:
+        yield
+    except LPNumericalError as e:
+        raise LPNumericalError(f"period {t}: {name}: {e}") from e
 
 
 def _solve_checked(lp, opts, what):
@@ -263,17 +290,26 @@ def run_simulation(vc, actuals, policy: PolicySpec, state=None) -> SimulationLog
     totals = CostBreakdown()
     T = actuals.horizon
     plan = None
+    slots = ModelSlots()  # this day's model layouts, one per role
     for t in range(T):
         t0 = time.perf_counter()
-        if pd and t == 0:
-            plan = _full_day_plan(vc, state, actuals, policy)
         length = min(policy.horizon, T - t)
         load, pmax = _realized_at(actuals, t)
         avail = available_capacity(vc, state, pmax_now=pmax)
-        x1, objective, trace = _plan_step(vc, state, policy, actuals, t, length, plan)
-        d, costs = settle_first_period(
-            vc, state, load, pmax, x1, policy.lp, policy.flows
-        )
+        if pd:
+            if t == 0:
+                with _stage(t, "plan"):
+                    plan = _full_day_plan(vc, state, actuals, policy)
+            sol, vmap = plan
+            x1, objective, trace = first_stage_values(sol, vmap, t), float(sol.objective), ()
+        else:
+            win = _plan_window(vc, policy, actuals, t, length)
+            with _stage(t, "decomposition" if win.n_scenarios > 1 else "plan"):
+                x1, objective, trace = _plan_step(vc, state, policy, win, t, slots)
+        with _stage(t, "settlement"):
+            d, costs = settle_first_period(
+                vc, state, load, pmax, x1, policy.lp, policy.flows, slots=slots
+            )
         steps.append(
             _record(t, d, costs, avail, objective,
                     (time.perf_counter() - t0) * 1e3, len(trace))

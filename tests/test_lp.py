@@ -11,12 +11,19 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from rtdispatch import lp as lpmod
-from rtdispatch.benders import BendersConfig, run_benders
+from rtdispatch.benders import BendersConfig, Cut, run_benders
 from rtdispatch.formulation import (
+    append_rows,
+    benders_cut_rows,
+    build_benders_master,
     build_benders_subproblem,
     build_lad,
     build_sced,
+    first_stage_keys,
+    ModelSlots,
+    flow_limit_rows,
     pin_rhs_updates,
+    structure_key,
 )
 from rtdispatch.lp import LinearProgram, LPOptions, extend_warm_start, solve_lp, verify_kkt
 from rtdispatch.model import validate_case
@@ -449,6 +456,66 @@ def test_with_rows_appends_as_add_row_would():
     assert_same_model(lp.with_rows([]), lp)
 
 
+def test_a_number_swap_takes_indices_in_range_and_whole_float64_arrays():
+    lp = two_var_example()
+    lp.add_row([0], [1.0], "<=", 4.0)
+    lp.freeze()
+    # a negative index would count from the end, a float or a bool would
+    # be read as some row: each is refused
+    for bad in ({-1: 7.0}, {2: 7.0}, {1.0: 7.0}, {True: 7.0}):
+        with pytest.raises(ValueError, match="index"):
+            lp.with_rhs(bad)
+    for field in ("cost", "lower", "upper", "rhs"):
+        for bad in (np.zeros(3), np.zeros(1), np.zeros(2, dtype=np.int64), [0.0, 0.0]):
+            with pytest.raises(ValueError, match="float64 array"):
+                lp.with_numbers(**{field: bad})
+    assert lp.with_rhs({1: 7.0, np.int64(0): 3.0}).rhs_array().tolist() == [3.0, 7.0]
+    cost = np.array([1.0, 2.0])
+    swapped = lp.with_numbers(cost=cost, upper={1: 5.0})
+    cost[0] = 9.0  # the copy keeps the numbers it was given
+    assert (swapped.cost.tolist(), swapped.upper.tolist()) == ([1.0, 2.0], [20.0, 5.0])
+    assert swapped.lower is lp.lower and swapped.coo() is lp.coo()
+    assert (lp.cost.tolist(), lp.upper.tolist()) == ([10.0, 20.0], [20.0, 30.0])
+
+
+def _row_by_row(lp):
+    """``lp`` built afresh a row at a time, then compiled."""
+    twin = LinearProgram()
+    twin.add_vars(lp.lower, lp.upper, lp.cost)
+    for (cols, vals), sense, rhs in zip(row_entries(lp), lp.senses.tolist(),
+                                        lp.rhs_array().tolist()):
+        twin.add_row(cols, vals, sense, rhs)
+    twin.obj_const = lp.obj_const
+    return twin.freeze()
+
+
+def test_appended_rows_extend_the_compiled_arrays(monkeypatch):
+    # cut rows on a master and lazy flowgate rows on a look-ahead: the
+    # copy's structure is its parent's arrays plus the new rows, made
+    # without compiling a row list, and a row-by-row build's bytes
+    vc = validate_case(conftest.make_case3())
+    st = conftest.case3_state()
+    scen = conftest.case3_scenarios(seed=13, horizon=3, n=2)
+    n = len(first_stage_keys(vc))
+    rng = np.random.default_rng(5)
+    floors = [Cut(scenario=s, coef_x1=np.zeros(n), rhs_const=-1e12) for s in (0, 1)]
+    master, mvm = build_benders_master(vc, st, scen, floors)
+    cuts = [Cut(scenario=s, coef_x1=np.where(rng.uniform(size=n) < 0.3, rng.normal(size=n), 0.0),
+                rhs_const=float(rng.normal())) for s in (1, 0, 1)]
+    lazy, lvm = build_lad(vc, st, conftest.case3_scenarios(seed=13, horizon=3, n=1),
+                          flows="lazy")
+    flowgates = [spec for e in vc.case.branches for t in range(3)
+                 for spec in flow_limit_rows(lvm, e, t, 0)]
+    compile_, compiled = lpmod._compile, []
+    monkeypatch.setattr(lpmod, "_compile", lambda lp: compiled.append(lp) or compile_(lp))
+    for lp, vm, specs in ((master, mvm, benders_cut_rows(mvm, cuts)), (lazy, lvm, flowgates)):
+        ext = append_rows(lp, vm, specs)
+        assert not compiled and ext.n_rows == lp.n_rows + len(specs) > lp.n_rows
+        assert_same_model(ext, _row_by_row(ext))
+        assert_same_model(ext.with_rows([]), ext)
+        compiled.clear()
+
+
 # ---------------------------------------------------------------------------
 # the HiGHS backend against the scipy.optimize.linprog call it replaced
 
@@ -689,16 +756,25 @@ def test_compiled_arrays_are_read_only():
 
 
 def test_concurrent_highs_solves_of_one_structure_match_serial():
-    # threads (more than this box's cores) solve pin copies of one Benders
-    # subproblem, each loading the same kept HiGHS model; with a tiny switch
-    # interval they interleave between every few bytecodes
+    # threads (more than this box's cores) solve copies of one Benders
+    # subproblem layout, filled for two scenarios, each with its own pins
+    # and costs; every solve loads the same kept HiGHS model, and with a
+    # tiny switch interval they interleave between every few bytecodes
     vc = validate_case(conftest.make_case3())
-    lp, vm = build_benders_subproblem(vc, conftest.case3_scenarios(seed=59, horizon=3, n=2), 0)
+    scen = conftest.case3_scenarios(seed=59, horizon=3, n=2)
+    slots = ModelSlots()
+    filled = [slots.model("subproblem", structure_key(vc, "full", 0, 3, start=1),
+                          lambda: build_benders_subproblem(vc, scen, s),
+                          lambda layout: layout.subproblem(scen, s, None, 0)) for s in (0, 1)]
+    assert filled[0][0].coo() is filled[1][0].coo()
+    assert filled[0][0].rhs_array().tobytes() != filled[1][0].rhs_array().tobytes()
     rng = np.random.default_rng(11)
     copies = []
-    for _ in range(6):
+    for k in range(6):
+        lp, vm = filled[k % 2]
         x1 = {("pg", g.id): float(rng.uniform(g.pmin, g.pmax)) for g in vc.case.generators}
-        copies.append(lp.with_rhs(pin_rhs_updates(vm, stage_vector(vc, x1))))
+        copies.append(lp.with_numbers(cost=lp.cost * (1.0 + 0.1 * k),
+                                      rhs=pin_rhs_updates(vm, stage_vector(vc, x1))))
     opts = LPOptions(backend="highs")
     serial = [solve_lp(c, opts) for c in copies]
     assert {s.status for s in serial} == {"optimal"}

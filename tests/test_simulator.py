@@ -410,6 +410,49 @@ def test_first_stage_slice_of_the_full_day_plan(day):
         assert first_stage_values(sol, vmap, t).tolist() == want
 
 
+#: where the third solve of a stage on the network day falls: lad plans
+#: and settles once a period, slad's decomposition solves more than three
+#: LPs at period 0
+FAILING_SOLVE = {
+    ("lad", "plan"): "period 2: plan: ",
+    ("lad", "settlement"): "period 2: settlement: ",
+    ("slad", "plan"): "period 0: decomposition: ",
+    ("slad", "settlement"): "period 2: settlement: ",
+}
+
+
+@pytest.mark.parametrize("kind,stage", list(FAILING_SOLVE))
+def test_a_numerical_failure_names_its_period_and_stage(kind, stage, monkeypatch):
+    from rtdispatch import simulator
+
+    vc, actuals = _bundled_day("network")
+    hist = load_history((DATA / "network_history.csv").read_text(), vc)
+    policy = PolicySpec(kind=kind, horizon=4, knn_k=3, history=hist,
+                        lp=lpmod.LPOptions(backend="highs"))
+    settling, counted = [False], [0]
+    settle, solve = simulator.settle_first_period, lpmod._solve_highs
+
+    def flagged(*args, **kwargs):
+        settling[0] = True
+        try:
+            return settle(*args, **kwargs)
+        finally:
+            settling[0] = False
+
+    def failing(lp, opts):
+        counted[0] += settling[0] == (stage == "settlement")
+        if counted[0] == 3:
+            raise lpmod.LPNumericalError("HiGHS backend failed: injected")
+        return solve(lp, opts)
+
+    monkeypatch.setattr(simulator, "settle_first_period", flagged)
+    monkeypatch.setattr(lpmod, "_solve_highs", failing)
+    with pytest.raises(lpmod.LPNumericalError) as err:
+        run_simulation(vc, actuals, policy)
+    assert str(err.value) == FAILING_SOLVE[(kind, stage)] + "HiGHS backend failed: injected"
+    assert isinstance(err.value.__cause__, lpmod.LPNumericalError)
+
+
 # settled totals (exact repr) of case3 with E1 binding and E2 unmonitored;
 # recorded with numpy 2.4 / scipy 1.17, like PIVOT_PATH
 UNMONITORED_TOTALS = {

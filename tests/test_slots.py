@@ -1,0 +1,139 @@
+"""A rolling day's model slots: one layout per role, refilled with numbers.
+
+Every model a day hands out must be, byte for byte and registry for
+registry, what a fresh public-builder call gives; a day holds at most one
+layout per role, and builds one per distinct structure."""
+
+import dataclasses
+import gc
+import hashlib
+import weakref
+
+import numpy as np
+import pytest
+
+from rtdispatch import benders, simulator
+from rtdispatch.forecast import load_history
+from rtdispatch.formulation import ModelSlots
+from rtdispatch.lp import LPOptions
+from rtdispatch.model import parse_case, parse_timeseries, validate_case
+from rtdispatch.simulator import PolicySpec, run_simulation
+
+from helpers import DATA
+
+POLICIES = ("sced", "lad", "slad", "plad", "pd")
+#: the builders a slot calls on a miss, where the benchmark wraps them
+BUILDERS = ((simulator, "build_lad"), (simulator, "build_sced"),
+            (benders, "build_benders_master"), (benders, "build_benders_subproblem"))
+
+
+def _day(name, kind, backend="simplex", flows="full"):
+    """(case, realized day, policy) on a bundled day.  "switching" is the
+    network day with G3 committed at period 0 and from period 3 on only,
+    so its models change structure mid-day and back."""
+    case = parse_case((DATA / f"{'toy' if name == 'toy' else 'network'}_case.json").read_text())
+    if name == "switching":
+        gens = list(case.generators)
+        gens[2] = dataclasses.replace(gens[2], commit=(True, False, False, True))
+        case = dataclasses.replace(case, generators=tuple(gens))
+    vc = validate_case(case)
+    actuals = parse_timeseries((DATA / f"{'toy' if name == 'toy' else 'network'}_day.csv")
+                               .read_text(), vc)
+    opts = dict(kind=kind, lp=LPOptions(backend=backend), flows=flows)
+    if name == "toy":
+        scen = parse_timeseries((DATA / "toy_scenarios.csv").read_text(), vc)
+        return vc, actuals, PolicySpec(scenarios=scen, **opts)
+    hist = load_history((DATA / "network_history.csv").read_text(), vc)
+    return vc, actuals, PolicySpec(horizon=4, knn_k=3, history=hist, **opts)
+
+
+def _numbers(lp):
+    return (lp.cost, lp.lower, lp.upper, lp.rhs_array())
+
+
+def _same_model(got, want):
+    (lp, vm), (lp2, vm2) = got, want
+    for a, b in zip((*lp.coo(), lp.senses, *_numbers(lp)),
+                    (*lp2.coo(), lp2.senses, *_numbers(lp2)), strict=True):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    assert repr(lp.obj_const) == repr(lp2.obj_const)
+    assert list(vm.columns()) == list(vm2.columns())
+    assert list(vm.rows()) == list(vm2.rows())
+    assert vm.meta == vm2.meta and vm.meta is not vm2.meta
+
+
+@pytest.mark.parametrize("flows", ["full", "lazy"])
+@pytest.mark.parametrize("backend", ["simplex", "highs"])
+@pytest.mark.parametrize("kind", POLICIES)
+@pytest.mark.parametrize("day", ["toy", "network", "switching"])
+def test_every_model_a_day_hands_out_is_a_fresh_build(day, kind, backend, flows,
+                                                      monkeypatch):
+    model, handed, misses = ModelSlots.model, [], []
+
+    def checked(self, role, key, build, fill):
+        before = self._held.get(role)
+        out = model(self, role, key, build, fill)
+        if self._held[role] is not before:
+            misses.append((role, _structure(*out)))
+        fresh = build()  # the public builder, on a layout of its own
+        assert fresh[1].layout is not out[1].layout
+        _same_model(out, fresh)
+        # every number is the fill's: no layout placeholder is left
+        assert not any(np.isnan(a).any() for a in _numbers(out[0]))
+        handed.append(role)
+        return out
+
+    monkeypatch.setattr(ModelSlots, "model", checked)
+    vc, actuals, policy = _day(day, kind, backend, flows)
+    log = run_simulation(vc, actuals, policy)
+    settled = actuals.horizon
+    assert handed.count("settlement") == settled == len(log.steps)
+    assert ("subproblem" in handed) == ("master" in handed) == (kind == "slad")
+    # a structure is built twice only where the commitment moves and back
+    assert (len(set(misses)) < len(misses)) == (day == "switching")
+
+
+def _structure(lp, vm):
+    h = hashlib.sha256()
+    for a in (*lp.coo(), lp.senses, lp.lower):
+        h.update(a.tobytes())
+    h.update(repr((list(vm.columns()), list(vm.rows()))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", POLICIES)
+@pytest.mark.parametrize("day", ["toy", "network"])
+def test_a_day_builds_one_layout_per_structure_and_holds_one_per_role(day, kind,
+                                                                     monkeypatch):
+    built, structures, held = [0], set(), []
+    for owner, name in BUILDERS:
+        def counted(*args, _build=getattr(owner, name), **kwargs):
+            built[0] += 1
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    model = ModelSlots.model
+
+    def recorded(self, role, key, build, fill):
+        out = model(self, role, key, build, fill)
+        structures.add((role, _structure(*out)))
+        assert self._held[role][1] is out[1].layout
+        held.append(weakref.ref(out[1].layout))
+        return out
+
+    settle = simulator.settle_first_period
+
+    def settled(*args, **kwargs):
+        out = settle(*args, **kwargs)
+        gc.collect()
+        # a layout a slot let go of is freed: the day holds one per role
+        assert len({id(r()) for r in held if r() is not None}) <= 4
+        return out
+
+    monkeypatch.setattr(ModelSlots, "model", recorded)
+    monkeypatch.setattr(simulator, "settle_first_period", settled)
+    vc, actuals, policy = _day(day, kind, "highs")
+    run_simulation(vc, actuals, policy)
+    # the day's windows only shrink and its commitment is fixed, so models
+    # of one structure come one after another; pd builds its plan once
+    assert built[0] == len(structures) + (kind == "pd")
+    assert len({role for role, _ in structures}) == (4 if kind == "slad" else 2 - (kind == "pd"))
