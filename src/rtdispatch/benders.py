@@ -21,13 +21,15 @@ the rows a fresh build from the whole pool would.  Its lazy flowgate rows
 are generated afresh each iteration.  The oracles fill one subproblem
 layout, so they and the rhs copies they re-solve share one compiled
 structure; each answers any query whose solve it has made before without
-solving again, and they share one thread pool per decision.
+solving again.  With ``workers`` above 1 the calling thread answers a
+share of the scenarios and a pool of ``workers - 1`` threads, kept for
+the whole process, the rest.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -124,6 +126,8 @@ class IterationRecord:
     gap: float
     cuts_added: int
     wall_ms: float
+    master_ms: float = 0.0       # appending cuts, solving and reading the master
+    oracle_ms: float = 0.0       # querying the scenario oracles
 
 
 @dataclasses.dataclass(eq=False)
@@ -241,6 +245,8 @@ class _ScenarioOracle:
         self.config = config
         self._pin_rows = np.asarray(self.vmap.meta["pin_rows"], dtype=np.int64)
         self._other_rows = np.zeros(0, dtype=bool)  # the non-pin rows
+        # the finite-bound masks: every query's model has these bounds
+        self._finite = np.isfinite(self.lp.lower), np.isfinite(self.lp.upper)
         self.scenario_id = scenarios.scenarios[s].id
         self._last = None
         self._memo = {}  # (x1 bytes, warm basis bytes, rows) -> (solution, answer)
@@ -291,12 +297,12 @@ class _ScenarioOracle:
         dual_obj = lp.obj_const + float(sol.duals[other] @ lp.rhs_array()[other])
         z = sol.reduced_costs
         lo, hi = lp.lower, lp.upper
+        finite_lo, finite_hi = self._finite
         # a meaningful reduced cost on an infinite bound is dual infeasibility;
         # a NUMERICALLY tiny one contributes exactly zero
-        pos = (z > 0) & np.isfinite(lo)
-        neg = (z < 0) & np.isfinite(hi)
-        stray = ((z > 1e-6) & ~np.isfinite(lo)) | ((z < -1e-6) & ~np.isfinite(hi))
-        if np.any(stray):
+        pos = (z > 0) & finite_lo
+        neg = (z < 0) & finite_hi
+        if ((z > 1e-6) & ~finite_lo).any() or ((z < -1e-6) & ~finite_hi).any():
             raise LPNumericalError(
                 f"scenario '{self.scenario_id}': reduced cost on an unbounded "
                 "column — the dual certificate is inconsistent"
@@ -327,12 +333,38 @@ def _add_cuts(pool, results, x_rmp, theta, origin):
     return added
 
 
-def _query_all(oracles, x1, executor):
-    """Query every scenario oracle at a point, in scenario order, on the
-    executor's threads when one is given."""
-    if executor is None:
-        return [o.query(x1) for o in oracles]
-    return list(executor.map(lambda o: o.query(x1), oracles))
+_pools = {}  # (process id, workers) -> executor of workers - 1 threads
+
+
+def _pool(workers):
+    """This process's kept executor of ``workers - 1`` threads.  A forked
+    child, which has none of its parent's threads, makes its own; threads
+    making one at once get the one ``setdefault`` keeps (an executor starts
+    no thread before its first task)."""
+    key = (os.getpid(), workers)
+    return _pools.get(key) or _pools.setdefault(key, ThreadPoolExecutor(workers - 1))
+
+
+def _query_all(oracles, x1, workers):
+    """Every scenario oracle's answer at a point, in scenario order: the
+    calling thread answers oracles ``0::workers`` and pool thread k oracles
+    ``k::workers``.  A share stops at its first error, and once all are
+    done the lowest-numbered scenario's error is raised, as serially."""
+    def share(k):  # (answers, (scenario, error) or None)
+        out = []
+        for s in range(k, len(oracles), workers):
+            try:
+                out.append(oracles[s].query(x1))
+            except Exception as exc:
+                return out, (s, exc)
+        return out, None
+
+    futures = [_pool(workers).submit(share, k) for k in range(1, min(workers, len(oracles)))]
+    parts = [share(0)] + [f.result() for f in futures]
+    errors = [e for _, e in parts if e]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return [parts[s % workers][0][s // workers] for s in range(len(oracles))]
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +375,11 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, slots
     """Solve the two-stage dispatch by cutting-plane decomposition.
 
     Deterministic for a fixed model and configuration, including under
-    ``workers > 1`` (results are aggregated in scenario order).  The
-    oracles fill one subproblem layout, and the master is refilled from
-    ``slots`` (a rolling day's ``ModelSlots``) when it holds one of the
-    same structure."""
+    ``workers > 1``: the calling thread and the kept pool's threads each
+    answer a stride of the scenarios, and the answers are aggregated in
+    scenario order.  The oracles fill one subproblem layout, and the
+    master is refilled from ``slots`` (a rolling day's ``ModelSlots``)
+    when it holds one of the same structure."""
     cfg = config or BendersConfig()
     if not 0.0 <= cfg.alpha < 1.0:
         raise ValidationError(f"alpha must be in [0, 1), got {cfg.alpha}")
@@ -390,59 +423,50 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, slots
         lambda: build_benders_master(vc, state, scenarios, floors, flows=cfg.flows),
         lambda layout: layout.master(state, scenarios, floors))
     in_master = len(pool)
-    threaded = cfg.workers > 1 and S > 1
-    with ThreadPoolExecutor(cfg.workers) if threaded else contextlib.nullcontext() as executor:
-        for it in range(1, cfg.max_iter + 1):
-            t0 = time.perf_counter()
-            new_cuts = list(pool)[in_master:]
-            if new_cuts:
-                master = append_rows(master, vm, benders_cut_rows(vm, new_cuts))
-                in_master += len(new_cuts)
-            # lazy flowgate rows extend a copy of the registry: they are
-            # generated afresh for every master
-            sol, _ = _solve(master, vm.copy(), cfg)
-            if sol.status != "optimal":
-                raise LPNumericalError(f"master came back '{sol.status}'")
-            lower = float(sol.objective)
-            x_rmp = first_stage_values(sol, vm)
-            theta = [float(sol.x[vm.col(("theta", s))]) for s in range(S)]
-            stage_cost = lower - sum(p * th for p, th in zip(probs, theta))
-            if x_hat is None:
-                x_hat = x_rmp
+    for it in range(1, cfg.max_iter + 1):
+        t0 = time.perf_counter()
+        new_cuts = list(pool)[in_master:]
+        if new_cuts:
+            master = append_rows(master, vm, benders_cut_rows(vm, new_cuts))
+            in_master += len(new_cuts)
+        # lazy flowgate rows extend a copy of the registry: they are
+        # generated afresh for every master
+        sol, _ = _solve(master, vm.copy(), cfg)
+        if sol.status != "optimal":
+            raise LPNumericalError(f"master came back '{sol.status}'")
+        lower = float(sol.objective)
+        x_rmp = first_stage_values(sol, vm)
+        theta = [float(sol.x[vm.col(("theta", s))]) for s in range(S)]
+        stage_cost = lower - sum(p * th for p, th in zip(probs, theta))
+        if x_hat is None:
+            x_hat = x_rmp
 
-            # pass 1: separate at the interior candidate
-            x_tilde = in_out_candidate(x_hat, x_rmp, cfg.alpha)
-            added = _add_cuts(pool, _query_all(oracles, x_tilde, executor),
-                              x_rmp, theta, (it, "interior"))
-            interior_hit = added > 0
+        # separate at the interior candidate, then bound at the master
+        # argmin (pass 2 separates there when pass 1 found nothing)
+        x_tilde = in_out_candidate(x_hat, x_rmp, cfg.alpha)
+        t1 = time.perf_counter()
+        interior = _query_all(oracles, x_tilde, cfg.workers)
+        results = _query_all(oracles, x_rmp, cfg.workers)
+        t2 = time.perf_counter()
+        added = _add_cuts(pool, interior, x_rmp, theta, (it, "interior"))
+        interior_hit = added > 0
+        upper = stage_cost + sum(p * q for p, (q, _s, _r) in zip(probs, results))
+        if upper < best_upper:
+            best_upper = upper
+            best_x1 = x_rmp
+            best_values = {scenarios.scenarios[s].id: q for s, (q, _s, _r) in enumerate(results)}
+        if not interior_hit:
+            added = _add_cuts(pool, results, x_rmp, theta, (it, "argmin"))
 
-            # upper bound at the master argmin (and pass 2 when pass 1 missed)
-            results = _query_all(oracles, x_rmp, executor)
-            upper = stage_cost + sum(p * q for p, (q, _s, _r) in zip(probs, results))
-            if upper < best_upper:
-                best_upper = upper
-                best_x1 = x_rmp
-                best_values = {
-                    scenarios.scenarios[s].id: q for s, (q, _s, _r) in enumerate(results)
-                }
-            if not interior_hit:
-                added = _add_cuts(pool, results, x_rmp, theta, (it, "argmin"))
-
-            x_hat = x_tilde if interior_hit else x_rmp
-            gap = relative_gap(best_upper, lower)
-            trace.append(
-                IterationRecord(
-                    iteration=it,
-                    lower=lower,
-                    upper=best_upper,
-                    gap=gap,
-                    cuts_added=added,
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                )
-            )
-            if gap <= cfg.epsilon or added == 0:
-                status = "optimal"
-                break
+        x_hat = x_tilde if interior_hit else x_rmp
+        gap = relative_gap(best_upper, lower)
+        trace.append(IterationRecord(
+            iteration=it, lower=lower, upper=best_upper, gap=gap, cuts_added=added,
+            wall_ms=(time.perf_counter() - t0) * 1e3, master_ms=(t1 - t0) * 1e3,
+            oracle_ms=(t2 - t1) * 1e3))
+        if gap <= cfg.epsilon or added == 0:
+            status = "optimal"
+            break
 
     return BendersResult(
         status=status,

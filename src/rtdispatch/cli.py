@@ -139,14 +139,8 @@ def _policy_from_args(args, vc):
 def _trace_rows(res_trace, timings):
     header = ["iteration", "lower", "upper", "gap", "cuts_added"]
     if timings:
-        header.append("wall_ms")
-    rows = []
-    for r in res_trace:
-        row = [r.iteration, r.lower, r.upper, r.gap, r.cuts_added]
-        if timings:
-            row.append(r.wall_ms)
-        rows.append(row)
-    return header, rows
+        header += ["wall_ms", "master_ms", "oracle_ms"]
+    return header, [[getattr(r, field) for field in header] for r in res_trace]
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,14 @@ def first_stage_keys(case):
 
 def first_stage_columns(vmap, t=0, s=0):
     """Each first-stage position's column at window period ``t`` of
-    scenario ``s``, -1 where the model has none."""
-    return np.array([-1 if (c := vmap.get((kind, gid, t, s))) is None else c
-                     for kind, gid in first_stage_keys(vmap.meta["case"])], dtype=np.int64)
+    scenario ``s``, -1 where the model has none, read-only; a filled
+    model's layout keeps them."""
+    kept = {} if vmap.layout is None else vmap.layout.stage_columns
+    if (t, s) not in kept:
+        kept[t, s] = np.array([-1 if (c := vmap.get((kind, gid, t, s))) is None else c
+                               for kind, gid in first_stage_keys(vmap.meta["case"])], np.int64)
+        kept[t, s].flags.writeable = False
+    return kept[t, s]
 
 
 class VariableMap:
@@ -475,6 +480,7 @@ class _Layout:
         return self
 
     def freeze(self):
+        self.stage_columns = {}  # (t, s) -> first_stage_columns
         for k, chunks in self._at.items():
             v = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
             setattr(self, k, v)
@@ -784,8 +790,9 @@ def build_benders_subproblem(vc, scenarios: ScenarioSet, s, x1=None, first_perio
 
 
 def pin_rhs_updates(vmap, x1):
-    """rhs update map repointing a subproblem's pins at first stage ``x1``."""
-    return dict(zip(vmap.meta["pin_rows"], x1.tolist(), strict=True))
+    """The (rows, values) rhs update repointing a subproblem's pins at
+    first stage ``x1`` (``with_rhs`` refuses a vector of another length)."""
+    return np.asarray(vmap.meta["pin_rows"], dtype=np.int64), x1
 
 
 def pin_duals(vmap, sol):

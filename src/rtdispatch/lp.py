@@ -41,14 +41,16 @@ row senses as read-only arrays, the simplex's [A I], and linprog's layout
 of the matrix in a kept ``HighsLp``) plus its own float64 costs, bounds
 and right-hand sides.  ``with_numbers`` swaps numbers on the same
 structure (``with_rhs`` is one use of it), and ``with_rows`` extends the
-parent's arrays.  A HiGHS solve writes its model's costs, column bounds
-and row bounds into the kept ``HighsLp`` and ``passModel`` copies it, both
-under a per-structure lock; ``run`` stays outside it.  An unfrozen model
-compiles on every query, so nothing cached goes stale.  Each thread keeps
-one HiGHS instance and passes it options only when the iteration limit
-changes; ``passModel`` clears the previous solve, so the kept instance
-gives a fresh one's bytes.  Reduced costs are read off the basic-variable
-list and the model's finite bounds, not a basis status object per column.
+parent's arrays.  A HiGHS solve writes into the kept ``HighsLp`` only
+the costs, column bounds and row bounds that are not the arrays it last
+wrote (a ``with_rhs`` copy sends only row bounds), and ``passModel``
+copies it, both under a per-structure lock; ``run`` stays outside it.  An
+unfrozen model compiles on every query, so nothing cached goes stale.
+Each thread keeps one HiGHS instance and passes it options only when the
+iteration limit changes; ``passModel`` clears the previous solve, so the
+kept instance gives a fresh one's bytes.  Each solution vector is read
+back once.  Reduced costs are read off the basic-variable list and the
+model's finite bounds, not a basis status object per column.
 
 Models are built a column or row at a time or a block at a time
 (``add_vars`` / ``add_rows``, which check a block on its arrays).  Row
@@ -226,9 +228,10 @@ class LinearProgram:
         """A frozen copy on this model's structure with numbers replaced.
 
         Each argument is None (keep this model's), a full float64 array of
-        the model's length, or a ``{index: value}`` map of the entries to
-        replace, every index an integer in range; anything else raises
-        ValueError.  The copy shares the structure and the arrays it keeps.
+        the model's length, or the entries to replace as an ``{index:
+        value}`` map or an (index array, float64 array) pair, every index an
+        integer in range; anything else raises ValueError.  The copy shares
+        the structure and the arrays it keeps.
         """
         s, numbers = self._view()
         return LinearProgram._frozen(s, tuple(
@@ -318,13 +321,21 @@ def _replaced(old, new, what):
             raise ValueError(f"{what} must be a float64 array of length {old.size}, "
                              f"got {new.dtype} of shape {new.shape}")
         return _read_only(new.copy())
-    if not isinstance(new, dict):
+    if isinstance(new, dict):
+        for i in new:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < old.size:
+                raise ValueError(f"{what} index {i!r} is not an integer in [0, {old.size})")
+        at, values = list(new), [float(v) for v in new.values()]
+    elif isinstance(new, tuple) and len(new) == 2:
+        at, values = (np.asarray(a) for a in new)
+        if (at.dtype.kind not in "iu" or values.dtype != np.float64 or at.shape != values.shape
+                or at.size and not 0 <= at.min() <= at.max() < old.size):
+            raise ValueError(f"{what} (index, value) arrays must be integers in "
+                             f"[0, {old.size}) and float64s of one length")
+    else:
         raise ValueError(f"{what} must be a float64 array or an {{index: value}} map")
-    for i in new:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < old.size:
-            raise ValueError(f"{what} index {i!r} is not an integer in [0, {old.size})")
     out = old.copy()
-    out[list(new)] = [float(v) for v in new.values()]
+    out[at] = values
     return _read_only(out)
 
 
@@ -789,33 +800,33 @@ def _hc():
     return _core
 
 
-def _highs_inf(v):
-    return np.where(np.isinf(v), np.copysign(_hc().kHighsInf, v), v)
-
-
 class _HighsForm:
-    """linprog's layout of a structure in a kept ``HighsLp`` that lacks
-    every number but the matrix's: the <= and >= rows in model order, >=
-    rows negated (their duals flip back after the solve), then the = rows;
-    HiGHS reads each row as lhs <= a'x <= rhs.  Each solve writes its own
-    model's column costs and bounds and row bounds."""
+    """linprog's layout of a structure in a kept ``HighsLp``: the <= and >=
+    rows in model order, >= rows negated (their duals flip back after the
+    solve), then the = rows; HiGHS reads each row as lhs <= a'x <= rhs.
+    ``rows`` lists each HiGHS row's model row and ``position`` the reverse.
+    ``load`` writes a model's numbers; it runs under the structure lock."""
 
     def __init__(self, s):
         hc = _hc()
         n, m = s.n, s.m
-        self.ub_rows = np.flatnonzero(s.senses != EQ)
-        self.eq_rows = np.flatnonzero(s.senses == EQ)
-        self.n_ub = n_ub = len(self.ub_rows)
-        sign = np.where(s.senses == GE, -1.0, 1.0)
-        self.ub_sign = sign[self.ub_rows]
-        position = np.empty(m, dtype=np.int64)
-        position[self.ub_rows] = np.arange(n_ub)
-        position[self.eq_rows] = np.arange(n_ub, m)
+        ub = s.senses != EQ
+        self.rows = np.concatenate([np.flatnonzero(ub), np.flatnonzero(~ub)])
+        self.n_ub = n_ub = int(np.count_nonzero(ub))
+        self.position = np.empty(m, dtype=np.int64)
+        self.position[self.rows] = np.arange(m)
+        self.sign = np.where(s.senses == GE, -1.0, 1.0)
+        self.row_sign = self.sign[self.rows]
+        self.free_lower = [-np.inf] * n_ub  # the <= and >= rows' row_lower_
+        # the post-solve check's slack limits: -tol, and +tol on an = row
+        self.slack_lo = np.full(m, -_HIGHS_TOL)
+        self.slack_hi = np.where(np.arange(m) < n_ub, np.inf, _HIGHS_TOL)
+        self.loaded = (None,) * 4  # the (cost, lower, upper, rhs) the model holds
 
         # CSC with sorted row indices; HiGHS drops explicit zeros itself
         rows, cols, vals = s.coo
-        vals = vals * sign[rows]
-        rows = position[rows]
+        vals = vals * self.sign[rows]
+        rows = self.position[rows]
         order = np.argsort(cols * m + rows)
         start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
@@ -824,11 +835,38 @@ class _HighsForm:
         model.num_col_ = model.a_matrix_.num_col_ = n
         model.num_row_ = model.a_matrix_.num_row_ = m
         model.a_matrix_.format_ = hc.MatrixFormat.kColwise
-        # the binding copies a float64 array in one piece but converts
-        # integer arrays element by element, which a list does faster
+        # the binding converts every vector but col_cost_ element by
+        # element, which a list does faster
         model.a_matrix_.start_ = start.tolist()
         model.a_matrix_.index_ = rows[order].tolist()
-        model.a_matrix_.value_ = vals[order]
+        model.a_matrix_.value_ = vals[order].tolist()
+
+    def load(self, numbers):
+        """Write into the model each of ``numbers`` (cost, lower, upper,
+        rhs) that differs from the read-only array it holds.  Returns the
+        row upper bounds, the post-solve check's (lower, upper) limits on
+        x and the slacks, and the columns with a finite bound."""
+        cost, lower, upper, rhs = numbers = tuple(
+            held if held is not None and (new is held or new.tobytes() == held.tobytes()) else new
+            for new, held in zip(numbers, self.loaded))
+        model, last = self.model, self.loaded
+        if cost is not last[0]:
+            model.col_cost_ = cost
+        if lower is not last[1] or upper is not last[2]:
+            model.col_lower_, model.col_upper_ = lower.tolist(), upper.tolist()
+            self.limits = (np.concatenate([lower - _HIGHS_TOL, self.slack_lo]),
+                           np.concatenate([upper + _HIGHS_TOL, self.slack_hi]))
+            self.bounded = np.isfinite(lower) | np.isfinite(upper)
+        if rhs is not last[3]:
+            self.row_upper = self.row_sign * rhs[self.rows]
+            model.row_upper_ = row_upper = self.row_upper.tolist()
+            model.row_lower_ = self.free_lower + row_upper[self.n_ub:]
+        self.loaded = numbers
+        return self.row_upper, self.limits, self.bounded
+
+
+#: linprog's post-solve tolerance on bounds and row residuals
+_HIGHS_TOL = np.sqrt(1e-9) * 10
 
 
 @functools.lru_cache(maxsize=16)
@@ -890,87 +928,63 @@ def _solve_highs(lp, opts):
     The call mirrors ``scipy.optimize.linprog(method="highs")`` step for
     step (row layout, matrix, options, read-back and post-solve check), so
     every solution is bit for bit the one linprog returns, without its
-    input cleaning, option round trips and per-column loops.  Each thread
-    keeps one HiGHS instance and loads every model into it; the reduced
-    costs are read off the basic-variable list, not a status enum per
-    column.
+    input cleaning, option round trips and per-column loops (see the
+    module docstring).
     """
     hc = _hc()
-    s, (cost, lower, upper, rhs) = lp._view()
+    s, numbers = lp._view()
     f = s.form(_HighsForm)
-    n, m, n_ub = s.n, s.m, f.n_ub
-    b_eq = rhs[f.eq_rows]
-    row_upper = np.concatenate([f.ub_sign * rhs[f.ub_rows], b_eq])
-    row_lower = np.concatenate([np.full(n_ub, -np.inf), b_eq])
-    numbers = [cost] + [_highs_inf(v) for v in (lower, upper, row_lower, row_upper)]
-
     highs = _kept_highs(opts.max_iters)
     error = hc.HighsStatus.kError
-    info = None  # stays None, as linprog's counts stay 0, if HiGHS did not run
+    ran = False  # linprog's counts stay 0 if HiGHS did not run
     with s.lock:  # passModel copies the model, then it is free again
-        (f.model.col_cost_, f.model.col_lower_, f.model.col_upper_, f.model.row_lower_,
-         f.model.row_upper_) = numbers
+        row_upper, (lo_tol, hi_tol), bounded = f.load(numbers)
         passed = highs.passModel(f.model)
     if passed == error:
         model_status = hc.HighsModelStatus.kModelError
     else:
-        if highs.run() != error:
-            info = highs.getInfo()
+        ran = highs.run() != error
         model_status = highs.getModelStatus()
     status = _model_status().get(model_status)
-    if status is None or (status == OPTIMAL and info is None):
+    if status is None or (status == OPTIMAL and not ran):
         raise LPNumericalError(
             f"HiGHS backend failed: {highs.modelStatusToString(model_status)}"
         )
-    iterations = 0 if info is None else info.simplex_iteration_count or info.ipm_iteration_count
+    iterations = 0 if not ran else (highs.getInfoValue("simplex_iteration_count")[1]
+                                    or highs.getInfoValue("ipm_iteration_count")[1])
     if status != OPTIMAL:
-        return LPSolution(
-            status=status,
-            objective=np.inf if status == INFEASIBLE else -np.inf,
-            x=np.zeros(n),
-            duals=np.zeros(m),
-            reduced_costs=np.zeros(n),
-            iterations=iterations,
-        )
+        return LPSolution(status=status, objective=np.inf if status == INFEASIBLE else -np.inf,
+                          x=np.zeros(s.n), duals=np.zeros(s.m), reduced_costs=np.zeros(s.n),
+                          iterations=iterations)
 
     solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    fun = info.objective_function_value
+    x, row_value, col_dual, row_dual = (
+        np.array(v, dtype=np.float64) for v in (
+            solution.col_value, solution.row_value, solution.col_dual, solution.row_dual))
+    fun = highs.getObjectiveValue()
     # linprog's post-solve check: an "optimal" point outside the bounds,
-    # a negative <= slack or an = residual beyond sqrt(1e-9) * 10 is an error
-    slack = row_upper - np.array(solution.row_value)
-    tol = np.sqrt(1e-9) * 10
-    if (
-        np.isnan(x).any()
-        or np.isnan(fun)
-        or np.isnan(slack).any()
-        or not np.all((x >= lower - tol) & (x <= upper + tol))
-        or (slack[:n_ub] < -tol).any()
-        or (np.abs(slack[n_ub:]) > tol).any()
-    ):
+    # a negative <= slack or an = residual beyond sqrt(1e-9) * 10 is an
+    # error; a NaN fails every comparison
+    checked = np.concatenate([x, row_upper - row_value])
+    if not (fun == fun and ((checked >= lo_tol) & (checked <= hi_tol)).all()):
         raise LPNumericalError(
             "HiGHS backend failed: the solution does not satisfy the "
-            f"constraints within {tol:.2E}"
+            f"constraints within {_HIGHS_TOL:.2E}"
         )
-    row_dual = np.array(solution.row_dual)
-    duals = np.zeros(m)
-    duals[f.ub_rows] = f.ub_sign * row_dual[:n_ub]
-    duals[f.eq_rows] = row_dual[n_ub:]
-    # a column's reduced cost is its dual at a bound and 0 otherwise;
-    # linprog summed a lower and an upper part, which turns -0.0 into 0.0
     read, basic = highs.getBasicVariables()
     if read == error:
         raise LPNumericalError("HiGHS backend failed: no basis after an optimal solve")
-    # a nonbasic column is at a bound unless both of its bounds are
-    # infinite (HiGHS' kZero)
-    at_bound = np.isfinite(lower) | np.isfinite(upper)
-    at_bound[basic[basic >= 0]] = False
-    rc = np.where(at_bound, np.array(solution.col_dual), 0.0) + 0.0
+    # a column's reduced cost is its dual at a bound and 0 otherwise; a
+    # nonbasic column is at a bound unless both of its bounds are infinite
+    # (HiGHS' kZero).  linprog summed a lower and an upper part, which
+    # turns -0.0 into 0.0
+    rc = np.where(bounded, col_dual + 0.0, 0.0)
+    rc[basic[basic >= 0]] = 0.0
     return LPSolution(
         status=status,
         objective=float(fun + lp.obj_const),
         x=x,
-        duals=duals,
+        duals=f.sign * row_dual[f.position],
         reduced_costs=rc,
         iterations=iterations,
     )

@@ -5,7 +5,8 @@ every solution it gets back.
     python3 tests/lp_capture.py --workload slad-highs --seed 3 > a.txt
 
 Rolls each of the workload's policies, and ``pd``, through instance 0's day
-of ``perfbench/run.py``'s workload at ``--seed``, as its gate day does.  The
+of ``perfbench/run.py``'s workload at ``--seed``, as its gate day does, with
+the workload's Benders worker count unless ``--workers`` gives another.  The
 inputs come from ``perfbench/gen.py``, written to a temporary directory.
 Prints one line per LP handed to ``solve_lp`` (the sha256 of its cost,
 bounds, ``coo()`` arrays, senses, rhs and ``repr(obj_const)``) and one per
@@ -54,7 +55,7 @@ def solution_digest(sol):
                   sol.reduced_costs, *(sol.basis or ("no basis",)))
 
 
-def capture(workload, seed):
+def capture(workload, seed, workers=None):
     """The sorted (kind, sha256) lines of instance 0's day."""
     import rtdispatch as rd
     from rtdispatch import benders, simulator
@@ -86,7 +87,7 @@ def capture(workload, seed):
             spec = rd.PolicySpec(
                 kind=kind, horizon=w.horizon, history=history, knn_k=w.knn_k,
                 lp=rd.LPOptions(backend=w.backend),
-                benders=rd.BendersConfig(workers=w.workers), flows="full")
+                benders=rd.BendersConfig(workers=workers or w.workers), flows="full")
             rd.run_simulation(vc, day, spec)
     finally:
         for m, solve in zip(modules, originals):
@@ -98,8 +99,10 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--workers", type=int, default=None,
+                    help="Benders worker count (default: the workload's)")
     args = ap.parse_args(argv)
-    for line in capture(args.workload, args.seed):
+    for line in capture(args.workload, args.seed, args.workers):
         print(line)
     return 0
 

@@ -1,6 +1,11 @@
 """Decomposition tests: convergence, bounds, cut validity, determinism."""
 
 import dataclasses
+import os
+import signal
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +31,16 @@ from rtdispatch.formulation import (
     pin_rhs_updates,
 )
 from rtdispatch import lp as lpmod
+from rtdispatch.forecast import load_history
 from rtdispatch.lp import LPNumericalError, LPOptions, solve_lp
-from rtdispatch.model import ValidationError, initial_state
+from rtdispatch.model import (
+    ValidationError,
+    initial_state,
+    parse_case,
+    parse_timeseries,
+    validate_case,
+)
+from rtdispatch.simulator import PolicySpec, run_simulation
 
 from conftest import case3_scenarios, case3_state, make_case3, toy_state
 from helpers import (
@@ -196,6 +209,116 @@ def test_single_period_window_is_rejected(toy, toy_day):
 def test_bad_alpha_is_rejected(toy, toy_scenarios):
     with pytest.raises(ValidationError, match="alpha"):
         run_benders(toy, toy_state(), toy_scenarios, BendersConfig(alpha=1.0))
+
+
+def _network_slad_day(workers):
+    vc = validate_case(parse_case((DATA / "network_case.json").read_text()))
+    day = parse_timeseries((DATA / "network_day.csv").read_text(), vc)
+    history = load_history((DATA / "network_history.csv").read_text(), vc)
+    return run_simulation(vc, day, PolicySpec(kind="slad", horizon=4, knn_k=3, history=history,
+                                              benders=BendersConfig(workers=workers)))
+
+
+def test_oracle_threads_are_kept_across_decisions_and_days(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    logs = [_network_slad_day(workers=2) for _ in range(2)]
+    assert sum(s.benders_iterations > 0 for s in logs[0].steps) > 1
+    assert len(started) <= 1  # the pool's one thread, unless an earlier run made it
+
+
+def test_worker_count_does_not_change_a_rolling_day(case3):
+    logs = [_network_slad_day(workers=w) for w in (1, 2, 3)]
+    for log in logs[1:]:
+        assert log.total_cost == logs[0].total_cost
+        assert [s.pg for s in log.steps] == [s.pg for s in logs[0].steps]
+        assert ([s.benders_iterations for s in log.steps]
+                == [s.benders_iterations for s in logs[0].steps])
+    # three scenarios on two threads: the caller answers two of them
+    scen = case3_scenarios(seed=53, horizon=3, n=3)
+    serial, strided = (run_benders(case3, case3_state(), scen, BendersConfig(workers=w))
+                       for w in (1, 2))
+    assert benders_digest(serial, case3) == benders_digest(strided, case3)
+    assert [c.origin for c in serial.cuts] == [c.origin for c in strided.cuts]
+    assert serial.subproblem_solves == strided.subproblem_solves
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_oracle_error_under_threads_is_the_serial_one(case3, workers, monkeypatch):
+    from rtdispatch import benders
+
+    scen = case3_scenarios(seed=53, horizon=3, n=4)
+    ids = [s.id for s in scen.scenarios]
+    solve_at = benders._ScenarioOracle._solve_at
+    lock, running = threading.Lock(), [0]
+
+    def failing(self, x1, warm):
+        s = ids.index(self.scenario_id)
+        with lock:
+            running[0] += 1
+        try:
+            if s == 1:
+                raise LPNumericalError(f"scenario '{self.scenario_id}' failed on purpose")
+            if s == 2:
+                time.sleep(0.2)  # still solving when scenario 1 has failed
+            return solve_at(self, x1, warm)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(benders._ScenarioOracle, "_solve_at", failing)
+    messages = []
+    for w in (1, workers):
+        with pytest.raises(LPNumericalError) as err:
+            run_benders(case3, case3_state(), scen, BendersConfig(workers=w))
+        assert running[0] == 0  # every share was done before the error left
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == f"scenario '{ids[1]}' failed on purpose"
+    monkeypatch.undo()
+    assert run_benders(case3, case3_state(), scen,
+                       BendersConfig(workers=workers)).status == "optimal"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_makes_its_own_oracle_threads(case3):
+    # the parent's kept pool exists after this run; a child that used it
+    # would wait forever on threads it does not have
+    scen = case3_scenarios(seed=53, horizon=3, n=4)
+    cfg = BendersConfig(workers=2)
+    want = benders_digest(run_benders(case3, case3_state(), scen, cfg), case3)
+    r, w = os.pipe()
+    with warnings.catch_warnings():  # newer Pythons warn on forking with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: report its run's digest, then leave at once
+        try:
+            os.write(w, benders_digest(run_benders(case3, case3_state(), scen, cfg),
+                                       case3).encode())
+        finally:
+            os._exit(0)
+    os.close(w)
+    deadline = time.monotonic() + 60.0
+    while os.waitpid(pid, os.WNOHANG)[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's run did not finish")
+        time.sleep(0.02)
+    with os.fdopen(r) as fh:
+        assert fh.read() == want
+
+
+def test_iterations_split_master_time_from_oracle_time(case3):
+    res = run_benders(case3, case3_state(), case3_scenarios(seed=53, horizon=3, n=4))
+    for r in res.trace:
+        assert r.master_ms > 0.0 and r.oracle_ms > 0.0
+        assert r.master_ms + r.oracle_ms <= r.wall_ms
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -59,6 +59,16 @@ def test_solve_trace(files, capsys):
     assert last[1] == pytest.approx(last[2], abs=1e-5)    # lower meets upper
 
 
+def test_solve_trace_timings_split_master_from_oracles(files, capsys):
+    rc = main(_solve_args(files, "--policy", "slad", "--trace", "--timings"))
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trace_columns"][5:] == ["wall_ms", "master_ms", "oracle_ms"]
+    for row in doc["trace"]:
+        wall, master, oracle = row[5:]
+        assert master > 0.0 and oracle > 0.0 and master + oracle <= wall
+
+
 def test_solve_point_forecast(files, capsys):
     rc = main(_solve_args(files, "--policy", "lad"))
     assert rc == 0
