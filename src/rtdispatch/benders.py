@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .formulation import (
     first_stage_values,
     flow_limit_rows,
     pin_duals,
-    pin_rhs_updates,
     structure_key,
 )
 from .lp import LPNumericalError, LPOptions, extend_warm_start, solve_lp
@@ -266,8 +265,9 @@ class _ScenarioOracle:
 
     def _solve_at(self, x1, warm):
         """Solve at ``x1`` from ``warm``; returns (solution, answer)."""
-        updates = pin_rhs_updates(self.vmap, x1)
-        sol, lp = _solve(self.lp.with_rhs(updates), self.vmap, self.config, warm)
+        rhs = self.lp.rhs.copy()  # the pins, as one vector
+        rhs[self._pin_rows] = x1
+        sol, lp = _solve(self.lp.with_rhs(rhs), self.vmap, self.config, warm)
         if self.config.flows == "lazy":
             self.lp = lp  # keep generated rows for later queries
         self.solves += 1
@@ -360,7 +360,10 @@ def _query_all(oracles, x1, workers):
         return out, None
 
     futures = [_pool(workers).submit(share, k) for k in range(1, min(workers, len(oracles)))]
-    parts = [share(0)] + [f.result() for f in futures]
+    try:
+        parts = [share(0)] + [f.result() for f in futures]
+    finally:  # even an interrupt leaves no share running
+        wait(futures)
     errors = [e for _, e in parts if e]
     if errors:
         raise min(errors, key=lambda e: e[0])[1]

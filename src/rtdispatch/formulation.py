@@ -790,9 +790,8 @@ def build_benders_subproblem(vc, scenarios: ScenarioSet, s, x1=None, first_perio
 
 
 def pin_rhs_updates(vmap, x1):
-    """The (rows, values) rhs update repointing a subproblem's pins at
-    first stage ``x1`` (``with_rhs`` refuses a vector of another length)."""
-    return np.asarray(vmap.meta["pin_rows"], dtype=np.int64), x1
+    """rhs update map repointing a subproblem's pins at first stage ``x1``."""
+    return dict(zip(vmap.meta["pin_rows"], x1.tolist(), strict=True))
 
 
 def pin_duals(vmap, sol):

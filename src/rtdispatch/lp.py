@@ -228,10 +228,9 @@ class LinearProgram:
         """A frozen copy on this model's structure with numbers replaced.
 
         Each argument is None (keep this model's), a full float64 array of
-        the model's length, or the entries to replace as an ``{index:
-        value}`` map or an (index array, float64 array) pair, every index an
-        integer in range; anything else raises ValueError.  The copy shares
-        the structure and the arrays it keeps.
+        the model's length, or a ``{index: value}`` map of the entries to
+        replace, every index an integer in range; anything else raises
+        ValueError.  The copy shares the structure and the arrays it keeps.
         """
         s, numbers = self._view()
         return LinearProgram._frozen(s, tuple(
@@ -321,21 +320,13 @@ def _replaced(old, new, what):
             raise ValueError(f"{what} must be a float64 array of length {old.size}, "
                              f"got {new.dtype} of shape {new.shape}")
         return _read_only(new.copy())
-    if isinstance(new, dict):
-        for i in new:
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < old.size:
-                raise ValueError(f"{what} index {i!r} is not an integer in [0, {old.size})")
-        at, values = list(new), [float(v) for v in new.values()]
-    elif isinstance(new, tuple) and len(new) == 2:
-        at, values = (np.asarray(a) for a in new)
-        if (at.dtype.kind not in "iu" or values.dtype != np.float64 or at.shape != values.shape
-                or at.size and not 0 <= at.min() <= at.max() < old.size):
-            raise ValueError(f"{what} (index, value) arrays must be integers in "
-                             f"[0, {old.size}) and float64s of one length")
-    else:
+    if not isinstance(new, dict):
         raise ValueError(f"{what} must be a float64 array or an {{index: value}} map")
+    for i in new:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < old.size:
+            raise ValueError(f"{what} index {i!r} is not an integer in [0, {old.size})")
     out = old.copy()
-    out[at] = values
+    out[list(new)] = [float(v) for v in new.values()]
     return _read_only(out)
 
 
@@ -843,13 +834,10 @@ class _HighsForm:
 
     def load(self, numbers):
         """Write into the model each of ``numbers`` (cost, lower, upper,
-        rhs) that differs from the read-only array it holds.  Returns the
-        row upper bounds, the post-solve check's (lower, upper) limits on
-        x and the slacks, and the columns with a finite bound."""
-        cost, lower, upper, rhs = numbers = tuple(
-            held if held is not None and (new is held or new.tobytes() == held.tobytes()) else new
-            for new, held in zip(numbers, self.loaded))
-        model, last = self.model, self.loaded
+        rhs) that is not the read-only array it holds.  Returns the row
+        upper bounds, the post-solve check's (lower, upper) limits on x and
+        the slacks, and the columns with a finite bound."""
+        (cost, lower, upper, rhs), model, last = numbers, self.model, self.loaded
         if cost is not last[0]:
             model.col_cost_ = cost
         if lower is not last[1] or upper is not last[2]:

@@ -285,6 +285,41 @@ def test_an_oracle_error_under_threads_is_the_serial_one(case3, workers, monkeyp
                        BendersConfig(workers=workers)).status == "optimal"
 
 
+def test_an_interrupt_in_the_callers_share_waits_for_the_pool(case3, monkeypatch):
+    # a BaseException, as KeyboardInterrupt is, raised in the calling
+    # thread's share while a pool thread still solves its own
+    from rtdispatch import benders
+
+    class Interrupt(BaseException):
+        pass
+
+    scen = case3_scenarios(seed=53, horizon=3, n=4)
+    ids = [s.id for s in scen.scenarios]
+    solve_at = benders._ScenarioOracle._solve_at
+    lock, running = threading.Lock(), [0]
+
+    def interrupted(self, x1, warm):
+        s = ids.index(self.scenario_id)
+        with lock:
+            running[0] += 1
+        try:
+            if s == 0:
+                raise Interrupt
+            time.sleep(0.2)
+            return solve_at(self, x1, warm)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(benders._ScenarioOracle, "_solve_at", interrupted)
+    with pytest.raises(Interrupt):
+        run_benders(case3, case3_state(), scen, BendersConfig(workers=2))
+    assert running[0] == 0
+    monkeypatch.undo()
+    assert run_benders(case3, case3_state(), scen,
+                       BendersConfig(workers=2)).status == "optimal"
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_makes_its_own_oracle_threads(case3):
     # the parent's kept pool exists after this run; a child that used it

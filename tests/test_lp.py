@@ -818,22 +818,20 @@ def _fresh_highs_solve(lp, opts):
 
 
 def test_a_structure_loads_only_the_numbers_that_changed():
-    # copies of one structure: a new rhs, a cost equal to the held one in
-    # another array, a new upper bound, and the first model again; each
-    # solve gives a fresh instance's bytes, and the layout keeps the arrays
-    # it holds where the numbers did not change
+    # copies of one structure: a new rhs, a new upper bound, and the first
+    # model again; each solve gives a fresh instance's bytes, and the layout
+    # keeps the arrays it holds where the copy shares them
     lp = two_var_example().freeze()
     highs = LPOptions(backend="highs")
     form = lp._view()[0].form(lpmod._HighsForm)
-    copies = [lp, lp.with_rhs({0: 12.0}), lp.with_numbers(cost=lp.cost.copy()),
-              lp.with_numbers(upper={1: 25.0}), lp]
+    copies = [lp, lp.with_rhs({0: 12.0}), lp.with_numbers(upper={1: 25.0}), lp]
     held = []
     for c in copies:
         assert_same_bytes(solve_lp(c, highs), _fresh_highs_solve(c, highs))
         held.append(form.loaded)
     assert all(a is b for a, b in zip(held[1], (lp.cost, lp.lower, lp.upper, copies[1].rhs)))
-    assert held[2][0] is lp.cost and held[2][3] is lp.rhs  # equal numbers, not rewritten
-    assert held[3][2] is copies[3].upper and held[4][2] is lp.upper
+    assert held[2][2] is copies[2].upper and held[2][3] is lp.rhs
+    assert held[3][2] is lp.upper
 
 
 def _kept_instance_sequence():
