@@ -23,7 +23,8 @@ layout, so they and the rhs copies they re-solve share one compiled
 structure; each answers any query whose solve it has made before without
 solving again.  With ``workers`` above 1 the calling thread answers a
 share of the scenarios and a pool of ``workers - 1`` threads, kept for
-the whole process, the rest.
+the whole process, the rest.  ``run_benders`` takes the LP options and
+the flow mode as arguments, apart from its ``BendersConfig``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .formulation import (
     pin_duals,
     structure_key,
 )
-from .lp import LPNumericalError, LPOptions, extend_warm_start, solve_lp
+from .lp import LPNumericalError, extend_warm_start, solve_lp
 from .model import ValidationError
 
 #: initial theta floor per scenario
@@ -113,8 +114,6 @@ class BendersConfig:
     max_iter: int = 100
     alpha: float = 0.5           # weight on the stabilization point
     workers: int = 1
-    flows: str = "full"          # "full" | "lazy" flowgate handling
-    lp: LPOptions = dataclasses.field(default_factory=LPOptions)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,8 +182,7 @@ def flow_violations(vmap, sol, tol):
     return specs
 
 
-def solve_with_lazy_flows(lp, vmap, opts=None, tol=LAZY_TOL, max_rounds=LAZY_MAX_ROUNDS,
-                          warm=None):
+def solve_with_lazy_flows(lp, vmap, opts=None, warm=None):
     """Solve, generating violated flowgate rows until none remain.
 
     ``warm`` seeds the first solve.  Returns (solution, final_lp); the
@@ -192,26 +190,26 @@ def solve_with_lazy_flows(lp, vmap, opts=None, tol=LAZY_TOL, max_rounds=LAZY_MAX
     point satisfies exactly the same constraints as the fully
     materialized model."""
     sol = solve_lp(lp, opts, warm=warm)
-    for _ in range(max_rounds):
+    for _ in range(LAZY_MAX_ROUNDS):
         if sol.status != "optimal":
             return sol, lp
-        specs = flow_violations(vmap, sol, tol)
+        specs = flow_violations(vmap, sol, LAZY_TOL)
         if not specs:
             return sol, lp
         ext = append_rows(lp, vmap, specs)
         lp, sol = ext, solve_lp(ext, opts, warm=extend_warm_start(lp, sol, ext))
     raise LPNumericalError(
-        f"flowgate generation did not settle within {max_rounds} rounds"
+        f"flowgate generation did not settle within {LAZY_MAX_ROUNDS} rounds"
     )
 
 
-def _solve(lp, vmap, cfg, warm=None):
+def _solve(lp, vmap, opts, flows, warm=None):
     """Solve; under lazy flows, generating the violated flowgate rows.
 
     Returns (solution, the model solved last)."""
-    if cfg.flows == "lazy":
-        return solve_with_lazy_flows(lp, vmap, cfg.lp, warm=warm)
-    return solve_lp(lp, cfg.lp, warm=warm), lp
+    if flows == "lazy":
+        return solve_with_lazy_flows(lp, vmap, opts, warm=warm)
+    return solve_lp(lp, opts, warm=warm), lp
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +232,13 @@ class _ScenarioOracle:
     solve as the source of the next warm start.
     """
 
-    def __init__(self, vc, scenarios, s, first_period, config, slots=None):
-        flows = config.flows
+    def __init__(self, vc, scenarios, s, first_period, opts=None, flows="full", slots=None):
         self.lp, self.vmap = (slots or ModelSlots()).model(
             "subproblem", structure_key(vc, flows, first_period, scenarios.horizon, start=1),
             lambda: build_benders_subproblem(vc, scenarios, s, first_period=first_period,
                                              flows=flows),
             lambda layout: layout.subproblem(scenarios, s, None, first_period))
-        self.config = config
+        self.opts, self.flows = opts, flows
         self._pin_rows = np.asarray(self.vmap.meta["pin_rows"], dtype=np.int64)
         self._other_rows = np.zeros(0, dtype=bool)  # the non-pin rows
         # the finite-bound masks: every query's model has these bounds
@@ -267,8 +264,8 @@ class _ScenarioOracle:
         """Solve at ``x1`` from ``warm``; returns (solution, answer)."""
         rhs = self.lp.rhs.copy()  # the pins, as one vector
         rhs[self._pin_rows] = x1
-        sol, lp = _solve(self.lp.with_rhs(rhs), self.vmap, self.config, warm)
-        if self.config.flows == "lazy":
+        sol, lp = _solve(self.lp.with_rhs(rhs), self.vmap, self.opts, self.flows, warm)
+        if self.flows == "lazy":
             self.lp = lp  # keep generated rows for later queries
         self.solves += 1
         if sol.status != "optimal":
@@ -294,7 +291,7 @@ class _ScenarioOracle:
         if other.size != lp.n_rows:  # lazy flows append non-pin rows
             other = self._other_rows = np.ones(lp.n_rows, dtype=bool)
             other[self._pin_rows] = False
-        dual_obj = lp.obj_const + float(sol.duals[other] @ lp.rhs_array()[other])
+        dual_obj = lp.obj_const + float(sol.duals[other] @ lp.rhs[other])
         z = sol.reduced_costs
         lo, hi = lp.lower, lp.upper
         finite_lo, finite_hi = self._finite
@@ -374,15 +371,17 @@ def _query_all(oracles, x1, workers):
 # the decomposition loop
 
 
-def run_benders(vc, state, scenarios, config: BendersConfig | None = None, slots=None):
+def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=None,
+                flows="full", slots=None):
     """Solve the two-stage dispatch by cutting-plane decomposition.
 
-    Deterministic for a fixed model and configuration, including under
-    ``workers > 1``: the calling thread and the kept pool's threads each
-    answer a stride of the scenarios, and the answers are aggregated in
-    scenario order.  The oracles fill one subproblem layout, and the
-    master is refilled from ``slots`` (a rolling day's ``ModelSlots``)
-    when it holds one of the same structure."""
+    ``lp`` (LPOptions) and ``flows`` ("full" | "lazy" flowgate rows) apply
+    to the master and every subproblem.  Deterministic for a fixed model
+    and configuration, including under ``workers > 1``: the calling thread
+    and the kept pool's threads each answer a stride of the scenarios, and
+    the answers are aggregated in scenario order.  The oracles fill one
+    subproblem layout, and the master is refilled from ``slots`` (a rolling
+    day's ``ModelSlots``) when it holds one of the same structure."""
     cfg = config or BendersConfig()
     if not 0.0 <= cfg.alpha < 1.0:
         raise ValidationError(f"alpha must be in [0, 1), got {cfg.alpha}")
@@ -401,7 +400,7 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, slots
     probs = [s.prob for s in scenarios.scenarios]
     slots = slots or ModelSlots()
     oracles = [
-        _ScenarioOracle(vc, scenarios, s, state.wall_clock, cfg, slots) for s in range(S)
+        _ScenarioOracle(vc, scenarios, s, state.wall_clock, lp, flows, slots) for s in range(S)
     ]
     flat = np.zeros(oracles[0]._pin_rows.size)  # a floor cut's slope
     flat.flags.writeable = False
@@ -421,9 +420,8 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, slots
     # one master for the run, extended by each iteration's new cuts
     floors = list(pool)
     master, vm = slots.model(
-        "master", structure_key(vc, cfg.flows, state.wall_clock, 1)
-        + (tuple((c.scenario, c.coef_x1.tobytes()) for c in floors),),
-        lambda: build_benders_master(vc, state, scenarios, floors, flows=cfg.flows),
+        "master", structure_key(vc, flows, state.wall_clock, 1) + (S,),
+        lambda: build_benders_master(vc, state, scenarios, floors, flows=flows),
         lambda layout: layout.master(state, scenarios, floors))
     in_master = len(pool)
     for it in range(1, cfg.max_iter + 1):
@@ -434,7 +432,7 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, slots
             in_master += len(new_cuts)
         # lazy flowgate rows extend a copy of the registry: they are
         # generated afresh for every master
-        sol, _ = _solve(master, vm.copy(), cfg)
+        sol, _ = _solve(master, vm.copy(), lp, flows)
         if sol.status != "optimal":
             raise LPNumericalError(f"master came back '{sol.status}'")
         lower = float(sol.objective)

@@ -90,12 +90,12 @@ class HistoryStore:
         return self._scales
 
 
-def load_history(text: str, case=None) -> HistoryStore:
+def load_history(text: str, case) -> HistoryStore:
     """Parse a history file: day files stacked with a leading date column.
 
     Layout: ``date,period,load:<bus>,...[,pmax:<gen>,...]`` with one row
     per (date, period).  Periods within each date must be 1..N.  Column
-    names are checked against ``case`` when one is given."""
+    names are checked against ``case``."""
     case = case.case if isinstance(case, ValidatedCase) else case
     groups = _read_series(text, "history file", case, ("date", "period"), group="date")
     return HistoryStore(

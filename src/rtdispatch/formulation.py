@@ -320,8 +320,7 @@ def structure_key(vc, flows, first_abs, horizon, start=0):
     period's cell template (one per commitment/eligibility pattern), the
     window length and the first period assembled as cells (1 for a Benders
     subproblem).  Two such models with equal keys differ only in their
-    numbers; a master's key also needs its cuts' pattern, which gives its
-    scenario count."""
+    numbers; a master's key also needs its scenario count."""
     _check_inputs(vc, flows)
     return (flows, tuple(_template(vc, flows, first_abs + t) for t in range(horizon)),
             horizon, start)
@@ -701,7 +700,7 @@ def build_sced(vc, state, demand, pmax=None, flows="full"):
     return _Layout(vc, flows, state.wall_clock, 1).grid().freeze().sced(state, demand, pmax)
 
 
-def build_lad(vc, state, forecast: ScenarioSet, periods=None, flows="full"):
+def build_lad(vc, state, forecast: ScenarioSet, flows="full"):
     """Deterministic look-ahead dispatch over the forecast window.
 
     The forecast must be a single-scenario set whose first period is the
@@ -709,10 +708,6 @@ def build_lad(vc, state, forecast: ScenarioSet, periods=None, flows="full"):
     state = _as_state(state)
     if forecast.n_scenarios != 1:
         raise ValidationError("look-ahead dispatch expects a single-scenario forecast")
-    if periods is not None and periods != forecast.horizon:
-        raise ValidationError(
-            f"window of {periods} periods does not match forecast horizon {forecast.horizon}"
-        )
     layout = _Layout(vc, flows, state.wall_clock, forecast.horizon)
     return layout.grid().freeze().lad(state, forecast)
 
@@ -787,11 +782,6 @@ def build_benders_subproblem(vc, scenarios: ScenarioSet, s, x1=None, first_perio
         raise ValidationError("a subproblem needs at least two periods in the window")
     layout = _Layout(vc, flows, first_period, scenarios.horizon).pins().grid(start=1)
     return layout.freeze().subproblem(scenarios, s, x1, first_period)
-
-
-def pin_rhs_updates(vmap, x1):
-    """rhs update map repointing a subproblem's pins at first stage ``x1``."""
-    return dict(zip(vmap.meta["pin_rows"], x1.tolist(), strict=True))
 
 
 def pin_duals(vmap, sol):

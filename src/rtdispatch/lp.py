@@ -39,15 +39,15 @@ both when it is made.
 A frozen model is a compiled structure (``_Structure``: the matrix and
 row senses as read-only arrays, the simplex's [A I], and linprog's layout
 of the matrix in a kept ``HighsLp``) plus its own float64 costs, bounds
-and right-hand sides.  ``with_numbers`` swaps numbers on the same
-structure (``with_rhs`` is one use of it), and ``with_rows`` extends the
-parent's arrays.  A HiGHS solve writes into the kept ``HighsLp`` only
-the costs, column bounds and row bounds that are not the arrays it last
-wrote (a ``with_rhs`` copy sends only row bounds), and ``passModel``
-copies it, both under a per-structure lock; ``run`` stays outside it.  An
-unfrozen model compiles on every query, so nothing cached goes stale.
-Each thread keeps one HiGHS instance and passes it options only when the
-iteration limit changes; ``passModel`` clears the previous solve, so the
+and right-hand sides.  ``with_numbers`` swaps whole float64 arrays of
+numbers on the same structure (``with_rhs`` is one use of it), and
+``with_rows`` extends the parent's arrays.  A HiGHS solve writes into the
+kept ``HighsLp`` only the costs, column bounds and row bounds that are
+not the arrays it last wrote (a ``with_rhs`` copy sends only row
+bounds), and ``passModel`` copies it, both under a per-structure lock;
+``run`` stays outside it.  An unfrozen model compiles on every query, so
+nothing cached goes stale.  Each thread keeps one HiGHS instance and
+passes it options only when the iteration limit changes; ``passModel`` clears the previous solve, so the
 kept instance gives a fresh one's bytes.  Each solution vector is read
 back once.  Reduced costs are read off the basic-variable list and the
 model's finite bounds, not a basis status object per column.
@@ -114,9 +114,9 @@ class LinearProgram:
     ``_Structure`` (its matrix and row senses) plus its own read-only
     float64 numbers ``cost``, ``lower``, ``upper`` and ``rhs``.  It never
     changes: ``with_numbers`` (and ``with_rhs``, one use of it) gives a
-    copy on the same structure with other numbers, and ``with_rows`` one
-    whose structure is this one's arrays plus the new rows.  An open model
-    is compiled afresh on every query.  Solving never mutates the model.
+    copy on the same structure with other whole arrays, and ``with_rows``
+    one whose structure is this one's arrays plus the new rows.  An open
+    model is compiled afresh on every query.  Solving never mutates it.
     """
 
     def __init__(self):
@@ -208,9 +208,6 @@ class LinearProgram:
     def rhs(self):
         return self._view()[1][3]
 
-    def rhs_array(self):
-        return self.rhs
-
     @property
     def senses(self):
         """Per row its sense code (LE, EQ, GE), as an int8 array."""
@@ -227,10 +224,9 @@ class LinearProgram:
     def with_numbers(self, cost=None, lower=None, upper=None, rhs=None):
         """A frozen copy on this model's structure with numbers replaced.
 
-        Each argument is None (keep this model's), a full float64 array of
-        the model's length, or a ``{index: value}`` map of the entries to
-        replace, every index an integer in range; anything else raises
-        ValueError.  The copy shares the structure and the arrays it keeps.
+        Each argument is None (keep this model's) or a whole float64 array
+        of the model's length; anything else raises ValueError.  The copy
+        shares the structure and the arrays it keeps.
         """
         s, numbers = self._view()
         return LinearProgram._frozen(s, tuple(
@@ -238,9 +234,9 @@ class LinearProgram:
                 numbers, (cost, lower, upper, rhs), ("cost", "lower", "upper", "rhs"))),
             self.obj_const)
 
-    def with_rhs(self, updates):
-        """A frozen copy with rhs entries replaced ({row_index: value})."""
-        return self.with_numbers(rhs=updates)
+    def with_rhs(self, rhs):
+        """A frozen copy with the right-hand sides ``rhs`` (a float64 array)."""
+        return self.with_numbers(rhs=rhs)
 
     def with_rows(self, extra_rows):
         """A frozen copy with ``extra_rows`` appended.
@@ -315,19 +311,11 @@ def _replaced(old, new, what):
     """``old`` with ``new`` swapped in, read-only: see ``with_numbers``."""
     if new is None:
         return old
-    if isinstance(new, np.ndarray):
-        if new.dtype != np.float64 or new.shape != old.shape:
-            raise ValueError(f"{what} must be a float64 array of length {old.size}, "
-                             f"got {new.dtype} of shape {new.shape}")
-        return _read_only(new.copy())
-    if not isinstance(new, dict):
-        raise ValueError(f"{what} must be a float64 array or an {{index: value}} map")
-    for i in new:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < old.size:
-            raise ValueError(f"{what} index {i!r} is not an integer in [0, {old.size})")
-    out = old.copy()
-    out[list(new)] = [float(v) for v in new.values()]
-    return _read_only(out)
+    if not isinstance(new, np.ndarray) or new.dtype != np.float64 or new.shape != old.shape:
+        raise ValueError(f"{what} must be a float64 array of length {old.size}, "
+                         f"got {getattr(new, 'dtype', type(new).__name__)} "
+                         f"of shape {np.shape(new)}")
+    return _read_only(new.copy())
 
 
 def _compile(lp):
@@ -507,17 +495,13 @@ class _Simplex:
         self._refresh()
 
     def _try_refactor(self):
-        if self.m:
-            B = self.A[:, self.basis].toarray()
-            try:
-                Binv = np.linalg.inv(B)
-            except np.linalg.LinAlgError:
-                return False
-            if not np.all(np.isfinite(Binv)):
-                return False
-            self.Binv = Binv
-        else:
-            self.Binv = np.zeros((0, 0))
+        try:
+            Binv = np.linalg.inv(self.A[:, self.basis].toarray())
+        except np.linalg.LinAlgError:
+            return False
+        if not np.all(np.isfinite(Binv)):
+            return False
+        self.Binv = Binv
         self._refresh()
         return True
 
@@ -535,8 +519,6 @@ class _Simplex:
         self.x[vs == NB_FREE] = 0.0
 
     def _recompute_basics(self):
-        if self.m == 0:
-            return
         xn = self.x.copy()
         xn[self.basis] = 0.0
         r = self.b - self.A @ xn
@@ -545,13 +527,8 @@ class _Simplex:
     # -- pricing ----------------------------------------------------------
 
     def _reduced_costs(self, c_work):
-        if self.m:
-            y = c_work[self.basis] @ self.Binv
-            d = c_work - self.AT @ y
-        else:
-            y = np.zeros(0)
-            d = c_work.copy()
-        return y, d
+        y = c_work[self.basis] @ self.Binv
+        return y, c_work - self.AT @ y
 
     def _pick_entering(self, d, dtol, bland):
         vs = self.vstat
@@ -710,7 +687,7 @@ class _Simplex:
                 if phase == 1:
                     return INFEASIBLE if self._infeasibility() > ftol * (1 + abs(self.b).sum()) else "feasible"
                 return OPTIMAL
-            w = self.Binv @ self._column(j) if self.m else np.zeros(0)
+            w = self.Binv @ self._column(j)
             t, kind, r, land = self._ratio_test(j, sigma, w, ftol)
             if kind == "unbounded":
                 if phase == 1:
@@ -994,7 +971,7 @@ def verify_kkt(lp: LinearProgram, sol: LPSolution, tol=1e-6) -> KKTReport:
     z = np.asarray(sol.reduced_costs)
     A = lp.matrix()
     senses = np.asarray(lp.senses, dtype=np.int8)
-    rhs = lp.rhs_array()
+    rhs = lp.rhs
     lo, hi, c = lp.lower, lp.upper, lp.cost
 
     ax = A @ x if lp.n_rows else np.zeros(0)

@@ -240,27 +240,20 @@ class ScenarioSet:
         )
         return ScenarioSet(scenarios=sliced, horizon=length)
 
-    def with_period_data(self, t, load_map, pmax_map=None):
-        """Overwrite period ``t`` of every scenario with common realized data.
+    def with_period_data(self, t, load_map, pmax_map):
+        """Overwrite period ``t`` of every scenario with common realized data:
+        ``load_map`` gives every bus's load, ``pmax_map`` every derated
+        generator's capacity.
 
         Used by the rolling simulator: the first period of any look-ahead
         window is current telemetry, identical across scenarios.
         """
-        out = []
-        for s in self.scenarios:
-            load = {
-                b: v[:t] + (float(load_map[b]),) + v[t + 1 :] for b, v in s.load.items()
-            }
-            pmax = s.pmax_override
-            if pmax_map:
-                pmax = dict(pmax)
-                for g, val in pmax_map.items():
-                    base = pmax.get(g)
-                    if base is None:
-                        continue
-                    pmax[g] = base[:t] + (float(val),) + base[t + 1 :]
-            out.append(replace(s, load=load, pmax_override=pmax))
-        return ScenarioSet(scenarios=tuple(out), horizon=self.horizon)
+        def put(series, values):
+            return {k: v[:t] + (float(values[k]),) + v[t + 1 :] for k, v in series.items()}
+
+        return ScenarioSet(scenarios=tuple(
+            replace(s, load=put(s.load, load_map), pmax_override=put(s.pmax_override, pmax_map))
+            for s in self.scenarios), horizon=self.horizon)
 
 
 @dataclass(frozen=True)
@@ -581,7 +574,7 @@ def _read_series(text, label, case, required, optional=(), group="scenario",
     Skips ``#`` comment lines; the header needs the ``required`` columns
     and may carry the ``optional`` ones (``scenario`` and ``prob`` only
     together); every other column is ``load:<bus>`` or ``pmax:<gen>``,
-    named in ``case`` when one is given.  ``buses`` lists the buses that
+    named in ``case``.  ``buses`` lists the buses that
     need a load column (None: at least one).  Rows are grouped by the
     ``group`` column (one group ``s1`` without it) and period; each
     group's periods must be exactly 1..N.  Returns {group: [(prob,
@@ -600,16 +593,16 @@ def _read_series(text, label, case, required, optional=(), group="scenario",
         raise CaseFormatError(f"{label}: 'scenario' and 'prob' columns must appear together")
     col = {h: header.index(h) for h in required + optional if h in header}
     load_cols, pmax_cols = {}, {}
-    gens = {g.id for g in case.generators} if case is not None else None
+    gens = {g.id for g in case.generators}
     for i, h in enumerate(header):
         if h in col:
             continue
         if h.startswith("load:"):
-            if case is not None and h[5:] not in case.buses:
+            if h[5:] not in case.buses:
                 raise CaseFormatError(f"{label}: column '{h}' names unknown bus")
             load_cols[h[5:]] = i
         elif h.startswith("pmax:"):
-            if gens is not None and h[5:] not in gens:
+            if h[5:] not in gens:
                 raise CaseFormatError(f"{label}: column '{h}' names unknown generator")
             pmax_cols[h[5:]] = i
         else:

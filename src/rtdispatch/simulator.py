@@ -72,8 +72,10 @@ class PolicySpec:
     (same horizon); ``history`` generates scenarios by nearest neighbors
     on the observed prefix instead.  With neither, look-ahead policies
     fall back to a persistence forecast (current telemetry held flat).
-    Capacity derates are forecast only for the generators the source
-    tracks; settlement always uses realized capacity.
+    Period 0 of a window is telemetry, every generator at its realized
+    capacity; later derates are forecast only for the generators the
+    source tracks, the others at nameplate.  ``lp`` and ``flows`` apply to
+    every model the policy solves, ``benders`` to the decomposition.
     """
 
     kind: str
@@ -197,6 +199,15 @@ def _forecast_window(vc, policy, actuals, t, length):
         win = full.window(t, length)
     else:
         win = _persistence_window(case, load, pmax, length)
+    tracked = set(win.scenarios[0].pmax_override)
+    if tracked != set(pmax):
+        # period 0 is telemetry for every generator (its derate, else its
+        # nameplate); after it, one the source does not track is at nameplate
+        cap = {g.id: float(g.pmax) for g in case.generators if g.id in tracked | set(pmax)}
+        pmax = {g: pmax.get(g, v) for g, v in cap.items()}
+        win = dataclasses.replace(win, scenarios=tuple(dataclasses.replace(s, pmax_override={
+            g: s.pmax_override.get(g, (v,) * win.horizon) for g, v in cap.items()})
+            for s in win.scenarios))
     return win.with_period_data(0, load, pmax)
 
 
@@ -235,11 +246,11 @@ def _plan_step(vc, state, policy, win, t, slots=None):
         sol = _solve_checked(lp, policy.lp, f"period {t}: dispatch")
         return first_stage_values(sol, vmap), float(sol.objective), ()
 
-    cfg = dataclasses.replace(policy.benders, flows=policy.flows, lp=policy.lp)
-    res = run_benders(vc, state, win, cfg, slots=slots)
+    res = run_benders(vc, state, win, policy.benders, lp=policy.lp, flows=policy.flows,
+                      slots=slots)
     if res.status == "iteration_limit":
         raise IterationLimit(
-            f"period {t}: decomposition used all {cfg.max_iter} iterations "
+            f"period {t}: decomposition used all {policy.benders.max_iter} iterations "
             f"with relative gap {res.trace[-1].gap:.3g}"
         )
     if res.status != "optimal":
@@ -265,7 +276,7 @@ def _solve_checked(lp, opts, what):
     return sol
 
 
-def run_simulation(vc, actuals, policy: PolicySpec, state=None) -> SimulationLog:
+def run_simulation(vc, actuals, policy: PolicySpec) -> SimulationLog:
     """Roll a policy through the realized day, settling every slice.
 
     ``pd`` plans the whole realized day at the first slice, whose
@@ -285,7 +296,7 @@ def run_simulation(vc, actuals, policy: PolicySpec, state=None) -> SimulationLog
             f"history has {hist.horizon}-period days but the day "
             f"has {actuals.horizon}"
         )
-    state = state or initial_state(vc)
+    state = initial_state(vc)
     steps = []
     totals = CostBreakdown()
     T = actuals.horizon
@@ -353,15 +364,13 @@ def _record(t, d, costs, avail, objective, ms, iters):
     )
 
 
-def run_perfect_dispatch(vc, actuals, state=None, lp_opts=None,
-                         flows="full") -> SimulationLog:
+def run_perfect_dispatch(vc, actuals, lp_opts=None) -> SimulationLog:
     """The hindsight benchmark: ``run_simulation`` with the ``pd`` policy.
 
     One look-ahead plan over the entire realized day, each period's slice
     settled exactly like any policy's commitments, so the benchmark total
     is comparable dollar for dollar."""
-    policy = PolicySpec(kind="pd", lp=lp_opts or LPOptions(), flows=flows)
-    return run_simulation(vc, actuals, policy, state=state)
+    return run_simulation(vc, actuals, PolicySpec(kind="pd", lp=lp_opts or LPOptions()))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,20 @@ def child_env():
     return env
 
 
+def replaced(a, updates):
+    """A float64 copy of ``a`` with the ``{index: value}`` entries swapped
+    in: a whole array for ``LinearProgram.with_numbers``."""
+    out = np.array(a, dtype=np.float64)
+    out[list(updates)] = [float(v) for v in updates.values()]
+    return out
+
+
+def pinned_rhs(lp, vmap, x1):
+    """The rhs of subproblem ``lp`` with its pins repointed at first stage
+    ``x1``."""
+    return replaced(lp.rhs, dict(zip(vmap.meta["pin_rows"], x1.tolist(), strict=True)))
+
+
 def enumerate_optimum(lp, tol=1e-9):
     """Brute-force oracle: minimum over all vertices of the feasible box-polytope.
 
@@ -49,7 +63,7 @@ def enumerate_optimum(lp, tol=1e-9):
     assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)), "oracle needs a box"
     A = lp.matrix().toarray() if lp.n_rows else np.zeros((0, n))
     senses = np.asarray(lp.senses)
-    rhs = lp.rhs_array()
+    rhs = lp.rhs
 
     # candidate tight hyperplanes: every row as equality + every bound
     planes = [(A[i], rhs[i]) for i in range(lp.n_rows)]
@@ -139,7 +153,7 @@ def model_digest(lp, vmap):
         h.update(repr(x).encode())
 
     for a in (lp.cost, lp.lower, lp.upper, *lp.coo(),
-              np.asarray(lp.senses, dtype=np.int8), lp.rhs_array()):
+              np.asarray(lp.senses, dtype=np.int8), lp.rhs):
         put(str(a.dtype))
         h.update(a.tobytes())
     put(lp.obj_const)

@@ -47,7 +47,7 @@ def digest(*parts):
 
 def lp_digest(lp):
     return digest(lp.cost, lp.lower, lp.upper, *lp.coo(),
-                  np.asarray(lp.senses, dtype=np.int8), lp.rhs_array(), lp.obj_const)
+                  np.asarray(lp.senses, dtype=np.int8), lp.rhs, lp.obj_const)
 
 
 def solution_digest(sol):

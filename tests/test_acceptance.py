@@ -23,7 +23,6 @@ from rtdispatch.formulation import (
     build_slad_extensive,
     extract_dispatch,
     itemize_costs,
-    pin_rhs_updates,
 )
 from rtdispatch.lp import LPOptions, solve_lp
 from rtdispatch.model import ScenarioSet, validate_case
@@ -45,7 +44,7 @@ from conftest import (
     make_toy_scenarios,
     toy_state,
 )
-from helpers import stage_vector
+from helpers import pinned_rhs, stage_vector
 
 HIGHS = LPOptions(backend="highs")
 
@@ -123,12 +122,12 @@ def test_criterion_02_decomposition_matches_extensive_form(toy, case3):
 
 def test_criterion_03_bound_invariants_on_random_variants():
     st = case3_state()
-    cfg = BendersConfig(lp=HIGHS, max_iter=80)
+    cfg = BendersConfig(max_iter=80)
     optimal = 0
     worst_rel = 0.0
     for i in range(50):
         vc, scen = case3_variant(i)
-        res = run_benders(vc, st, scen, cfg)
+        res = run_benders(vc, st, scen, cfg, lp=HIGHS)
         tr = res.trace
         for a, b in zip(tr, tr[1:]):
             scale = max(1.0, abs(b.lower))
@@ -228,8 +227,8 @@ def test_criterion_05_lazy_flowgates_match_full_model():
     assert rel <= 1e-8
 
     # and the decomposition built on lazy subproblems lands on the same value
-    res_full = run_benders(vc, st, scen, BendersConfig(flows="full"))
-    res_lazy = run_benders(vc, st, scen, BendersConfig(flows="lazy"))
+    res_full = run_benders(vc, st, scen, flows="full")
+    res_lazy = run_benders(vc, st, scen, flows="lazy")
     assert res_full.status == res_lazy.status == "optimal"
     assert _rel(res_lazy.objective, full.objective) <= 1e-5
     assert _rel(res_full.objective, full.objective) <= 1e-5
@@ -263,7 +262,7 @@ def _feasible_points(vc, state, scen, n, seed):
 
 def _probe(vc, state, scen, seed, n_points=100):
     """Cuts from one run plus oracle values/statuses at sampled points."""
-    res = run_benders(vc, state, scen, BendersConfig(lp=HIGHS))
+    res = run_benders(vc, state, scen, lp=HIGHS)
     assert res.status == "optimal"
     points = _feasible_points(vc, state, scen, n_points, seed)
     values, statuses = [], []
@@ -271,7 +270,7 @@ def _probe(vc, state, scen, seed, n_points=100):
         lp, vm = build_benders_subproblem(vc, scen, s, x1=None)
         qs, st = [], []
         for x in points:
-            sol = solve_lp(lp.with_rhs(pin_rhs_updates(vm, x)), HIGHS)
+            sol = solve_lp(lp.with_rhs(pinned_rhs(lp, vm, x)), HIGHS)
             st.append(sol.status)
             qs.append(float(sol.objective))
         values.append(qs)
@@ -392,7 +391,7 @@ def test_criterion_10_separation_blend_invariance(case3):
     ext = solve_lp(build_slad_extensive(vc=case3, state=st, scenarios=scen)[0], HIGHS)
     objs, iters = {}, {}
     for a in (0.0, 0.25, 0.5, 0.9):
-        res = run_benders(case3, st, scen, BendersConfig(alpha=a, lp=HIGHS))
+        res = run_benders(case3, st, scen, BendersConfig(alpha=a), lp=HIGHS)
         assert res.status == "optimal"
         objs[a] = res.objective
         iters[a] = res.iterations

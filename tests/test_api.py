@@ -58,3 +58,32 @@ def test_only_formulation_and_cli_read_the_first_stage_keys():
                 if getattr(f, "id", getattr(f, "attr", None)) == "first_stage_keys":
                     readers.add(path.name)
     assert readers == {"formulation.py", "cli.py"}
+
+
+def test_every_module_level_name_is_read_by_the_program():
+    # a helper only tests call is dead weight: every function, class and
+    # assigned name at module level in src/rtdispatch is read somewhere in
+    # src/ or perfbench/, as a name, an attribute or an import
+    program = sorted((ROOT / "src" / "rtdispatch").glob("*.py"))
+    read = set()
+    for path in program + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for path in program:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = [n.id for n in ast.walk(node)
+                           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            unread += [f"{path.name}:{name}" for name in targets
+                       if name not in read and (path.name, name) != ("__init__.py", "__all__")]
+    assert unread == []

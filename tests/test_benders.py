@@ -28,7 +28,6 @@ from rtdispatch.formulation import (
     build_slad_extensive,
     first_stage_keys,
     first_stage_values,
-    pin_rhs_updates,
 )
 from rtdispatch import lp as lpmod
 from rtdispatch.forecast import load_history
@@ -47,6 +46,7 @@ from helpers import (
     DATA,
     benders_digest,
     bundled_day,
+    pinned_rhs,
     stage_dict,
     stage_vector,
     walked_first_stage_values,
@@ -178,7 +178,7 @@ def test_cuts_underestimate_future_cost(case3):
         x = stage_vector(case3, x)
         for s in range(scen.n_scenarios):
             lp, vm = subs[s]
-            sol = solve_lp(lp.with_rhs(pin_rhs_updates(vm, x)))
+            sol = solve_lp(lp.with_rhs(pinned_rhs(lp, vm, x)))
             assert sol.status == "optimal"
             for cut in res.cuts:
                 if cut.scenario == s:
@@ -209,6 +209,16 @@ def test_single_period_window_is_rejected(toy, toy_day):
 def test_bad_alpha_is_rejected(toy, toy_scenarios):
     with pytest.raises(ValidationError, match="alpha"):
         run_benders(toy, toy_state(), toy_scenarios, BendersConfig(alpha=1.0))
+
+
+def test_the_config_holds_only_the_decompositions_own_settings():
+    # the LP options and the flow mode are run_benders' arguments, so a
+    # policy's settings cannot be shadowed by a second copy in the config
+    assert [f.name for f in dataclasses.fields(BendersConfig)] == [
+        "epsilon", "max_iter", "alpha", "workers"]
+    for setting in ({"flows": "lazy"}, {"lp": LPOptions(backend="highs")}):
+        with pytest.raises(TypeError):
+            BendersConfig(**setting)
 
 
 def _network_slad_day(workers):
@@ -389,12 +399,12 @@ def test_in_out_candidate_blends():
 def test_cut_constant_check_prices_every_non_pin_row(case3):
     scen = case3_scenarios(seed=59, horizon=3, n=2)
     x1 = run_benders(case3, case3_state(), scen).x1
-    oracle = _ScenarioOracle(case3, scen, 0, 0, BendersConfig())
+    oracle = _ScenarioOracle(case3, scen, 0, 0)
     _q, _sigma, rhs_const = oracle.query(x1)
-    lp = oracle.lp.with_rhs(pin_rhs_updates(oracle.vmap, x1))
+    lp = oracle.lp.with_rhs(pinned_rhs(oracle.lp, oracle.vmap, x1))
     sol = oracle._last
     pins = set(oracle.vmap.meta["pin_rows"])
-    rhs = lp.rhs_array()
+    rhs = lp.rhs
     other = next(r for r in range(lp.n_rows) if r not in pins and abs(rhs[r]) > 1.0)
     pin = next(iter(pins))
 
@@ -440,7 +450,7 @@ def test_lazy_generation_reaches_the_full_model():
 
     lazy_lp, lazy_vm = build_slad_extensive(vc, st, scen, flows="lazy")
     n0 = lazy_lp.n_rows
-    sol, final_lp = solve_with_lazy_flows(lazy_lp, lazy_vm, tol=1e-6)
+    sol, final_lp = solve_with_lazy_flows(lazy_lp, lazy_vm)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(full.objective, abs=1e-8 * (1 + abs(full.objective)))
     assert final_lp.n_rows > n0  # congestion actually forced generation
@@ -462,7 +472,7 @@ def test_lazy_rounds_keep_warm_start_past_an_empty_row(monkeypatch):
             accepted.append(np.array_equal(self.basis, warm[0]))
 
     monkeypatch.setattr(lpmod._Simplex, "_init_basis", recorded)
-    sol, final_lp = solve_with_lazy_flows(lazy_lp, lazy_vm, tol=1e-6)
+    sol, final_lp = solve_with_lazy_flows(lazy_lp, lazy_vm)
     assert sol.status == "optimal"
     assert final_lp.n_rows > lazy_lp.n_rows
     assert accepted and all(accepted), accepted
@@ -480,7 +490,7 @@ def test_lazy_benders_solves_each_model_once(monkeypatch):
         return solve_lp(lp, *args, **kwargs)
 
     monkeypatch.setattr(benders, "solve_lp", recorded)
-    res = run_benders(vc, case3_state(), scen, BendersConfig(flows="lazy"))
+    res = run_benders(vc, case3_state(), scen, flows="lazy")
     assert res.status == "optimal"
     assert len(handed) > 1
     assert all(a is not b for a, b in zip(handed, handed[1:]))
@@ -489,8 +499,8 @@ def test_lazy_benders_solves_each_model_once(monkeypatch):
 def test_benders_with_lazy_flows_matches_full():
     vc, scen = _congested_setup()
     st = case3_state()
-    res_full = run_benders(vc, st, scen, BendersConfig(flows="full"))
-    res_lazy = run_benders(vc, st, scen, BendersConfig(flows="lazy"))
+    res_full = run_benders(vc, st, scen, flows="full")
+    res_lazy = run_benders(vc, st, scen, flows="lazy")
     assert res_full.status == res_lazy.status == "optimal"
     assert res_lazy.objective == pytest.approx(
         res_full.objective, rel=1e-6
@@ -510,13 +520,13 @@ def test_the_kept_master_is_a_fresh_build_at_every_iteration(flows, monkeypatch)
     handed = []
     solve = benders._solve
 
-    def recorded(lp, vmap, cfg, warm=None):
+    def recorded(lp, vmap, opts, flows, warm=None):
         if vmap.get(("theta", 0)) is not None:
             handed.append((lp, dict(vmap.rows())))
-        return solve(lp, vmap, cfg, warm)
+        return solve(lp, vmap, opts, flows, warm)
 
     monkeypatch.setattr(benders, "_solve", recorded)
-    res = run_benders(vc, st, scen, BendersConfig(flows=flows))
+    res = run_benders(vc, st, scen, flows=flows)
     assert res.status == "optimal"
     assert len(handed) == res.iterations > 1
     for lp, rows in handed:
@@ -549,9 +559,9 @@ def test_each_structure_compiles_once_per_run(flows, monkeypatch):
         solved.append(lp.senses)
         return solve_lp(lp, *args, **kwargs)
 
-    def handed(lp, vmap, cfg, warm=None):
+    def handed(lp, vmap, opts, flows, warm=None):
         owned.append((lp.senses, vmap))
-        return solve(lp, vmap, cfg, warm)
+        return solve(lp, vmap, opts, flows, warm)
 
     def extended(lp, vmap, specs):
         out = append(lp, vmap, specs)
@@ -562,8 +572,8 @@ def test_each_structure_compiles_once_per_run(flows, monkeypatch):
     monkeypatch.setattr(benders, "solve_lp", recorded)
     monkeypatch.setattr(benders, "_solve", handed)
     monkeypatch.setattr(benders, "append_rows", extended)
-    cfg = BendersConfig(flows=flows, lp=LPOptions(backend="highs"))
-    res = run_benders(vc, _moving_argmin_state(), scen, cfg)
+    res = run_benders(vc, _moving_argmin_state(), scen, lp=LPOptions(backend="highs"),
+                      flows=flows)
     assert res.status == "optimal"
     ids = [id(r) for r in compiled]
     assert len(set(ids)) == len(ids)  # no structure compiled twice
@@ -584,8 +594,7 @@ def test_each_structure_compiles_once_per_run(flows, monkeypatch):
 def _oracle_at_optimum(backend):
     vc, scen = _congested_setup()
     x1 = run_benders(vc, _moving_argmin_state(), scen).x1
-    cfg = BendersConfig(lp=LPOptions(backend=backend))
-    return _ScenarioOracle(vc, scen, 0, 0, cfg), x1
+    return _ScenarioOracle(vc, scen, 0, 0, LPOptions(backend=backend)), x1
 
 
 @pytest.mark.parametrize("backend", ["simplex", "highs"])
@@ -632,8 +641,8 @@ def test_an_earlier_answer_is_the_one_a_re_solve_gives(backend, flows):
     y[moved] *= 0.9
     z[moved] *= 0.8
     points = [x1, y] * 3 + [z, x1, y]  # no point repeats the one before it
-    cfg = BendersConfig(flows=flows, lp=LPOptions(backend=backend))
-    kept, fresh = (_ScenarioOracle(vc, scen, 0, 0, cfg) for _ in range(2))
+    kept, fresh = (_ScenarioOracle(vc, scen, 0, 0, LPOptions(backend=backend), flows)
+                   for _ in range(2))
     hits, seen = 0, {}  # point -> the row counts it was asked at or solved to
     for x in points:
         _forget(fresh)
@@ -665,8 +674,9 @@ def test_answer_reuse_leaves_the_run_unchanged(backend, flows, workers, monkeypa
     from rtdispatch import benders
 
     vc, scen = _congested_setup()
-    cfg = BendersConfig(flows=flows, workers=workers, lp=LPOptions(backend=backend))
-    reused = run_benders(vc, _moving_argmin_state(), scen, cfg)
+    cfg = BendersConfig(workers=workers)
+    opts = {"lp": LPOptions(backend=backend), "flows": flows}
+    reused = run_benders(vc, _moving_argmin_state(), scen, cfg, **opts)
     query = benders._ScenarioOracle.query
 
     def forgetful(self, x1):
@@ -674,7 +684,7 @@ def test_answer_reuse_leaves_the_run_unchanged(backend, flows, workers, monkeypa
         return query(self, x1)
 
     monkeypatch.setattr(benders._ScenarioOracle, "query", forgetful)
-    solved = run_benders(vc, _moving_argmin_state(), scen, cfg)
+    solved = run_benders(vc, _moving_argmin_state(), scen, cfg, **opts)
     assert benders_digest(reused, vc) == benders_digest(solved, vc)
     assert [c.origin for c in reused.cuts] == [c.origin for c in solved.cuts]
     assert (reused.status, reused.iterations) == (solved.status, solved.iterations)
@@ -758,8 +768,7 @@ def test_benders_runs_are_pinned(day):
     b = bundled_day(day)
     got = {
         (backend, flows): benders_digest(run_benders(
-            b.vc, b.state, b.scenarios,
-            BendersConfig(flows=flows, lp=LPOptions(backend=backend))), b.vc)
+            b.vc, b.state, b.scenarios, lp=LPOptions(backend=backend), flows=flows), b.vc)
         for backend in ("simplex", "highs") for flows in ("full", "lazy")
     }
     assert got == BENDERS_RUNS[day]
@@ -807,7 +816,7 @@ def test_the_first_stage_is_one_vector_from_plan_to_result(day, backend, flows, 
 
     slopes = checked("pin_duals", walked_pin_duals)
     points = checked("first_stage_values", walked_first_stage_values)
-    res = run_benders(b.vc, b.state, b.scenarios, BendersConfig(flows=flows, lp=opts))
+    res = run_benders(b.vc, b.state, b.scenarios, lp=opts, flows=flows)
     assert res.status == "optimal" and slopes and points
     assert same(res.x1, res.x1.tolist()) in points  # an argmin of the master
     for cut in res.cuts:

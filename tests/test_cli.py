@@ -12,7 +12,7 @@ from rtdispatch.cli import SCHEMA_VERSION, main
 from rtdispatch.simulator import STEP_COLUMNS
 
 from conftest import make_toy_case, make_toy_day, make_toy_scenarios
-from helpers import child_env, format_timeseries, serialize_case
+from helpers import DATA, child_env, format_timeseries, serialize_case
 
 
 @pytest.fixture
@@ -193,6 +193,12 @@ def _nan_price_case(files):
     return str(path)
 
 
+def _toy_history(files):
+    path = files["dir"] / "history.csv"
+    path.write_text("date,period,load:B1\nd1,1,10\nd1,2,35\n")
+    return str(path)
+
+
 BAD_CALLS = {
     "max-iter-0": lambda f: _solve_args(f, "--policy", "slad", "--max-iter", "0"),
     "max-iter-negative": lambda f: [
@@ -211,6 +217,12 @@ BAD_CALLS = {
                                "--actuals", _nan_day(f), "--policy", "sced"],
     "case-price-nan": lambda f: ["simulate", "--case", _nan_price_case(f),
                                  "--actuals", f["day"], "--policy", "sced"],
+    "scenarios-and-history": lambda f: _solve_args(f, "--policy", "slad",
+                                                   "--history", _toy_history(f)),
+    "demand-misses-a-bus": lambda f: ["solve", "--case", str(DATA / "network_case.json"),
+                                      "--policy", "sced", "--demand", "B1=10"],
+    "policies-empty": lambda f: ["compare", "--case", f["case"], "--actuals", f["day"],
+                                 "--policies", " , "],
 }
 
 

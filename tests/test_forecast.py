@@ -101,6 +101,10 @@ def test_store_invariants():
     neg = HistoryDay(date="n", load={"B1": (-1.0, 2.0)}, pmax={})
     with pytest.raises(ValidationError, match="negative load"):
         HistoryStore([neg])
+    for other in (HistoryDay(date="o", load={"B2": (1.0, 2.0)}, pmax={}),
+                  HistoryDay(date="o", load={"B1": (1.0, 2.0)}, pmax={"G1": (5.0, 5.0)})):
+        with pytest.raises(ValidationError, match="disagree on buses or generators"):
+            HistoryStore([a, other])
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +276,7 @@ def test_knn_argument_errors():
         knn_scenarios(store, {"B1": ()}, k=2)
     with pytest.raises(ValidationError, match="not tracked"):
         knn_scenarios(store, obs, k=2, observed_pmax={"GX": (1.0,)})
+    two_bus = HistoryStore([HistoryDay(date="d", load={"B1": (1.0, 2.0), "B2": (3.0, 4.0)},
+                                       pmax={})])
+    with pytest.raises(ValidationError, match="ragged"):
+        knn_scenarios(two_bus, {"B1": (1.0,), "B2": (3.0, 4.0)}, k=1)

@@ -25,7 +25,6 @@ from rtdispatch.formulation import (
     flow_limit_rows,
     itemize_costs,
     pin_duals,
-    pin_rhs_updates,
     require_common_first_period,
 )
 from rtdispatch.lp import LPOptions, extend_warm_start, solve_lp, verify_kkt
@@ -54,6 +53,7 @@ from helpers import (
     DATA,
     bundled_day,
     model_digest,
+    pinned_rhs,
     row_entries,
     serialize_case,
     stage_dict,
@@ -208,10 +208,6 @@ def test_sced_demand_is_first_period_slice(case3):
 def test_look_ahead_rejects_multiscenario(case3, toy_scenarios):
     with pytest.raises(ValidationError, match="single-scenario"):
         build_lad(case3, case3_state(), case3_scenarios(seed=1, horizon=3, n=2))
-    with pytest.raises(ValidationError, match="does not match"):
-        build_lad(
-            validate_case(make_toy_case()), toy_state(), make_toy_day(), periods=3
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +367,7 @@ def test_contingency_deployability_binds(case3):
     scen = case3_scenarios(seed=23, horizon=1, n=1)
     lp, vm = build_lad(vc, case3_state(), scen)
     row = vm.row(("contingency_deploy", "G2", 0, 0))
-    assert lp.rhs_array()[row] == pytest.approx(20.0)
+    assert lp.rhs[row] == pytest.approx(20.0)
     sol, d = _solve(lp, vm)
     award = sum(d.reserve.get((p, "G2", 0, 0), 0.0) for p in ("spin", "supp_on"))
     assert award <= 20.0 + 1e-8
@@ -423,7 +419,7 @@ def test_subproblem_cut_is_a_valid_underestimate(toy, toy_scenarios):
     q0, sig = sol.objective, pin_duals(vm, sol)
     for g2 in (0.0, 3.0, 5.0, 7.0, 10.0):
         probe = stage_vector(toy, {("pg", "G1"): 10.0 - g2, ("pg", "G2"): g2})
-        lp2 = lp.with_rhs(pin_rhs_updates(vm, probe))
+        lp2 = lp.with_rhs(pinned_rhs(lp, vm, probe))
         s2 = solve_lp(lp2, warm=sol.basis)
         predicted = q0 + float(sig @ (probe - greedy))
         assert s2.objective >= predicted - 1e-6
@@ -433,7 +429,7 @@ def test_subproblem_repin_matches_fresh_build(toy, toy_scenarios):
     lp0, vm = build_benders_subproblem(toy, toy_scenarios, 1)  # pins at zero
     sol0 = solve_lp(lp0)
     hedge = stage_vector(toy, {("pg", "G1"): 3.0, ("pg", "G2"): 7.0})
-    lp1 = lp0.with_rhs(pin_rhs_updates(vm, hedge))
+    lp1 = lp0.with_rhs(pinned_rhs(lp0, vm, hedge))
     warm = solve_lp(lp1, warm=sol0.basis)
     cold_lp, _ = build_benders_subproblem(toy, toy_scenarios, 1, x1=hedge)
     cold = solve_lp(cold_lp)
@@ -445,6 +441,22 @@ def test_subproblem_repin_matches_fresh_build(toy, toy_scenarios):
 def test_subproblem_requires_a_future(toy):
     with pytest.raises(ValidationError, match="at least two periods"):
         build_benders_subproblem(toy, make_toy_day().window(0, 1), 0)
+    with pytest.raises(ValueError, match=r"first-stage vector of shape \(3,\), expected \(10,\)"):
+        build_benders_subproblem(toy, make_toy_day(), 0, x1=np.zeros(3))
+
+
+def test_a_model_needs_every_previous_dispatch(toy):
+    state = SystemState(prev_dispatch={"G1": 0.0})
+    with pytest.raises(ValidationError, match="no previous dispatch for generator 'G2'"):
+        build_sced(toy, state, {"B1": 10.0})
+
+
+def test_only_an_optimal_solution_is_extracted(toy):
+    lp, vm = build_sced(toy, toy_state(), {"B1": 10.0})
+    sol = solve_lp(lp, LPOptions(max_iters=0))
+    assert sol.status == "iteration_limit"
+    with pytest.raises(RuntimeError, match="cannot extract dispatch from a 'iteration_limit'"):
+        extract_dispatch(sol, vm)
 
 
 def test_extensive_equals_master_cost_plus_expected_recourse(case3):
@@ -512,6 +524,14 @@ def test_master_requires_common_first_period(toy):
         require_common_first_period(skew)
     with pytest.raises(ValidationError, match="disagrees"):
         build_benders_master(toy, toy_state(), skew, _floor_cuts(toy, 2))
+    load = {"B1": (10.0, 29.0)}
+    for b_pmax, error in (({}, "disagree on which generators are derated"),
+                          ({"G1": (15.0, 20.0)}, "disagrees with 'a' on period-1 pmax of 'G1'")):
+        derated = ScenarioSet(scenarios=(
+            Scenario(id="a", prob=0.5, load=load, pmax_override={"G1": (12.0, 20.0)}),
+            Scenario(id="b", prob=0.5, load=load, pmax_override=b_pmax)), horizon=2)
+        with pytest.raises(ValidationError, match=error):
+            require_common_first_period(derated)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from rtdispatch import lp as lpmod
-from rtdispatch.benders import BendersConfig, Cut, run_benders
+from rtdispatch.benders import Cut, run_benders
 from rtdispatch.formulation import (
     append_rows,
     benders_cut_rows,
@@ -22,7 +22,6 @@ from rtdispatch.formulation import (
     first_stage_keys,
     ModelSlots,
     flow_limit_rows,
-    pin_rhs_updates,
     structure_key,
 )
 from rtdispatch.lp import LinearProgram, LPOptions, extend_warm_start, solve_lp, verify_kkt
@@ -33,7 +32,9 @@ from helpers import (
     assert_solution_clean,
     child_env,
     enumerate_optimum,
+    pinned_rhs,
     random_box_lp,
+    replaced,
     row_entries,
     stage_vector,
 )
@@ -57,8 +58,8 @@ def append_and_resolve(lp, sol, rows, opts=None):
 
 def assert_same_model(a, b):
     """``a`` and ``b`` hold the same model, bit for bit."""
-    for x, y in zip((a.cost, a.lower, a.upper, *a.coo(), a.rhs_array()),
-                    (b.cost, b.lower, b.upper, *b.coo(), b.rhs_array())):
+    for x, y in zip((a.cost, a.lower, a.upper, *a.coo(), a.rhs),
+                    (b.cost, b.lower, b.upper, *b.coo(), b.rhs)):
         assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
     assert (list(a.senses), repr(a.obj_const)) == (list(b.senses), repr(b.obj_const))
 
@@ -350,7 +351,7 @@ def test_rhs_update_warm_matches_cold(seed):
     if sol.status != "optimal":
         return
     updates = {int(rng.integers(0, lp.n_rows)): float(rng.uniform(-6, 6))}
-    lp2 = lp.with_rhs(updates)
+    lp2 = lp.with_rhs(replaced(lp.rhs, updates))
     warm = solve_lp(lp2, warm=sol.basis)
     cold = solve_lp(lp2)
     assert warm.status == cold.status
@@ -456,22 +457,20 @@ def test_with_rows_appends_as_add_row_would():
     assert_same_model(lp.with_rows([]), lp)
 
 
-def test_a_number_swap_takes_indices_in_range_and_whole_float64_arrays():
+def test_a_number_swap_takes_only_whole_float64_arrays():
     lp = two_var_example()
     lp.add_row([0], [1.0], "<=", 4.0)
     lp.freeze()
-    # a negative index would count from the end, a float or a bool would
-    # be read as some row: each is refused
-    for bad in ({-1: 7.0}, {2: 7.0}, {1.0: 7.0}, {True: 7.0}):
-        with pytest.raises(ValueError, match="index"):
-            lp.with_rhs(bad)
+    # a map of entries is refused like a list or an array of another
+    # dtype or length
     for field in ("cost", "lower", "upper", "rhs"):
-        for bad in (np.zeros(3), np.zeros(1), np.zeros(2, dtype=np.int64), [0.0, 0.0]):
+        for bad in (np.zeros(3), np.zeros(1), np.zeros(2, dtype=np.int64), [0.0, 0.0],
+                    {0: 7.0}):
             with pytest.raises(ValueError, match="float64 array"):
                 lp.with_numbers(**{field: bad})
-    assert lp.with_rhs({1: 7.0, np.int64(0): 3.0}).rhs_array().tolist() == [3.0, 7.0]
+    assert lp.with_rhs(np.array([3.0, 7.0])).rhs.tolist() == [3.0, 7.0]
     cost = np.array([1.0, 2.0])
-    swapped = lp.with_numbers(cost=cost, upper={1: 5.0})
+    swapped = lp.with_numbers(cost=cost, upper=np.array([20.0, 5.0]))
     cost[0] = 9.0  # the copy keeps the numbers it was given
     assert (swapped.cost.tolist(), swapped.upper.tolist()) == ([1.0, 2.0], [20.0, 5.0])
     assert swapped.lower is lp.lower and swapped.coo() is lp.coo()
@@ -483,7 +482,7 @@ def _row_by_row(lp):
     twin = LinearProgram()
     twin.add_vars(lp.lower, lp.upper, lp.cost)
     for (cols, vals), sense, rhs in zip(row_entries(lp), lp.senses.tolist(),
-                                        lp.rhs_array().tolist()):
+                                        lp.rhs.tolist()):
         twin.add_row(cols, vals, sense, rhs)
     twin.obj_const = lp.obj_const
     return twin.freeze()
@@ -524,7 +523,7 @@ def linprog_reference(lp, opts):
     """solve_lp(backend="highs") as it was when it went through linprog."""
     n, m = lp.n_vars, lp.n_rows
     senses = np.asarray(lp.senses, dtype=np.int8)
-    rhs = lp.rhs_array()
+    rhs = lp.rhs
     A = lp.matrix().tocsr()
     ub_rows = np.nonzero(senses != lpmod.EQ)[0]
     eq_rows = np.nonzero(senses == lpmod.EQ)[0]
@@ -718,7 +717,7 @@ def test_highs_matches_linprog_on_dispatch_models(system, monkeypatch):
     highs = LPOptions(backend="highs")
     solve_lp(build_sced(vc, state, demand)[0], highs)
     solve_lp(build_lad(vc, state, day)[0], highs)
-    res = run_benders(vc, state, scen, BendersConfig(lp=highs))
+    res = run_benders(vc, state, scen, lp=highs)
     assert res.status == "optimal"
     assert len(solved) > 2 + res.iterations and set(solved) == {"optimal"}
 
@@ -743,7 +742,7 @@ def test_an_unfrozen_model_solves_as_extended(backend):
 
 def test_compiled_arrays_are_read_only():
     lp = two_var_example().freeze()
-    copy = lp.with_rhs({0: 12.0})
+    copy = lp.with_rhs(replaced(lp.rhs, {0: 12.0}))
     for arr in (lp.cost, lp.lower, lp.upper, *lp.coo(), lp.matrix().data,
                 copy.cost, *copy.coo()):
         with pytest.raises(ValueError, match="read-only"):
@@ -767,14 +766,14 @@ def test_concurrent_highs_solves_of_one_structure_match_serial():
                           lambda: build_benders_subproblem(vc, scen, s),
                           lambda layout: layout.subproblem(scen, s, None, 0)) for s in (0, 1)]
     assert filled[0][0].coo() is filled[1][0].coo()
-    assert filled[0][0].rhs_array().tobytes() != filled[1][0].rhs_array().tobytes()
+    assert filled[0][0].rhs.tobytes() != filled[1][0].rhs.tobytes()
     rng = np.random.default_rng(11)
     copies = []
     for k in range(6):
         lp, vm = filled[k % 2]
         x1 = {("pg", g.id): float(rng.uniform(g.pmin, g.pmax)) for g in vc.case.generators}
         copies.append(lp.with_numbers(cost=lp.cost * (1.0 + 0.1 * k),
-                                      rhs=pin_rhs_updates(vm, stage_vector(vc, x1))))
+                                      rhs=pinned_rhs(lp, vm, stage_vector(vc, x1))))
     opts = LPOptions(backend="highs")
     serial = [solve_lp(c, opts) for c in copies]
     assert {s.status for s in serial} == {"optimal"}
@@ -824,7 +823,8 @@ def test_a_structure_loads_only_the_numbers_that_changed():
     lp = two_var_example().freeze()
     highs = LPOptions(backend="highs")
     form = lp._view()[0].form(lpmod._HighsForm)
-    copies = [lp, lp.with_rhs({0: 12.0}), lp.with_numbers(upper={1: 25.0}), lp]
+    copies = [lp, lp.with_rhs(replaced(lp.rhs, {0: 12.0})),
+              lp.with_numbers(upper=replaced(lp.upper, {1: 25.0})), lp]
     held = []
     for c in copies:
         assert_same_bytes(solve_lp(c, highs), _fresh_highs_solve(c, highs))
@@ -844,7 +844,7 @@ def _kept_instance_sequence():
         (_infeasible(), highs),
         (_unbounded(), highs),
         (two_var_example(), LPOptions(max_iters=0, backend="highs")),
-        (two_var_example().freeze().with_rhs({0: 12.0}), highs),
+        (two_var_example().freeze().with_rhs(np.array([12.0])), highs),
         (_fixed_and_free(), highs),
         (_unloadable(), highs),
         (_no_rows(), highs),
@@ -904,7 +904,7 @@ def test_highs_reduced_costs_match_a_basis_status_read(day, flows, monkeypatch):
 
     monkeypatch.setattr(lpmod, "_solve_highs", compared)
     b = bundled_day(day)
-    res = run_benders(b.vc, b.state, b.scenarios,
-                      BendersConfig(flows=flows, lp=LPOptions(backend="highs")))
+    res = run_benders(b.vc, b.state, b.scenarios, lp=LPOptions(backend="highs"),
+                      flows=flows)
     assert res.status == "optimal"
     assert len(checked) > res.iterations

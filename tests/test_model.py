@@ -215,9 +215,8 @@ def test_timeseries_comment_lines_are_skipped():
     assert parse_timeseries(text, case).horizon == 2
 
 
-# (parser, text, error pattern or None for a clean parse); day files are
-# read against the toy case (bus B1, generators G1/G2), history files
-# without a case
+# (parser, text, error pattern or None for a clean parse); day and history
+# files are read against the toy case (bus B1, generators G1/G2)
 READER_CASES = {
     "day-empty": ("day", "", r"^day file: empty$"),
     "day-only-comments": ("day", "# schema_version=1\n", r"^day file: empty$"),
@@ -271,10 +270,11 @@ READER_CASES = {
 @pytest.mark.parametrize("name", list(READER_CASES))
 def test_day_and_history_reader_paths(name):
     kind, text, error = READER_CASES[name]
+    case = validate_case(make_toy_case())
     if kind == "day":
-        parse = lambda: parse_timeseries(text, validate_case(make_toy_case()))
+        parse = lambda: parse_timeseries(text, case)
     else:
-        parse = lambda: load_history(text)
+        parse = lambda: load_history(text, case)
     if error is not None:
         with pytest.raises(CaseFormatError, match=error):
             parse()
@@ -288,9 +288,10 @@ def test_day_and_history_reader_paths(name):
         assert out.days[0].load == {"B1": (10.0, 11.0)}
 
 
-def test_history_names_are_checked_only_against_a_case():
+def test_history_names_are_checked_against_the_case():
     text = "date,period,load:B7,pmax:G9\nd1,1,10,5\n"
-    assert load_history(text).buses == ("B7",)
+    with pytest.raises(TypeError):
+        load_history(text)  # there is no reading without a case
     with pytest.raises(CaseFormatError, match="unknown bus"):
         load_history(text, validate_case(make_case3()))
     with pytest.raises(CaseFormatError, match="unknown generator"):

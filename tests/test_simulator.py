@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rtdispatch import lp as lpmod
+from rtdispatch import simulator
 from rtdispatch.benders import BendersConfig
 from rtdispatch.forecast import HistoryDay, HistoryStore, load_history
 from rtdispatch.formulation import (
@@ -16,6 +17,7 @@ from rtdispatch.formulation import (
     first_stage_keys,
     first_stage_values,
 )
+from rtdispatch.lp import LPOptions
 from rtdispatch.model import (
     SystemState,
     ValidationError,
@@ -161,7 +163,7 @@ def test_settlement_pins_a_negative_zero_commitment_at_positive_zero(toy, monkey
     x1 = stage_vector(toy, {("pg", "G1"): -1e-9, ("pg", "G2"): -0.0})
     assert np.signbit(x1).any()
     settle_first_period(toy, toy_state(), {"B1": 10.0}, {}, x1)
-    rhs = handed[0].rhs_array()
+    rhs = handed[0].rhs
     assert not np.signbit(rhs[rhs == 0.0]).any()
 
 
@@ -363,6 +365,68 @@ def test_pivot_path_snapshot(day, kind, monkeypatch):
     monkeypatch.setattr(lpmod._Simplex, "solve", counted)
     log = run_simulation(vc, actuals, policy)
     assert (repr(log.total_cost), sum(pivots)) == PIVOT_PATH[(day, kind)]
+
+
+def test_a_policy_hands_its_lp_options_and_flow_mode_to_the_decomposition(
+        toy, toy_day, toy_scenarios, monkeypatch):
+    handed, run = [], simulator.run_benders
+
+    def recorded(*args, **kwargs):
+        handed.append((kwargs["lp"], kwargs["flows"]))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_benders", recorded)
+    opts = LPOptions(backend="highs")
+    run_simulation(toy, toy_day, PolicySpec(kind="slad", scenarios=toy_scenarios,
+                                            flows="lazy", lp=opts))
+    assert handed and all(lp is opts and flows == "lazy" for lp, flows in handed)
+
+
+# ---------------------------------------------------------------------------
+# period 0 of a forecast window is telemetry for every generator
+
+
+def _without_g3(name):
+    """A bundled CSV file's text without its ``pmax:G3`` column."""
+    rows = [line.split(",") for line in (DATA / name).read_text().splitlines()]
+    i = rows[0].index("pmax:G3")
+    return "".join(",".join(r[:i] + r[i + 1:]) + "\n" for r in rows)
+
+
+def _network_g3(vc):
+    return next(g.pmax for g in vc.case.generators if g.id == "G3")
+
+
+@pytest.mark.parametrize("kind", ["lad", "slad"])
+def test_a_derate_the_source_does_not_track_reaches_period_0(kind):
+    # the day derates G3 and the history has no G3 column: the plan sees
+    # G3's realized derate at period 0 and its nameplate after it
+    vc = validate_case(parse_case((DATA / "network_case.json").read_text()))
+    actuals = parse_timeseries((DATA / "network_day.csv").read_text(), vc)
+    hist = load_history(_without_g3("network_history.csv"), vc)
+    policy = PolicySpec(kind=kind, horizon=4, knn_k=3, history=hist)
+    realized = actuals.scenarios[0].pmax_override["G3"]
+    win = simulator._forecast_window(vc, policy, actuals, 2, 4)
+    assert {s.pmax_override["G3"] for s in win.scenarios} == {
+        (realized[2],) + (_network_g3(vc),) * 3}
+    log = run_simulation(vc, actuals, policy)
+    assert log.total_cost == pytest.approx(float(PIVOT_PATH[("network", "sced")][0]), rel=1e-9)
+
+
+def test_a_generator_the_day_does_not_derate_is_at_nameplate_in_period_0():
+    # the history tracks G3 and the day does not derate it: every scenario
+    # opens at G3's nameplate, so the scenarios agree on period 0 and the
+    # plans price the realized day as sced does
+    vc = validate_case(parse_case((DATA / "network_case.json").read_text()))
+    actuals = parse_timeseries(_without_g3("network_day.csv"), vc)
+    hist = load_history((DATA / "network_history.csv").read_text(), vc)
+    policies = {kind: PolicySpec(kind=kind, horizon=4, knn_k=3, history=hist)
+                for kind in ("sced", "lad", "slad")}
+    win = simulator._forecast_window(vc, policies["slad"], actuals, 2, 4)
+    assert {s.pmax_override["G3"][0] for s in win.scenarios} == {_network_g3(vc)}
+    totals = {kind: run_simulation(vc, actuals, p).total_cost for kind, p in policies.items()}
+    assert totals["lad"] == pytest.approx(totals["sced"], rel=1e-9)
+    assert totals["slad"] == pytest.approx(totals["sced"], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

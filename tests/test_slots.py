@@ -48,7 +48,7 @@ def _day(name, kind, backend="simplex", flows="full"):
 
 
 def _numbers(lp):
-    return (lp.cost, lp.lower, lp.upper, lp.rhs_array())
+    return (lp.cost, lp.lower, lp.upper, lp.rhs)
 
 
 def _same_model(got, want):
