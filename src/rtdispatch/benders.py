@@ -108,12 +108,25 @@ class CutPool:
         return len(self._cuts)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class BendersConfig:
+    """The decomposition's settings, checked when made, and frozen, so a
+    bad one fails before any policy is rolled."""
+
     epsilon: float = 1e-5        # relative UB-LB gap at termination
     max_iter: int = 100
     alpha: float = 0.5           # weight on the stabilization point
     workers: int = 1
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValidationError(f"alpha must be in [0, 1), got {self.alpha}")
+        if self.max_iter < 1:
+            raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.workers < 1:
+            raise ValidationError(f"workers must be at least 1, got {self.workers}")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValidationError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -375,22 +388,16 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=No
                 flows="full", slots=None):
     """Solve the two-stage dispatch by cutting-plane decomposition.
 
-    ``lp`` (LPOptions) and ``flows`` ("full" | "lazy" flowgate rows) apply
-    to the master and every subproblem.  Deterministic for a fixed model
-    and configuration, including under ``workers > 1``: the calling thread
-    and the kept pool's threads each answer a stride of the scenarios, and
-    the answers are aggregated in scenario order.  The oracles fill one
+    ``config`` (BendersConfig, checked when it was made) holds the
+    decomposition's settings; ``lp`` (LPOptions) and ``flows`` ("full" |
+    "lazy" flowgate rows) apply to the master and every subproblem.
+    Deterministic for a fixed model and configuration, including under
+    ``workers > 1``: the calling thread and the kept pool's threads each
+    answer a stride of the scenarios, and the answers are aggregated in
+    scenario order.  The oracles fill one
     subproblem layout, and the master is refilled from ``slots`` (a rolling
     day's ``ModelSlots``) when it holds one of the same structure."""
     cfg = config or BendersConfig()
-    if not 0.0 <= cfg.alpha < 1.0:
-        raise ValidationError(f"alpha must be in [0, 1), got {cfg.alpha}")
-    if cfg.max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {cfg.max_iter}")
-    if cfg.workers < 1:
-        raise ValidationError(f"workers must be at least 1, got {cfg.workers}")
-    if not 0.0 <= cfg.epsilon < np.inf:
-        raise ValidationError(f"epsilon must be finite and nonnegative, got {cfg.epsilon}")
     if scenarios.horizon < 2:
         raise ValidationError(
             "decomposition needs a look-ahead of at least two periods; "

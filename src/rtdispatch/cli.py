@@ -19,7 +19,6 @@ from .formulation import FIRST_STAGE_KINDS, first_stage_keys, require_common_fir
 from .lp import LPNumericalError, LPOptions
 from .model import (
     CaseFormatError,
-    Scenario,
     ScenarioSet,
     ValidationError,
     finite_float,
@@ -179,9 +178,7 @@ def cmd_solve(args):
                 "--demand gives a single period, which only the no-look-ahead "
                 "policy can use; pass --policy sced or a --scenarios window"
             )
-        load = _parse_demand(args.demand, vc.case)
-        now = Scenario(id="now", prob=1.0, load={b: (v,) for b, v in load.items()})
-        actuals = ScenarioSet(scenarios=(now,), horizon=1)
+        actuals = ScenarioSet.flat("now", _parse_demand(args.demand, vc.case), {}, 1)
     elif policy.kind == "pd":
         raise ValidationError(
             "the hindsight benchmark is a whole-day policy; use 'simulate'"
@@ -194,8 +191,7 @@ def cmd_solve(args):
         # the plan overwrites period 1 with the realized day's, so a file
         # whose scenarios disagree there is rejected up front
         require_common_first_period(policy.scenarios)
-        first = dataclasses.replace(policy.scenarios.scenarios[0], prob=1.0)
-        actuals = ScenarioSet(scenarios=(first,), horizon=policy.scenarios.horizon)
+        actuals = policy.scenarios.alone(0)
     length = min(policy.horizon, actuals.horizon)
     win = _plan_window(vc, policy, actuals, 0, length)
     x1, objective, trace = _plan_step(vc, initial_state(vc), policy, win, 0)
@@ -277,18 +273,19 @@ def cmd_compare(args):
         )
         for kind in kinds
     }
-    base = logs.get("sced")
+    # as in report: no savings against a missing or zero-cost baseline
+    base = logs["sced"].total_cost if "sced" in logs else None
     rows = []
     for kind in kinds:
         total = logs[kind].total_cost
-        pct = 100.0 * daily_savings(base.total_cost, total) if base else None
+        pct = 100.0 * daily_savings(base, total) if base else None
         rows.append([kind, total, pct])
     if args.format == "json":
         payload = {
             "command": "compare",
             "case": vc.case.name,
             "seed": args.seed,
-            "baseline": "sced" if base else None,
+            "baseline": "sced" if "sced" in logs else None,
             "policies": [
                 {"policy": k, "total_cost": t, "savings_pct": p} for k, t, p in rows
             ],
@@ -308,8 +305,13 @@ def cmd_report(args):
     """Aggregate simulate outputs (JSON) into one table, plus plot data."""
     docs = []
     for path in args.inputs:
-        doc = json.loads(_read(path))
-        if "summary" not in doc or "steps" not in doc:
+        try:
+            doc = json.loads(_read(path))
+        except ValueError:  # not JSON, or not text
+            doc = None
+        if not (isinstance(doc, dict) and isinstance(doc.get("summary"), dict)
+                and {"case", "policy", "periods", "total_cost"} <= doc["summary"].keys()
+                and isinstance(doc.get("columns"), list) and isinstance(doc.get("steps"), list)):
             raise CaseFormatError(f"{path}: not a simulate output")
         docs.append((path, doc))
     # savings against a no-look-ahead run of the same case and day length
@@ -446,7 +448,7 @@ def main(argv=None) -> int:
         print(f"rtdispatch: {exc}", file=sys.stderr)
         return 3
     except (CaseFormatError, ValidationError, SimulationError, LPNumericalError,
-            OSError, json.JSONDecodeError) as exc:
+            OSError) as exc:
         print(f"rtdispatch: {exc}", file=sys.stderr)
         return 1
 

@@ -111,24 +111,17 @@ def load_history(text: str, case) -> HistoryStore:
 def mean_forecast(scenarios: ScenarioSet) -> ScenarioSet:
     """Collapse a scenario set to its probability-weighted point forecast."""
     check_scenarios(scenarios)
-    buses = sorted({b for s in scenarios.scenarios for b in s.load})
-    gens = sorted({g for s in scenarios.scenarios for g in s.pmax_override})
-    load = {}
-    for b in buses:
-        acc = np.zeros(scenarios.horizon)
-        for s in scenarios.scenarios:
-            acc += s.prob * np.asarray(s.load[b], dtype=float)
-        load[b] = tuple(float(v) for v in acc)
-    pmax = {}
-    for g in gens:
-        acc = np.zeros(scenarios.horizon)
-        for s in scenarios.scenarios:
-            acc += s.prob * np.asarray(s.pmax_override[g], dtype=float)
-        pmax[g] = tuple(float(v) for v in acc)
-    return ScenarioSet(
-        scenarios=(Scenario(id="mean", prob=1.0, load=load, pmax_override=pmax),),
-        horizon=scenarios.horizon,
-    )
+    mean = {}
+    for field in ("load", "pmax_override"):
+        series = [getattr(s, field) for s in scenarios.scenarios]
+        mean[field] = {}
+        for k in sorted({k for d in series for k in d}):
+            acc = np.zeros(scenarios.horizon)
+            for s, d in zip(scenarios.scenarios, series):
+                acc += s.prob * np.asarray(d[k], dtype=float)
+            mean[field][k] = tuple(float(v) for v in acc)
+    return ScenarioSet(scenarios=(Scenario(id="mean", prob=1.0, **mean),),
+                       horizon=scenarios.horizon)
 
 
 def knn_scenarios(store: HistoryStore, observed_load, k=10,

@@ -54,7 +54,6 @@ from .lp import EQ, GE, LE, LinearProgram
 from .model import (
     RESERVE_PRODUCTS,
     DispatchSolution,
-    Scenario,
     ScenarioSet,
     SystemState,
     ValidatedCase,
@@ -569,18 +568,8 @@ class _Layout:
     def sced(self, state, demand, pmax=None, x1=None):
         """``build_sced``'s model; with ``x1``, a settlement layout's pins
         at ``x1`` clipped at zero."""
-        scen = ScenarioSet(
-            scenarios=(
-                Scenario(
-                    id="now",
-                    prob=1.0,
-                    load={b: (float(v),) for b, v in demand.items()},
-                    pmax_override={g: (float(v),) for g, v in (pmax or {}).items()},
-                ),
-            ),
-            horizon=1,
-        )
-        return self.fill(scen, state.wall_clock, [1.0], state.prev_dispatch,
+        now = ScenarioSet.flat("now", demand, pmax or {}, 1)
+        return self.fill(now, state.wall_clock, [1.0], state.prev_dispatch,
                          pins=None if x1 is None else np.maximum(x1, 0.0))
 
     def lad(self, state, forecast):
@@ -595,20 +584,13 @@ class _Layout:
     def master(self, state, scenarios, cuts):
         """``build_benders_master``'s model."""
         require_common_first_period(scenarios)
-        first = scenarios.window(0, 1)
-        master_scen = ScenarioSet(
-            scenarios=(dataclasses.replace(first.scenarios[0], id="now", prob=1.0),), horizon=1
-        )
-        return self.fill(master_scen, state.wall_clock, [1.0], state.prev_dispatch,
+        now = scenarios.window(0, 1).alone(0, "now")
+        return self.fill(now, state.wall_clock, [1.0], state.prev_dispatch,
                          thetas=[s.prob for s in scenarios.scenarios], cuts=cuts)
 
     def subproblem(self, scenarios, s, x1, first_period):
         """``build_benders_subproblem``'s model."""
-        sub_scen = ScenarioSet(
-            scenarios=(dataclasses.replace(scenarios.scenarios[s], prob=1.0),),
-            horizon=scenarios.horizon,
-        )
-        return self.fill(sub_scen, first_period, [1.0],
+        return self.fill(scenarios.alone(s), first_period, [1.0],
                          pins=np.zeros(len(self.pins)) if x1 is None else x1)
 
 

@@ -176,7 +176,6 @@ class SystemCase:
     reserve_req: ReserveRequirements
     penalties: PenaltyPrices
     step_minutes: float = 5.0
-    base_mva: float = 100.0
 
     @property
     def hours_per_step(self):
@@ -187,13 +186,12 @@ class ValidatedCase:
     """A SystemCase whose invariants have been checked.
 
     Model builders require this wrapper so an unvalidated case cannot reach
-    the LP layer.  It also carries the index maps everything downstream
-    needs (bus/generator order is the case-file order).
+    the LP layer.  It also carries the generator index, each id's position
+    in the case-file order.
     """
 
     def __init__(self, case: SystemCase):
         self.case = case
-        self.bus_index = {b: i for i, b in enumerate(case.buses)}
         self.gen_index = {g.id: i for i, g in enumerate(case.generators)}
 
     def __repr__(self):
@@ -218,6 +216,21 @@ class ScenarioSet:
     @property
     def n_scenarios(self):
         return len(self.scenarios)
+
+    @classmethod
+    def flat(cls, sid, load, pmax, length):
+        """One scenario ``sid`` at probability 1 that holds each bus's MW in
+        ``load`` and each generator's in ``pmax`` over ``length`` periods."""
+        return cls(scenarios=(Scenario(
+            id=sid, prob=1.0, load={b: (float(v),) * length for b, v in load.items()},
+            pmax_override={g: (float(v),) * length for g, v in pmax.items()}),), horizon=length)
+
+    def alone(self, s, sid=None):
+        """Scenario ``s`` by itself at probability 1 (renamed ``sid`` if
+        given), over the same periods."""
+        sc = self.scenarios[s]
+        return ScenarioSet(scenarios=(replace(sc, id=sid or sc.id, prob=1.0),),
+                           horizon=self.horizon)
 
     def window(self, start, length):
         """Slice periods [start, start+length) out of every scenario.
@@ -297,9 +310,6 @@ class DispatchSolution:
 
     def pg_at(self, gid, t, s=0):
         return self.pg.get((gid, t, s), 0.0)
-
-    def first_stage_pg(self):
-        return {g: v for (g, t, s), v in self.pg.items() if t == 0 and s == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +484,6 @@ def parse_case(text: str) -> SystemCase:
         reserve_req=req,
         penalties=penalties,
         step_minutes=_want(doc, "step_minutes", float, "<root>", default=5.0),
-        base_mva=_want(doc, "base_mva", float, "<root>", default=100.0),
     )
     _check_ids(case)
     return case

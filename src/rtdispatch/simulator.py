@@ -45,7 +45,6 @@ from .formulation import (
 )
 from .lp import LPNumericalError, LPOptions, solve_lp
 from .model import (
-    Scenario,
     ScenarioSet,
     SystemState,
     ValidatedCase,
@@ -142,16 +141,6 @@ def _realized_at(actuals, t):
     return load, pmax
 
 
-def _persistence_window(case, load, pmax, length):
-    scen = Scenario(
-        id="hold",
-        prob=1.0,
-        load={b: (load[b],) * length for b in case.buses},
-        pmax_override={g: (v,) * length for g, v in pmax.items()},
-    )
-    return ScenarioSet(scenarios=(scen,), horizon=length)
-
-
 def settle_first_period(vc, state, load, pmax, x1, lp_opts=None, flows="full", slots=None):
     """Price a committed first stage against the realized period.
 
@@ -160,9 +149,6 @@ def settle_first_period(vc, state, load, pmax, x1, lp_opts=None, flows="full", s
     the priced slacks.  ``slots`` (a day's ``ModelSlots``) lets the
     settlements of a day share one model structure.  Returns the extracted
     dispatch and its cost breakdown."""
-    if not isinstance(vc, ValidatedCase):
-        raise TypeError("settlement requires a ValidatedCase")
-
     def build():
         lp, vmap = build_sced(vc, state, load, pmax=pmax, flows=flows)
         return vmap.layout.settlement().sced(state, load, pmax, x1)
@@ -198,7 +184,7 @@ def _forecast_window(vc, policy, actuals, t, length):
         )
         win = full.window(t, length)
     else:
-        win = _persistence_window(case, load, pmax, length)
+        win = ScenarioSet.flat("hold", load, pmax, length)
     tracked = set(win.scenarios[0].pmax_override)
     if tracked != set(pmax):
         # period 0 is telemetry for every generator (its derate, else its
@@ -253,8 +239,6 @@ def _plan_step(vc, state, policy, win, t, slots=None):
             f"period {t}: decomposition used all {policy.benders.max_iter} iterations "
             f"with relative gap {res.trace[-1].gap:.3g}"
         )
-    if res.status != "optimal":
-        raise SimulationError(f"period {t}: decomposition stopped at '{res.status}'")
     return res.x1, float(res.objective), res.trace
 
 
@@ -341,21 +325,16 @@ def run_simulation(vc, actuals, policy: PolicySpec) -> SimulationLog:
 
 
 def _record(t, d, costs, avail, objective, ms, iters):
+    # d is a settlement dispatch: one period, one scenario
     return StepRecord(
         period=t,
         cost=costs.total,
         breakdown=costs,
-        pg=d.first_stage_pg(),
-        reserve={
-            (p, g): v
-            for (p, g, tt, ss), v in d.reserve.items()
-            if tt == 0 and ss == 0
-        },
+        pg={g: v for (g, _t, _s), v in d.pg.items()},
+        reserve={(p, g): v for (p, g, _t, _s), v in d.reserve.items()},
         shortage=d.shortage.get((0, 0), 0.0),
         surplus=d.surplus.get((0, 0), 0.0),
-        flow_excess=sum(
-            v for (_e, tt, ss), v in d.flow_excess.items() if tt == 0 and ss == 0
-        ),
+        flow_excess=sum(d.flow_excess.values()),
         available_mw=avail.total,
         available_fast_mw=avail.fast,
         planning_objective=objective,
@@ -379,22 +358,21 @@ def run_perfect_dispatch(vc, actuals, lp_opts=None) -> SimulationLog:
 
 @dataclasses.dataclass(frozen=True)
 class AvailableCapacity:
-    """Deliverable headroom over the next period, split by ramp speed."""
+    """Deliverable headroom over the next period: in all, and on the units
+    able to move at least 1% of their capacity per minute."""
 
     total: float
-    fast: float          # units able to move >= 1% of capacity per minute
-    slow: float
-    per_gen: dict
+    fast: float
 
 
 def available_capacity(vc, state, pmax_now=None) -> AvailableCapacity:
     """How much output could be online one period from now.
 
     Per committed generator: the lesser of available capacity and the
-    reachable level ``prev + ramp_up * step``."""
+    reachable level ``prev + ramp_up * step``, summed over all of them and
+    over the fast ones."""
     case = vc.case if isinstance(vc, ValidatedCase) else vc
     pmax_now = pmax_now or {}
-    per_gen = {}
     fast = slow = 0.0
     for g in case.generators:
         if not g.committed(state.wall_clock):
@@ -402,14 +380,11 @@ def available_capacity(vc, state, pmax_now=None) -> AvailableCapacity:
         cap = float(pmax_now.get(g.id, g.pmax))
         prev = float(state.prev_dispatch.get(g.id, g.initial_output))
         avail = min(cap, prev + g.ramp_up * case.step_minutes)
-        per_gen[g.id] = avail
         if g.pmax > 0 and g.ramp_up >= 0.01 * g.pmax:
             fast += avail
         else:
             slow += avail
-    return AvailableCapacity(
-        total=fast + slow, fast=fast, slow=slow, per_gen=per_gen
-    )
+    return AvailableCapacity(total=fast + slow, fast=fast)
 
 
 def daily_savings(sced_cost, policy_cost):

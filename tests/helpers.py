@@ -252,7 +252,6 @@ def serialize_case(case: SystemCase) -> str:
     doc = {
         "name": case.name,
         "step_minutes": case.step_minutes,
-        "base_mva": case.base_mva,
         "buses": list(case.buses),
         "reserve_req": {
             "reg": case.reserve_req.reg,

@@ -221,6 +221,17 @@ def test_the_config_holds_only_the_decompositions_own_settings():
             BendersConfig(**setting)
 
 
+@pytest.mark.parametrize("setting", [
+    {"alpha": 1.0}, {"alpha": -0.1}, {"max_iter": 0}, {"workers": 0},
+    {"epsilon": -1.0}, {"epsilon": float("nan")}, {"epsilon": float("inf")}])
+def test_the_config_is_checked_when_made(setting):
+    # a bad setting fails before any model is built, whatever the policy
+    with pytest.raises(ValidationError, match=next(iter(setting))):
+        BendersConfig(**setting)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BendersConfig().workers = 2
+
+
 def _network_slad_day(workers):
     vc = validate_case(parse_case((DATA / "network_case.json").read_text()))
     day = parse_timeseries((DATA / "network_day.csv").read_text(), vc)

@@ -193,6 +193,17 @@ def _nan_price_case(files):
     return str(path)
 
 
+#: report inputs that are not simulate outputs, by test name
+_MALFORMED_REPORTS = {"number": "5", "summary-not-an-object": '{"summary": 1, "steps": []}',
+                      "not-json": "not json"}
+
+
+def _report_input(files, text):
+    path = files["dir"] / "malformed.json"
+    path.write_text(text)
+    return str(path)
+
+
 def _toy_history(files):
     path = files["dir"] / "history.csv"
     path.write_text("date,period,load:B1\nd1,1,10\nd1,2,35\n")
@@ -223,6 +234,15 @@ BAD_CALLS = {
                                       "--policy", "sced", "--demand", "B1=10"],
     "policies-empty": lambda f: ["compare", "--case", f["case"], "--actuals", f["day"],
                                  "--policies", " , "],
+    # the Benders settings are checked for every policy, not only slad's
+    **{f"sced-{flag[2:]}-{v}": (lambda f, flag=flag, v=v: [
+        "simulate", "--case", f["case"], "--actuals", f["day"], "--policy", "sced", flag, v])
+       for flag, v in (("--workers", "0"), ("--max-iter", "0"), ("--epsilon", "-1"),
+                       ("--alpha", "2"))},
+    "compare-sced-workers-0": lambda f: ["compare", "--case", f["case"], "--actuals", f["day"],
+                                         "--policies", "sced", "--workers", "0"],
+    **{f"report-{name}": (lambda f, text=text: ["report", "--inputs", _report_input(f, text)])
+       for name, text in _MALFORMED_REPORTS.items()},
 }
 
 
@@ -392,6 +412,34 @@ def test_report_rejects_foreign_json(tmp_path, capsys):
     rc = main(["report", "--inputs", str(other)])
     assert rc == 1
     assert "not a simulate output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", list(_MALFORMED_REPORTS.values()),
+                         ids=list(_MALFORMED_REPORTS))
+def test_a_malformed_report_input_is_named(files, capsys, text):
+    path = _report_input(files, text)
+    assert main(["report", "--inputs", path]) == 1
+    assert capsys.readouterr().err == f"rtdispatch: {path}: not a simulate output\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_compare_leaves_savings_blank_against_a_zero_cost_baseline(files, capsys, fmt):
+    # as report does: a day with no load settles sced at $0, and no policy
+    # has a savings percentage against it
+    zero = files["dir"] / "zero.csv"
+    zero.write_text("period,load:B1\n1,0\n2,0\n")
+    rc = main(["compare", "--case", files["case"], "--actuals", str(zero),
+               "--policies", "sced,lad,pd", "--format", fmt])
+    assert rc == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["baseline"] == "sced"
+        assert [(p["total_cost"], p["savings_pct"]) for p in doc["policies"]] == [
+            (0.0, None)] * 3
+    else:
+        body = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert body == ["policy,total_cost,savings_pct", "sced,0,", "lad,0,", "pd,0,"]
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,6 @@ def test_validate_checks_branches_and_penalties():
 def test_validated_case_indexes():
     vc = validate_case(make_case3())
     assert vc.gen_index["G2"] == 1
-    assert vc.bus_index["B3"] == 2
     assert vc.case.name == "case3"
 
 

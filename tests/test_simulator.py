@@ -265,22 +265,29 @@ def test_input_validation(toy, toy_day, toy_scenarios):
         )
 
 
+def _alone(vc, gid):
+    """The case of ``vc`` with generator ``gid`` as its only generator."""
+    return dataclasses.replace(vc.case, generators=tuple(
+        g for g in vc.case.generators if g.id == gid))
+
+
 def test_available_capacity_summary(toy):
     st = SystemState(prev_dispatch={"G1": 3.0, "G2": 7.0}, wall_clock=1)
+    # each unit alone: the lesser of its capacity and prev + ramp_up * step
+    for gid, mw in (("G1", 20.0), ("G2", 17.0)):
+        one = available_capacity(_alone(toy, gid), st)
+        assert one.total == pytest.approx(mw) and one.fast == pytest.approx(mw)
     cap = available_capacity(toy, st)
-    assert cap.per_gen["G1"] == pytest.approx(20.0)
-    assert cap.per_gen["G2"] == pytest.approx(17.0)
     assert cap.total == pytest.approx(37.0)
     # both units can move at least 1% of capacity per minute
-    assert cap.fast == pytest.approx(37.0) and cap.slow == 0.0
+    assert cap.fast == pytest.approx(37.0)
 
     case = make_toy_case()
     gens = list(case.generators)
     gens[1] = dataclasses.replace(gens[1], commit=(False,))
     vc = validate_case(dataclasses.replace(case, generators=tuple(gens)))
     cap2 = available_capacity(vc, st)
-    assert "G2" not in cap2.per_gen
-    assert cap2.total == pytest.approx(20.0)
+    assert cap2.total == pytest.approx(20.0)  # G1 alone: G2 is not committed
 
     sluggish = dataclasses.replace(
         make_toy_case().generators[0], ramp_up=0.15  # 0.75%/min of 20 MW
@@ -290,13 +297,17 @@ def test_available_capacity_summary(toy):
     )
     cap3 = available_capacity(vc3, SystemState(prev_dispatch={"G1": 3.0, "G2": 7.0},
                                                wall_clock=0))
-    assert cap3.slow == pytest.approx(min(20.0, 3.0 + 0.15 * 5))
+    assert cap3.fast == pytest.approx(17.0)  # G2 alone
+    assert cap3.total == pytest.approx(17.0 + min(20.0, 3.0 + 0.15 * 5))
 
 
 def test_capacity_respects_realized_derate(case3):
     st = initial_state(case3)
-    cap = available_capacity(case3, st, pmax_now={"G3": 22.0})
-    assert cap.per_gen["G3"] == pytest.approx(22.0)  # derate binds before ramp
+    g3 = _alone(case3, "G3")
+    assert available_capacity(g3, st).total == pytest.approx(40.0)  # 15 + 8 * 5 > pmax
+    cap = available_capacity(g3, st, pmax_now={"G3": 22.0})
+    assert cap.total == pytest.approx(22.0)  # derate binds before ramp
+    assert cap.fast == pytest.approx(22.0)
 
 
 def test_log_rows_and_summary(toy, toy_day, toy_scenarios):
