@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .benders import BendersConfig
@@ -101,8 +102,11 @@ def _json_doc(payload):
 
 
 def _read(path):
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise CaseFormatError(f"{path}: not UTF-8 text") from None
 
 
 def _load_case(args):
@@ -301,6 +305,16 @@ def cmd_compare(args):
     return 0
 
 
+def _summary_values_ok(s):
+    """A summary's case and policy are strings, its periods an integer
+    and its total cost a finite number (neither a bool)."""
+    cost, periods = s["total_cost"], s["periods"]
+    return (isinstance(s["case"], str) and isinstance(s["policy"], str)
+            and isinstance(periods, int) and not isinstance(periods, bool)
+            and isinstance(cost, (int, float)) and not isinstance(cost, bool)
+            and math.isfinite(cost))
+
+
 def cmd_report(args):
     """Aggregate simulate outputs (JSON) into one table, plus plot data."""
     docs = []
@@ -311,7 +325,8 @@ def cmd_report(args):
             doc = None
         if not (isinstance(doc, dict) and isinstance(doc.get("summary"), dict)
                 and {"case", "policy", "periods", "total_cost"} <= doc["summary"].keys()
-                and isinstance(doc.get("columns"), list) and isinstance(doc.get("steps"), list)):
+                and isinstance(doc.get("columns"), list) and isinstance(doc.get("steps"), list)
+                and _summary_values_ok(doc["summary"])):
             raise CaseFormatError(f"{path}: not a simulate output")
         docs.append((path, doc))
     # savings against a no-look-ahead run of the same case and day length

@@ -351,6 +351,7 @@ class _Layout:
         # index chunks per cell and block, concatenated by freeze()
         self._at = {k: [] for k in _FILLED}
         self.pinned_pg = None
+        self._last = None  # the last fill's model
 
     # -- assembly ---------------------------------------------------------
 
@@ -507,6 +508,7 @@ class _Layout:
         n = self.lp.n_rows
         out.lp = self.lp.with_rows([([int(c)], [1.0], "=", np.nan) for c in cols[out.pins_at]])
         out.pins = np.arange(n, out.lp.n_rows)
+        out._last = None
         return out
 
     # -- numbers ----------------------------------------------------------
@@ -563,7 +565,15 @@ class _Layout:
             **{k: copy.copy(v) for k, v in self.vmap.meta.items() if k != "case"},
         })
         vm.layout = self
-        return self.lp.with_numbers(cost=cost, upper=upper, rhs=rhs), vm
+        # a cost or upper-bound array bytes-equal to the last fill's is that
+        # same read-only array, so a solver that holds it skips rewriting it
+        last = self._last or self.lp
+        lp = last.with_numbers(
+            cost=None if cost.tobytes() == last.cost.tobytes() else cost,
+            upper=None if upper.tobytes() == last.upper.tobytes() else upper, rhs=rhs)
+        lp.obj_const = self.lp.obj_const
+        self._last = lp
+        return lp, vm
 
     def sced(self, state, demand, pmax=None, x1=None):
         """``build_sced``'s model; with ``x1``, a settlement layout's pins

@@ -63,10 +63,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import threading
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 LE, EQ, GE = -1, 0, 1
 _SENSES = {"<=": LE, "=": EQ, ">=": GE}
@@ -494,9 +496,21 @@ class _Simplex:
         self.Binv = np.eye(self.m)
         self._refresh()
 
+    def _basis_matrix(self):
+        """B = [A I][:, basis], dense, with the bytes and layout that
+        ``A[:, basis].toarray()`` gives (column-major, each entry 0.0 + a)
+        without scipy's fancy-indexing overhead."""
+        A, m = self.A, self.m
+        starts = A.indptr[self.basis]
+        counts = A.indptr[self.basis + 1] - starts
+        at = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        BT = np.zeros((m, m))
+        BT[np.repeat(np.arange(m), counts), A.indices[at]] = 0.0 + A.data[at]
+        return BT.T
+
     def _try_refactor(self):
         try:
-            Binv = np.linalg.inv(self.A[:, self.basis].toarray())
+            Binv = np.linalg.inv(self._basis_matrix())
         except np.linalg.LinAlgError:
             return False
         if not np.all(np.isfinite(Binv)):
@@ -506,131 +520,131 @@ class _Simplex:
         return True
 
     def _refresh(self):
-        """Recompute the iterate from the current basis inverse."""
-        self._set_nonbasic_values()
-        self._recompute_basics()
+        """Recompute the iterate and the per-position state from the
+        current basis and statuses."""
+        vs, basis = self.vstat, self.basis
+        self.x = np.where(vs == NB_UP, self.hi, self.lo)
+        self.x[(vs == NB_FREE) | (vs == BASIC)] = 0.0
+        self.xB = self.Binv @ (self.b - self.A @ self.x)
+        self.loB, self.hiB, self.cB = self.lo[basis], self.hi[basis], self.c[basis]
+        self.loB_tol, self.hiB_tol = self.loB - FEAS_TOL, self.hiB + FEAS_TOL
+        self.rise = (vs == NB_LO) | (vs == NB_FREE)
+        self.fall = (vs == NB_UP) | (vs == NB_FREE)
         self._since_refactor = 0
-
-    def _set_nonbasic_values(self):
-        vs = self.vstat
-        self.x[vs == NB_LO] = self.lo[vs == NB_LO]
-        self.x[vs == NB_UP] = self.hi[vs == NB_UP]
-        self.x[vs == FIXED] = self.lo[vs == FIXED]
-        self.x[vs == NB_FREE] = 0.0
-
-    def _recompute_basics(self):
-        xn = self.x.copy()
-        xn[self.basis] = 0.0
-        r = self.b - self.A @ xn
-        self.x[self.basis] = self.Binv @ r
 
     # -- pricing ----------------------------------------------------------
 
-    def _reduced_costs(self, c_work):
-        y = c_work[self.basis] @ self.Binv
-        return y, c_work - self.AT @ y
+    def _duals(self, cB):
+        """y' = c_B' B^-1 and A'y, summed as ``AT @ y`` sums it."""
+        y = cB @ self.Binv
+        g = np.zeros(self.N)
+        AT = self.AT
+        _csr_matvec(self.N, self.m, AT.indptr, AT.indices, AT.data, y, g)
+        return y, g
 
-    def _pick_entering(self, d, dtol, bland):
-        vs = self.vstat
-        up = ((vs == NB_LO) | (vs == NB_FREE)) & (d < -dtol)
-        dn = ((vs == NB_UP) | (vs == NB_FREE)) & (d > dtol)
-        cand = up | dn
-        if not cand.any():
-            return -1, 0
-        if bland:
-            j = int(np.nonzero(cand)[0][0])
-        else:
-            j = int(np.argmax(np.where(cand, np.abs(d), -1.0)))
-        return j, (1 if up[j] else -1)
+    def _pick_entering(self, p, dtol, bland):
+        """The entering column and its direction (+1 up, -1 down) from p,
+        the objective's fall per unit rise (the reduced cost negated);
+        (-1, 0) when no column improves by more than dtol."""
+        score = np.maximum(np.where(self.rise, p, -np.inf), np.where(self.fall, -p, -np.inf))
+        j = int((score > dtol if bland else score).argmax())
+        if not score[j] > dtol:
+            if not math.isnan(score[j]):
+                return -1, 0
+            # argmax stops at the first NaN, which is never a candidate
+            score[np.isnan(score)] = -np.inf
+            j = int(score.argmax())
+            if not score[j] > dtol:
+                return -1, 0
+        return j, (1 if self.rise[j] and p[j] > dtol else -1)
 
     # -- ratio test -------------------------------------------------------
 
-    def _ratio_test(self, j, sigma, w, ftol):
+    def _ratio_test(self, j, sigma, w, below, above):
         """Blocking step length; honours phase-1 infeasible basics.
 
         Returns (t, kind, row, side): kind 'flip' | 'pivot' | 'unbounded';
         side is the bound the leaving variable lands on (NB_LO/NB_UP).
-        Only rows whose basic variable moves (|delta| > piv_tol) can block.
+        Only rows whose basic variable moves (|w| > piv_tol) can block.
         """
         piv_tol = 1e-10
-        delta = sigma * w  # x_B changes by -delta * t
-        rows = np.flatnonzero(np.abs(delta) > piv_tol)
-        delta = delta[rows]
-        basic = self.basis[rows]
-        xB = self.x[basic]
-        loB = self.lo[basic]
-        hiB = self.hi[basic]
-        below = xB < loB - ftol
-        above = xB > hiB + ftol
-        down = delta > 0
+        xB, loB, hiB = self.xB, self.loB, self.hiB
+        absw = np.abs(w)
+        down = w > 0 if sigma > 0 else w < 0  # x_B changes by -sigma * w * t
         # a basic moving down stops at its lower bound, one moving up at its
         # upper bound; in phase 1 one outside its bounds stops where it
         # re-enters them, and never blocks while moving further away
-        t_rows = np.where(down, xB - loB, hiB - xB)
-        if below.any() or above.any():
-            back = down & above
-            t_rows[back] = xB[back] - hiB[back]
-            back = ~down & below
-            t_rows[back] = loB[back] - xB[back]
-            t_rows[(down & below) | (~down & above)] = np.inf
-        # |delta| is delta moving down and -delta moving up: same quotients
-        t_rows /= np.abs(delta)
-        t_rows[~np.isfinite(t_rows)] = np.inf
-        np.maximum(t_rows, 0.0, out=t_rows)
+        if below is not None:
+            loB, hiB = (np.where(below, -np.inf, np.where(above, hiB, loB)),
+                        np.where(above, np.inf, np.where(below, loB, hiB)))
+        t = np.empty(self.m)
+        t.fill(np.inf)
+        np.divide(np.where(down, xB, hiB) - np.where(down, loB, xB), absw, out=t,
+                  where=absw > piv_tol)
+        np.putmask(t, ~np.isfinite(t), np.inf)
+        # t holds no -0.0 from here on, so its minimum's bits do not depend
+        # on where in t the zeros sit
+        np.maximum(t, 0.0, out=t)
 
         span = self.hi[j] - self.lo[j]
-        flip_limit = span if self.vstat[j] in (NB_LO, NB_UP) and np.isfinite(span) else np.inf
+        flip_limit = span if self.vstat[j] in (NB_LO, NB_UP) and math.isfinite(span) else np.inf
 
-        rmin = t_rows.min() if len(rows) else np.inf
+        rmin = t.min() if self.m else np.inf
         if flip_limit <= rmin:
-            if not np.isfinite(flip_limit):
+            if not math.isfinite(flip_limit):
                 return np.inf, "unbounded", -1, 0
             return flip_limit, "flip", -1, 0
-        if not np.isfinite(rmin):
+        if not math.isfinite(rmin):
             return np.inf, "unbounded", -1, 0
-        ties = np.nonzero(t_rows <= rmin + 1e-12 * (1.0 + rmin))[0]
-        if self._degen_streak >= DEGEN_STREAK:
+        ties = (t <= rmin + 1e-12 * (1.0 + rmin)).nonzero()[0]
+        if len(ties) == 1:
+            k = int(ties[0])
+        elif self._degen_streak >= DEGEN_STREAK:
             # Bland: smallest leaving variable index
-            k = int(ties[np.argmin(basic[ties])])
+            k = int(ties[np.argmin(self.basis[ties])])
         else:
             # stability: largest pivot magnitude, then smallest index
-            mags = np.abs(w[rows[ties]])
-            best = mags.max()
-            strong = ties[mags >= best * (1.0 - 1e-9)]
-            k = int(strong[np.argmin(basic[strong])])
+            mags = absw[ties]
+            strong = ties[mags >= mags.max() * (1.0 - 1e-9)]
+            k = int(strong[np.argmin(self.basis[strong])])
         if down[k]:
-            side = NB_UP if above[k] else NB_LO
+            side = NB_UP if below is not None and above[k] else NB_LO
         else:
-            side = NB_LO if below[k] else NB_UP
-        return rmin, "pivot", int(rows[k]), side
+            side = NB_LO if below is not None and below[k] else NB_UP
+        return rmin, "pivot", k, side
 
     # -- pivoting ---------------------------------------------------------
 
     def _apply_pivot(self, j, sigma, w, t, kind, r, land_side):
         if kind == "flip":
-            self.x[self.basis] -= (sigma * t) * w
+            self.xB -= (sigma * t) * w
             self.x[j] = self.hi[j] if self.vstat[j] == NB_LO else self.lo[j]
             self.vstat[j] = NB_UP if self.vstat[j] == NB_LO else NB_LO
+            self.rise[j], self.fall[j] = self.fall[j], self.rise[j]
             return True
         piv = w[r]
         if abs(piv) < 1e-9:
             return False  # caller refactors and retries
-        self.x[self.basis] -= (sigma * t) * w
+        self.xB -= (sigma * t) * w
         leaving = self.basis[r]
-        self.x[leaving] = self.lo[leaving] if land_side == NB_LO else self.hi[leaving]
-        self.x[j] = self.x[j] + sigma * t
-        if self.lo[leaving] == self.hi[leaving]:
-            self.vstat[leaving] = FIXED
-        else:
-            self.vstat[leaving] = land_side
+        lo, hi = self.lo, self.hi
+        self.x[leaving] = lo[leaving] if land_side == NB_LO else hi[leaving]
+        self.xB[r] = self.x[j] + sigma * t
+        self.x[j] = 0.0
+        self.vstat[leaving] = FIXED if lo[leaving] == hi[leaving] else land_side
+        self.rise[leaving] = self.vstat[leaving] == NB_LO
+        self.fall[leaving] = self.vstat[leaving] == NB_UP
         self.vstat[j] = BASIC
+        self.rise[j] = self.fall[j] = False
         self.basis[r] = j
+        self.loB[r], self.hiB[r], self.cB[r] = lo[j], hi[j], self.c[j]
+        self.loB_tol[r], self.hiB_tol[r] = lo[j] - FEAS_TOL, hi[j] + FEAS_TOL
         # product-form update of the dense inverse; rows where w is zero
         # are unchanged by it, so only the others are touched
         Br = self.Binv[r, :] / piv
-        rows = np.flatnonzero(w)
+        rows = w.nonzero()[0]
         rows = rows[rows != r]
-        self.Binv[rows] -= np.outer(w[rows], Br)
+        self.Binv[rows] -= w[rows, None] * Br
         self.Binv[r, :] = Br
         self._since_refactor += 1
         if self._since_refactor >= REFACTOR_EVERY:
@@ -649,46 +663,38 @@ class _Simplex:
     # -- phases -----------------------------------------------------------
 
     def _infeasibility(self):
-        xB = self.x[self.basis]
-        loB = self.lo[self.basis]
-        hiB = self.hi[self.basis]
-        lo_gap = np.maximum(loB - xB, 0.0)
-        hi_gap = np.maximum(xB - hiB, 0.0)
+        lo_gap = np.maximum(self.loB - self.xB, 0.0)
+        hi_gap = np.maximum(self.xB - self.hiB, 0.0)
         return float(lo_gap.sum() + hi_gap.sum())
-
-    def _phase1_costs(self, ftol):
-        c1 = np.zeros(self.N)
-        xB = self.x[self.basis]
-        below = xB < self.lo[self.basis] - ftol
-        above = xB > self.hi[self.basis] + ftol
-        c1[self.basis[below]] = -1.0
-        c1[self.basis[above]] = 1.0
-        return c1, bool(below.any() or above.any())
 
     def _run(self, phase):
         """Shared pivot loop; phase 1 minimizes basic bound violations."""
-        ftol = FEAS_TOL
+        dtol = 1e-9 if phase == 1 else OPT_TOL
         stall_guard = 0
         while True:
             if self.iterations >= self.opts.max_iters:
                 return ITERATION_LIMIT
-            if phase == 1:
-                c_work, any_inf = self._phase1_costs(ftol)
-                if not any_inf:
+            below = self.xB < self.loB_tol
+            above = self.xB > self.hiB_tol
+            if not (np.count_nonzero(below) or np.count_nonzero(above)):
+                if phase == 1:
                     return "feasible"
-                dtol = 1e-9
+                below = above = None
+            if phase == 1:
+                # cost -1 below, +1 above, 0 elsewhere; every nonbasic costs
+                # 0, so its reduced cost is -(A'y)
+                p = self._duals(np.subtract(above, below, dtype=np.float64))[1]
             else:
-                c_work = self.c
-                dtol = OPT_TOL
-            y, d = self._reduced_costs(c_work)
+                p = self._duals(self.cB)[1]
+                np.subtract(p, self.c, out=p)
             bland = self._degen_streak >= DEGEN_STREAK
-            j, sigma = self._pick_entering(d, dtol, bland)
+            j, sigma = self._pick_entering(p, dtol, bland)
             if j < 0:
                 if phase == 1:
-                    return INFEASIBLE if self._infeasibility() > ftol * (1 + abs(self.b).sum()) else "feasible"
+                    return INFEASIBLE if self._infeasibility() > FEAS_TOL * (1 + abs(self.b).sum()) else "feasible"
                 return OPTIMAL
             w = self.Binv @ self._column(j)
-            t, kind, r, land = self._ratio_test(j, sigma, w, ftol)
+            t, kind, r, land = self._ratio_test(j, sigma, w, below, above)
             if kind == "unbounded":
                 if phase == 1:
                     # cannot legitimately happen: retry once after refactor
@@ -723,8 +729,8 @@ class _Simplex:
                 return self._package(status)
             if not self._try_refactor():
                 raise LPNumericalError("basis refactorization failed")
-            _, d = self._reduced_costs(self.c)
-            j, _sig = self._pick_entering(d, OPT_TOL, False)
+            p = self._duals(self.cB)[1] - self.c
+            j, _sig = self._pick_entering(p, OPT_TOL, False)
             if j < 0 and self._infeasibility() <= FEAS_TOL * (1 + abs(self.b).sum()):
                 break
             if self._infeasibility() > FEAS_TOL * (1 + abs(self.b).sum()):
@@ -735,12 +741,14 @@ class _Simplex:
 
     def _package(self, status):
         n = self.n
-        x = self.x[:n].copy()
+        x = self.x.copy()
+        x[self.basis] = self.xB
+        x = x[:n].copy()
         duals = np.zeros(self.m)
         rc = np.zeros(n)
         if status == OPTIMAL:
-            duals, d = self._reduced_costs(self.c)
-            rc = d[:n]
+            duals, g = self._duals(self.cB)
+            rc = (self.c - g)[:n]
             rc[self.vstat[:n] == BASIC] = 0.0
         obj = float(self.c[:n] @ x + self.lp.obj_const) if status in (OPTIMAL, ITERATION_LIMIT) else (
             np.inf if status == INFEASIBLE else -np.inf

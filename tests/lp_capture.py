@@ -26,8 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from run import WORKLOADS  # noqa: E402  (pins the BLAS pools to one thread, so first)
 import gen  # noqa: E402
-from run import WORKLOADS  # noqa: E402  (pins the BLAS pools to one thread)
 
 import numpy as np  # noqa: E402
 

@@ -193,9 +193,26 @@ def _nan_price_case(files):
     return str(path)
 
 
+def _summary(**values):
+    summary = {"case": "c", "policy": "sced", "periods": 2, "total_cost": 10.0, **values}
+    return json.dumps({"summary": summary, "columns": [], "steps": []})
+
+
 #: report inputs that are not simulate outputs, by test name
 _MALFORMED_REPORTS = {"number": "5", "summary-not-an-object": '{"summary": 1, "steps": []}',
-                      "not-json": "not json"}
+                      "not-json": "not json",
+                      "total-cost-string": _summary(total_cost="x"),
+                      "total-cost-bool": _summary(total_cost=True),
+                      "total-cost-nan": _summary(total_cost=float("nan")),
+                      "periods-float": _summary(periods=2.0),
+                      "periods-bool": _summary(periods=True),
+                      "case-not-a-string": _summary(case=["c"])}
+
+
+def _not_utf8_case(files):
+    path = files["dir"] / "not_utf8.json"
+    path.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x62, 0x61, 0x64]))
+    return str(path)
 
 
 def _report_input(files, text):
@@ -234,6 +251,8 @@ BAD_CALLS = {
                                       "--policy", "sced", "--demand", "B1=10"],
     "policies-empty": lambda f: ["compare", "--case", f["case"], "--actuals", f["day"],
                                  "--policies", " , "],
+    "case-not-utf8": lambda f: ["simulate", "--case", _not_utf8_case(f),
+                                "--actuals", f["day"], "--policy", "sced"],
     # the Benders settings are checked for every policy, not only slad's
     **{f"sced-{flag[2:]}-{v}": (lambda f, flag=flag, v=v: [
         "simulate", "--case", f["case"], "--actuals", f["day"], "--policy", "sced", flag, v])
@@ -254,6 +273,22 @@ def test_bad_calls_exit_1_with_one_message(name, files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("rtdispatch: ") and captured.err.count("\n") == 1
+
+
+def test_a_file_that_is_not_utf8_is_named(files, capsys):
+    path = _not_utf8_case(files)
+    assert main(["simulate", "--case", path, "--actuals", files["day"], "--policy", "sced"]) == 1
+    assert capsys.readouterr().err == f"rtdispatch: {path}: not UTF-8 text\n"
+
+
+def test_a_report_of_well_formed_summaries_still_runs(files, capsys):
+    paths = []
+    for policy, cost in (("sced", 10), ("lad", 9.0)):
+        paths.append(_report_input(files, _summary(policy=policy, total_cost=cost)))
+        paths[-1] = str(Path(paths[-1]).rename(files["dir"] / f"{policy}.json"))
+    assert main(["report", "--inputs", *paths, "--format", "json"]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [r["savings_pct"] for r in runs] == [0.0, 10.0]
 
 
 def test_numerical_failure_exits_1(files, capsys, monkeypatch):

@@ -246,6 +246,19 @@ def test_simplex_solution_bytes_are_pinned(solved, name):
     assert solved[name] == PINNED[name]
 
 
+def test_the_dense_basis_has_scipys_bytes_and_layout():
+    # a refactorization inverts B; its bits follow B's bytes and layout
+    rng = np.random.default_rng(4)
+    lp = random_lp(41, 30, 20)
+    signed = lp.with_rows([(np.arange(4), np.array([-0.0, 0.0, 2.5, -1.0]), "<=", 3.0)])
+    simplex = lpmod._Simplex(signed, LPOptions())
+    mixed = np.concatenate([np.arange(4), 4 + rng.permutation(signed.n_vars + signed.n_rows - 4)])
+    for basis in (simplex.basis, mixed[:signed.n_rows]):
+        simplex.basis = basis
+        ref, mine = simplex.A[:, basis].toarray(), simplex._basis_matrix()
+        assert (mine.strides, mine.tobytes(order="A")) == (ref.strides, ref.tobytes(order="A"))
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         sol = CASES[name]()
