@@ -567,11 +567,10 @@ class _Layout:
         vm.layout = self
         # a cost or upper-bound array bytes-equal to the last fill's is that
         # same read-only array, so a solver that holds it skips rewriting it
-        last = self._last or self.lp
+        last = self.lp if self._last is None else self._last
         lp = last.with_numbers(
             cost=None if cost.tobytes() == last.cost.tobytes() else cost,
             upper=None if upper.tobytes() == last.upper.tobytes() else upper, rhs=rhs)
-        lp.obj_const = self.lp.obj_const
         self._last = lp
         return lp, vm
 

@@ -13,15 +13,32 @@ The work outside pricing and FTRAN touches only nonzeros: the slack-
 augmented matrix [A I] is assembled once per model structure from its
 ``coo()`` entries, one slack per model row (an empty row is kept, its
 slack basic, so the basis and the duals index model rows one to one),
-the entering column is read from its CSC arrays, the ratio test scans
-only rows whose basic variable moves, and the product-form update
-rewrites only the rows where the entering column's FTRAN is nonzero.
-The cold slack basis starts from the identity, with no factorization.
-Pricing (c_B B^-1, then A'y), FTRAN (a dense B^-1 a_j) and
-refactorization (a dense inverse) keep their dense arithmetic.  Every
-skipped operation would have added or subtracted a zero or filled a row
-the ratio test cannot choose, so the pivot sequence and every
+the entering column is read from its CSC arrays, and the product-form
+update rewrites only the rows where the entering column's FTRAN is
+nonzero.  The cold slack basis starts from the identity, with no
+factorization.  Pricing (c_B B^-1, then A'y), FTRAN (a dense B^-1 a_j)
+and refactorization (a dense inverse of B laid out as scipy's
+``toarray`` lays it out) keep their dense arithmetic.  Every skipped
+operation would have added or subtracted a zero or filled a row the
+ratio test cannot choose, so the pivot sequence and every
 floating-point value are those of the all-dense kernel.
+
+A pivot makes few numpy calls, because the state it reads is kept by
+basis position: the basic values ``xB`` (``x`` holds 0 at basic
+columns), their bounds and those bounds widened by the feasibility
+tolerance, and ``c_B``; plus two masks of the nonbasic columns that may
+rise and that may fall.  A pivot or a bound flip updates these in place;
+a refactorization recomputes them.  Each number is the one the
+gather-per-pivot kernel computed, from the same operands in the same
+order: ``c_B`` is the same contiguous vector in the same BLAS product,
+A'y runs the CSR kernel ``AT @ y`` runs, and the ratio test divides the
+same gaps by the same |w| (it runs over every position, a row with
+|w| <= 1e-10 reading inf, and min() finds the same step, since after
+the clamp at 0 the steps hold no -0.0).  Phase 1's c_B is +1 above, -1
+below and 0 elsewhere; every nonbasic column costs 0 in phase 1, so its
+reduced cost is -(A'y), and the loop prices on A'y with the comparisons
+turned round.  Only the sign of a zero can differ, which no comparison
+sees, and phase-1 reduced costs never leave the loop.
 
 Dual sign conventions (minimization): duals of >= rows are nonnegative,
 of <= rows nonpositive, of = rows free.  Reduced costs are nonnegative
@@ -577,8 +594,7 @@ class _Simplex:
         if below is not None:
             loB, hiB = (np.where(below, -np.inf, np.where(above, hiB, loB)),
                         np.where(above, np.inf, np.where(below, loB, hiB)))
-        t = np.empty(self.m)
-        t.fill(np.inf)
+        t = np.full(self.m, np.inf)
         np.divide(np.where(down, xB, hiB) - np.where(down, loB, xB), absw, out=t,
                   where=absw > piv_tol)
         np.putmask(t, ~np.isfinite(t), np.inf)

@@ -137,3 +137,24 @@ def test_a_day_builds_one_layout_per_structure_and_holds_one_per_role(day, kind,
     # of one structure come one after another; pd builds its plan once
     assert built[0] == len(structures) + (kind == "pd")
     assert len({role for role, _ in structures}) == (4 if kind == "slad" else 2 - (kind == "pd"))
+
+
+def test_a_refill_with_equal_costs_and_bounds_hands_back_the_same_arrays():
+    # a HiGHS solve skips rewriting the arrays it already holds, by identity
+    from rtdispatch.formulation import build_lad
+    from rtdispatch.model import initial_state
+
+    vc, actuals, _ = _day("network", "lad")
+    state = initial_state(vc)
+    lp, vmap = build_lad(vc, state, actuals.window(0, 4))
+    layout = vmap.layout
+    again = layout.lad(state, actuals.window(0, 4))[0]
+    later = layout.lad(dataclasses.replace(state, prev_dispatch={
+        g: v + 1.0 for g, v in state.prev_dispatch.items()}), actuals.window(0, 4))[0]
+    assert again.cost is lp.cost and again.upper is lp.upper and again.rhs is not lp.rhs
+    assert later.cost is lp.cost and later.upper is lp.upper
+    assert later.rhs.tobytes() != lp.rhs.tobytes()
+    # other loads and derates: the numbers of a fresh build
+    moved = layout.lad(state, actuals.window(4, 4))[0]
+    for a, b in zip(_numbers(moved), _numbers(build_lad(vc, state, actuals.window(4, 4))[0])):
+        assert a.tobytes() == b.tobytes()
