@@ -31,14 +31,22 @@ rise and that may fall.  A pivot or a bound flip updates these in place;
 a refactorization recomputes them.  Each number is the one the
 gather-per-pivot kernel computed, from the same operands in the same
 order: ``c_B`` is the same contiguous vector in the same BLAS product,
-A'y runs the CSR kernel ``AT @ y`` runs, and the ratio test divides the
-same gaps by the same |w| (it runs over every position, a row with
-|w| <= 1e-10 reading inf, and min() finds the same step, since after
-the clamp at 0 the steps hold no -0.0).  Phase 1's c_B is +1 above, -1
-below and 0 elsewhere; every nonbasic column costs 0 in phase 1, so its
-reduced cost is -(A'y), and the loop prices on A'y with the comparisons
-turned round.  Only the sign of a zero can differ, which no comparison
-sees, and phase-1 reduced costs never leave the loop.
+and the ratio test divides the same gaps by the same |w| (it runs over
+every position, a row with |w| <= 1e-10 reading inf, and min() finds the
+same step, since after the clamp at 0 the steps hold no -0.0).  Phase
+1's c_B is +1 above, -1 below and 0 elsewhere; every nonbasic column
+costs 0 in phase 1, so its reduced cost is -(A'y), and the loop prices
+on A'y with the comparisons turned round.  Only the sign of a zero can
+differ, which no comparison sees, and phase-1 reduced costs never leave
+the loop.
+
+The simplex needs only numpy: [A I] is kept as CSC arrays, each
+column's entries in row order, and A'y (pricing) and A x (the iterate)
+are ``np.bincount`` over them.  Each product is taken on its own, not
+fused into an add, and each bin adds its products one at a time in
+storage order from 0.0, as scipy's ``csr_matvec`` and ``csc_matvec`` do
+in the x86-64 build the pinned outputs were recorded with, so every sum
+keeps its bits.
 
 Dual sign conventions (minimization): duals of >= rows are nonnegative,
 of <= rows nonpositive, of = rows free.  Reduced costs are nonnegative
@@ -84,8 +92,6 @@ import math
 import threading
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 LE, EQ, GE = -1, 0, 1
 _SENSES = {"<=": LE, "=": EQ, ">=": GE}
@@ -237,7 +243,8 @@ class LinearProgram:
         return self._view()[0].coo
 
     def matrix(self):
-        """Constraint matrix as CSC (rows x vars)."""
+        """Constraint matrix as a scipy CSC matrix (rows x vars); solving
+        never needs it."""
         return self._view()[0].form(_csc)
 
     def with_numbers(self, cost=None, lower=None, upper=None, rhs=None):
@@ -370,6 +377,8 @@ class _Structure:
 
 
 def _csc(s):
+    import scipy.sparse as sp  # only matrix() needs it; the simplex never does
+
     rows, cols, data = s.coo
     A = sp.csc_matrix((data, (rows, cols)), shape=(s.m, s.n))
     for a in (A.data, A.indices, A.indptr):
@@ -432,10 +441,11 @@ def extend_warm_start(lp, sol, ext):
 
 
 class _SlackForm:
-    """[A I] and the slacks' bounds.  Equality rows get a fixed zero slack;
-    it may sit in a basis but can never enter one.  A row with no
-    coefficients stays, its slack fixed at the rhs.  The columns' costs and
-    bounds are the solved model's own."""
+    """[A I] as CSC arrays (``indptr``, ``indices``, ``data`` and each
+    entry's column ``col``) and the slacks' bounds.  Equality rows get a
+    fixed zero slack; it may sit in a basis but can never enter one.  A row
+    with no coefficients stays, its slack fixed at the rhs.  The columns'
+    costs and bounds are the solved model's own."""
 
     def __init__(self, s):
         n, m = s.n, s.m
@@ -443,17 +453,25 @@ class _SlackForm:
         self.empty = np.bincount(rows, minlength=m) == 0
         self.slack_lo = np.where(s.senses == GE, -np.inf, 0.0)
         self.slack_hi = np.where(s.senses == LE, np.inf, 0.0)
-        # entries of each column are in row order, so every sparse product
-        # sums in a fixed order
+        # a stable sort keeps each column's entries in row order, so every
+        # sparse product sums in a fixed order
         slack = np.arange(m, dtype=np.int64)
-        self.A = A = sp.csc_matrix(
-            (np.concatenate([data, np.ones(m)]),
-             (np.concatenate([rows, slack]), np.concatenate([cols, n + slack]))),
-            shape=(m, n + m),
-        )
-        self.AT = A.T
-        for a in (A.data, A.indices, A.indptr, self.slack_lo, self.slack_hi):
+        col = np.concatenate([cols, n + slack])
+        order = np.argsort(col, kind="stable")
+        self.col = col[order]
+        self.indices = np.concatenate([rows, slack])[order]
+        self.data = np.concatenate([data, np.ones(m)])[order]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n + m))])
+        for a in (self.col, self.indices, self.data, self.indptr, self.slack_lo,
+                  self.slack_hi):
             _read_only(a)
+
+
+def _sums(bins, weights, length):
+    """Each bin's weights added one at a time in storage order from 0.0, as
+    scipy's ``csr_matvec`` and ``csc_matvec`` add a row's or a column's
+    products; float64 also when there are no weights."""
+    return np.bincount(bins, weights, length).astype(np.float64, copy=False)
 
 
 class _Simplex:
@@ -468,7 +486,8 @@ class _Simplex:
         ))
         self.n, self.m = s.n, s.m
         self.N = self.n + self.m
-        self.A, self.AT, self.b = f.A, f.AT, rhs
+        self.indptr, self.indices, self.data, self.col = f.indptr, f.indices, f.data, f.col
+        self.b = rhs
         self.c = np.concatenate([cost, np.zeros(self.m)])
         self.lo = np.concatenate([lower, f.slack_lo])
         self.hi = np.concatenate([upper, f.slack_hi])
@@ -514,15 +533,14 @@ class _Simplex:
         self._refresh()
 
     def _basis_matrix(self):
-        """B = [A I][:, basis], dense, with the bytes and layout that
-        ``A[:, basis].toarray()`` gives (column-major, each entry 0.0 + a)
-        without scipy's fancy-indexing overhead."""
-        A, m = self.A, self.m
-        starts = A.indptr[self.basis]
-        counts = A.indptr[self.basis + 1] - starts
+        """B = [A I][:, basis], dense, with the bytes and layout that scipy's
+        ``A[:, basis].toarray()`` gives (column-major, each entry 0.0 + a)."""
+        indptr, m = self.indptr, self.m
+        starts = indptr[self.basis]
+        counts = indptr[self.basis + 1] - starts
         at = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         BT = np.zeros((m, m))
-        BT[np.repeat(np.arange(m), counts), A.indices[at]] = 0.0 + A.data[at]
+        BT[np.repeat(np.arange(m), counts), self.indices[at]] = 0.0 + self.data[at]
         return BT.T
 
     def _try_refactor(self):
@@ -542,7 +560,7 @@ class _Simplex:
         vs, basis = self.vstat, self.basis
         self.x = np.where(vs == NB_UP, self.hi, self.lo)
         self.x[(vs == NB_FREE) | (vs == BASIC)] = 0.0
-        self.xB = self.Binv @ (self.b - self.A @ self.x)
+        self.xB = self.Binv @ (self.b - _sums(self.indices, self.data * self.x[self.col], self.m))
         self.loB, self.hiB, self.cB = self.lo[basis], self.hi[basis], self.c[basis]
         self.loB_tol, self.hiB_tol = self.loB - FEAS_TOL, self.hiB + FEAS_TOL
         self.rise = (vs == NB_LO) | (vs == NB_FREE)
@@ -552,12 +570,9 @@ class _Simplex:
     # -- pricing ----------------------------------------------------------
 
     def _duals(self, cB):
-        """y' = c_B' B^-1 and A'y, summed as ``AT @ y`` sums it."""
+        """y' = c_B' B^-1 and A'y, summed as scipy's ``A.T @ y`` sums it."""
         y = cB @ self.Binv
-        g = np.zeros(self.N)
-        AT = self.AT
-        _csr_matvec(self.N, self.m, AT.indptr, AT.indices, AT.data, y, g)
-        return y, g
+        return y, _sums(self.col, self.data * y[self.indices], self.N)
 
     def _pick_entering(self, p, dtol, bland):
         """The entering column and its direction (+1 up, -1 down) from p,
@@ -670,10 +685,9 @@ class _Simplex:
 
     def _column(self, j):
         """Column j of [A I] as a dense vector, read from the CSC arrays."""
-        A = self.A
-        lo, hi = A.indptr[j], A.indptr[j + 1]
+        lo, hi = self.indptr[j], self.indptr[j + 1]
         col = np.zeros(self.m)
-        col[A.indices[lo:hi]] = A.data[lo:hi]
+        col[self.indices[lo:hi]] = self.data[lo:hi]
         return col
 
     # -- phases -----------------------------------------------------------
@@ -993,12 +1007,12 @@ def verify_kkt(lp: LinearProgram, sol: LPSolution, tol=1e-6) -> KKTReport:
     x = np.asarray(sol.x)
     y = np.asarray(sol.duals)
     z = np.asarray(sol.reduced_costs)
-    A = lp.matrix()
-    senses = np.asarray(lp.senses, dtype=np.int8)
-    rhs = lp.rhs
-    lo, hi, c = lp.lower, lp.upper, lp.cost
+    s, (c, lo, hi, rhs) = lp._view()
+    f, senses = s.form(_SlackForm), s.senses
+    k = f.indptr[s.n]  # the model's own entries come before the slacks'
+    rows, cols, vals = f.indices[:k], f.col[:k], f.data[:k]
 
-    ax = A @ x if lp.n_rows else np.zeros(0)
+    ax = _sums(rows, vals * x[cols], s.m)
     row_viol = np.zeros(lp.n_rows)
     row_viol[senses == LE] = np.maximum(0.0, (ax - rhs)[senses == LE])
     row_viol[senses == GE] = np.maximum(0.0, (rhs - ax)[senses == GE])
@@ -1009,7 +1023,7 @@ def verify_kkt(lp: LinearProgram, sol: LPSolution, tol=1e-6) -> KKTReport:
     max_primal = float(max(row_viol.max() if lp.n_rows else 0.0,
                            bound_viol.max() if lp.n_vars else 0.0))
 
-    stat = c - (A.T @ y if lp.n_rows else 0.0) - z
+    stat = c - _sums(cols, vals * y[rows], s.n) - z
     sign_viol = 0.0
     if lp.n_rows:
         sign_viol = max(

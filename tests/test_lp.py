@@ -29,6 +29,7 @@ from rtdispatch.model import validate_case
 
 import conftest
 from helpers import (
+    DATA,
     assert_solution_clean,
     child_env,
     enumerate_optimum,
@@ -691,6 +692,102 @@ def test_only_a_highs_solve_loads_scipy_optimize():
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_the_simplex_path_imports_no_scipy():
+    # the reference simplex, its warm starts, the KKT check and default CLI
+    # runs need only numpy; scipy comes in with the first HiGHS solve
+    days = {
+        "toy": ["--case", f"{DATA}/toy_case.json", "--actuals", f"{DATA}/toy_day.csv",
+                "--scenarios", f"{DATA}/toy_scenarios.csv"],
+        "network": ["--case", f"{DATA}/network_case.json", "--actuals",
+                    f"{DATA}/network_day.csv", "--history", f"{DATA}/network_history.csv",
+                    "--knn-k", "3", "--horizon", "4"],
+    }
+    runs = [[command, *args, *extra] for args in days.values() for command, extra in (
+        ("simulate", ["--policy", "sced"]),
+        ("compare", ["--policies", "sced,lad,slad,plad,pd"]))]
+    code = (
+        "import contextlib, io, sys\n"
+        "from rtdispatch import cli\n"
+        "from rtdispatch.lp import (LinearProgram, LPOptions, extend_warm_start, solve_lp,\n"
+        "                           verify_kkt)\n"
+        "lp = LinearProgram()\n"
+        "x = lp.add_var(0.0, 1.0, cost=1.0)\n"
+        "lp.add_row([x], [1.0], '>=', 0.5)\n"
+        "lp.freeze()\n"
+        "sol = solve_lp(lp)\n"
+        "ext = lp.with_rows([([x], [1.0], '>=', 0.75)])\n"
+        "warm = solve_lp(ext, warm=extend_warm_start(lp, sol, ext))\n"
+        "assert sol.status == warm.status == 'optimal' and warm.x[0] == 0.75\n"
+        "assert verify_kkt(lp, sol).passed and verify_kkt(ext, warm).passed\n"
+        f"for args in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(args) == 0, args\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "solve_lp(lp, LPOptions(backend='highs'))\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+def _sparse_models():
+    """Random models with -0.0 and 0.0 coefficients, empty rows and empty
+    columns, plus one with no rows and one whose rows have no entries."""
+    rng = np.random.default_rng(20)
+    models = []
+    for _ in range(8):
+        n, m = (int(v) for v in rng.integers(1, 15, size=2))
+        lp = LinearProgram()
+        lp.add_vars(np.zeros(n), np.full(n, np.inf), rng.normal(size=n))
+        for _ in range(m):
+            cols = np.flatnonzero(rng.random(n) < 0.3)
+            vals = rng.choice([-0.0, 0.0, -1.0, 2.5, 1e-3, rng.normal()], size=cols.size)
+            lp.add_row(cols, vals, rng.choice(["<=", "=", ">="]), 1.0)
+        models.append(lp.freeze())
+    rowless = LinearProgram()
+    rowless.add_vars([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, -1.0, 0.0])
+    models.append(rowless.freeze())
+    empty = LinearProgram()
+    empty.add_vars([0.0, 0.0], [1.0, 1.0], [1.0, -1.0])
+    for _ in range(3):
+        empty.add_row([], [], "<=", 1.0)
+    return models + [empty.freeze()]
+
+
+@pytest.mark.parametrize("lp", _sparse_models())
+def test_the_slack_form_and_its_products_are_scipys_bytes(lp):
+    # [A I] as numpy arrays, and A x and A'y by np.bincount over them, give
+    # the bytes of scipy's CSC matrix and its matvec kernels
+    n, m = lp.n_vars, lp.n_rows
+    rows, cols, data = lp.coo()
+    slack = np.arange(m)
+    ref = sp.csc_matrix(
+        (np.concatenate([data, np.ones(m)]),
+         (np.concatenate([rows, slack]), np.concatenate([cols, n + slack]))),
+        shape=(m, n + m))
+    f = lp._view()[0].form(lpmod._SlackForm)
+    assert f.indptr.tolist() == ref.indptr.tolist()
+    assert f.indices.tolist() == ref.indices.tolist()
+    assert f.data.dtype == np.float64 and f.data.tobytes() == ref.data.tobytes()
+    assert f.col.tolist() == np.repeat(np.arange(n + m), np.diff(ref.indptr)).tolist()
+
+    rng = np.random.default_rng(n * 100 + m)
+    x, y = rng.normal(size=n + m), rng.normal(size=m)
+    x[rng.random(n + m) < 0.3], y[rng.random(m) < 0.3] = -0.0, -0.0
+    x[rng.random(n + m) < 0.2], y[rng.random(m) < 0.2] = 0.0, 0.0
+    ax = lpmod._sums(f.indices, f.data * x[f.col], m)
+    aty = lpmod._sums(f.col, f.data * y[f.indices], n + m)
+    assert ax.dtype == aty.dtype == np.float64
+    assert ax.tobytes() == (ref @ x).tobytes()
+    assert aty.tobytes() == (ref.T @ y).tobytes()
+    # the simplex prices with the same product
+    simplex = lpmod._Simplex(lp, LPOptions())
+    y, g = simplex._duals(rng.normal(size=m))
+    assert g.dtype == np.float64 and g.tobytes() == (ref.T @ y).tobytes()
 
 
 @pytest.mark.parametrize("system", ["toy", "network"])

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "perfbench") not in sys.path:
@@ -253,9 +254,12 @@ def test_the_dense_basis_has_scipys_bytes_and_layout():
     signed = lp.with_rows([(np.arange(4), np.array([-0.0, 0.0, 2.5, -1.0]), "<=", 3.0)])
     simplex = lpmod._Simplex(signed, LPOptions())
     mixed = np.concatenate([np.arange(4), 4 + rng.permutation(signed.n_vars + signed.n_rows - 4)])
+    # scipy's [A I], made from the slack form's own CSC arrays
+    A = sp.csc_matrix((simplex.data, simplex.indices, simplex.indptr),
+                      shape=(signed.n_rows, signed.n_vars + signed.n_rows))
     for basis in (simplex.basis, mixed[:signed.n_rows]):
         simplex.basis = basis
-        ref, mine = simplex.A[:, basis].toarray(), simplex._basis_matrix()
+        ref, mine = A[:, basis].toarray(), simplex._basis_matrix()
         assert (mine.strides, mine.tobytes(order="A")) == (ref.strides, ref.tobytes(order="A"))
 
 
