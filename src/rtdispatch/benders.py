@@ -184,14 +184,11 @@ def flow_violations(vmap, sol, tol):
         for t, s in cells:
             if ("flow_upper", e.id, t, s) in present:
                 continue
-            flow = sum(
-                coef * sol.x[vmap.col(("inj", bus, t, s))]
-                for bus, coef in e.ptdf.items()
-                if vmap.get(("inj", bus, t, s)) is not None
-            )
-            df = sol.x[vmap.col(("flow_excess", e.id, t, s))]
-            if flow - df > e.limit_hi + tol or flow + df < e.limit_lo - tol:
-                specs.extend(flow_limit_rows(vmap, e, t, s))
+            rows = flow_limit_rows(vmap, e, t, s)
+            (_, cols, hi_vals, _, hi), (_, _, lo_vals, _, lo) = rows
+            x = sol.x[cols]
+            if _dot(np.array(hi_vals), x) > hi + tol or _dot(np.array(lo_vals), x) < lo - tol:
+                specs.extend(rows)
     return specs
 
 

@@ -351,7 +351,6 @@ class _Layout:
         # index chunks per cell and block, concatenated by freeze()
         self._at = {k: [] for k in _FILLED}
         self.pinned_pg = None
-        self._last = None  # the last fill's model
 
     # -- assembly ---------------------------------------------------------
 
@@ -508,7 +507,6 @@ class _Layout:
         n = self.lp.n_rows
         out.lp = self.lp.with_rows([([int(c)], [1.0], "=", np.nan) for c in cols[out.pins_at]])
         out.pins = np.arange(n, out.lp.n_rows)
-        out._last = None
         return out
 
     # -- numbers ----------------------------------------------------------
@@ -565,14 +563,7 @@ class _Layout:
             **{k: copy.copy(v) for k, v in self.vmap.meta.items() if k != "case"},
         })
         vm.layout = self
-        # a cost or upper-bound array bytes-equal to the last fill's is that
-        # same read-only array, so a solver that holds it skips rewriting it
-        last = self.lp if self._last is None else self._last
-        lp = last.with_numbers(
-            cost=None if cost.tobytes() == last.cost.tobytes() else cost,
-            upper=None if upper.tobytes() == last.upper.tobytes() else upper, rhs=rhs)
-        self._last = lp
-        return lp, vm
+        return self.lp.with_numbers(cost=cost, upper=upper, rhs=rhs), vm
 
     def sced(self, state, demand, pmax=None, x1=None):
         """``build_sced``'s model; with ``x1``, a settlement layout's pins

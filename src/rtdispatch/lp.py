@@ -67,11 +67,11 @@ of the matrix in a kept ``HighsLp``) plus its own float64 costs, bounds
 and right-hand sides.  ``with_numbers`` swaps whole float64 arrays of
 numbers on the same structure (``with_rhs`` is one use of it), and
 ``with_rows`` extends the parent's arrays.  A HiGHS solve writes into the
-kept ``HighsLp`` only the costs, column bounds and row bounds that are
-not the arrays it last wrote (a ``with_rhs`` copy sends only row
-bounds), and ``passModel`` copies it, both under a per-structure lock;
-``run`` stays outside it.  An unfrozen model compiles on every query, so
-nothing cached goes stale.  Each thread keeps one HiGHS instance and
+kept ``HighsLp`` only the costs, column bounds and row bounds whose
+bytes differ from those it holds (a copy with new right-hand sides alone
+sends only row bounds), and ``passModel`` copies it, both under a
+per-structure lock; ``run`` stays outside it.  An unfrozen model
+compiles on every query, so nothing cached goes stale.  Each thread keeps one HiGHS instance and
 passes it options only when the iteration limit changes; ``passModel`` clears the previous solve, so the
 kept instance gives a fresh one's bytes.  Each solution vector is read
 back once.  Reduced costs are read off the basic-variable list and the
@@ -247,17 +247,18 @@ class LinearProgram:
         never needs it."""
         return self._view()[0].form(_csc)
 
-    def with_numbers(self, cost=None, lower=None, upper=None, rhs=None):
+    def with_numbers(self, cost=None, upper=None, rhs=None):
         """A frozen copy on this model's structure with numbers replaced.
 
         Each argument is None (keep this model's) or a whole float64 array
         of the model's length; anything else raises ValueError.  The copy
-        shares the structure and the arrays it keeps.
+        shares the structure, the lower bounds and the arrays it keeps; a
+        HiGHS solve rewrites only the arrays whose bytes it does not hold.
         """
         s, numbers = self._view()
         return LinearProgram._frozen(s, tuple(
             _replaced(old, new, name) for old, new, name in zip(
-                numbers, (cost, lower, upper, rhs), ("cost", "lower", "upper", "rhs"))),
+                numbers, (cost, None, upper, rhs), ("cost", "lower", "upper", "rhs"))),
             self.obj_const)
 
     def with_rhs(self, rhs):
@@ -692,10 +693,11 @@ class _Simplex:
 
     # -- phases -----------------------------------------------------------
 
-    def _infeasibility(self):
+    def _infeasible(self):
+        """Whether the basic bound violations sum above FEAS_TOL * (1 + sum|b|)."""
         lo_gap = np.maximum(self.loB - self.xB, 0.0)
         hi_gap = np.maximum(self.xB - self.hiB, 0.0)
-        return float(lo_gap.sum() + hi_gap.sum())
+        return float(lo_gap.sum() + hi_gap.sum()) > FEAS_TOL * (1 + abs(self.b).sum())
 
     def _run(self, phase):
         """Shared pivot loop; phase 1 minimizes basic bound violations."""
@@ -721,22 +723,18 @@ class _Simplex:
             j, sigma = self._pick_entering(p, dtol, bland)
             if j < 0:
                 if phase == 1:
-                    return INFEASIBLE if self._infeasibility() > FEAS_TOL * (1 + abs(self.b).sum()) else "feasible"
+                    return INFEASIBLE if self._infeasible() else "feasible"
                 return OPTIMAL
             w = self.Binv @ self._column(j)
             t, kind, r, land = self._ratio_test(j, sigma, w, below, above)
-            if kind == "unbounded":
-                if phase == 1:
-                    # cannot legitimately happen: retry once after refactor
-                    stall_guard += 1
-                    if stall_guard > 2 or not self._try_refactor():
-                        raise LPNumericalError("phase-1 ray detected")
-                    continue
+            if kind == "unbounded" and phase == 2:
                 return UNBOUNDED
-            if not self._apply_pivot(j, sigma, w, t, kind, r, land):
+            if kind == "unbounded" or not self._apply_pivot(j, sigma, w, t, kind, r, land):
+                # neither can legitimately happen: refactor and retry, twice at most
                 stall_guard += 1
                 if stall_guard > 2 or not self._try_refactor():
-                    raise LPNumericalError("pivot element vanished")
+                    raise LPNumericalError("phase-1 ray detected" if kind == "unbounded"
+                                           else "pivot element vanished")
                 continue
             stall_guard = 0
             self.iterations += 1
@@ -761,12 +759,12 @@ class _Simplex:
                 raise LPNumericalError("basis refactorization failed")
             p = self._duals(self.cB)[1] - self.c
             j, _sig = self._pick_entering(p, OPT_TOL, False)
-            if j < 0 and self._infeasibility() <= FEAS_TOL * (1 + abs(self.b).sum()):
-                break
-            if self._infeasibility() > FEAS_TOL * (1 + abs(self.b).sum()):
+            if self._infeasible():
                 status = self._run(1)
                 if status in (INFEASIBLE, ITERATION_LIMIT):
                     return self._package(status)
+            elif j < 0:
+                break
         return self._package(OPTIMAL)
 
     def _package(self, status):
@@ -849,23 +847,29 @@ class _HighsForm:
 
     def load(self, numbers):
         """Write into the model each of ``numbers`` (cost, lower, upper,
-        rhs) that is not the read-only array it holds.  Returns the row
+        rhs) whose bytes differ from those it holds.  Returns the row
         upper bounds, the post-solve check's (lower, upper) limits on x and
         the slacks, and the columns with a finite bound."""
-        (cost, lower, upper, rhs), model, last = numbers, self.model, self.loaded
-        if cost is not last[0]:
+        (cost, lower, upper, rhs), model = numbers, self.model
+        new = [not _same_bytes(a, held) for a, held in zip(numbers, self.loaded)]
+        if new[0]:
             model.col_cost_ = cost
-        if lower is not last[1] or upper is not last[2]:
+        if new[1] or new[2]:
             model.col_lower_, model.col_upper_ = lower.tolist(), upper.tolist()
             self.limits = (np.concatenate([lower - _HIGHS_TOL, self.slack_lo]),
                            np.concatenate([upper + _HIGHS_TOL, self.slack_hi]))
             self.bounded = np.isfinite(lower) | np.isfinite(upper)
-        if rhs is not last[3]:
+        if new[3]:
             self.row_upper = self.row_sign * rhs[self.rows]
             model.row_upper_ = row_upper = self.row_upper.tolist()
             model.row_lower_ = self.free_lower + row_upper[self.n_ub:]
         self.loaded = numbers
         return self.row_upper, self.limits, self.bounded
+
+
+def _same_bytes(a, held):
+    """Whether ``a`` is ``held`` or has its bytes (``held`` is None before a load)."""
+    return a is held or (held is not None and a.tobytes() == held.tobytes())
 
 
 #: linprog's post-solve tolerance on bounds and row residuals

@@ -357,6 +357,10 @@ def _want(mapping, key, kind, path, default=_MISSING):
     return val
 
 
+#: a generator's per-period flags, in the order they are parsed
+FLAGS = ("commit", "regulation", "ra_reg", "ra_spin", "ra_s_on", "ra_s_off")
+
+
 def _parse_flag(raw, path):
     if isinstance(raw, bool):
         return (raw,)
@@ -386,14 +390,8 @@ def _parse_generator(raw, i):
                 raise CaseFormatError(f"{path}.{dpath}.{key}: unknown reserve product")
     flags = _want(raw, "flags", dict, path, default={})
     for key in flags:
-        if key not in ("commit", "regulation", "ra_reg", "ra_spin", "ra_s_on", "ra_s_off"):
+        if key not in FLAGS:
             raise CaseFormatError(f"{path}.flags.{key}: unknown flag")
-
-    def flag(name):
-        if name not in flags:
-            return (True,)
-        return _parse_flag(flags[name], f"{path}.flags.{name}")
-
     return Generator(
         id=_want(raw, "id", str, path),
         bus=_want(raw, "bus", str, path),
@@ -407,12 +405,8 @@ def _parse_generator(raw, i):
         reserve_caps={k: _number(v, f"{path}.reserve_caps.{k}") for k, v in caps.items()},
         reserve_prices={k: _number(v, f"{path}.reserve_prices.{k}")
                         for k, v in prices.items()},
-        commit=flag("commit"),
-        regulation=flag("regulation"),
-        ra_reg=flag("ra_reg"),
-        ra_spin=flag("ra_spin"),
-        ra_s_on=flag("ra_s_on"),
-        ra_s_off=flag("ra_s_off"),
+        **{name: _parse_flag(flags[name], f"{path}.flags.{name}") if name in flags else (True,)
+           for name in FLAGS},
         is_import=bool(raw.get("is_import", False)),
     )
 

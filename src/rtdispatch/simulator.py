@@ -222,18 +222,20 @@ def _plan_step(vc, state, policy, win, t, slots=None):
     objective, trace).
 
     A single-scenario window is one look-ahead LP (empty ``trace``); more
-    go to the decomposition.  ``slots`` holds the day's model layouts."""
+    go to the decomposition.  A numerical failure names period t and the
+    stage.  ``slots`` holds the day's model layouts."""
     slots = slots or ModelSlots()
     if win.n_scenarios == 1:
-        lp, vmap = slots.model(
-            "window", structure_key(vc, policy.flows, state.wall_clock, win.horizon),
-            lambda: build_lad(vc, state, win, flows=policy.flows),
-            lambda layout: layout.lad(state, win))
-        sol = _solve_checked(lp, policy.lp, f"period {t}: dispatch")
+        with _stage(t, "plan"):
+            lp, vmap = slots.model(
+                "window", structure_key(vc, policy.flows, state.wall_clock, win.horizon),
+                lambda: build_lad(vc, state, win, flows=policy.flows),
+                lambda layout: layout.lad(state, win))
+            sol = _solve_checked(lp, policy.lp, f"period {t}: dispatch")
         return first_stage_values(sol, vmap), float(sol.objective), ()
-
-    res = run_benders(vc, state, win, policy.benders, lp=policy.lp, flows=policy.flows,
-                      slots=slots)
+    with _stage(t, "decomposition"):
+        res = run_benders(vc, state, win, policy.benders, lp=policy.lp, flows=policy.flows,
+                          slots=slots)
     if res.status == "iteration_limit":
         raise IterationLimit(
             f"period {t}: decomposition used all {policy.benders.max_iter} iterations "
@@ -299,8 +301,7 @@ def run_simulation(vc, actuals, policy: PolicySpec) -> SimulationLog:
             x1, objective, trace = first_stage_values(sol, vmap, t), float(sol.objective), ()
         else:
             win = _plan_window(vc, policy, actuals, t, length)
-            with _stage(t, "decomposition" if win.n_scenarios > 1 else "plan"):
-                x1, objective, trace = _plan_step(vc, state, policy, win, t, slots)
+            x1, objective, trace = _plan_step(vc, state, policy, win, t, slots)
         with _stage(t, "settlement"):
             d, costs = settle_first_period(
                 vc, state, load, pmax, x1, policy.lp, policy.flows, slots=slots

@@ -5,6 +5,7 @@ import os
 import signal
 import threading
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from rtdispatch.formulation import (
     build_slad_extensive,
     first_stage_keys,
     first_stage_values,
+    flow_limit_rows,
 )
 from rtdispatch import lp as lpmod
 from rtdispatch.forecast import load_history
@@ -467,6 +469,67 @@ def test_lazy_generation_reaches_the_full_model():
     assert final_lp.n_rows > n0  # congestion actually forced generation
     # and the fixed point certifies feasibility of every monitored limit
     assert flow_violations(lazy_vm, sol, 1e-6) == []
+
+
+def _ptdf_loop_violations(vmap, sol, tol):
+    """``flow_violations`` as a loop over ``Branch.ptdf``: each cell's flow
+    summed from its injection columns, less or plus its flow excess."""
+    cells = sorted({(k[2], k[3]) for k, _ in vmap.columns() if k[0] == "inj"})
+    present = {k for k, _ in vmap.rows()}
+    specs = []
+    for e in vmap.meta["case"].case.branches:
+        for t, s in cells if e.monitored else ():
+            if ("flow_upper", e.id, t, s) in present:
+                continue
+            flow = sum(coef * sol.x[vmap.col(("inj", bus, t, s))]
+                       for bus, coef in e.ptdf.items()
+                       if vmap.get(("inj", bus, t, s)) is not None)
+            df = sol.x[vmap.col(("flow_excess", e.id, t, s))]
+            if flow - df > e.limit_hi + tol or flow + df < e.limit_lo - tol:
+                specs.extend(flow_limit_rows(vmap, e, t, s))
+    return specs
+
+
+def test_flow_violations_agree_with_the_ptdf_loop_at_the_limits():
+    # lazy separation evaluates the rows it would add; on drawn points it
+    # picks what the PTDF loop picked, at a limit plus or minus tol too,
+    # with a zero PTDF entry that enters the loop's sum but no row
+    case = make_case3()
+    e1, e2 = case.branches
+    case = dataclasses.replace(case, branches=(
+        dataclasses.replace(e1, ptdf={**e1.ptdf, "B2": 0.0}), e2))
+    vc = validate_case(case)
+    lp, vm = build_slad_extensive(vc, case3_state(), case3_scenarios(seed=61, horizon=3, n=2),
+                                  flows="lazy")
+    cells = sorted({(k[2], k[3]) for k, _ in vm.columns() if k[0] == "inj"})
+    rng = np.random.default_rng(23)
+    for draw in range(48):
+        e = case.branches[draw % 2]
+        t, s = cells[draw // 2 % len(cells)]
+        x = rng.uniform(-50.0, 50.0, lp.n_vars)
+        sol = types.SimpleNamespace(x=x)
+        inj = [(coef, c) for bus, coef in e.ptdf.items()
+               if (c := vm.get(("inj", bus, t, s))) is not None]
+        # put the cell's upper or lower flow about 1e-6 past its limit, on
+        # the side of zero that keeps the other row satisfied, and tol where
+        # the limit plus or minus tol is exactly that flow, and a step either
+        # side of it
+        upper = draw % 4 < 2
+        if (sum(coef * x[c] for coef, c in inj) < 0.0) == upper:
+            x[[c for _, c in inj]] *= -1.0
+        flow = sum(coef * x[c] for coef, c in inj)
+        df = vm.col(("flow_excess", e.id, t, s))
+        x[df] = flow - e.limit_hi - 1e-6 if upper else e.limit_lo - 1e-6 - flow
+        value, limit = (flow - x[df], e.limit_hi) if upper else (flow + x[df], e.limit_lo)
+        tol = abs(value - limit)  # exact: value and limit are within a factor of 2
+        assert (limit + tol if upper else limit - tol) == value
+        key = ("flow_upper" if upper else "flow_lower", e.id, t, s)
+        step = 2 * np.spacing(abs(value))
+        for at, violated in ((tol, False), (tol - step, True), (tol + step, False)):
+            got = flow_violations(vm, sol, at)
+            assert got == _ptdf_loop_violations(vm, sol, at)
+            assert (key in [spec[0] for spec in got]) == violated
+    assert flow_violations(vm, types.SimpleNamespace(x=np.zeros(lp.n_vars)), 1e-6) == []
 
 
 def test_lazy_rounds_keep_warm_start_past_an_empty_row(monkeypatch):

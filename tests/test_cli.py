@@ -301,7 +301,20 @@ def test_numerical_failure_exits_1(files, capsys, monkeypatch):
     monkeypatch.setattr(simulator, "solve_lp", broken)
     assert main(["solve", "--case", files["case"], "--policy", "sced",
                  "--demand", "B1=10"]) == 1
-    assert capsys.readouterr().err == "rtdispatch: pivot element vanished\n"
+    assert capsys.readouterr().err == "rtdispatch: period 0: plan: pivot element vanished\n"
+
+
+def test_a_failing_oracle_in_solve_names_the_decomposition(files, capsys, monkeypatch):
+    from rtdispatch import benders
+    from rtdispatch.lp import LPNumericalError
+
+    def broken(self, x1):
+        raise LPNumericalError(f"scenario '{self.scenario_id}' subproblem failed")
+
+    monkeypatch.setattr(benders._ScenarioOracle, "query", broken)
+    assert main(_solve_args(files, "--policy", "slad")) == 1
+    assert capsys.readouterr().err == (
+        "rtdispatch: period 0: decomposition: scenario 'lo' subproblem failed\n")
 
 
 def test_usage_errors_exit_2(files):
@@ -520,6 +533,12 @@ BUNDLED_RUNS = {
                              "--format", "csv"],
     "solve-demand-json": _DEMAND,
     "solve-demand-csv": [*_DEMAND, "--format", "csv"],
+    # simulate's per-period step tables, which compare's totals can hide
+    "simulate-toy-slad-csv": ["simulate", *_TOY_DAY, "--policy", "slad", "--format", "csv"],
+    "simulate-network-lad-json": ["simulate", *_NET_DAY, "--policy", "lad"],
+    "simulate-network-slad-highs-csv": ["simulate", *_NET_DAY, "--policy", "slad",
+                                        "--backend", "highs", "--workers", "2",
+                                        "--format", "csv"],
 }
 
 # sha256 of each run's stdout; a change to any settled dollar, plan, trace
@@ -551,6 +570,12 @@ BUNDLED_SHA256 = {
         "c1d905a919306065633aa59488a23c9ff6c54464840e504805b43c6ca03fd041",
     "solve-demand-csv":
         "5e0a0cbd7ae3bfe0f68da8b05d2172a0014f008a1fdb6a8e9fc87cbe00134a7a",
+    "simulate-toy-slad-csv":
+        "aa8d5819e63858eb7c05ccf2f3be2930823f076a0a553929e01b42e5a75c7cd8",
+    "simulate-network-lad-json":
+        "1f949dfa95fbab8eb685fd62f0b8b57b242dcc67eccd6c4b92f0b6bf82f96c49",
+    "simulate-network-slad-highs-csv":
+        "b95d93e24497dc42b8ce49cc91e2e5b93250a76416d0dbc3fff51ffe7daba073",
 }
 
 

@@ -464,11 +464,14 @@ def test_a_number_swap_takes_only_whole_float64_arrays():
     lp.freeze()
     # a map of entries is refused like a list or an array of another
     # dtype or length
-    for field in ("cost", "lower", "upper", "rhs"):
+    for field in ("cost", "upper", "rhs"):
         for bad in (np.zeros(3), np.zeros(1), np.zeros(2, dtype=np.int64), [0.0, 0.0],
                     {0: 7.0}):
             with pytest.raises(ValueError, match="float64 array"):
                 lp.with_numbers(**{field: bad})
+    # no caller swaps lower bounds: a copy keeps its model's
+    with pytest.raises(TypeError):
+        lp.with_numbers(lower=np.zeros(2))
     assert lp.with_rhs(np.array([3.0, 7.0])).rhs.tolist() == [3.0, 7.0]
     cost = np.array([1.0, 2.0])
     swapped = lp.with_numbers(cost=cost, upper=np.array([20.0, 5.0]))

@@ -139,21 +139,62 @@ def test_a_day_builds_one_layout_per_structure_and_holds_one_per_role(day, kind,
     assert len({role for role, _ in structures}) == (4 if kind == "slad" else 2 - (kind == "pd"))
 
 
-def test_a_refill_with_equal_costs_and_bounds_hands_back_the_same_arrays():
-    # a HiGHS solve skips rewriting the arrays it already holds, by identity
+class _Writes:
+    """A ``HighsLp`` stand-in that forwards to ``model`` and notes the name
+    of each attribute written."""
+
+    def __init__(self, model, names):
+        vars(self).update(model=model, names=names)
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def __setattr__(self, name, value):
+        self.names.append(name)
+        setattr(self.model, name, value)
+
+
+def test_a_highs_refill_with_equal_costs_and_bounds_writes_only_row_bounds(monkeypatch):
+    # the kept HighsLp skips each array whose bytes it holds, whichever
+    # model the array came from; every solve is a fresh build's
+    from rtdispatch import lp as lpmod
     from rtdispatch.formulation import build_lad
+    from rtdispatch.lp import solve_lp
     from rtdispatch.model import initial_state
 
+    names, load = [], lpmod._HighsForm.load
+
+    def recorded(form, numbers):
+        model, form.model = form.model, _Writes(form.model, names)
+        try:
+            return load(form, numbers)
+        finally:
+            form.model = model
+
+    monkeypatch.setattr(lpmod._HighsForm, "load", recorded)
+    highs = LPOptions(backend="highs")
     vc, actuals, _ = _day("network", "lad")
     state = initial_state(vc)
+    nudged = dataclasses.replace(state, prev_dispatch={
+        g: v + 1.0 for g, v in state.prev_dispatch.items()})
     lp, vmap = build_lad(vc, state, actuals.window(0, 4))
+    solve_lp(lp, highs)
+    assert names == ["col_cost_", "col_lower_", "col_upper_", "row_upper_", "row_lower_"]
     layout = vmap.layout
     again = layout.lad(state, actuals.window(0, 4))[0]
-    later = layout.lad(dataclasses.replace(state, prev_dispatch={
-        g: v + 1.0 for g, v in state.prev_dispatch.items()}), actuals.window(0, 4))[0]
-    assert again.cost is lp.cost and again.upper is lp.upper and again.rhs is not lp.rhs
-    assert later.cost is lp.cost and later.upper is lp.upper
-    assert later.rhs.tobytes() != lp.rhs.tobytes()
+    rows = ["row_upper_", "row_lower_"]
+    for refill, at, writes in (
+            (layout.lad(nudged, actuals.window(0, 4))[0], nudged, rows),
+            (again, state, rows),
+            (again.with_numbers(cost=again.cost.copy(), upper=again.upper.copy()), state, []),
+            (layout.lad(state, actuals.window(0, 4))[0], state, [])):
+        names.clear()
+        got = solve_lp(refill, highs)
+        assert names == writes
+        want = solve_lp(build_lad(vc, at, actuals.window(0, 4))[0], highs)
+        assert repr(got.objective) == repr(want.objective)
+        for field in ("x", "duals", "reduced_costs"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     # other loads and derates: the numbers of a fresh build
     moved = layout.lad(state, actuals.window(4, 4))[0]
     for a, b in zip(_numbers(moved), _numbers(build_lad(vc, state, actuals.window(4, 4))[0])):
