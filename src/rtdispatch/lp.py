@@ -13,32 +13,46 @@ The work outside pricing and FTRAN touches only nonzeros: the slack-
 augmented matrix [A I] is assembled once per model structure from its
 ``coo()`` entries, one slack per model row (an empty row is kept, its
 slack basic, so the basis and the duals index model rows one to one),
-the entering column is read from its CSC arrays, and the product-form
-update rewrites only the rows where the entering column's FTRAN is
-nonzero.  The cold slack basis starts from the identity, with no
-factorization.  Pricing (c_B B^-1, then A'y), FTRAN (a dense B^-1 a_j)
-and refactorization (a dense inverse of B laid out as scipy's
-``toarray`` lays it out) keep their dense arithmetic.  Every skipped
-operation would have added or subtracted a zero or filled a row the
-ratio test cannot choose, so the pivot sequence and every
-floating-point value are those of the all-dense kernel.
+and the entering column is read from its CSC arrays.  The cold slack
+basis starts from the identity, with no factorization.  Pricing (c_B
+B^-1, then A'y), FTRAN (a dense B^-1 a_j) and refactorization (a dense
+inverse of B laid out as scipy's ``toarray`` lays it out, on one
+OpenBLAS thread: see ``_inverse``) keep their dense arithmetic.
+
+The product-form update of a pivot on row r rewrites only the block of
+B^-1 in the rows where the entering column's FTRAN w is nonzero and the
+columns where row r is, then overwrites row r.  In a skipped column the
+whole-row update would compute B^-1[i,k] - w_i * (+-0.0), which can only
+turn a -0.0 into a 0.0.  An updated B^-1 reaches decisions and outputs
+only through the BLAS products c_B B^-1 and B^-1 a_j (B^-1 times the
+right-hand side is taken only after a refactorization, which replaces
+B^-1); they sum into a zeroed output, so the sign of a zero in B^-1 never
+reaches their bits.  Where w has a non-finite entry, whole rows are
+updated, since 0 * inf is NaN.  Every other skipped operation would have
+added or subtracted a zero, so the pivot sequence and every
+floating-point value that leaves the loop are those of the all-dense
+kernel.
 
 A pivot makes few numpy calls, because the state it reads is kept by
 basis position: the basic values ``xB`` (``x`` holds 0 at basic
 columns), their bounds and those bounds widened by the feasibility
-tolerance, and ``c_B``; plus two masks of the nonbasic columns that may
-rise and that may fall.  A pivot or a bound flip updates these in place;
-a refactorization recomputes them.  Each number is the one the
-gather-per-pivot kernel computed, from the same operands in the same
-order: ``c_B`` is the same contiguous vector in the same BLAS product,
-and the ratio test divides the same gaps by the same |w| (it runs over
-every position, a row with |w| <= 1e-10 reading inf, and min() finds the
-same step, since after the clamp at 0 the steps hold no -0.0).  Phase
-1's c_B is +1 above, -1 below and 0 elsewhere; every nonbasic column
-costs 0 in phase 1, so its reduced cost is -(A'y), and the loop prices
-on A'y with the comparisons turned round.  Only the sign of a zero can
-differ, which no comparison sees, and phase-1 reduced costs never leave
-the loop.
+tolerance, and ``c_B``; plus one pricing direction per column (+1 where
+a nonbasic column may only rise, -1 only fall, 0 neither) and the
+nonbasic free columns, which may do both.  A pivot or a bound flip
+updates these in place; a refactorization recomputes them.  Each number
+is the one the gather-per-pivot kernel computed, from the same operands
+in the same order: ``c_B`` is the same contiguous vector in the same BLAS
+product; pricing scores p * direction, |p| at the free columns, which is
+the old masked maximum wherever a score can beat the tolerance (the
+direction is +1 exactly when p_j > dtol); and the ratio test gathers the
+rows where |w| > 1e-10 once, divides the same gaps by the same |w| there
+and maps the row it picks back through the gathered positions (a row it
+skips cannot block, and min() finds the same step, since after the clamp
+at 0 the steps hold no -0.0).  Phase 1's c_B is +1 above, -1 below and 0
+elsewhere; every nonbasic column costs 0 in phase 1, so its reduced cost
+is -(A'y), and the loop prices on A'y with the comparisons turned round.
+Only the sign of a zero can differ, which no comparison sees, and
+phase-1 reduced costs never leave the loop.
 
 The simplex needs only numpy: [A I] is kept as CSC arrays, each
 column's entries in row order, and A'y (pricing) and A x (the iterate)
@@ -468,6 +482,50 @@ class _SlackForm:
             _read_only(a)
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    found on first use; None where that library or its symbols are absent."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+#: held across setting OpenBLAS to one thread, an inverse and the restore:
+#: the thread count is process-wide and oracle threads may refactor at once
+_one_thread = threading.Lock()
+
+
+def _inverse(B):
+    """``np.linalg.inv(B)`` on one OpenBLAS thread, so its bytes do not
+    depend on the host's thread count (LAPACK's inverse of a few hundred
+    rows groups its sums by thread); the count is restored after.  Where
+    the count cannot be set, it is left as it is."""
+    threads = _openblas_threads()
+    if threads is None:
+        return np.linalg.inv(B)
+    get, set_ = threads
+    with _one_thread:
+        count = get()
+        set_(1)
+        try:
+            return np.linalg.inv(B)
+        finally:
+            set_(count)
+
+
 def _sums(bins, weights, length):
     """Each bin's weights added one at a time in storage order from 0.0, as
     scipy's ``csr_matvec`` and ``csc_matvec`` add a row's or a column's
@@ -545,13 +603,15 @@ class _Simplex:
         return BT.T
 
     def _try_refactor(self):
+        # the old inverse is released first, so two never coexist; a failed
+        # refactorization is never followed by a pivot
+        self.Binv = None
         try:
-            Binv = np.linalg.inv(self._basis_matrix())
+            self.Binv = _inverse(self._basis_matrix())
         except np.linalg.LinAlgError:
             return False
-        if not np.all(np.isfinite(Binv)):
+        if not np.all(np.isfinite(self.Binv)):
             return False
-        self.Binv = Binv
         self._refresh()
         return True
 
@@ -564,8 +624,10 @@ class _Simplex:
         self.xB = self.Binv @ (self.b - _sums(self.indices, self.data * self.x[self.col], self.m))
         self.loB, self.hiB, self.cB = self.lo[basis], self.hi[basis], self.c[basis]
         self.loB_tol, self.hiB_tol = self.loB - FEAS_TOL, self.hiB + FEAS_TOL
-        self.rise = (vs == NB_LO) | (vs == NB_FREE)
-        self.fall = (vs == NB_UP) | (vs == NB_FREE)
+        # +1 where a nonbasic column may only rise, -1 only fall, 0 neither;
+        # the nonbasic free columns may do both
+        self.dir = np.subtract(vs == NB_LO, vs == NB_UP, dtype=np.float64)
+        self.free = (vs == NB_FREE).nonzero()[0]
         self._since_refactor = 0
 
     # -- pricing ----------------------------------------------------------
@@ -579,7 +641,11 @@ class _Simplex:
         """The entering column and its direction (+1 up, -1 down) from p,
         the objective's fall per unit rise (the reduced cost negated);
         (-1, 0) when no column improves by more than dtol."""
-        score = np.maximum(np.where(self.rise, p, -np.inf), np.where(self.fall, -p, -np.inf))
+        # p at a rising column, -p at a falling one, |p| at a free one and
+        # 0 (or NaN) at the others, none of which beats dtol
+        score = p * self.dir
+        if self.free.size:
+            score[self.free] = np.abs(p[self.free])
         j = int((score > dtol if bland else score).argmax())
         if not score[j] > dtol:
             if not math.isnan(score[j]):
@@ -589,7 +655,7 @@ class _Simplex:
             j = int(score.argmax())
             if not score[j] > dtol:
                 return -1, 0
-        return j, (1 if self.rise[j] and p[j] > dtol else -1)
+        return j, (1 if p[j] > dtol else -1)
 
     # -- ratio test -------------------------------------------------------
 
@@ -598,21 +664,22 @@ class _Simplex:
 
         Returns (t, kind, row, side): kind 'flip' | 'pivot' | 'unbounded';
         side is the bound the leaving variable lands on (NB_LO/NB_UP).
-        Only rows whose basic variable moves (|w| > piv_tol) can block.
+        Only rows whose basic variable moves (|w| > piv_tol) can block, so
+        only those are gathered.
         """
         piv_tol = 1e-10
-        xB, loB, hiB = self.xB, self.loB, self.hiB
         absw = np.abs(w)
+        at = (absw > piv_tol).nonzero()[0]
+        w, absw, xB, loB, hiB = w[at], absw[at], self.xB[at], self.loB[at], self.hiB[at]
         down = w > 0 if sigma > 0 else w < 0  # x_B changes by -sigma * w * t
         # a basic moving down stops at its lower bound, one moving up at its
         # upper bound; in phase 1 one outside its bounds stops where it
         # re-enters them, and never blocks while moving further away
         if below is not None:
+            below, above = below[at], above[at]
             loB, hiB = (np.where(below, -np.inf, np.where(above, hiB, loB)),
                         np.where(above, np.inf, np.where(below, loB, hiB)))
-        t = np.full(self.m, np.inf)
-        np.divide(np.where(down, xB, hiB) - np.where(down, loB, xB), absw, out=t,
-                  where=absw > piv_tol)
+        t = (np.where(down, xB, hiB) - np.where(down, loB, xB)) / absw
         np.putmask(t, ~np.isfinite(t), np.inf)
         # t holds no -0.0 from here on, so its minimum's bits do not depend
         # on where in t the zeros sit
@@ -621,7 +688,7 @@ class _Simplex:
         span = self.hi[j] - self.lo[j]
         flip_limit = span if self.vstat[j] in (NB_LO, NB_UP) and math.isfinite(span) else np.inf
 
-        rmin = t.min() if self.m else np.inf
+        rmin = t.min() if at.size else np.inf
         if flip_limit <= rmin:
             if not math.isfinite(flip_limit):
                 return np.inf, "unbounded", -1, 0
@@ -630,20 +697,20 @@ class _Simplex:
             return np.inf, "unbounded", -1, 0
         ties = (t <= rmin + 1e-12 * (1.0 + rmin)).nonzero()[0]
         if len(ties) == 1:
-            k = int(ties[0])
+            k = ties[0]
         elif self._degen_streak >= DEGEN_STREAK:
             # Bland: smallest leaving variable index
-            k = int(ties[np.argmin(self.basis[ties])])
+            k = ties[self.basis[at[ties]].argmin()]
         else:
             # stability: largest pivot magnitude, then smallest index
             mags = absw[ties]
             strong = ties[mags >= mags.max() * (1.0 - 1e-9)]
-            k = int(strong[np.argmin(self.basis[strong])])
+            k = strong[self.basis[at[strong]].argmin()]
         if down[k]:
             side = NB_UP if below is not None and above[k] else NB_LO
         else:
             side = NB_LO if below is not None and below[k] else NB_UP
-        return rmin, "pivot", k, side
+        return rmin, "pivot", int(at[k]), side
 
     # -- pivoting ---------------------------------------------------------
 
@@ -652,7 +719,7 @@ class _Simplex:
             self.xB -= (sigma * t) * w
             self.x[j] = self.hi[j] if self.vstat[j] == NB_LO else self.lo[j]
             self.vstat[j] = NB_UP if self.vstat[j] == NB_LO else NB_LO
-            self.rise[j], self.fall[j] = self.fall[j], self.rise[j]
+            self.dir[j] = -self.dir[j]
             return True
         piv = w[r]
         if abs(piv) < 1e-9:
@@ -663,26 +730,37 @@ class _Simplex:
         self.x[leaving] = lo[leaving] if land_side == NB_LO else hi[leaving]
         self.xB[r] = self.x[j] + sigma * t
         self.x[j] = 0.0
-        self.vstat[leaving] = FIXED if lo[leaving] == hi[leaving] else land_side
-        self.rise[leaving] = self.vstat[leaving] == NB_LO
-        self.fall[leaving] = self.vstat[leaving] == NB_UP
+        side = FIXED if lo[leaving] == hi[leaving] else land_side
+        self.vstat[leaving] = side
+        self.dir[leaving] = 1.0 if side == NB_LO else -1.0 if side == NB_UP else 0.0
+        if self.vstat[j] == NB_FREE:
+            self.free = self.free[self.free != j]
         self.vstat[j] = BASIC
-        self.rise[j] = self.fall[j] = False
+        self.dir[j] = 0.0
         self.basis[r] = j
         self.loB[r], self.hiB[r], self.cB[r] = lo[j], hi[j], self.c[j]
         self.loB_tol[r], self.hiB_tol[r] = lo[j] - FEAS_TOL, hi[j] + FEAS_TOL
-        # product-form update of the dense inverse; rows where w is zero
-        # are unchanged by it, so only the others are touched
-        Br = self.Binv[r, :] / piv
-        rows = w.nonzero()[0]
-        rows = rows[rows != r]
-        self.Binv[rows] -= w[rows, None] * Br
-        self.Binv[r, :] = Br
+        self._update_inverse(r, w, piv)
         self._since_refactor += 1
         if self._since_refactor >= REFACTOR_EVERY:
             if not self._try_refactor():
                 raise LPNumericalError("basis refactorization failed")
         return True
+
+    def _update_inverse(self, r, w, piv):
+        """The product-form update of B^-1 for a pivot on row r, on the block
+        where w and row r are nonzero (see the module docstring); a w with
+        a non-finite entry updates whole rows, since 0 * inf is NaN."""
+        Br = self.Binv[r] / piv
+        rows = w.nonzero()[0]
+        wr = w[rows]
+        if np.isfinite(wr).all():
+            cols = Br.nonzero()[0]
+            self.Binv[rows[:, None], cols] -= np.multiply.outer(wr, Br[cols])
+        else:
+            rows = rows[rows != r]
+            self.Binv[rows] -= w[rows, None] * Br
+        self.Binv[r] = Br
 
     def _column(self, j):
         """Column j of [A I] as a dense vector, read from the CSC arrays."""

@@ -132,6 +132,87 @@ def random_box_lp(rng, n_max=6, m_max=8):
     return lp
 
 
+def solution_digest(sol):
+    """sha256 over a solution's fields (arrays by dtype and bytes)."""
+    h = hashlib.sha256()
+    for p in (sol.status, sol.iterations, sol.objective, sol.x, sol.duals,
+              sol.reduced_costs, *(sol.basis or ("no basis",))):
+        if isinstance(p, np.ndarray):
+            h.update(str(p.dtype).encode())
+            h.update(p.tobytes())
+        else:
+            h.update(repr(p).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+class FullRowSimplex(lpmod._Simplex):
+    """The reference simplex with its pivot kernels as they were before they
+    touched only the entries a pivot can change: pricing on masks of the
+    columns that may rise and fall, a ratio test over every basis position,
+    and a product-form update of whole rows of the inverse.  It takes the
+    same pivots; its inverse may hold a 0.0 where the simplex's holds -0.0."""
+
+    def _pick_entering(self, p, dtol, bland):
+        vs = self.vstat
+        rise = (vs == lpmod.NB_LO) | (vs == lpmod.NB_FREE)
+        fall = (vs == lpmod.NB_UP) | (vs == lpmod.NB_FREE)
+        score = np.maximum(np.where(rise, p, -np.inf), np.where(fall, -p, -np.inf))
+        j = int((score > dtol if bland else score).argmax())
+        if not score[j] > dtol:
+            if not np.isnan(score[j]):
+                return -1, 0
+            score[np.isnan(score)] = -np.inf
+            j = int(score.argmax())
+            if not score[j] > dtol:
+                return -1, 0
+        return j, (1 if rise[j] and p[j] > dtol else -1)
+
+    def _ratio_test(self, j, sigma, w, below, above):
+        xB, loB, hiB = self.xB, self.loB, self.hiB
+        absw = np.abs(w)
+        down = w > 0 if sigma > 0 else w < 0
+        if below is not None:
+            loB, hiB = (np.where(below, -np.inf, np.where(above, hiB, loB)),
+                        np.where(above, np.inf, np.where(below, loB, hiB)))
+        t = np.full(self.m, np.inf)
+        np.divide(np.where(down, xB, hiB) - np.where(down, loB, xB), absw, out=t,
+                  where=absw > 1e-10)
+        np.putmask(t, ~np.isfinite(t), np.inf)
+        np.maximum(t, 0.0, out=t)
+        span = self.hi[j] - self.lo[j]
+        bounded = self.vstat[j] in (lpmod.NB_LO, lpmod.NB_UP) and np.isfinite(span)
+        flip_limit = span if bounded else np.inf
+        rmin = t.min() if self.m else np.inf
+        if flip_limit <= rmin:
+            if not np.isfinite(flip_limit):
+                return np.inf, "unbounded", -1, 0
+            return flip_limit, "flip", -1, 0
+        if not np.isfinite(rmin):
+            return np.inf, "unbounded", -1, 0
+        ties = (t <= rmin + 1e-12 * (1.0 + rmin)).nonzero()[0]
+        if len(ties) == 1:
+            k = int(ties[0])
+        elif self._degen_streak >= lpmod.DEGEN_STREAK:
+            k = int(ties[np.argmin(self.basis[ties])])
+        else:
+            mags = absw[ties]
+            strong = ties[mags >= mags.max() * (1.0 - 1e-9)]
+            k = int(strong[np.argmin(self.basis[strong])])
+        if down[k]:
+            side = lpmod.NB_UP if below is not None and above[k] else lpmod.NB_LO
+        else:
+            side = lpmod.NB_LO if below is not None and below[k] else lpmod.NB_UP
+        return rmin, "pivot", k, side
+
+    def _update_inverse(self, r, w, piv):
+        Br = self.Binv[r, :] / piv
+        rows = w.nonzero()[0]
+        rows = rows[rows != r]
+        self.Binv[rows] -= w[rows, None] * Br
+        self.Binv[r, :] = Br
+
+
 def row_entries(lp):
     """Per row of ``lp``, its (column indices, coefficients) arrays."""
     rows, cols, vals = lp.coo()

@@ -1,4 +1,5 @@
-"""Generated dispatch models: the two LP backends agree, and both pass KKT.
+"""Generated dispatch models: the two LP backends agree, and both pass KKT;
+the simplex's pivot kernels give the bytes of their full-row reference.
 
 Hypothesis draws small cases (at most 3 buses, 4 generators and one
 monitored flowgate) with a two-scenario, three-period day whose first
@@ -24,6 +25,8 @@ from rtdispatch.model import (
     initial_state,
     validate_case,
 )
+
+from helpers import FullRowSimplex, solution_digest
 
 # On a failure the hypothesis plugin imports libcst to suggest a patch, and
 # some installed versions of its dependencies warn on import; the suite's
@@ -89,14 +92,28 @@ def _solved_on_both_backends(lp):
     assert abs(simplex - highs) <= 1e-6 * max(1.0, abs(highs)), (simplex, highs)
 
 
+def _built(build, day):
+    vc, scen = day
+    state = initial_state(vc)
+    if build == "lad":
+        return build_lad(vc, state, scen.alone(0))[0]
+    return build_slad_extensive(vc, state, scen)[0]
+
+
 @pytest.mark.parametrize("build", ["lad", "slad_extensive"])
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(day=dispatch_days())
 def test_both_backends_agree_and_pass_kkt(build, day):
-    vc, scen = day
-    state = initial_state(vc)
-    if build == "lad":
-        lp, _ = build_lad(vc, state, scen.alone(0))
-    else:
-        lp, _ = build_slad_extensive(vc, state, scen)
-    _solved_on_both_backends(lp)
+    _solved_on_both_backends(_built(build, day))
+
+
+@pytest.mark.parametrize("build", ["lad", "slad_extensive"])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(day=dispatch_days())
+def test_the_pivot_kernels_give_their_full_row_references_bytes(build, day):
+    # block updates of the inverse, a ratio test on the moving rows and a
+    # direction vector in pricing: the same pivots and solution bytes as
+    # whole-row updates, a pass over every position and rise/fall masks
+    lp = _built(build, day)
+    ref = FullRowSimplex(lp, LPOptions()).solve()
+    assert solution_digest(solve_lp(lp)) == solution_digest(ref)

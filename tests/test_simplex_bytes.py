@@ -11,8 +11,11 @@ iterations, ``repr(objective)``, x, duals, reduced costs and basis, so a
 change to the pivot loop that moves any bit on any branch fails here.
 
 The cases run in one child interpreter with the BLAS pools pinned to one
-thread, as the bench runs them: a threaded LAPACK inverse can round
-differently.  Regenerate after a deliberate change of the simplex's
+thread, as the bench runs them.  The simplex runs its LAPACK inverse on
+one thread itself, so the cases that a threaded inverse rounded
+differently also give the pinned bytes on two threads; and the full-row
+reference kernels (``helpers.FullRowSimplex``) give them in this
+process.  Regenerate after a deliberate change of the simplex's
 arithmetic with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/test_simplex_bytes.py
@@ -21,10 +24,10 @@ and paste its output over ``PINNED``.
 """
 
 import ast
-import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -42,21 +45,7 @@ from rtdispatch.lp import LinearProgram, extend_warm_start, solve_lp  # noqa: E4
 from rtdispatch.model import (  # noqa: E402
     initial_state, parse_case, parse_timeseries, validate_case)
 
-from helpers import child_env  # noqa: E402
-
-
-def digest(sol):
-    """sha256 over a solution's fields (arrays by dtype and bytes)."""
-    h = hashlib.sha256()
-    for p in (sol.status, sol.iterations, sol.objective, sol.x, sol.duals,
-              sol.reduced_costs, *(sol.basis or ("no basis",))):
-        if isinstance(p, np.ndarray):
-            h.update(str(p.dtype).encode())
-            h.update(p.tobytes())
-        else:
-            h.update(repr(p).encode())
-        h.update(b"|")
-    return h.hexdigest()
+from helpers import FullRowSimplex, child_env, solution_digest as digest  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +252,197 @@ def test_the_dense_basis_has_scipys_bytes_and_layout():
         assert (mine.strides, mine.tobytes(order="A")) == (ref.strides, ref.tobytes(order="A"))
 
 
+#: the cases whose bytes the host's BLAS thread count changed when the
+#: refactorization's inverse ran on every thread
+THREAD_SENSITIVE = ("bench_6_plan", "degenerate_cone", "over_150_pivots")
+
+
+def test_two_blas_threads_give_the_pinned_bytes():
+    # the inverse runs on one OpenBLAS thread whatever the host sets
+    env = child_env()
+    env.update({v: "2" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    out = subprocess.run([sys.executable, __file__, *THREAD_SENSITIVE], env=env,
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    assert ast.literal_eval("{" + out + "}") == {k: PINNED[k] for k in THREAD_SENSITIVE}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_the_full_row_kernels_give_the_pinned_bytes(name, monkeypatch):
+    # whole-row inverse updates, a ratio test over every position and
+    # rise/fall masks take the same pivots to the same bytes
+    monkeypatch.setattr(lpmod, "_Simplex", FullRowSimplex)
+    sol = CASES[name]()
+    assert (sol.status, sol.iterations, digest(sol)) == PINNED[name]
+
+
+def _two_kernels(m, seed):
+    """The simplex of a random ``m``-row model and the full-row reference on
+    the same model, each holding a copy of one random inverse with +-0.0
+    entries."""
+    rng = np.random.default_rng(seed)
+    lp = random_lp(seed, 5, m)
+    Binv = rng.normal(size=(m, m))
+    Binv[rng.random((m, m)) < 0.6] = 0.0
+    Binv[rng.random((m, m)) < 0.5] *= -1.0
+    pair = lpmod._Simplex(lp, LPOptions()), FullRowSimplex(lp, LPOptions())
+    for simplex in pair:
+        simplex.Binv = Binv.copy()
+    return rng, pair
+
+
+@pytest.mark.parametrize("m", [7, 60, 200])
+def test_a_block_update_moves_only_the_signs_of_zeros(m):
+    rng, (simplex, ref) = _two_kernels(m, m)
+    r = m // 2
+    # row r is zero, of both signs, in most columns, and some whole columns
+    # of the inverse are zeros there too
+    zero_cols = rng.random(m) < 0.7
+    zeros = np.where(rng.random(zero_cols.sum()) < 0.5, -0.0, 0.0)
+    for a in (simplex.Binv, ref.Binv):
+        a[r, zero_cols] = zeros
+        a[r, 0] = 1.5
+        a[:, 1] = -0.0
+    w = rng.normal(size=m)
+    w[rng.random(m) < 0.4] = 0.0
+    w[r] = 1.7
+    for kernel in (simplex, ref):
+        kernel._update_inverse(r, w, w[r])
+    block, full = simplex.Binv, ref.Binv
+    # equal numbers; where the bits differ, the block update kept a -0.0
+    # the whole-row update made 0.0
+    assert np.array_equal(block, full)
+    differ = block.view(np.int64) != full.view(np.int64)
+    assert differ.any()
+    assert (block[differ] == 0).all() and np.signbit(block[differ]).all()
+    assert not np.signbit(full[differ]).any()
+    # the products that read the inverse give the same bytes: they sum
+    # into a zeroed output, so the sign of a zero term never shows
+    for v in (rng.normal(size=m), np.where(rng.random(m) < 0.5, rng.normal(size=m), -0.0),
+              np.eye(m)[1], np.eye(m)[r]):
+        assert (v @ block).tobytes() == (v @ full).tobytes()
+        assert (block @ v).tobytes() == (full @ v).tobytes()
+
+
+def test_a_non_finite_w_updates_whole_rows():
+    # 0 * inf is NaN, so the block update would skip entries the whole-row
+    # update turns into NaN
+    rng, (simplex, ref) = _two_kernels(9, 3)
+    for a in (simplex.Binv, ref.Binv):
+        a[4, ::2] = 0.0
+    w = rng.normal(size=9)
+    w[6], w[2] = np.inf, 0.0
+    with np.errstate(invalid="ignore"):
+        for kernel in (simplex, ref):
+            kernel._update_inverse(4, w, w[4])
+    assert np.isnan(simplex.Binv[6]).any()
+    assert simplex.Binv.tobytes() == ref.Binv.tobytes()
+
+
+def _tied_ratio_test(kernel, streak, phase1):
+    """The ratio test of ``kernel`` on a four-row basis where rows 1 and 2
+    tie at step 1: row 1's basic has the smaller index, row 2's the larger
+    pivot.  Row 0 does not move (|w| <= 1e-10) and would block at 0; row 3
+    blocks later."""
+    lp = LinearProgram()
+    x = lp.add_vars(np.zeros(6), np.full(6, np.inf), np.ones(6)) + np.arange(6)
+    for i in range(4):
+        lp.add_row(x, np.ones(6), "<=", 10.0 + i)
+    simplex = kernel(lp, LPOptions())
+    simplex.basis = np.array([9, 2, 8, 5])
+    simplex.xB = np.array([0.0, 1.0, 2.0, 3.0])
+    simplex.loB, simplex.hiB = np.zeros(4), np.full(4, np.inf)
+    simplex._degen_streak = streak
+    w = np.array([1e-12, 1.0, 2.0, 1.0])
+    below = above = None
+    if phase1:
+        # row 3 sits above its upper bound: moving down it blocks only on
+        # re-entering at 2, after the tie
+        simplex.hiB = np.array([np.inf, np.inf, np.inf, 1.0])
+        simplex.xB[3] = 4.0
+        below, above = np.zeros(4, dtype=bool), np.array([False, False, False, True])
+    return simplex._ratio_test(1, 1, w, below, above)
+
+
+@pytest.mark.parametrize("phase1", [False, True])
+@pytest.mark.parametrize("streak,row", [(0, 2), (lpmod.DEGEN_STREAK, 1)])
+def test_a_tie_goes_to_the_larger_pivot_or_under_blands_rule_the_smaller_index(
+        streak, row, phase1):
+    got = _tied_ratio_test(lpmod._Simplex, streak, phase1)
+    assert got == _tied_ratio_test(FullRowSimplex, streak, phase1)
+    assert got == (1.0, "pivot", row, lpmod.NB_LO)
+
+
+def free_columns(seed, n=24, m=16):
+    """A model with free columns, each held in [-5, 5] by two rows, so they
+    start nonbasic free and enter the basis as the solve goes."""
+    rng = np.random.default_rng(seed)
+    free = np.arange(n) % 3 == 0
+    lp = LinearProgram()
+    x = lp.add_vars(np.where(free, -np.inf, 0.0), np.where(free, np.inf, 10.0),
+                    rng.uniform(-5.0, 5.0, n)) + np.arange(n)
+    for _ in range(m):
+        cols = np.flatnonzero(rng.random(n) < 0.4)
+        lp.add_row(x[cols], rng.uniform(-3.0, 3.0, cols.size), rng.choice(["<=", ">="]),
+                   rng.uniform(-5.0, 5.0))
+    for j in np.flatnonzero(free):
+        lp.add_row([j], [1.0], "<=", 5.0)
+        lp.add_row([j], [1.0], ">=", -5.0)
+    return lp
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_pivot_keeps_the_state_a_refresh_would_compute(seed, monkeypatch):
+    # the per-position state a pivot or a bound flip updates in place is
+    # what a refactorization would recompute from the basis and statuses
+    entered_free = []
+    apply = lpmod._Simplex._apply_pivot
+
+    def checked(self, j, *args):
+        was_free = self.vstat[j] == lpmod.NB_FREE
+        done = apply(self, j, *args)
+        vs = self.vstat
+        if done and vs[j] == lpmod.BASIC:
+            entered_free.append(was_free)
+        assert self.dir.tolist() == np.subtract(vs == lpmod.NB_LO, vs == lpmod.NB_UP,
+                                                dtype=np.float64).tolist()
+        assert self.free.tolist() == np.flatnonzero(vs == lpmod.NB_FREE).tolist()
+        for name, values in (("loB", self.lo), ("hiB", self.hi), ("cB", self.c)):
+            assert getattr(self, name).tobytes() == values[self.basis].tobytes(), name
+        return done
+
+    monkeypatch.setattr(lpmod._Simplex, "_apply_pivot", checked)
+    sol = solve_lp(free_columns(seed))
+    assert sol.status == lpmod.OPTIMAL
+    assert any(entered_free) and not all(entered_free)
+
+
+def test_the_old_inverse_is_released_before_a_refactorization(monkeypatch):
+    # the previous inverse is unreachable while the next one is made, so
+    # two never coexist; over_150_pivots refactorizes mid-solve
+    before = []
+    refactor, inverse = lpmod._Simplex._try_refactor, np.linalg.inv
+
+    def tracked(self):
+        held = getattr(self, "Binv", None)
+        before.append(None if held is None else weakref.ref(held))
+        del held
+        return refactor(self)
+
+    released = []
+
+    def checked(B):
+        released.append(before[-1] is None or before[-1]() is None)
+        return inverse(B)
+
+    monkeypatch.setattr(lpmod._Simplex, "_try_refactor", tracked)
+    monkeypatch.setattr(np.linalg, "inv", checked)
+    sol = CASES["over_150_pivots"]()
+    assert sol.status == lpmod.OPTIMAL
+    assert len(released) >= 5 and all(released)
+    assert sum(ref is not None for ref in before) == len(released)
+
+
 if __name__ == "__main__":
-    for name in sorted(CASES):
+    for name in sorted(sys.argv[1:] or CASES):
         sol = CASES[name]()
         print(f"    {name!r}: ({sol.status!r}, {sol.iterations}, {digest(sol)!r}),")
