@@ -42,17 +42,28 @@ nonbasic free columns, which may do both.  A pivot or a bound flip
 updates these in place; a refactorization recomputes them.  Each number
 is the one the gather-per-pivot kernel computed, from the same operands
 in the same order: ``c_B`` is the same contiguous vector in the same BLAS
-product; pricing scores p * direction, |p| at the free columns, which is
-the old masked maximum wherever a score can beat the tolerance (the
-direction is +1 exactly when p_j > dtol); and the ratio test gathers the
-rows where |w| > 1e-10 once, divides the same gaps by the same |w| there
-and maps the row it picks back through the gathered positions (a row it
-skips cannot block, and min() finds the same step, since after the clamp
-at 0 the steps hold no -0.0).  Phase 1's c_B is +1 above, -1 below and 0
-elsewhere; every nonbasic column costs 0 in phase 1, so its reduced cost
-is -(A'y), and the loop prices on A'y with the comparisons turned round.
-Only the sign of a zero can differ, which no comparison sees, and
-phase-1 reduced costs never leave the loop.
+product; and pricing scores p * direction, |p| at the free columns,
+which is the old masked maximum wherever a score can beat the tolerance
+(the direction is +1 exactly when p_j > dtol).  Phase 1's c_B is +1
+above, -1 below and 0 elsewhere; every nonbasic column costs 0 in phase
+1, so its reduced cost is -(A'y), and the loop prices on A'y with the
+comparisons turned round.  Only the sign of a zero can differ, which no
+comparison sees, and phase-1 reduced costs never leave the loop.  The
+closing optimality check prices the fresh inverse once, and an optimal
+solution takes its duals and reduced costs from that pricing.
+
+The ratio test gathers the rows where |w| > 1e-10 (no other row can
+block) once, as Python floats, and steps over them with the IEEE
+operations of the numpy array kernel it replaced, so it picks the same
+row and the same step bits at less call overhead on the 10 to 50 moving
+rows of these models.  In phase 1 a row below its bounds takes the
+bounds (-inf, lo) and one above (hi, inf).  |w| is exactly w or -w, so a
+falling basic's step is (x - lo) / |w| and a rising one's (hi - x) /
+|w|, the array kernel's quotients.  ``t if t > 0 else 0.0 if t > -inf
+else inf`` is its clamp, non-finite to inf and then ``np.maximum(t,
+0.0)``, which gives 0.0 for -0.0.  The steps then hold no NaN and no
+-0.0, so min() is the array minimum, and the tie cut, the magnitude
+floor and the smallest basis index compare the same doubles.
 
 The simplex needs only numpy: [A I] is kept as CSC arrays, each
 column's entries in row order, and A'y (pricing) and A x (the iterate)
@@ -69,11 +80,14 @@ at a lower bound and nonpositive at an upper bound.
 A second backend hands the model to HiGHS through the binding scipy
 bundles (scipy.optimize._highspy), in exactly the form
 scipy.optimize.linprog(method="highs") would, so its solutions are
-linprog's bit for bit without linprog's per-call overhead.  Both backends
-feed the same KKT verifier and share one primal feasibility and one dual
-optimality tolerance, the constants ``FEAS_TOL`` and ``OPT_TOL``;
-``LPOptions`` sets only the iteration limit and the backend, and checks
-both when it is made.
+linprog's bit for bit without linprog's per-call overhead.  The
+binding's extension module is loaded on the first HiGHS solve from its
+file alone, without the ``scipy.optimize`` package import around it
+(``_hc``), and registered under its own name, so a later import of the
+package reuses it.  Both backends feed the same KKT verifier and share
+one primal feasibility and one dual optimality tolerance, the constants
+``FEAS_TOL`` and ``OPT_TOL``; ``LPOptions`` sets only the iteration
+limit and the backend, and checks both when it is made.
 
 A frozen model is a compiled structure (``_Structure``: the matrix and
 row senses as read-only arrays, the simplex's [A I], and linprog's layout
@@ -103,6 +117,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 import threading
 
 import numpy as np
@@ -664,53 +679,62 @@ class _Simplex:
 
         Returns (t, kind, row, side): kind 'flip' | 'pivot' | 'unbounded';
         side is the bound the leaving variable lands on (NB_LO/NB_UP).
-        Only rows whose basic variable moves (|w| > piv_tol) can block, so
-        only those are gathered.
+        Only rows whose basic variable moves (|w| > 1e-10) can block, so
+        only those are gathered, as floats (see the module docstring).
         """
-        piv_tol = 1e-10
-        absw = np.abs(w)
-        at = (absw > piv_tol).nonzero()[0]
-        w, absw, xB, loB, hiB = w[at], absw[at], self.xB[at], self.loB[at], self.hiB[at]
-        down = w > 0 if sigma > 0 else w < 0  # x_B changes by -sigma * w * t
-        # a basic moving down stops at its lower bound, one moving up at its
-        # upper bound; in phase 1 one outside its bounds stops where it
-        # re-enters them, and never blocks while moving further away
-        if below is not None:
-            below, above = below[at], above[at]
-            loB, hiB = (np.where(below, -np.inf, np.where(above, hiB, loB)),
-                        np.where(above, np.inf, np.where(below, loB, hiB)))
-        t = (np.where(down, xB, hiB) - np.where(down, loB, xB)) / absw
-        np.putmask(t, ~np.isfinite(t), np.inf)
-        # t holds no -0.0 from here on, so its minimum's bits do not depend
-        # on where in t the zeros sit
-        np.maximum(t, 0.0, out=t)
+        at = (np.abs(w) > 1e-10).nonzero()[0]
+        rows, ws = at.tolist(), w[at].tolist()
+        xs, los, his = self.xB[at].tolist(), self.loB[at].tolist(), self.hiB[at].tolist()
+        phase1 = below is not None
+        if phase1:
+            bs, as_ = below[at].tolist(), above[at].tolist()
+        inf = math.inf
+        steps = []
+        for i, wi in enumerate(ws):
+            x, lo, hi = xs[i], los[i], his[i]
+            # a basic moving down stops at its lower bound, one moving up at
+            # its upper bound; in phase 1 one outside its bounds stops where
+            # it re-enters them, and never blocks while moving further away
+            if phase1:
+                b, a = bs[i], as_[i]
+                lo, hi = (-inf if b else hi if a else lo), (inf if a else lo if b else hi)
+            # x_B changes by -sigma * w * t, and |w| is exactly w or -w
+            if sigma > 0:
+                t = (x - lo) / wi if wi > 0 else (hi - x) / -wi
+            else:
+                t = (x - lo) / -wi if wi < 0 else (hi - x) / wi
+            # a non-finite step never blocks, a negative one blocks at once;
+            # no step is -0.0, so the minimum's bits do not depend on where
+            # the zeros sit
+            steps.append(t if t > 0.0 else 0.0 if t > -inf else inf)
 
-        span = self.hi[j] - self.lo[j]
-        flip_limit = span if self.vstat[j] in (NB_LO, NB_UP) and math.isfinite(span) else np.inf
+        span = float(self.hi[j] - self.lo[j])
+        flip_limit = span if self.vstat[j] in (NB_LO, NB_UP) and math.isfinite(span) else inf
 
-        rmin = t.min() if at.size else np.inf
+        rmin = min(steps) if steps else inf
         if flip_limit <= rmin:
-            if not math.isfinite(flip_limit):
-                return np.inf, "unbounded", -1, 0
+            if flip_limit == inf:
+                return inf, "unbounded", -1, 0
             return flip_limit, "flip", -1, 0
-        if not math.isfinite(rmin):
-            return np.inf, "unbounded", -1, 0
-        ties = (t <= rmin + 1e-12 * (1.0 + rmin)).nonzero()[0]
+        if rmin == inf:
+            return inf, "unbounded", -1, 0
+        cut = rmin + 1e-12 * (1.0 + rmin)
+        ties = [i for i, t in enumerate(steps) if t <= cut]
         if len(ties) == 1:
             k = ties[0]
-        elif self._degen_streak >= DEGEN_STREAK:
-            # Bland: smallest leaving variable index
-            k = ties[self.basis[at[ties]].argmin()]
         else:
-            # stability: largest pivot magnitude, then smallest index
-            mags = absw[ties]
-            strong = ties[mags >= mags.max() * (1.0 - 1e-9)]
-            k = strong[self.basis[at[strong]].argmin()]
-        if down[k]:
-            side = NB_UP if below is not None and above[k] else NB_LO
+            if self._degen_streak < DEGEN_STREAK:
+                # stability: the largest pivot magnitudes (Bland's rule
+                # skips this), then the smallest leaving variable index
+                floor = max(abs(ws[i]) for i in ties) * (1.0 - 1e-9)
+                ties = [i for i in ties if abs(ws[i]) >= floor]
+            basis = self.basis
+            k = min(ties, key=lambda i: basis[rows[i]])
+        if (ws[k] > 0) if sigma > 0 else (ws[k] < 0):  # moving down
+            side = NB_UP if phase1 and as_[k] else NB_LO
         else:
-            side = NB_LO if below is not None and below[k] else NB_UP
-        return rmin, "pivot", int(at[k]), side
+            side = NB_LO if phase1 and bs[k] else NB_UP
+        return rmin, "pivot", rows[k], side
 
     # -- pivoting ---------------------------------------------------------
 
@@ -749,12 +773,16 @@ class _Simplex:
 
     def _update_inverse(self, r, w, piv):
         """The product-form update of B^-1 for a pivot on row r, on the block
-        where w and row r are nonzero (see the module docstring); a w with
-        a non-finite entry updates whole rows, since 0 * inf is NaN."""
+        where w and row r are nonzero (see the module docstring); a w whose
+        nonzeros do not sum to a finite number updates whole rows, since
+        0 * inf is NaN."""
         Br = self.Binv[r] / piv
         rows = w.nonzero()[0]
         wr = w[rows]
-        if np.isfinite(wr).all():
+        # a NaN or an infinity makes the sum non-finite, and so may an
+        # overflow of finite entries, which the whole-row update also
+        # serves; Python's sum, unlike numpy's, warns on neither
+        if math.isfinite(sum(wr.tolist())):
             cols = Br.nonzero()[0]
             self.Binv[rows[:, None], cols] -= np.multiply.outer(wr, Br[cols])
         else:
@@ -835,17 +863,20 @@ class _Simplex:
                 return self._package(status)
             if not self._try_refactor():
                 raise LPNumericalError("basis refactorization failed")
-            p = self._duals(self.cB)[1] - self.c
-            j, _sig = self._pick_entering(p, OPT_TOL, False)
+            priced = self._duals(self.cB)
+            j, _sig = self._pick_entering(priced[1] - self.c, OPT_TOL, False)
             if self._infeasible():
                 status = self._run(1)
                 if status in (INFEASIBLE, ITERATION_LIMIT):
                     return self._package(status)
             elif j < 0:
-                break
+                # the check priced this basis on this inverse already
+                return self._package(OPTIMAL, priced)
         return self._package(OPTIMAL)
 
-    def _package(self, status):
+    def _package(self, status, priced=None):
+        """The solution; an optimal one takes its duals and reduced costs
+        from ``priced``, the (y, A'y) of the current basis, when given."""
         n = self.n
         x = self.x.copy()
         x[self.basis] = self.xB
@@ -853,7 +884,7 @@ class _Simplex:
         duals = np.zeros(self.m)
         rc = np.zeros(n)
         if status == OPTIMAL:
-            duals, g = self._duals(self.cB)
+            duals, g = priced or self._duals(self.cB)
             rc = (self.c - g)[:n]
             rc[self.vstat[:n] == BASIC] = 0.0
         obj = float(self.c[:n] @ x + self.lp.obj_const) if status in (OPTIMAL, ITERATION_LIMIT) else (
@@ -874,12 +905,54 @@ class _Simplex:
 # HiGHS backend (the HiGHS core bundled with scipy)
 
 
-def _hc():
-    # imported on first use: loading it loads scipy.optimize, which the
-    # reference simplex never needs
-    from scipy.optimize._highspy import _core
+_CORE = "scipy.optimize._highspy._core"
+_core_lock = threading.Lock()
 
-    return _core
+
+def _hc():
+    """The HiGHS core, loaded on first use (the reference simplex never
+    needs it) and registered under its own name in ``sys.modules``."""
+    core = sys.modules.get(_CORE)
+    if core is None:
+        with _core_lock:
+            core = sys.modules.get(_CORE) or _load_core()
+    return core
+
+
+def _core_file():
+    """The core's extension file where scipy puts it; None if absent."""
+    import importlib.machinery
+    import os
+
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _load_core():
+    """Load the core's extension file alone, without the ``scipy.optimize``
+    package import around it (most of a one-shot HiGHS run's start-up); a
+    later import of that package finds it in ``sys.modules`` and uses the
+    same module.  Where the file is not found, import it the usual way."""
+    import importlib
+    import importlib.machinery
+    import importlib.util
+
+    path = _core_file()
+    if path is None:
+        return importlib.import_module(_CORE)
+    loader = importlib.machinery.ExtensionFileLoader(_CORE, path)
+    core = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(_CORE, path, loader=loader))
+    loader.exec_module(core)
+    # registered once whole, so no other thread sees it half made
+    sys.modules[_CORE] = core
+    return core
 
 
 class _HighsForm:

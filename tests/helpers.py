@@ -5,6 +5,7 @@ case, day and history file formats."""
 import hashlib
 import itertools
 import json
+import math
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -211,6 +212,58 @@ class FullRowSimplex(lpmod._Simplex):
         rows = rows[rows != r]
         self.Binv[rows] -= w[rows, None] * Br
         self.Binv[r, :] = Br
+
+
+def array_ratio_test(self, j, sigma, w, below, above):
+    """The simplex's ratio test as numpy array operations over the moving
+    rows, as it was before it stepped over them in Python floats: the
+    reference the float kernel must match bit for bit.  Called as
+    ``array_ratio_test(simplex, j, sigma, w, below, above)``."""
+    NB_LO, NB_UP, DEGEN_STREAK = lpmod.NB_LO, lpmod.NB_UP, lpmod.DEGEN_STREAK
+    piv_tol = 1e-10
+    absw = np.abs(w)
+    at = (absw > piv_tol).nonzero()[0]
+    w, absw, xB, loB, hiB = w[at], absw[at], self.xB[at], self.loB[at], self.hiB[at]
+    down = w > 0 if sigma > 0 else w < 0  # x_B changes by -sigma * w * t
+    # a basic moving down stops at its lower bound, one moving up at its
+    # upper bound; in phase 1 one outside its bounds stops where it
+    # re-enters them, and never blocks while moving further away
+    if below is not None:
+        below, above = below[at], above[at]
+        loB, hiB = (np.where(below, -np.inf, np.where(above, hiB, loB)),
+                    np.where(above, np.inf, np.where(below, loB, hiB)))
+    t = (np.where(down, xB, hiB) - np.where(down, loB, xB)) / absw
+    np.putmask(t, ~np.isfinite(t), np.inf)
+    # t holds no -0.0 from here on, so its minimum's bits do not depend
+    # on where in t the zeros sit
+    np.maximum(t, 0.0, out=t)
+
+    span = self.hi[j] - self.lo[j]
+    flip_limit = span if self.vstat[j] in (NB_LO, NB_UP) and math.isfinite(span) else np.inf
+
+    rmin = t.min() if at.size else np.inf
+    if flip_limit <= rmin:
+        if not math.isfinite(flip_limit):
+            return np.inf, "unbounded", -1, 0
+        return flip_limit, "flip", -1, 0
+    if not math.isfinite(rmin):
+        return np.inf, "unbounded", -1, 0
+    ties = (t <= rmin + 1e-12 * (1.0 + rmin)).nonzero()[0]
+    if len(ties) == 1:
+        k = ties[0]
+    elif self._degen_streak >= DEGEN_STREAK:
+        # Bland: smallest leaving variable index
+        k = ties[self.basis[at[ties]].argmin()]
+    else:
+        # stability: largest pivot magnitude, then smallest index
+        mags = absw[ties]
+        strong = ties[mags >= mags.max() * (1.0 - 1e-9)]
+        k = strong[self.basis[at[strong]].argmin()]
+    if down[k]:
+        side = NB_UP if below is not None and above[k] else NB_LO
+    else:
+        side = NB_LO if below is not None and below[k] else NB_UP
+    return rmin, "pivot", int(at[k]), side
 
 
 def row_entries(lp):

@@ -57,24 +57,35 @@ def solution_digest(sol):
 
 def capture(workload, seed, workers=None):
     """The sorted (kind, sha256) lines of instance 0's day."""
+    lines = []  # list.append is atomic, so worker threads may share it
+
+    def record(lp, args, kwargs, sol):
+        lines.append(f"lp {lp_digest(lp)}")
+        lines.append(f"solution {solution_digest(sol)}")
+
+    roll(workload, seed, 0, record, workers)
+    return sorted(lines)
+
+
+def roll(workload, seed, instance, record, workers=None):
+    """Roll each of the workload's policies, and ``pd``, through the day of
+    ``instance``, calling ``record(lp, args, kwargs, solution)`` after each
+    ``solve_lp`` call (from worker threads too)."""
     import rtdispatch as rd
     from rtdispatch import benders, simulator
 
     w = WORKLOADS[workload]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = gen.write_inputs(tmp, gen.RUNGS[w.rung], seed, 0)
+        paths = gen.write_inputs(tmp, gen.RUNGS[w.rung], seed, instance)
         texts = {k: Path(p).read_text() for k, p in paths.items()}
     vc = rd.validate_case(rd.parse_case(texts["case"]))
     day = rd.parse_timeseries(texts["day"], vc)
     history = rd.load_history(texts["history"], vc)
 
-    lines = []  # list.append is atomic, so worker threads may share it
-
     def wrap(solve):
         def recorded(lp, *args, **kwargs):
             sol = solve(lp, *args, **kwargs)
-            lines.append(f"lp {lp_digest(lp)}")
-            lines.append(f"solution {solution_digest(sol)}")
+            record(lp, args, kwargs, sol)
             return sol
         return recorded
 
@@ -92,7 +103,6 @@ def capture(workload, seed, workers=None):
     finally:
         for m, solve in zip(modules, originals):
             m.solve_lp = solve
-    return sorted(lines)
 
 
 def main(argv=None):

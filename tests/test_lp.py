@@ -679,22 +679,82 @@ def test_highs_unknown_status_raises_like_linprog():
 
 
 def test_only_a_highs_solve_loads_scipy_optimize():
-    # the HiGHS core is imported on the first HiGHS solve; importing it loads
-    # scipy.optimize, which would add to a simplex-only run's start-up time
+    # the HiGHS core is loaded on the first HiGHS solve, from its extension
+    # file alone: the scipy.optimize package around it would add most of a
+    # one-shot HiGHS run's start-up time
     code = (
         "import sys\n"
         "from rtdispatch.lp import LinearProgram, LPOptions, solve_lp\n"
+        "core = 'scipy.optimize._highspy._core'\n"
         "lp = LinearProgram()\n"
         "lp.add_row([lp.add_var(0.0, 1.0, cost=1.0)], [1.0], '>=', 0.5)\n"
         "solve_lp(lp)\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "print(core in sys.modules)\n"
         "solve_lp(lp, LPOptions(backend='highs'))\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "print(core in sys.modules, 'scipy.optimize' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "True", "False"]
+
+
+def _highs_child(prelude):
+    """stdout of a child that runs ``prelude``, solves a one-row model on
+    HiGHS, then imports scipy.optimize and solves it with linprog."""
+    code = (
+        "import sys\n"
+        "from rtdispatch import lp as lpmod\n"
+        f"{prelude}\n"
+        "lp = lpmod.LinearProgram()\n"
+        "lp.add_row([lp.add_var(0.0, 1.0, cost=1.0)], [1.0], '>=', 0.5)\n"
+        "sol = lpmod.solve_lp(lp, lpmod.LPOptions(backend='highs'))\n"
+        "print(sol.status, sol.x.tolist(), 'scipy.optimize' in sys.modules)\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "print(_core is lpmod._hc(), _core is sys.modules['scipy.optimize._highspy._core'])\n"
+        "print(scipy.optimize.linprog([1.0], A_ub=[[-1.0]], b_ub=[-0.5], bounds=[(0, 1)]).x)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_a_later_scipy_optimize_import_reuses_the_loaded_core():
+    # the core is registered under its own name, so the package import
+    # finds it and never loads a second copy; linprog works on it
+    assert _highs_child("") == ["optimal [0.5] False", "True True", "[0.5]"]
+
+
+def test_threads_racing_to_the_first_highs_solve_load_one_core():
+    # Benders oracle threads may make the first HiGHS solve together
+    code = (
+        "import sys, threading\n"
+        "from rtdispatch import lp as lpmod\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "loads, got, load = [], [], lpmod._load_core\n"
+        "lpmod._load_core = lambda: loads.append(1) or load()\n"
+        "barrier = threading.Barrier(8)\n"
+        "def first():\n"
+        "    barrier.wait(timeout=60)\n"
+        "    got.append(lpmod._hc())\n"
+        "threads = [threading.Thread(target=first) for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(timeout=60)\n"
+        "print(len(got), len({id(c) for c in got}), len(loads),\n"
+        "      any(t.is_alive() for t in threads))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["8", "1", "1", "False"]
+
+
+def test_the_core_is_imported_the_usual_way_where_its_file_is_absent():
+    # another scipy layout: the core comes in through its package
+    assert _highs_child("lpmod._core_file = lambda: None") == [
+        "optimal [0.5] True", "True True", "[0.5]"]
 
 
 def test_the_simplex_path_imports_no_scipy():
