@@ -21,10 +21,12 @@ the rows a fresh build from the whole pool would.  Its lazy flowgate rows
 are generated afresh each iteration.  The oracles fill one subproblem
 layout, so they and the rhs copies they re-solve share one compiled
 structure; each answers any query whose solve it has made before without
-solving again.  With ``workers`` above 1 the calling thread answers a
-share of the scenarios and a pool of ``workers - 1`` threads, kept for
-the whole process, the rest.  ``run_benders`` takes the LP options and
-the flow mode as arguments, apart from its ``BendersConfig``.
+solving again.  Each iteration asks them in one round, every oracle the
+interior point and then the argmin point.  With ``workers`` above 1 the
+calling thread answers a share of the scenarios and a pool of
+``workers - 1`` threads, kept for the whole process, the rest.
+``run_benders`` takes the LP options and the flow mode as arguments,
+apart from its ``BendersConfig``.
 """
 
 from __future__ import annotations
@@ -352,18 +354,23 @@ def _pool(workers):
     return _pools.get(key) or _pools.setdefault(key, ThreadPoolExecutor(workers - 1))
 
 
-def _query_all(oracles, x1, workers):
-    """Every scenario oracle's answer at a point, in scenario order: the
-    calling thread answers oracles ``0::workers`` and pool thread k oracles
-    ``k::workers``.  A share stops at its first error, and once all are
-    done the lowest-numbered scenario's error is raised, as serially."""
-    def share(k):  # (answers, (scenario, error) or None)
+def _query_all(oracles, points, workers):
+    """Every scenario oracle's answers at each of ``points``, per point in
+    scenario order, in one round: the calling thread answers oracles
+    ``0::workers`` and pool thread k oracles ``k::workers``, each share
+    point by point, so every oracle is asked the points in order.  A share
+    stops at its first error, and once all are done the error of the
+    earliest point, then the lowest-numbered scenario, is raised, as
+    serially."""
+    def share(k):  # (answers per point, ((point, scenario), error) or None)
         out = []
-        for s in range(k, len(oracles), workers):
-            try:
-                out.append(oracles[s].query(x1))
-            except Exception as exc:
-                return out, (s, exc)
+        for p, x1 in enumerate(points):
+            out.append([])
+            for s in range(k, len(oracles), workers):
+                try:
+                    out[p].append(oracles[s].query(x1))
+                except Exception as exc:
+                    return out, ((p, s), exc)
         return out, None
 
     futures = [_pool(workers).submit(share, k) for k in range(1, min(workers, len(oracles)))]
@@ -374,7 +381,8 @@ def _query_all(oracles, x1, workers):
     errors = [e for _, e in parts if e]
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
-    return [parts[s % workers][0][s // workers] for s in range(len(oracles))]
+    return [[parts[s % workers][0][p][s // workers] for s in range(len(oracles))]
+            for p in range(len(points))]
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +398,8 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=No
     "lazy" flowgate rows) apply to the master and every subproblem.
     Deterministic for a fixed model and configuration, including under
     ``workers > 1``: the calling thread and the kept pool's threads each
-    answer a stride of the scenarios, and the answers are aggregated in
-    scenario order.  The oracles fill one
+    answer a stride of the scenarios at both of an iteration's points, and
+    the answers are aggregated in scenario order.  The oracles fill one
     subproblem layout, and the master is refilled from ``slots`` (a rolling
     day's ``ModelSlots``) when it holds one of the same structure."""
     cfg = config or BendersConfig()
@@ -450,8 +458,7 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=No
         # argmin (pass 2 separates there when pass 1 found nothing)
         x_tilde = in_out_candidate(x_hat, x_rmp, cfg.alpha)
         t1 = time.perf_counter()
-        interior = _query_all(oracles, x_tilde, cfg.workers)
-        results = _query_all(oracles, x_rmp, cfg.workers)
+        interior, results = _query_all(oracles, (x_tilde, x_rmp), cfg.workers)
         t2 = time.perf_counter()
         added = _add_cuts(pool, interior, x_rmp, theta, (it, "interior"))
         interior_hit = added > 0

@@ -37,8 +37,9 @@ that varies goes.  Its fill writes only those numbers (cell costs,
 capacity-dependent bounds, loads, ramps to the previous dispatch, pins)
 into a copy on the same structure, with its own registry.  Every public
 builder is a layout and a fill; ``ModelSlots`` refills a rolling day's
-layout while its ``structure_key`` holds.  The result is the model a
-row-by-row build gives, entry for entry.
+layout while its ``structure_key`` holds, and derives a shrinking
+window's layout from the held longer one (``_Layout.truncated``).  The
+result is the model a row-by-row build gives, entry for entry.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -278,9 +280,10 @@ class _CellTemplate:
         self.banded, self.banded_gens = banded[:2].astype(np.int64)
         self.banded_scale, self.banded_caps = banded[2:]
         self.ceil_rows, self.ceil_gens = np.array(ceilings, dtype=np.int64).reshape(-1, 2).T
-        # per generator, for the ramp rows and the no-load cost
+        # the period's no-load cost, then per generator, for the ramp rows
+        h = case.step_minutes / 60.0
+        self.no_load = sum(h * g.no_load_cost for g in gens if g.committed(ta))
         self.on = np.array([g.committed(ta) for g in gens])
-        self.no_load = [g.no_load_cost for g in gens if g.committed(ta)]
         self.pmin, self.pmax, up, dn = np.array(
             [(g.pmin, g.pmax, g.ramp_up, g.ramp_down) for g in gens], dtype=np.float64).T
         self.up, self.dn = up * case.step_minutes, dn * case.step_minutes
@@ -351,6 +354,9 @@ class _Layout:
         # index chunks per cell and block, concatenated by freeze()
         self._at = {k: [] for k in _FILLED}
         self.pinned_pg = None
+        # the (column end, row end) after each cell and the row end after
+        # each period's ramp rows: where ``truncated`` cuts one scenario
+        self.cell_ends, self.ramp_ends = [], []
 
     # -- assembly ---------------------------------------------------------
 
@@ -376,6 +382,7 @@ class _Layout:
         at["ceil_at"].append(tpl.ceil_gens + cell * n_gens)
         at["inj"].append(tpl.inj_rows + r0)
         at["inj_at"].append(np.arange(n_buses) + cell * n_buses)
+        self.cell_ends.append((lp.n_vars, lp.n_rows))
         return tpl.pg + c0
 
     def ramp_block(self, pg, s, start):
@@ -405,6 +412,7 @@ class _Layout:
             r0 = self.lp.add_rows(np.concatenate(cols), np.concatenate(vals),
                                   np.concatenate(counts), np.concatenate(senses), rhs)
             self.vmap.add_rows(keys, r0)
+            self.ramp_ends = (r0 + np.cumsum([c.size for c in counts])).tolist()
             if start == 0:
                 n_on = np.count_nonzero(tpls[0].on)
                 self._at["ramp_up"].append(np.arange(r0, r0 + 2 * n_on, 2))
@@ -438,13 +446,53 @@ class _Layout:
             pg = [self.pinned_pg] if start else []
             pg += [self.cell(tpls[t], t, s) for t in range(start, len(tpls))]
             self.ramp_block(pg, s, start)
-        noload = 0.0
-        for t in range(start, len(tpls)):
-            noload += sum(self.h * c for c in tpls[t].no_load)
-        self.lp.obj_const += noload
+        self.lp.obj_const += self._no_load(start, len(tpls))
         if anticipativity:
             self.anticipativity_rows()
         return self
+
+    def _no_load(self, start, stop):
+        """The no-load cost of window periods start..stop-1, summed left to
+        right."""
+        out = 0.0
+        for tpl in self.tpls[start:stop]:
+            out += tpl.no_load
+        return out
+
+    def truncated(self, horizon):
+        """This frozen one-scenario window or subproblem layout cut to its
+        first ``horizon`` periods: a fresh build's over them.
+
+        The kept cells' columns and rows are prefixes, and the kept periods'
+        ramp rows lead the held ramp block, so they are renumbered to follow
+        the cells.  Each fill index array keeps the entries in kept columns
+        or rows; each registry is rebuilt from the held one's leading items,
+        which insertion order keeps in index order."""
+        start = len(self.tpls) - len(self.cell_ends)  # 1 for a subproblem
+        k = horizon - start  # kept cells
+        nc, nr = self.cell_ends[k - 1]
+        ramp0, ramp1 = self.cell_ends[-1][1], self.ramp_ends[k - 1]
+        shift = nr - ramp0  # of each kept ramp row
+        out = copy.copy(self)
+        out.tpls, out.cell_ends = self.tpls[:horizon], self.cell_ends[:k]
+        out.ramp_ends = [r + shift for r in self.ramp_ends[:k]]
+        out.lp = self.lp.cut_to(nc, [(0, nr), (ramp0, ramp1)])
+        out.lp.obj_const += self._no_load(start, horizon)
+        out.vmap = vm = VariableMap()
+        vm.meta = dict(self.vmap.meta)
+        vm._col = dict(itertools.islice(self.vmap.columns(), nc))
+        vm._row = dict(itertools.islice(self.vmap.rows(), nr))
+        vm._row.update(zip(itertools.islice(self.vmap._row, ramp0, ramp1),
+                           range(nr, ramp1 + shift)))
+        for by_column, group in _BY_CELL:
+            n = np.searchsorted(getattr(self, group[0]), nc if by_column else nr)
+            for name in group:
+                setattr(out, name, getattr(self, name)[:n])
+        for name in ("ramp_up", "ramp_dn"):
+            setattr(out, name, getattr(self, name) + shift)
+            getattr(out, name).flags.writeable = False
+        out.stage_columns = {ts: c for ts, c in self.stage_columns.items() if ts[0] < horizon}
+        return out
 
     def anticipativity_rows(self):
         base = first_stage_columns(self.vmap).tolist()
@@ -601,10 +649,14 @@ def _nan_at(a, *where):
     return out
 
 
-#: the index arrays a layout keeps for its fills
-_FILLED = ("priced", "price", "priced_scen", "banded", "banded_at", "banded_pmin",
-           "banded_scale", "banded_caps", "ceil", "ceil_at", "inj", "inj_at", "ramp_up",
-           "ramp_dn", "pins", "pins_at", "thetas", "cut_rows")
+#: the index arrays a layout keeps for its fills per cell, in groups whose
+#: first array is ascending in columns (True) or rows (False)
+_BY_CELL = ((True, ("priced", "price", "priced_scen")),
+            (True, ("banded", "banded_at", "banded_pmin", "banded_scale", "banded_caps")),
+            (False, ("ceil", "ceil_at")), (False, ("inj", "inj_at")))
+#: every index array a layout keeps for its fills
+_FILLED = tuple(name for _, group in _BY_CELL for name in group) + (
+    "ramp_up", "ramp_dn", "pins", "pins_at", "thetas", "cut_rows")
 
 
 class ModelSlots:
@@ -612,21 +664,34 @@ class ModelSlots:
 
     ``model(role, key, build, fill)`` gives the role's model: ``fill`` of
     the layout held when its key equals ``key`` (see ``structure_key``),
-    else ``build()``, a public builder, whose layout it then holds.  In a
-    rolling day the models of one structure come one after another, so one
-    layout per role finds them, and a day never holds more.  Used on one
-    thread."""
+    else ``build()``, a public builder, whose layout it then holds.  A key
+    asking for the held layout's first periods (``_shrinks``) gets the held
+    layout cut to them (``_Layout.truncated``), held in its place.  In a
+    rolling day the models of one structure come one after another and
+    windows only shrink, at the day's end, so one layout per role finds
+    them, and a day never holds more.  Used on one thread."""
 
     def __init__(self):
         self._held = {}  # role -> (key, layout)
 
     def model(self, role, key, build, fill):
         held = self._held.get(role)
+        if held is not None and _shrinks(held[0], key):
+            held = self._held[role] = (key, held[1].truncated(key[2]))
         if held is not None and held[0] == key:
             return fill(held[1])
         lp, vmap = build()
         self._held[role] = (key, vmap.layout)
         return lp, vmap
+
+
+def _shrinks(held, key):
+    """Whether a window or subproblem ``structure_key`` asks for the first
+    periods of ``held``: the same flow mode and start, fewer periods, the
+    held templates' leading ones.  A master's key, which has a scenario
+    count, and a one-period settlement's never do."""
+    return (len(key) == len(held) == 4 and key[0] == held[0] and key[3] == held[3]
+            and key[2] < held[2] and key[1] == held[1][:key[2]])
 
 
 #: the row families of a branch's upper and lower flowgate rows

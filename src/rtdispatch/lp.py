@@ -93,8 +93,9 @@ A frozen model is a compiled structure (``_Structure``: the matrix and
 row senses as read-only arrays, the simplex's [A I], and linprog's layout
 of the matrix in a kept ``HighsLp``) plus its own float64 costs, bounds
 and right-hand sides.  ``with_numbers`` swaps whole float64 arrays of
-numbers on the same structure (``with_rhs`` is one use of it), and
-``with_rows`` extends the parent's arrays.  A HiGHS solve writes into the
+numbers on the same structure (``with_rhs`` is one use of it),
+``with_rows`` extends the parent's arrays, and ``cut_to`` keeps slices of
+them.  A HiGHS solve writes into the
 kept ``HighsLp`` only the costs, column bounds and row bounds whose
 bytes differ from those it holds (a copy with new right-hand sides alone
 sends only row bounds), and ``passModel`` copies it, both under a
@@ -168,8 +169,9 @@ class LinearProgram:
     ``_Structure`` (its matrix and row senses) plus its own read-only
     float64 numbers ``cost``, ``lower``, ``upper`` and ``rhs``.  It never
     changes: ``with_numbers`` (and ``with_rhs``, one use of it) gives a
-    copy on the same structure with other whole arrays, and ``with_rows``
-    one whose structure is this one's arrays plus the new rows.  An open
+    copy on the same structure with other whole arrays, ``with_rows``
+    one whose structure is this one's arrays plus the new rows, and
+    ``cut_to`` one of its leading columns and some of its rows.  An open
     model is compiled afresh on every query.  Solving never mutates it.
     """
 
@@ -319,6 +321,24 @@ class LinearProgram:
         return LinearProgram._frozen(
             structure, (cost, lower, upper, _read_only(np.concatenate([rhs, extra]))),
             self.obj_const)
+
+    def cut_to(self, n_vars, spans):
+        """A frozen model of this one's first ``n_vars`` columns and the rows
+        of ``spans``, (first, stop) pairs in row order, renumbered from 0;
+        those rows must name only the kept columns.  Its structure is new
+        and its ``obj_const`` 0.0."""
+        s, (cost, lower, upper, rhs) = self._view()
+        rows, cols, vals = s.coo
+        kept = [slice(a, b) for a, b in spans]
+        entries = [slice(*e) for e in np.searchsorted(rows, spans).tolist()]
+        firsts = np.cumsum([0] + [b - a for a, b in spans])  # each span's new first row
+        coo = (np.concatenate([rows[e] + (f - r.start) for e, f, r in zip(entries, firsts, kept)]),
+               np.concatenate([cols[e] for e in entries]),
+               np.concatenate([vals[e] for e in entries]))
+        return LinearProgram._frozen(
+            _Structure(n_vars, coo, np.concatenate([s.senses[r] for r in kept])),
+            (cost[:n_vars], lower[:n_vars], upper[:n_vars],
+             _read_only(np.concatenate([rhs[r] for r in kept]))), 0.0)
 
     def _set_frozen(self, structure, numbers):
         self._s, self._numbers = structure, numbers

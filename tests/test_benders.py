@@ -308,6 +308,34 @@ def test_an_oracle_error_under_threads_is_the_serial_one(case3, workers, monkeyp
                        BendersConfig(workers=workers)).status == "optimal"
 
 
+def test_an_error_at_the_interior_point_wins_over_a_lower_scenarios_at_the_argmin(
+        case3, monkeypatch):
+    # one round asks every oracle the interior point, then the argmin point:
+    # scenario 2 failing at iteration 2's interior point is met before
+    # scenario 0 failing at its argmin point, serially and on two threads
+    from rtdispatch import benders
+
+    scen = case3_scenarios(seed=53, horizon=3, n=4)
+    ids = [s.id for s in scen.scenarios]
+    query = benders._ScenarioOracle.query
+    asked = {}  # scenario -> queries so far; one thread asks each oracle
+
+    def failing(self, x1):
+        s = ids.index(self.scenario_id)
+        asked[s] = n = asked.get(s, 0) + 1
+        if (s, n) in ((2, 3), (0, 4)):  # iteration 2's interior, its argmin
+            raise LPNumericalError(f"scenario '{self.scenario_id}' failed at query {n}")
+        return query(self, x1)
+
+    assert run_benders(case3, case3_state(), scen).iterations >= 2
+    monkeypatch.setattr(benders._ScenarioOracle, "query", failing)
+    for w in (1, 2):
+        asked.clear()
+        with pytest.raises(LPNumericalError) as err:
+            run_benders(case3, case3_state(), scen, BendersConfig(workers=w))
+        assert str(err.value) == f"scenario '{ids[2]}' failed at query 3"
+
+
 def test_an_interrupt_in_the_callers_share_waits_for_the_pool(case3, monkeypatch):
     # a BaseException, as KeyboardInterrupt is, raised in the calling
     # thread's share while a pool thread still solves its own

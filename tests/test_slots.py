@@ -2,11 +2,13 @@
 
 Every model a day hands out must be, byte for byte and registry for
 registry, what a fresh public-builder call gives; a day holds at most one
-layout per role, and builds one per distinct structure."""
+layout per role and makes each structure once: a shorter window's layout
+is derived from the one the role holds, any other is built."""
 
 import dataclasses
 import gc
 import hashlib
+import json
 import weakref
 
 import numpy as np
@@ -14,9 +16,10 @@ import pytest
 
 from rtdispatch import benders, simulator
 from rtdispatch.forecast import load_history
-from rtdispatch.formulation import ModelSlots
+from rtdispatch.formulation import (
+    _FILLED, ModelSlots, _Layout, build_benders_subproblem, build_lad, first_stage_columns)
 from rtdispatch.lp import LPOptions
-from rtdispatch.model import parse_case, parse_timeseries, validate_case
+from rtdispatch.model import initial_state, parse_case, parse_timeseries, validate_case
 from rtdispatch.simulator import PolicySpec, run_simulation
 
 from helpers import DATA
@@ -93,6 +96,72 @@ def test_every_model_a_day_hands_out_is_a_fresh_build(day, kind, backend, flows,
     assert (len(set(misses)) < len(misses)) == (day == "switching")
 
 
+def _system(name):
+    """(case, realized day) of a bundled day or of a bench rung at seed 3.
+    "cycling" is the network day with G1, which has a no-load cost, off at
+    every third period from period 1, so its no-load cost differs by
+    period."""
+    if name in ("toy", "network", "switching"):
+        return _day(name, "lad")[:2]
+    if name == "cycling":
+        vc, actuals = _system("network")
+        gens = list(vc.case.generators)
+        gens[0] = dataclasses.replace(gens[0], commit=tuple(
+            t % 3 != 1 for t in range(actuals.horizon)))
+        return validate_case(dataclasses.replace(vc.case, generators=tuple(gens))), actuals
+    import gen  # the bench's generator, from perfbench/
+
+    case, day, _ = gen.make_system(gen.RUNGS[name], 3)
+    vc = validate_case(parse_case(json.dumps(case)))
+    return vc, parse_timeseries(gen.day_csv(day, gen.RUNGS[name].periods), vc)
+
+
+def _same_layout(got, want):
+    """The layouts agree on their placeholder models, registries, fill index
+    arrays, cut points and kept first-stage columns."""
+    _same_model((got.lp, got.vmap), (want.lp, want.vmap))
+    for name in _FILLED:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+    assert (got.cell_ends, got.ramp_ends) == (want.cell_ends, want.ramp_ends)
+    assert got.stage_columns.keys() == want.stage_columns.keys()
+    for ts, cols in got.stage_columns.items():
+        assert cols.tobytes() == want.stage_columns[ts].tobytes()
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("name", ["toy", "network", "switching", "cycling", "small", "mid",
+                                  "large"])
+def test_a_shrunk_layout_is_a_fresh_build(name, start, monkeypatch):
+    monkeypatch.syspath_prepend(str(DATA.parent / "perfbench"))
+    vc, actuals = _system(name)
+    state = initial_state(vc)
+
+    def layout(horizon):
+        """The fresh layout over ``horizon`` periods, with its first-stage
+        columns kept at every period, and the fill that gives its model."""
+        win = actuals.window(0, horizon)
+        if start:
+            model = build_benders_subproblem(vc, win, 0)
+            fill = lambda held: held.subproblem(win, 0, None, 0)  # noqa: E731
+        else:
+            model = build_lad(vc, state, win)
+            fill = lambda held: held.lad(state, win)  # noqa: E731
+        for t in range(horizon):
+            first_stage_columns(model[1], t)
+        return model[1].layout, fill
+
+    shortest = 1 + start
+    for horizon in range(shortest + 1, min(6, actuals.horizon) + 1):
+        held, chained = layout(horizon)[0], None
+        for length in range(horizon - 1, shortest - 1, -1):
+            want, fill = layout(length)
+            chained = (chained or held).truncated(length)
+            for got in (held.truncated(length), chained):
+                _same_layout(got, want)
+                _same_model(fill(got), fill(want))
+
+
 def _structure(lp, vm):
     h = hashlib.sha256()
     for a in (*lp.coo(), lp.senses, lp.lower):
@@ -105,15 +174,24 @@ def _structure(lp, vm):
 @pytest.mark.parametrize("day", ["toy", "network"])
 def test_a_day_builds_one_layout_per_structure_and_holds_one_per_role(day, kind,
                                                                      monkeypatch):
-    built, structures, held = [0], set(), []
+    built, derived, structures, held = [0], [0], set(), []
     for owner, name in BUILDERS:
         def counted(*args, _build=getattr(owner, name), **kwargs):
             built[0] += 1
             return _build(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    model = ModelSlots.model
+    truncated = _Layout.truncated
+
+    def cut(self, horizon):
+        derived[0] += 1
+        return truncated(self, horizon)
+
+    monkeypatch.setattr(_Layout, "truncated", cut)
+    model, asked, shrinks = ModelSlots.model, {}, [0]
 
     def recorded(self, role, key, build, fill):
+        shrinks[0] += role in asked and key[2] < asked[role]
+        asked[role] = key[2]
         out = model(self, role, key, build, fill)
         structures.add((role, _structure(*out)))
         assert self._held[role][1] is out[1].layout
@@ -133,10 +211,17 @@ def test_a_day_builds_one_layout_per_structure_and_holds_one_per_role(day, kind,
     monkeypatch.setattr(simulator, "settle_first_period", settled)
     vc, actuals, policy = _day(day, kind, "highs")
     run_simulation(vc, actuals, policy)
-    # the day's windows only shrink and its commitment is fixed, so models
-    # of one structure come one after another; pd builds its plan once
-    assert built[0] == len(structures) + (kind == "pd")
-    assert len({role for role, _ in structures}) == (4 if kind == "slad" else 2 - (kind == "pd"))
+    # the day's windows only shrink and its commitment is fixed, so each
+    # role builds one layout and derives each shorter one from the last;
+    # pd builds its plan once
+    roles = 4 if kind == "slad" else 2 - (kind == "pd")
+    assert len({role for role, _ in structures}) == roles
+    assert built[0] == roles + (kind == "pd")
+    assert derived[0] == shrinks[0] == len(structures) - roles
+    # the day's last windows shrink a period at a time, to one period (a
+    # subproblem's to two)
+    n = min(policy.horizon, actuals.horizon)
+    assert shrinks[0] == {"lad": n - 1, "plad": n - 1, "slad": n - 2}.get(kind, 0)
 
 
 class _Writes:
