@@ -47,7 +47,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
-import itertools
 import operator
 
 import numpy as np
@@ -466,8 +465,9 @@ class _Layout:
         The kept cells' columns and rows are prefixes, and the kept periods'
         ramp rows lead the held ramp block, so they are renumbered to follow
         the cells.  Each fill index array keeps the entries in kept columns
-        or rows; each registry is rebuilt from the held one's leading items,
-        which insertion order keeps in index order."""
+        or rows; each registry is a copy of the held one with the items past
+        the kept cells popped (insertion order is index order there), and
+        the kept ramp rows among them put back renumbered."""
         start = len(self.tpls) - len(self.cell_ends)  # 1 for a subproblem
         k = horizon - start  # kept cells
         nc, nr = self.cell_ends[k - 1]
@@ -480,10 +480,11 @@ class _Layout:
         out.lp.obj_const += self._no_load(start, horizon)
         out.vmap = vm = VariableMap()
         vm.meta = dict(self.vmap.meta)
-        vm._col = dict(itertools.islice(self.vmap.columns(), nc))
-        vm._row = dict(itertools.islice(self.vmap.rows(), nr))
-        vm._row.update(zip(itertools.islice(self.vmap._row, ramp0, ramp1),
-                           range(nr, ramp1 + shift)))
+        vm._col, vm._row = self.vmap._col.copy(), self.vmap._row.copy()
+        for _ in range(len(vm._col) - nc):
+            vm._col.popitem()
+        tail = [vm._row.popitem()[0] for _ in range(len(vm._row) - nr)][::-1]  # rows nr on
+        vm._row.update(zip(tail[ramp0 - nr:ramp1 - nr], range(nr, ramp1 + shift)))
         for by_column, group in _BY_CELL:
             n = np.searchsorted(getattr(self, group[0]), nc if by_column else nr)
             for name in group:

@@ -91,18 +91,19 @@ limit and the backend, and checks both when it is made.
 
 A frozen model is a compiled structure (``_Structure``: the matrix and
 row senses as read-only arrays, the simplex's [A I], and linprog's layout
-of the matrix in a kept ``HighsLp``) plus its own float64 costs, bounds
-and right-hand sides.  ``with_numbers`` swaps whole float64 arrays of
-numbers on the same structure (``with_rhs`` is one use of it),
+of the matrix as read-only arrays, ``_HighsForm``) plus its own float64
+costs, bounds and right-hand sides.  ``with_numbers`` swaps whole float64
+arrays of numbers on the same structure (``with_rhs`` is one use of it),
 ``with_rows`` extends the parent's arrays, and ``cut_to`` keeps slices of
-them.  A HiGHS solve writes into the
-kept ``HighsLp`` only the costs, column bounds and row bounds whose
-bytes differ from those it holds (a copy with new right-hand sides alone
-sends only row bounds), and ``passModel`` copies it, both under a
-per-structure lock; ``run`` stays outside it.  An unfrozen model
-compiles on every query, so nothing cached goes stale.  Each thread keeps one HiGHS instance and
-passes it options only when the iteration limit changes; ``passModel`` clears the previous solve, so the
-kept instance gives a fresh one's bytes.  Each solution vector is read
+them.  A HiGHS solve works out its row bounds from its own right-hand
+sides and hands them, its costs and column bounds and the layout's
+matrix to the ``passModel`` overload that reads numpy arrays, which
+copies them into HiGHS; nothing the structure holds is written, so
+solves of one structure on many threads take no lock.  An unfrozen model
+compiles on every query, so nothing cached goes stale.  Each thread
+keeps one HiGHS instance and passes it options only when the iteration
+limit changes; ``passModel`` clears the previous solve, so the kept
+instance gives a fresh one's bytes.  Each solution vector is read
 back once.  Reduced costs are read off the basic-variable list and the
 model's finite bounds, not a basis status object per column.
 
@@ -283,8 +284,9 @@ class LinearProgram:
 
         Each argument is None (keep this model's) or a whole float64 array
         of the model's length; anything else raises ValueError.  The copy
-        shares the structure, the lower bounds and the arrays it keeps; a
-        HiGHS solve rewrites only the arrays whose bytes it does not hold.
+        shares the structure (and each backend's form of it), the lower
+        bounds and the arrays it keeps; a solve reads the copy's numbers
+        and writes nothing shared.
         """
         s, numbers = self._view()
         return LinearProgram._frozen(s, tuple(
@@ -976,14 +978,17 @@ def _load_core():
 
 
 class _HighsForm:
-    """linprog's layout of a structure in a kept ``HighsLp``: the <= and >=
-    rows in model order, >= rows negated (their duals flip back after the
-    solve), then the = rows; HiGHS reads each row as lhs <= a'x <= rhs.
-    ``rows`` lists each HiGHS row's model row and ``position`` the reverse.
-    ``load`` writes a model's numbers; it runs under the structure lock."""
+    """linprog's layout of a structure as read-only arrays, built once and
+    handed to ``passModel`` on every solve: the <= and >= rows in model
+    order, >= rows negated (their duals flip back after the solve), then
+    the = rows; HiGHS reads each row as lhs <= a'x <= rhs.  ``rows`` lists
+    each HiGHS row's model row and ``position`` the reverse.  The matrix is
+    CSC: ``start`` holds each column's first entry (HiGHS appends the entry
+    count itself), then int32 ``index`` and float64 ``value``; the all-zero
+    ``integrality`` marks every column continuous, as the call needs one
+    entry per column.  A solve writes none of them."""
 
     def __init__(self, s):
-        hc = _hc()
         n, m = s.n, s.m
         ub = s.senses != EQ
         self.rows = np.concatenate([np.flatnonzero(ub), np.flatnonzero(~ub)])
@@ -992,55 +997,22 @@ class _HighsForm:
         self.position[self.rows] = np.arange(m)
         self.sign = np.where(s.senses == GE, -1.0, 1.0)
         self.row_sign = self.sign[self.rows]
-        self.free_lower = [-np.inf] * n_ub  # the <= and >= rows' row_lower_
         # the post-solve check's slack limits: -tol, and +tol on an = row
         self.slack_lo = np.full(m, -_HIGHS_TOL)
         self.slack_hi = np.where(np.arange(m) < n_ub, np.inf, _HIGHS_TOL)
-        self.loaded = (None,) * 4  # the (cost, lower, upper, rhs) the model holds
 
         # CSC with sorted row indices; HiGHS drops explicit zeros itself
         rows, cols, vals = s.coo
         vals = vals * self.sign[rows]
         rows = self.position[rows]
         order = np.argsort(cols * m + rows)
-        start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
-
-        model = self.model = hc.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = n
-        model.num_row_ = model.a_matrix_.num_row_ = m
-        model.a_matrix_.format_ = hc.MatrixFormat.kColwise
-        # the binding converts every vector but col_cost_ element by
-        # element, which a list does faster
-        model.a_matrix_.start_ = start.tolist()
-        model.a_matrix_.index_ = rows[order].tolist()
-        model.a_matrix_.value_ = vals[order].tolist()
-
-    def load(self, numbers):
-        """Write into the model each of ``numbers`` (cost, lower, upper,
-        rhs) whose bytes differ from those it holds.  Returns the row
-        upper bounds, the post-solve check's (lower, upper) limits on x and
-        the slacks, and the columns with a finite bound."""
-        (cost, lower, upper, rhs), model = numbers, self.model
-        new = [not _same_bytes(a, held) for a, held in zip(numbers, self.loaded)]
-        if new[0]:
-            model.col_cost_ = cost
-        if new[1] or new[2]:
-            model.col_lower_, model.col_upper_ = lower.tolist(), upper.tolist()
-            self.limits = (np.concatenate([lower - _HIGHS_TOL, self.slack_lo]),
-                           np.concatenate([upper + _HIGHS_TOL, self.slack_hi]))
-            self.bounded = np.isfinite(lower) | np.isfinite(upper)
-        if new[3]:
-            self.row_upper = self.row_sign * rhs[self.rows]
-            model.row_upper_ = row_upper = self.row_upper.tolist()
-            model.row_lower_ = self.free_lower + row_upper[self.n_ub:]
-        self.loaded = numbers
-        return self.row_upper, self.limits, self.bounded
-
-
-def _same_bytes(a, held):
-    """Whether ``a`` is ``held`` or has its bytes (``held`` is None before a load)."""
-    return a is held or (held is not None and a.tobytes() == held.tobytes())
+        self.start = np.zeros(n, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n)[:-1], out=self.start[1:])
+        self.index, self.value = rows[order].astype(np.int32), vals[order]
+        self.integrality = np.zeros(n, dtype=np.int32)
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                _read_only(a)
 
 
 #: linprog's post-solve tolerance on bounds and row residuals
@@ -1115,9 +1087,13 @@ def _solve_highs(lp, opts):
     highs = _kept_highs(opts.max_iters)
     error = hc.HighsStatus.kError
     ran = False  # linprog's counts stay 0 if HiGHS did not run
-    with s.lock:  # passModel copies the model, then it is free again
-        row_upper, (lo_tol, hi_tol), bounded = f.load(numbers)
-        passed = highs.passModel(f.model)
+    cost, lower, upper, rhs = numbers
+    row_upper = f.row_sign * rhs[f.rows]
+    row_lower = row_upper.copy()
+    row_lower[:f.n_ub] = -np.inf
+    passed = highs.passModel(s.n, s.m, f.index.size, hc.MatrixFormat.kColwise,
+                             hc.ObjSense.kMinimize, 0.0, cost, lower, upper, row_lower,
+                             row_upper, f.start, f.index, f.value, f.integrality)
     if passed == error:
         model_status = hc.HighsModelStatus.kModelError
     else:
@@ -1144,20 +1120,25 @@ def _solve_highs(lp, opts):
     # a negative <= slack or an = residual beyond sqrt(1e-9) * 10 is an
     # error; a NaN fails every comparison
     checked = np.concatenate([x, row_upper - row_value])
+    lo_tol = np.concatenate([lower - _HIGHS_TOL, f.slack_lo])
+    hi_tol = np.concatenate([upper + _HIGHS_TOL, f.slack_hi])
     if not (fun == fun and ((checked >= lo_tol) & (checked <= hi_tol)).all()):
         raise LPNumericalError(
             "HiGHS backend failed: the solution does not satisfy the "
             f"constraints within {_HIGHS_TOL:.2E}"
         )
-    read, basic = highs.getBasicVariables()
-    if read == error:
-        raise LPNumericalError("HiGHS backend failed: no basis after an optimal solve")
     # a column's reduced cost is its dual at a bound and 0 otherwise; a
     # nonbasic column is at a bound unless both of its bounds are infinite
     # (HiGHS' kZero).  linprog summed a lower and an upper part, which
     # turns -0.0 into 0.0
-    rc = np.where(bounded, col_dual + 0.0, 0.0)
-    rc[basic[basic >= 0]] = 0.0
+    rc = np.where(np.isfinite(lower) | np.isfinite(upper), col_dual + 0.0, 0.0)
+    # with no entries no column can be basic (a zero column would make the
+    # basis singular), and HiGHS crashes listing the basics of such a model
+    if f.index.size:
+        read, basic = highs.getBasicVariables()
+        if read == error:
+            raise LPNumericalError("HiGHS backend failed: no basis after an optimal solve")
+        rc[basic[basic >= 0]] = 0.0
     return LPSolution(
         status=status,
         objective=float(fun + lp.obj_const),

@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Time the reference simplex of two checkouts on the LPs a bench workload
-hands it, and check that both return the same solutions.
+"""Time the LP backend of two checkouts on the LPs a bench workload hands
+it, and check that both return the same solutions.
 
     python3 tests/simplex_ab.py --base ../other --workload rolling-simplex --seed 3
 
 Rolls ``--instances`` of the workload's days (all of a bench pass by
 default) as ``tests/lp_capture.py`` rolls instance 0's, and keeps every LP
-and warm start handed to ``solve_lp``.  Loads ``src/rtdispatch/lp.py`` of
-the checkout at ``--base`` and of this one under distinct module names,
-rebuilds each LP in both from its arrays, solves it once in each untimed,
-then ``--repeats`` times, alternating which side goes first; each LP keeps
-each side's best thread CPU time.  Prints, per row band, the LPs, their
-pivots, both sides' summed times, change/base and the time per pivot, then
-whether every solution digest matched.  Exits 1 if one did not; timing
-never fails a run.  Interleaving the two kernels in one process compares
-them under the same host load, which whole bench runs on a shared host
-cannot.
+handed to ``solve_lp``, with its warm start on the reference simplex.  A
+HiGHS workload's LPs are solved on HiGHS, which takes no warm start.
+Loads ``src/rtdispatch/lp.py`` of the checkout at ``--base`` and of this
+one under distinct module names, rebuilds each LP in both from its arrays,
+solves it once in each untimed, then ``--repeats`` times, alternating which
+side goes first; each LP keeps each side's best thread CPU time.  Prints,
+per row band, the LPs, their pivots (HiGHS' simplex iterations), both
+sides' summed times, change/base and the time per pivot, then whether every
+solution digest matched.  Exits 1 if one did not; timing never fails a
+run.  Interleaving the two backends in one process compares them under the
+same host load, which whole bench runs on a shared host cannot.
 """
 
 import argparse
@@ -47,13 +48,14 @@ def load_lp_module(checkout, name):
 
 
 def captured(workload, seed, instances):
-    """(lp, max_iters, warm) of every ``solve_lp`` call on the days."""
+    """(lp, max_iters, warm) of every ``solve_lp`` call on the days; warm is
+    None on HiGHS."""
     out = []
 
     def record(lp, args, kwargs, sol):
         opts = kwargs.get("opts", args[0] if args else None)
         warm = kwargs.get("warm", args[1] if len(args) > 1 else None)
-        out.append((lp, opts.max_iters, warm))
+        out.append((lp, opts.max_iters, warm if opts.backend == "simplex" else None))
 
     for instance in range(instances):
         roll(workload, seed, instance, record)
@@ -74,16 +76,16 @@ def band_of(rows):
     return max(i for i, (low, _) in enumerate(BANDS) if rows >= low)
 
 
-def compare(modules, cases, repeats):
+def compare(modules, cases, repeats, backend):
     """Per LP: (rows, pivots, best base seconds, best change seconds, whether
-    every solution of both sides had one digest)."""
+    every solution of both sides had one digest), solved on ``backend``."""
     results = []
     for k, (lp, max_iters, warm) in enumerate(cases):
         runs, digests, best = [], set(), [math.inf, math.inf]
         for module in modules:
             model = rebuilt(module, lp)
-            opts = module.LPOptions(max_iters=max_iters)
-            sol = module.solve_lp(model, opts, warm)  # also builds the slack form
+            opts = module.LPOptions(max_iters=max_iters, backend=backend)
+            sol = module.solve_lp(model, opts, warm)  # also builds the solver's form
             digests.add(solution_digest(sol))
             runs.append((module, model, opts))
         for rep in range(repeats):
@@ -121,8 +123,7 @@ def report(results):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="root of the checkout to compare against")
-    ap.add_argument("--workload", required=True,
-                    choices=sorted(n for n, w in WORKLOADS.items() if w.backend == "simplex"))
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--instances", type=int, default=None,
                     help="instances rolled (default: all of the workload's)")
@@ -135,9 +136,9 @@ def main(argv=None):
     modules = (load_lp_module(args.base, "simplex_ab_base"),
                load_lp_module(HERE.parent, "simplex_ab_change"))
     cases = captured(args.workload, args.seed, instances)
-    lines, same = report(compare(modules, cases, args.repeats))
-    print(f"{args.workload} seed {args.seed}: {instances} instances, {len(cases)} LPs, "
-          f"best of {args.repeats} thread CPU times per LP and side")
+    lines, same = report(compare(modules, cases, args.repeats, w.backend))
+    print(f"{args.workload} seed {args.seed}: {instances} instances, {len(cases)} LPs "
+          f"on {w.backend}, best of {args.repeats} thread CPU times per LP and side")
     print("\n".join(lines))
     return 0 if same else 1
 

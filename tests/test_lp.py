@@ -648,9 +648,35 @@ def _unloadable():
     return lp
 
 
+def _empty_rows():
+    # rows with no entries at all: HiGHS gets a matrix of zero nonzeros
+    lp = LinearProgram()
+    lp.add_var(-1.0, 4.0, cost=2.0)
+    lp.add_var(0.0, np.inf, cost=1.0)
+    lp.add_var(0.0, 3.0, cost=-1.0)
+    lp.add_var(-np.inf, np.inf, cost=0.0)
+    lp.add_row([], [], "<=", 5.0)
+    lp.add_row([], [], ">=", -3.0)
+    lp.add_row([], [], "=", 0.0)
+    return lp
+
+
+def _all_equal():
+    # = rows alone: no <= or >= row comes first in HiGHS' layout
+    lp = LinearProgram()
+    x = lp.add_var(0.0, 10.0, cost=1.0)
+    y = lp.add_var(-5.0, 5.0, cost=-2.0)
+    z = lp.add_var(-np.inf, np.inf, cost=0.5)
+    lp.add_row([x, y], [1.0, 1.0], "=", 4.0)
+    lp.add_row([x, z], [1.0, -1.0], "=", 1.0)
+    return lp
+
+
 @pytest.mark.parametrize("build,status", [
     (_unloadable, "infeasible"),
     (_empty_row, "optimal"),
+    (_empty_rows, "optimal"),
+    (_all_equal, "optimal"),
     (_no_rows, "optimal"),
     (_fixed_and_free, "optimal"),
     (_free_nonbasic, "optimal"),
@@ -659,6 +685,21 @@ def _unloadable():
 ])
 def test_highs_matches_linprog_on_edge_cases(build, status):
     assert assert_highs_matches_linprog(build()).status == status
+
+
+def test_a_highs_form_is_read_only_arrays():
+    # a solve writes nothing the structure holds, so copies solved on many
+    # threads share the form without a lock
+    lp = _fixed_and_free().freeze()
+    form = lp._view()[0].form(lpmod._HighsForm)
+    held = vars(form).values()
+    assert all(isinstance(a, (np.ndarray, int)) for a in held)
+    for arr in (a for a in held if isinstance(a, np.ndarray)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    assert [(a.dtype, a.size) for a in (form.start, form.integrality)] == [(np.int32, 3)] * 2
+    assert (form.index.dtype, form.value.dtype) == (np.int32, np.float64)
+    assert not form.integrality.any()
 
 
 def test_highs_iteration_limit_matches_linprog():
@@ -917,8 +958,8 @@ def test_compiled_arrays_are_read_only():
 def test_concurrent_highs_solves_of_one_structure_match_serial():
     # threads (more than this box's cores) solve copies of one Benders
     # subproblem layout, filled for two scenarios, each with its own pins
-    # and costs; every solve loads the same kept HiGHS model, and with a
-    # tiny switch interval they interleave between every few bytecodes
+    # and costs; every solve reads the same HiGHS layout, and with a tiny
+    # switch interval they interleave between every few bytecodes
     vc = validate_case(conftest.make_case3())
     scen = conftest.case3_scenarios(seed=59, horizon=3, n=2)
     slots = ModelSlots()
@@ -976,22 +1017,15 @@ def _fresh_highs_solve(lp, opts):
     return out[0]
 
 
-def test_a_structure_loads_only_the_numbers_that_changed():
+def test_copies_of_one_structure_solve_as_fresh_instances():
     # copies of one structure: a new rhs, a new upper bound, and the first
-    # model again; each solve gives a fresh instance's bytes, and the layout
-    # keeps the arrays it holds where the copy shares them
+    # model again; each solve gives a fresh instance's bytes
     lp = two_var_example().freeze()
     highs = LPOptions(backend="highs")
-    form = lp._view()[0].form(lpmod._HighsForm)
     copies = [lp, lp.with_rhs(replaced(lp.rhs, {0: 12.0})),
               lp.with_numbers(upper=replaced(lp.upper, {1: 25.0})), lp]
-    held = []
     for c in copies:
         assert_same_bytes(solve_lp(c, highs), _fresh_highs_solve(c, highs))
-        held.append(form.loaded)
-    assert all(a is b for a, b in zip(held[1], (lp.cost, lp.lower, lp.upper, copies[1].rhs)))
-    assert held[2][2] is copies[2].upper and held[2][3] is lp.rhs
-    assert held[3][2] is lp.upper
 
 
 def _kept_instance_sequence():

@@ -224,39 +224,13 @@ def test_a_day_builds_one_layout_per_structure_and_holds_one_per_role(day, kind,
     assert shrinks[0] == {"lad": n - 1, "plad": n - 1, "slad": n - 2}.get(kind, 0)
 
 
-class _Writes:
-    """A ``HighsLp`` stand-in that forwards to ``model`` and notes the name
-    of each attribute written."""
-
-    def __init__(self, model, names):
-        vars(self).update(model=model, names=names)
-
-    def __getattr__(self, name):
-        return getattr(self.model, name)
-
-    def __setattr__(self, name, value):
-        self.names.append(name)
-        setattr(self.model, name, value)
-
-
-def test_a_highs_refill_with_equal_costs_and_bounds_writes_only_row_bounds(monkeypatch):
-    # the kept HighsLp skips each array whose bytes it holds, whichever
-    # model the array came from; every solve is a fresh build's
-    from rtdispatch import lp as lpmod
+def test_a_highs_refill_solves_as_a_fresh_build():
+    # a refill on the held layout, with new or equal numbers, whether its
+    # arrays are the held model's or copies, solves as a fresh build does
     from rtdispatch.formulation import build_lad
     from rtdispatch.lp import solve_lp
     from rtdispatch.model import initial_state
 
-    names, load = [], lpmod._HighsForm.load
-
-    def recorded(form, numbers):
-        model, form.model = form.model, _Writes(form.model, names)
-        try:
-            return load(form, numbers)
-        finally:
-            form.model = model
-
-    monkeypatch.setattr(lpmod._HighsForm, "load", recorded)
     highs = LPOptions(backend="highs")
     vc, actuals, _ = _day("network", "lad")
     state = initial_state(vc)
@@ -264,18 +238,14 @@ def test_a_highs_refill_with_equal_costs_and_bounds_writes_only_row_bounds(monke
         g: v + 1.0 for g, v in state.prev_dispatch.items()})
     lp, vmap = build_lad(vc, state, actuals.window(0, 4))
     solve_lp(lp, highs)
-    assert names == ["col_cost_", "col_lower_", "col_upper_", "row_upper_", "row_lower_"]
     layout = vmap.layout
     again = layout.lad(state, actuals.window(0, 4))[0]
-    rows = ["row_upper_", "row_lower_"]
-    for refill, at, writes in (
-            (layout.lad(nudged, actuals.window(0, 4))[0], nudged, rows),
-            (again, state, rows),
-            (again.with_numbers(cost=again.cost.copy(), upper=again.upper.copy()), state, []),
-            (layout.lad(state, actuals.window(0, 4))[0], state, [])):
-        names.clear()
+    for refill, at in (
+            (layout.lad(nudged, actuals.window(0, 4))[0], nudged),
+            (again, state),
+            (again.with_numbers(cost=again.cost.copy(), upper=again.upper.copy()), state),
+            (layout.lad(state, actuals.window(0, 4))[0], state)):
         got = solve_lp(refill, highs)
-        assert names == writes
         want = solve_lp(build_lad(vc, at, actuals.window(0, 4))[0], highs)
         assert repr(got.objective) == repr(want.objective)
         for field in ("x", "duals", "reduced_costs"):
