@@ -50,7 +50,7 @@ from .formulation import (
     structure_key,
 )
 from .lp import LPNumericalError, extend_warm_start, solve_lp
-from .model import ValidationError
+from .model import ValidationError, check_count, check_scenarios, ordered_sum
 
 #: initial theta floor per scenario
 INIT_FLOOR = -1e12
@@ -81,9 +81,9 @@ class Cut:
 
 
 def _dot(a, b):
-    """a'b added left to right in Python floats: cut values and constants
-    reach the outputs, so their rounding is fixed."""
-    return sum((a * b).tolist())
+    """a'b added left to right in Python floats (``ordered_sum``) on every
+    interpreter: cut values and constants reach the outputs."""
+    return ordered_sum((a * b).tolist())
 
 
 class CutPool:
@@ -123,10 +123,8 @@ class BendersConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValidationError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be at least 1, got {self.workers}")
+        check_count("max_iter", self.max_iter)
+        check_count("workers", self.workers)
         if not 0.0 <= self.epsilon < np.inf:
             raise ValidationError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
 
@@ -403,6 +401,7 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=No
     subproblem layout, and the master is refilled from ``slots`` (a rolling
     day's ``ModelSlots``) when it holds one of the same structure."""
     cfg = config or BendersConfig()
+    check_scenarios(scenarios, vc)
     if scenarios.horizon < 2:
         raise ValidationError(
             "decomposition needs a look-ahead of at least two periods; "
@@ -434,7 +433,7 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=No
     master, vm = slots.model(
         "master", structure_key(vc, flows, state.wall_clock, 1) + (S,),
         lambda: build_benders_master(vc, state, scenarios, floors, flows=flows),
-        lambda layout: layout.master(state, scenarios, floors))
+        lambda layout: layout.master(state, scenarios))
     in_master = len(pool)
     for it in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
@@ -450,7 +449,7 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=No
         lower = float(sol.objective)
         x_rmp = first_stage_values(sol, vm)
         theta = [float(sol.x[vm.col(("theta", s))]) for s in range(S)]
-        stage_cost = lower - sum(p * th for p, th in zip(probs, theta))
+        stage_cost = lower - ordered_sum(p * th for p, th in zip(probs, theta))
         if x_hat is None:
             x_hat = x_rmp
 
@@ -462,7 +461,7 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=No
         t2 = time.perf_counter()
         added = _add_cuts(pool, interior, x_rmp, theta, (it, "interior"))
         interior_hit = added > 0
-        upper = stage_cost + sum(p * q for p, (q, _s, _r) in zip(probs, results))
+        upper = stage_cost + ordered_sum(p * q for p, (q, _s, _r) in zip(probs, results))
         if upper < best_upper:
             best_upper = upper
             best_x1 = x_rmp
@@ -490,5 +489,5 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=No
         cuts=tuple(pool),
         trace=tuple(trace),
         scenario_values=best_values,
-        subproblem_solves=sum(o.solves for o in oracles),
+        subproblem_solves=ordered_sum(o.solves for o in oracles),
     )

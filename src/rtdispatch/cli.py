@@ -72,8 +72,6 @@ def _fmt(v):
         return ""
     if isinstance(v, bool):
         return str(int(v))
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
         return format(v, ".10g")
     return str(v)

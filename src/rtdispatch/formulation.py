@@ -46,8 +46,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
-import operator
 
 import numpy as np
 
@@ -60,6 +58,7 @@ from .model import (
     ValidatedCase,
     ValidationError,
     check_scenarios,
+    ordered_sum,
 )
 
 #: the per-generator quantities shared across scenarios at the binding period
@@ -155,7 +154,7 @@ class CostBreakdown:
     def build(cls, **parts):
         """The breakdown with ``total`` summed over the parts in field order."""
         out = cls(**parts)
-        out.total = functools.reduce(operator.add, (getattr(out, p) for p in _COST_PARTS))
+        out.total = ordered_sum(getattr(out, p) for p in _COST_PARTS)
         return out
 
     def __add__(self, other):
@@ -281,7 +280,7 @@ class _CellTemplate:
         self.ceil_rows, self.ceil_gens = np.array(ceilings, dtype=np.int64).reshape(-1, 2).T
         # the period's no-load cost, then per generator, for the ramp rows
         h = case.step_minutes / 60.0
-        self.no_load = sum(h * g.no_load_cost for g in gens if g.committed(ta))
+        self.no_load = ordered_sum(h * g.no_load_cost for g in gens if g.committed(ta))
         self.on = np.array([g.committed(ta) for g in gens])
         self.pmin, self.pmax, up, dn = np.array(
             [(g.pmin, g.pmax, g.ramp_up, g.ramp_down) for g in gens], dtype=np.float64).T
@@ -335,8 +334,8 @@ class _Layout:
     where those numbers go: every cell column's cost (the cell weight times
     its unit price), the reserve upper bounds that follow the available
     band, the ceiling and ``inj_def`` right-hand sides (capacity, load),
-    the period-0 ramp right-hand sides (the previous dispatch), and pin,
-    theta and cut numbers where the model has them.
+    the period-0 ramp right-hand sides (the previous dispatch), and pin
+    and theta numbers where the model has them.
 
     ``fill`` writes only numbers and hands out a copy of ``lp`` on the same
     structure and a copy of the registry with its own meta, so a fresh
@@ -445,18 +444,10 @@ class _Layout:
             pg = [self.pinned_pg] if start else []
             pg += [self.cell(tpls[t], t, s) for t in range(start, len(tpls))]
             self.ramp_block(pg, s, start)
-        self.lp.obj_const += self._no_load(start, len(tpls))
+        self.lp.obj_const += ordered_sum(tpl.no_load for tpl in tpls[start:])
         if anticipativity:
             self.anticipativity_rows()
         return self
-
-    def _no_load(self, start, stop):
-        """The no-load cost of window periods start..stop-1, summed left to
-        right."""
-        out = 0.0
-        for tpl in self.tpls[start:stop]:
-            out += tpl.no_load
-        return out
 
     def truncated(self, horizon):
         """This frozen one-scenario window or subproblem layout cut to its
@@ -477,7 +468,7 @@ class _Layout:
         out.tpls, out.cell_ends = self.tpls[:horizon], self.cell_ends[:k]
         out.ramp_ends = [r + shift for r in self.ramp_ends[:k]]
         out.lp = self.lp.cut_to(nc, [(0, nr), (ramp0, ramp1)])
-        out.lp.obj_const += self._no_load(start, horizon)
+        out.lp.obj_const += ordered_sum(tpl.no_load for tpl in out.tpls[start:])
         out.vmap = vm = VariableMap()
         vm.meta = dict(self.vmap.meta)
         vm._col, vm._row = self.vmap._col.copy(), self.vmap._row.copy()
@@ -510,16 +501,14 @@ class _Layout:
             self.vmap.add_rows([key], self.lp.add_row(*row))
 
     def thetas_and_cuts(self, probs, cuts):
-        """A master's value-function columns, one per scenario, and its
-        cut rows."""
+        """A master's value-function columns, one per scenario, and its cut
+        rows, whose right-hand sides every refill keeps: all pass one floor."""
         lp, vm = self.lp, self.vmap
         c0 = lp.add_vars(np.full(len(probs), -np.inf), np.full(len(probs), np.inf), probs)
         vm.add_cols([("theta", s) for s in range(len(probs))], c0)
         self._at["thetas"].append(np.arange(c0, c0 + len(probs)))
         vm.meta["cut_counts"] = [0] * len(probs)
-        r0 = lp.n_rows
         self.add_rows(benders_cut_rows(vm, cuts))
-        self._at["cut_rows"].append(np.arange(r0, lp.n_rows))
         for s, count in enumerate(vm.meta["cut_counts"]):
             if count == 0:
                 raise ValidationError(
@@ -539,8 +528,7 @@ class _Layout:
         self.lp = lp.with_numbers(
             cost=_nan_at(lp.cost, self.priced, self.thetas),
             upper=_nan_at(lp.upper, self.banded),
-            rhs=_nan_at(lp.rhs, self.ceil, self.inj, self.ramp_up, self.ramp_dn, self.pins,
-                        self.cut_rows))
+            rhs=_nan_at(lp.rhs, self.ceil, self.inj, self.ramp_up, self.ramp_dn, self.pins))
         return self
 
     def settlement(self):
@@ -560,15 +548,13 @@ class _Layout:
 
     # -- numbers ----------------------------------------------------------
 
-    def fill(self, scen, first_abs, weights, prev_dispatch=None, pins=None, thetas=None,
-             cuts=()):
+    def fill(self, scen, first_abs, weights, prev_dispatch=None, pins=None, thetas=None):
         """The model with the numbers of scenarios ``scen`` at window
         weights ``weights``, and its own registry.
 
         ``prev_dispatch`` maps generator ids to the previous period's
         output (the period-0 ramp rows); ``pins`` is the first-stage vector
-        pinned, ``thetas`` a master's scenario probabilities and ``cuts``
-        its cuts."""
+        pinned and ``thetas`` a master's scenario probabilities."""
         check_scenarios(scen, self.vc)
         case, n_scen, horizon = self.case, scen.n_scenarios, scen.horizon
         loads = np.array([[sc.load[b] for b in case.buses] for sc in scen.scenarios],
@@ -602,7 +588,6 @@ class _Layout:
             rhs[self.pins] = pins[self.pins_at]
         if thetas is not None:
             cost[self.thetas] = thetas
-            rhs[self.cut_rows] = [cut.rhs_const for cut in cuts]
         vm = self.vmap.copy(meta={
             "periods": horizon,
             "scenario_ids": tuple(s.id for s in scen.scenarios),
@@ -625,17 +610,12 @@ class _Layout:
         """``build_lad``'s model."""
         return self.fill(forecast, state.wall_clock, [1.0], state.prev_dispatch)
 
-    def extensive(self, state, scenarios):
-        """``build_slad_extensive``'s model."""
-        return self.fill(scenarios, state.wall_clock, [s.prob for s in scenarios.scenarios],
-                         state.prev_dispatch)
-
-    def master(self, state, scenarios, cuts):
+    def master(self, state, scenarios):
         """``build_benders_master``'s model."""
         require_common_first_period(scenarios)
         now = scenarios.window(0, 1).alone(0, "now")
         return self.fill(now, state.wall_clock, [1.0], state.prev_dispatch,
-                         thetas=[s.prob for s in scenarios.scenarios], cuts=cuts)
+                         thetas=[s.prob for s in scenarios.scenarios])
 
     def subproblem(self, scenarios, s, x1, first_period):
         """``build_benders_subproblem``'s model."""
@@ -657,7 +637,7 @@ _BY_CELL = ((True, ("priced", "price", "priced_scen")),
             (False, ("ceil", "ceil_at")), (False, ("inj", "inj_at")))
 #: every index array a layout keeps for its fills
 _FILLED = tuple(name for _, group in _BY_CELL for name in group) + (
-    "ramp_up", "ramp_dn", "pins", "pins_at", "thetas", "cut_rows")
+    "ramp_up", "ramp_dn", "pins", "pins_at", "thetas")
 
 
 class ModelSlots:
@@ -767,7 +747,8 @@ def build_slad_extensive(vc, state, scenarios: ScenarioSet, flows="full"):
     are equalized across scenarios by anticipativity rows."""
     state = _as_state(state)
     layout = _Layout(vc, flows, state.wall_clock, scenarios.horizon, scenarios.n_scenarios)
-    return layout.grid(anticipativity=True).freeze().extensive(state, scenarios)
+    return layout.grid(anticipativity=True).freeze().fill(
+        scenarios, state.wall_clock, [s.prob for s in scenarios.scenarios], state.prev_dispatch)
 
 
 def require_common_first_period(scenarios: ScenarioSet):
@@ -799,7 +780,7 @@ def build_benders_master(vc, state, scenarios: ScenarioSet, cuts, flows="full"):
     state = _as_state(state)
     layout = _Layout(vc, flows, state.wall_clock, 1).grid()
     layout.thetas_and_cuts([s.prob for s in scenarios.scenarios], cuts)
-    return layout.freeze().master(state, scenarios, cuts)
+    return layout.freeze().master(state, scenarios)
 
 
 def benders_cut_rows(vmap, cuts):
@@ -932,7 +913,7 @@ def itemize_costs(d, case, period=None):
         flow_cells.setdefault((t, s), []).append(branch_price[e] * v)
     for t in periods:
         ta = d.first_period + t
-        no_load += sum(
+        no_load += ordered_sum(
             h * g.no_load_cost for g in case.generators if g.committed(ta)
         )
         for s, prob in enumerate(d.probs):
@@ -940,7 +921,7 @@ def itemize_costs(d, case, period=None):
             for g in case.generators:
                 out = d.pg.get((g.id, t, s))
                 if out is not None and g.committed(ta):
-                    c = wh * g.energy_cost(out, ta)
+                    c = wh * g.energy_cost(out)
                     if g.is_import:
                         imports += c
                     else:
@@ -958,7 +939,7 @@ def itemize_costs(d, case, period=None):
                 + case.penalties.rspin * d.short_rspin.get((t, s), 0.0)
                 + case.penalties.op * d.short_op.get((t, s), 0.0)
             )
-            pen_flow += wh * sum(flow_cells.get((t, s), ()))
+            pen_flow += wh * ordered_sum(flow_cells.get((t, s), ()))
     return CostBreakdown.build(
         energy=energy,
         imports=imports,

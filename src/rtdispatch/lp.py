@@ -734,12 +734,10 @@ class _Simplex:
         flip_limit = span if self.vstat[j] in (NB_LO, NB_UP) and math.isfinite(span) else inf
 
         rmin = min(steps) if steps else inf
-        if flip_limit <= rmin:
+        if flip_limit <= rmin:  # always so when no row blocks (rmin is inf)
             if flip_limit == inf:
                 return inf, "unbounded", -1, 0
             return flip_limit, "flip", -1, 0
-        if rmin == inf:
-            return inf, "unbounded", -1, 0
         cut = rmin + 1e-12 * (1.0 + rmin)
         ties = [i for i, t in enumerate(steps) if t <= cut]
         if len(ties) == 1:

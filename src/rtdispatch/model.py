@@ -15,9 +15,12 @@ per MW, so costs are exact dollar amounts per period.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 
 RESERVE_PRODUCTS = ("reg", "spin", "supp_on", "supp_off")
@@ -39,6 +42,21 @@ class CaseFormatError(ValueError):
 
 class ValidationError(ValueError):
     """Raised when well-formed input violates a model invariant."""
+
+
+def ordered_sum(values):
+    """The sum of ``values`` added left to right from the int 0, as the
+    builtin ``sum`` adds floats up to Python 3.11; from 3.12 on the builtin
+    compensates its rounding, and sums that reach the outputs must not
+    depend on the interpreter."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def check_count(name, value):
+    """Raise ValidationError unless ``value`` is an integer of at least 1
+    (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def _flag_at(profile, t):
@@ -108,14 +126,12 @@ class Generator:
             and self.cap("supp_off") > 0.0
         )
 
-    def energy_cost(self, mw, t=0):
-        """Dollar-per-hour bid cost of producing ``mw``, merit-order fill.
+    def energy_cost(self, mw):
+        """Dollar-per-hour bid cost of producing ``mw`` on-line, merit-order fill.
 
         Output below pmin is priced at the first segment's rate (only
         reachable transiently through penalized slack, never at optimum).
         """
-        if not self.committed(t):
-            return 0.0
         above = mw - self.pmin
         cost = 0.0
         if above < 0.0:
@@ -529,7 +545,7 @@ def validate_case(case: SystemCase) -> ValidatedCase:
             _collect(f"generator '{gid}': ramp rates must be positive")
         if g.no_load_cost < 0:
             _collect(f"generator '{gid}': no_load_cost must be nonnegative")
-        widths = sum(w for w, _ in g.segments)
+        widths = ordered_sum(w for w, _ in g.segments)
         span = g.pmax - g.pmin
         if abs(widths - span) > SEGMENT_WIDTH_TOL * max(1.0, span):
             _collect(
@@ -692,7 +708,7 @@ def check_scenarios(ss: ScenarioSet, case=None):
     overrides only of the case's generators and not below their pmin."""
     if not ss.scenarios:
         raise ValidationError("scenario set is empty")
-    total = sum(s.prob for s in ss.scenarios)
+    total = ordered_sum(s.prob for s in ss.scenarios)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValidationError(f"scenario probabilities sum to {total}, expected 1")
     for s in ss.scenarios:

@@ -49,7 +49,9 @@ from .model import (
     SystemState,
     ValidatedCase,
     ValidationError,
+    check_count,
     initial_state,
+    ordered_sum,
 )
 
 POLICY_KINDS = ("sced", "lad", "slad", "plad", "pd")
@@ -93,8 +95,9 @@ class PolicySpec:
             )
         if self.kind == "sced":
             self.horizon = 1
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
+        check_count("horizon", self.horizon)
+        if self.history is not None:  # the one source that reads knn_k
+            check_count("knn_k", self.knn_k)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -335,7 +338,7 @@ def _record(t, d, costs, avail, objective, ms, iters):
         reserve={(p, g): v for (p, g, _t, _s), v in d.reserve.items()},
         shortage=d.shortage.get((0, 0), 0.0),
         surplus=d.surplus.get((0, 0), 0.0),
-        flow_excess=sum(d.flow_excess.values()),
+        flow_excess=ordered_sum(d.flow_excess.values()),
         available_mw=avail.total,
         available_fast_mw=avail.fast,
         planning_objective=objective,
@@ -450,6 +453,6 @@ def log_summary(log: SimulationLog):
         "total_cost": log.total_cost,
     }
     out.update({k: v for k, v in log.totals.as_dict().items() if k != "total"})
-    out["total_shortage_mw"] = sum(s.shortage for s in log.steps)
-    out["total_surplus_mw"] = sum(s.surplus for s in log.steps)
+    out["total_shortage_mw"] = ordered_sum(s.shortage for s in log.steps)
+    out["total_surplus_mw"] = ordered_sum(s.surplus for s in log.steps)
     return out

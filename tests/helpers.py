@@ -37,6 +37,38 @@ def child_env():
     return env
 
 
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` of Python 3.12, on any interpreter, as CPython's
+    ``builtin_sum_impl`` adds: ints exactly; once the total is a float,
+    floats with Neumaier's compensation and ints that fit a C long plainly,
+    the compensation added at the end if it is finite and nonzero; anything
+    else, and everything after it, with ``+``."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(item) not in (int, bool):
+                break
+    if type(result) is float:
+        f, c = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = f + item
+                c += (f - t) + item if abs(f) >= abs(item) else (item - t) + f
+                f = t
+            elif isinstance(item, int) and -2**63 <= item < 2**63:
+                f += float(item)
+            else:
+                result = (f + c if c and math.isfinite(c) else f) + item
+                break
+        else:
+            return f + c if c and math.isfinite(c) else f
+    for item in items:
+        result = result + item
+    return result
+
+
 def replaced(a, updates):
     """A float64 copy of ``a`` with the ``{index: value}`` entries swapped
     in: a whole array for ``LinearProgram.with_numbers``."""

@@ -9,8 +9,12 @@ default) as ``tests/lp_capture.py`` rolls instance 0's, and keeps every LP
 handed to ``solve_lp``, with its warm start on the reference simplex.  A
 HiGHS workload's LPs are solved on HiGHS, which takes no warm start.
 Loads ``src/rtdispatch/lp.py`` of the checkout at ``--base`` and of this
-one under distinct module names, rebuilds each LP in both from its arrays,
-solves it once in each untimed, then ``--repeats`` times, alternating which
+one under distinct module names.  In each it rebuilds one frozen model per
+distinct structure among the LPs (their ``coo()`` arrays, senses and lower
+bounds) and makes each LP a ``with_numbers`` copy on its structure, as a
+day's models of one layout share one, so a backend that keeps state per
+structure meets the numbers a day hands it.  Each side replays the LPs in
+capture order once untimed, then ``--repeats`` times, alternating which
 side goes first; each LP keeps each side's best thread CPU time.  Prints,
 per row band, the LPs, their pivots (HiGHS' simplex iterations), both
 sides' summed times, change/base and the time per pivot, then whether every
@@ -62,14 +66,23 @@ def captured(workload, seed, instances):
     return out
 
 
-def rebuilt(module, lp):
-    """``lp`` rebuilt from its arrays as a frozen model of ``module``."""
-    out = module.LinearProgram()
-    out.add_vars(lp.lower, lp.upper, lp.cost)
-    rows, cols, vals = lp.coo()
-    out.add_rows(cols, vals, np.bincount(rows, minlength=lp.n_rows), lp.senses, lp.rhs)
-    out.obj_const = lp.obj_const
-    return out.freeze()
+def rebuilt(module, lps):
+    """Each of ``lps`` as a frozen model of ``module``: a ``with_numbers``
+    copy on the one model rebuilt from its arrays per distinct structure
+    (``coo()`` arrays, senses and lower bounds)."""
+    structures, out = {}, []
+    for lp in lps:
+        rows, cols, vals = lp.coo()
+        key = tuple(a.tobytes() for a in (rows, cols, vals, lp.senses, lp.lower))
+        if key not in structures:
+            model = module.LinearProgram()
+            model.add_vars(lp.lower, lp.upper, lp.cost)
+            model.add_rows(cols, vals, np.bincount(rows, minlength=lp.n_rows), lp.senses, lp.rhs)
+            structures[key] = model.freeze()
+        model = structures[key].with_numbers(cost=lp.cost, upper=lp.upper, rhs=lp.rhs)
+        model.obj_const = lp.obj_const
+        out.append(model)
+    return out
 
 
 def band_of(rows):
@@ -79,24 +92,29 @@ def band_of(rows):
 def compare(modules, cases, repeats, backend):
     """Per LP: (rows, pivots, best base seconds, best change seconds, whether
     every solution of both sides had one digest), solved on ``backend``."""
-    results = []
-    for k, (lp, max_iters, warm) in enumerate(cases):
-        runs, digests, best = [], set(), [math.inf, math.inf]
-        for module in modules:
-            model = rebuilt(module, lp)
+    digests = [set() for _ in cases]
+    best = [[math.inf, math.inf] for _ in cases]
+    pivots = [0] * len(cases)
+
+    def replay(side, timed):
+        module, models = sides[side]
+        for k, (model, (_lp, max_iters, warm)) in enumerate(zip(models, cases)):
             opts = module.LPOptions(max_iters=max_iters, backend=backend)
-            sol = module.solve_lp(model, opts, warm)  # also builds the solver's form
-            digests.add(solution_digest(sol))
-            runs.append((module, model, opts))
-        for rep in range(repeats):
-            for side in ((0, 1) if (k + rep) % 2 == 0 else (1, 0)):
-                module, model, opts = runs[side]
-                start = time.thread_time()
-                sol = module.solve_lp(model, opts, warm)
-                best[side] = min(best[side], time.thread_time() - start)
-                digests.add(solution_digest(sol))
-        results.append((lp.n_rows, sol.iterations, *best, len(digests) == 1))
-    return results
+            start = time.thread_time()
+            sol = module.solve_lp(model, opts, warm)
+            if timed:
+                best[k][side] = min(best[k][side], time.thread_time() - start)
+            digests[k].add(solution_digest(sol))
+            pivots[k] = sol.iterations
+
+    sides = [(module, rebuilt(module, [lp for lp, _, _ in cases])) for module in modules]
+    for side in (0, 1):  # also builds each structure's solver form
+        replay(side, timed=False)
+    for rep in range(repeats):
+        for side in ((0, 1) if rep % 2 == 0 else (1, 0)):
+            replay(side, timed=True)
+    return [(lp.n_rows, pivots[k], *best[k], len(digests[k]) == 1)
+            for k, (lp, _, _) in enumerate(cases)]
 
 
 def report(results):

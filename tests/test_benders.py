@@ -225,7 +225,10 @@ def test_the_config_holds_only_the_decompositions_own_settings():
 
 @pytest.mark.parametrize("setting", [
     {"alpha": 1.0}, {"alpha": -0.1}, {"max_iter": 0}, {"workers": 0},
-    {"epsilon": -1.0}, {"epsilon": float("nan")}, {"epsilon": float("inf")}])
+    {"epsilon": -1.0}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
+    # a count that is not a whole number never reaches range() or the pool
+    {"workers": 2.5}, {"workers": True}, {"workers": 2.0}, {"max_iter": 2.5},
+    {"max_iter": float("nan")}, {"max_iter": False}, {"max_iter": "3"}])
 def test_the_config_is_checked_when_made(setting):
     # a bad setting fails before any model is built, whatever the policy
     with pytest.raises(ValidationError, match=next(iter(setting))):
@@ -417,6 +420,19 @@ def test_bad_worker_count_is_rejected(toy, toy_scenarios, workers):
 def test_bad_epsilon_is_rejected(toy, toy_scenarios, epsilon):
     with pytest.raises(ValidationError, match="epsilon"):
         run_benders(toy, toy_state(), toy_scenarios, BendersConfig(epsilon=epsilon))
+
+
+def test_a_scenario_set_whose_probabilities_miss_1_is_rejected(toy, toy_day, toy_scenarios):
+    # each subproblem and the master see one scenario at probability 1, so
+    # the whole set is checked once, as the extensive form checks it
+    scen = dataclasses.replace(toy_scenarios, scenarios=tuple(
+        dataclasses.replace(s, prob=0.3) for s in toy_scenarios.scenarios))
+    with pytest.raises(ValidationError, match="probabilities sum to 0.6, expected 1"):
+        build_slad_extensive(toy, toy_state(), scen)
+    with pytest.raises(ValidationError, match="probabilities sum to 0.6, expected 1"):
+        run_benders(toy, toy_state(), scen)
+    with pytest.raises(ValidationError, match="probabilities sum to 0.6, expected 1"):
+        run_simulation(toy, toy_day, PolicySpec(kind="slad", scenarios=scen))
 
 
 def test_cut_pool_deduplicates():

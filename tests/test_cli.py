@@ -454,6 +454,21 @@ def test_report_plot_data(files, tmp_path, capsys):
     assert cap_header.count(",") == 2           # period + two series
 
 
+def test_report_csv_holds_the_json_reports_runs(files, tmp_path, capsys):
+    runs = [_simulated(files, tmp_path, k) for k in ("sced", "slad", "lad")]
+    assert main(["report", "--inputs", *runs, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["report", "--inputs", *runs, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"# schema_version={SCHEMA_VERSION}", "# command=report"]
+    assert lines[2].split(",") == list(doc["runs"][0])
+    # a float with 10 significant digits and an int as it is
+    assert lines[3:] == [",".join(
+        "" if v is None else format(v, ".10g") if isinstance(v, float) else str(v)
+        for v in run.values()) for run in doc["runs"]]
+    assert lines[3].split(",")[1:] == ["toy2", "sced", "2", "5500", "0"]
+
+
 def test_report_rejects_foreign_json(tmp_path, capsys):
     other = tmp_path / "other.json"
     other.write_text(json.dumps({"hello": 1}))

@@ -133,6 +133,35 @@ def test_validate_checks_branches_and_penalties():
     assert "limit_lo" in msg and "ptdf" in msg
 
 
+def test_validate_lists_every_fault_of_one_case():
+    # one of each check, the id check through its own error, in one message
+    case = make_case3()
+    g1 = dataclasses.replace(
+        case.generators[0], initial_output=70.0, no_load_cost=-1.0,
+        segments=((55.0, 18.0), (-5.0, 26.0)),
+        reserve_caps={"reg": -1.0}, reserve_prices={"spin": -2.0})
+    bad = dataclasses.replace(
+        case, step_minutes=0.0, buses=(), generators=(g1,) + case.generators[1:],
+        branches=(dataclasses.replace(case.branches[0], violation_price=-3.0),),
+        reserve_req=dataclasses.replace(case.reserve_req, rspin=-4.0),
+        penalties=dataclasses.replace(case.penalties, op=-5.0))
+    with pytest.raises(ValidationError) as err:
+        validate_case(bad)
+    assert str(err.value).split("; ") == [
+        "generator 'G1' references unknown bus 'B1'",
+        "step_minutes must be positive, got 0.0",
+        "case has no buses",
+        "generator 'G1': initial_output 70.0 outside [0, pmax]",
+        "generator 'G1': no_load_cost must be nonnegative",
+        "generator 'G1': segment[1] width -5.0 negative",
+        "generator 'G1': reserve cap 'reg' negative",
+        "generator 'G1': reserve price 'spin' negative",
+        "branch 'E1': violation_price must be nonnegative",
+        "reserve_req.rspin must be nonnegative",
+        "penalties.op must be nonnegative",
+    ]
+
+
 def test_validated_case_indexes():
     vc = validate_case(make_case3())
     assert vc.gen_index["G2"] == 1

@@ -246,6 +246,23 @@ def test_state_threads_through_the_day(case3):
 # validation and summaries
 
 
+@pytest.mark.parametrize("setting", [
+    {"horizon": 2.5}, {"horizon": True}, {"horizon": 4.0}, {"knn_k": 2.5},
+    {"knn_k": True}, {"knn_k": 0}, {"knn_k": None}])
+def test_a_window_or_neighbour_count_that_is_not_a_whole_number_is_rejected(setting):
+    # checked when the policy is made, before a day is rolled, as the
+    # Benders counts are; a numpy integer is a whole number. knn_k is read
+    # only with a history, so without one it is not checked
+    hist = _case3_history(horizon=6)
+    with pytest.raises(ValidationError, match=f"{next(iter(setting))} must be an integer"):
+        PolicySpec(kind="slad", history=hist, **setting)
+    if "knn_k" in setting:
+        assert PolicySpec(kind="sced", **setting).knn_k == setting["knn_k"]
+    spec = PolicySpec(kind="lad", horizon=np.int64(3), knn_k=np.int64(2),
+                      benders=BendersConfig(workers=np.int64(2), max_iter=np.int32(3)))
+    assert (spec.horizon, spec.benders.workers) == (3, 2)
+
+
 def test_input_validation(toy, toy_day, toy_scenarios):
     with pytest.raises(ValidationError, match="unknown policy"):
         PolicySpec(kind="magic")
