@@ -32,14 +32,16 @@ period, so their layout is worked out once, as a ``_CellTemplate`` cached
 on the ``ValidatedCase``.  A model's ``_Layout`` adds each cell as one bulk
 add of columns and one of rows (``LinearProgram.add_vars`` / ``add_rows``),
 each scenario's ramp rows as one more block, and freezes the result: the
-matrix, senses and registry, plus index arrays that say where each number
-that varies goes.  Its fill writes only those numbers (cell costs,
-capacity-dependent bounds, loads, ramps to the previous dispatch, pins)
-into a copy on the same structure, with its own registry.  Every public
-builder is a layout and a fill; ``ModelSlots`` refills a rolling day's
-layout while its ``structure_key`` holds, and derives a shrinking
-window's layout from the held longer one (``_Layout.truncated``).  The
-result is the model a row-by-row build gives, entry for entry.
+matrix, senses and registry, one record per cell (its template, period,
+scenario and offsets) and index arrays for the ramp, pin and theta
+numbers.  Its fill writes only the numbers that vary (each cell's costs,
+capacity-dependent bounds and loads, read from its template at its
+offsets, then ramps to the previous dispatch and pins) into a copy on the
+same structure, with its own registry.  Every public builder is a layout
+and a fill; ``ModelSlots`` refills a rolling day's layout while its
+``structure_key`` holds, and derives a shrinking window's layout from the
+held longer one (``_Layout.truncated``).  The result is the model a
+row-by-row build gives, entry for entry.
 """
 
 from __future__ import annotations
@@ -184,8 +186,9 @@ class _CellTemplate:
     tiers, flow excess and, under full flows, the flowgate rows).  Indices
     are local to the cell, and keys lack their ``(t, s)`` tail.  What varies
     by cell is listed by position: the reserve bounds that follow the
-    available band, and the ceiling and ``inj_def`` right-hand sides.  The
-    per-generator arrays at the end serve the ramp rows."""
+    available band (with each one's generator, scale, cap and pmin), and
+    the ceiling and ``injection_def`` right-hand sides.  The per-generator
+    arrays at the end serve the ramp rows."""
 
     def __init__(self, vc, flows, ta):
         case, gens = vc.case, vc.case.generators
@@ -208,7 +211,7 @@ class _CellTemplate:
             static = min(g.cap(product), limit)
             c = reserves[(product, i)] = col((product, g.id), 0.0, static, g.price(product))
             if scale is not None:
-                banded.append((c, i, scale, static))
+                banded.append((c, i, scale, static, g.pmin))
             return c
 
         for i, g in enumerate(gens):
@@ -274,12 +277,12 @@ class _CellTemplate:
             np.array(v, dtype=np.float64) for v in (lo, hi, price, vals, rhs))
         self.cols, self.counts, self.pg, self.inj_rows = (
             np.array(v, dtype=np.int64) for v in (cols, counts, pg, inj_rows))
-        banded = np.array(banded, dtype=np.float64).reshape(-1, 4).T
+        banded = np.array(banded, dtype=np.float64).reshape(-1, 5).T
         self.banded, self.banded_gens = banded[:2].astype(np.int64)
-        self.banded_scale, self.banded_caps = banded[2:]
+        self.banded_scale, self.banded_caps, self.banded_pmin = banded[2:]
         self.ceil_rows, self.ceil_gens = np.array(ceilings, dtype=np.int64).reshape(-1, 2).T
         # the period's no-load cost, then per generator, for the ramp rows
-        h = case.step_minutes / 60.0
+        h = case.hours_per_step
         self.no_load = ordered_sum(h * g.no_load_cost for g in gens if g.committed(ta))
         self.on = np.array([g.committed(ta) for g in gens])
         self.pmin, self.pmax, up, dn = np.array(
@@ -330,12 +333,15 @@ class _Layout:
     """A model's structure, built once, and where its numbers go.
 
     ``lp`` and ``vmap`` are the frozen matrix, senses and registry, with
-    each number a fill writes at a placeholder.  The index arrays say
-    where those numbers go: every cell column's cost (the cell weight times
-    its unit price), the reserve upper bounds that follow the available
-    band, the ceiling and ``inj_def`` right-hand sides (capacity, load),
-    the period-0 ramp right-hand sides (the previous dispatch), and pin
-    and theta numbers where the model has them.
+    each number a fill writes NaN until it does.  ``cells`` holds one
+    record per cell, ``(template, t, s, c0, c1, r0, r1)``: its columns are
+    c0..c1-1 and its rows r0..r1-1, and its template says where in them its
+    numbers go (every column's cost, the cell weight times its unit price;
+    the reserve upper bounds that follow the available band; the ceiling
+    and ``injection_def`` right-hand sides, capacity and load).  The index
+    arrays in ``_FILLED`` place the rest: the period-0 ramp right-hand
+    sides (the previous dispatch), and pin and theta numbers where the
+    model has them.
 
     ``fill`` writes only numbers and hands out a copy of ``lp`` on the same
     structure and a copy of the registry with its own meta, so a fresh
@@ -345,42 +351,27 @@ class _Layout:
     def __init__(self, vc, flows, first_abs, horizon, n_scen=1):
         _check_inputs(vc, flows)
         self.vc, self.case, self.n_scen = vc, vc.case, n_scen
-        self.h = self.case.step_minutes / 60.0
         self.tpls = [_template(vc, flows, first_abs + t) for t in range(horizon)]
         self.lp, self.vmap = LinearProgram(), VariableMap()
         self.vmap.meta["case"] = vc
-        # index chunks per cell and block, concatenated by freeze()
+        # index chunks per block, concatenated by freeze()
         self._at = {k: [] for k in _FILLED}
         self.pinned_pg = None
-        # the (column end, row end) after each cell and the row end after
-        # each period's ramp rows: where ``truncated`` cuts one scenario
-        self.cell_ends, self.ramp_ends = [], []
+        # per cell (template, t, s, first column, column end, first row,
+        # row end), and the row end after each period's ramp rows
+        self.cells, self.ramp_ends = [], []
 
     # -- assembly ---------------------------------------------------------
 
     def cell(self, tpl, t, s):
         """Append cell (t, s) at the template's own numbers; returns its pg
         columns."""
-        lp, vm, ts, at = self.lp, self.vmap, (t, s), self._at
+        lp, vm, ts = self.lp, self.vmap, (t, s)
         c0 = lp.add_vars(tpl.lo, tpl.hi, tpl.price)
         vm.add_cols([k + ts for k in tpl.col_keys], c0)
         r0 = lp.add_rows(tpl.cols + c0, tpl.vals, tpl.counts, tpl.senses, tpl.rhs)
         vm.add_rows([k + ts for k in tpl.row_keys], r0)
-        n_gens, n_buses = tpl.pmin.size, tpl.inj_rows.size
-        cell = s * len(self.tpls) + t  # position in a fill's (scenario, period) grid
-        at["priced"].append(np.arange(c0, c0 + tpl.price.size))
-        at["price"].append(tpl.price)
-        at["priced_scen"].append(np.full(tpl.price.size, s))
-        at["banded"].append(tpl.banded + c0)
-        at["banded_at"].append(tpl.banded_gens + cell * n_gens)
-        at["banded_pmin"].append(tpl.pmin[tpl.banded_gens])
-        at["banded_scale"].append(tpl.banded_scale)
-        at["banded_caps"].append(tpl.banded_caps)
-        at["ceil"].append(tpl.ceil_rows + r0)
-        at["ceil_at"].append(tpl.ceil_gens + cell * n_gens)
-        at["inj"].append(tpl.inj_rows + r0)
-        at["inj_at"].append(np.arange(n_buses) + cell * n_buses)
-        self.cell_ends.append((lp.n_vars, lp.n_rows))
+        self.cells.append((tpl, t, s, c0, lp.n_vars, r0, lp.n_rows))
         return tpl.pg + c0
 
     def ramp_block(self, pg, s, start):
@@ -455,17 +446,17 @@ class _Layout:
 
         The kept cells' columns and rows are prefixes, and the kept periods'
         ramp rows lead the held ramp block, so they are renumbered to follow
-        the cells.  Each fill index array keeps the entries in kept columns
-        or rows; each registry is a copy of the held one with the items past
-        the kept cells popped (insertion order is index order there), and
-        the kept ramp rows among them put back renumbered."""
-        start = len(self.tpls) - len(self.cell_ends)  # 1 for a subproblem
+        the cells.  The first cell records are kept; each registry is a copy
+        of the held one with the items past the kept cells popped (insertion
+        order is index order there), and the kept ramp rows among them put
+        back renumbered."""
+        start = len(self.tpls) - len(self.cells)  # 1 for a subproblem
         k = horizon - start  # kept cells
-        nc, nr = self.cell_ends[k - 1]
-        ramp0, ramp1 = self.cell_ends[-1][1], self.ramp_ends[k - 1]
+        nc, nr = self.cells[k - 1][4], self.cells[k - 1][6]
+        ramp0, ramp1 = self.cells[-1][6], self.ramp_ends[k - 1]
         shift = nr - ramp0  # of each kept ramp row
         out = copy.copy(self)
-        out.tpls, out.cell_ends = self.tpls[:horizon], self.cell_ends[:k]
+        out.tpls, out.cells = self.tpls[:horizon], self.cells[:k]
         out.ramp_ends = [r + shift for r in self.ramp_ends[:k]]
         out.lp = self.lp.cut_to(nc, [(0, nr), (ramp0, ramp1)])
         out.lp.obj_const += ordered_sum(tpl.no_load for tpl in out.tpls[start:])
@@ -476,10 +467,6 @@ class _Layout:
             vm._col.popitem()
         tail = [vm._row.popitem()[0] for _ in range(len(vm._row) - nr)][::-1]  # rows nr on
         vm._row.update(zip(tail[ramp0 - nr:ramp1 - nr], range(nr, ramp1 + shift)))
-        for by_column, group in _BY_CELL:
-            n = np.searchsorted(getattr(self, group[0]), nc if by_column else nr)
-            for name in group:
-                setattr(out, name, getattr(self, name)[:n])
         for name in ("ramp_up", "ramp_dn"):
             setattr(out, name, getattr(self, name) + shift)
             getattr(out, name).flags.writeable = False
@@ -525,10 +512,12 @@ class _Layout:
         # each number a fill writes is NaN until it does, so one it missed
         # cannot pass for a number
         lp = self.lp.freeze()
-        self.lp = lp.with_numbers(
-            cost=_nan_at(lp.cost, self.priced, self.thetas),
-            upper=_nan_at(lp.upper, self.banded),
-            rhs=_nan_at(lp.rhs, self.ceil, self.inj, self.ramp_up, self.ramp_dn, self.pins))
+        cost, upper, rhs = (a.copy() for a in (lp.cost, lp.upper, lp.rhs))
+        cost[self.thetas] = rhs[self.ramp_up] = rhs[self.ramp_dn] = rhs[self.pins] = np.nan
+        for tpl, _, _, c0, c1, r0, r1 in self.cells:
+            cost[c0:c1] = upper[c0:c1][tpl.banded] = np.nan
+            rhs[r0:r1][tpl.ceil_rows] = rhs[r0:r1][tpl.inj_rows] = np.nan
+        self.lp = lp.with_numbers(cost=cost, upper=upper, rhs=rhs)
         return self
 
     def settlement(self):
@@ -557,20 +546,22 @@ class _Layout:
         pinned and ``thetas`` a master's scenario probabilities."""
         check_scenarios(scen, self.vc)
         case, n_scen, horizon = self.case, scen.n_scenarios, scen.horizon
+        # (scenario, period, bus) loads and (scenario, period, generator) pmax
         loads = np.array([[sc.load[b] for b in case.buses] for sc in scen.scenarios],
-                         dtype=np.float64).transpose(0, 2, 1).ravel()
+                         dtype=np.float64).transpose(0, 2, 1)
         pmax = np.tile(self.tpls[0].pmax, (n_scen, horizon, 1))
         for s, sc in enumerate(scen.scenarios):
             for gid, v in sc.pmax_override.items():
                 pmax[s, :, self.vc.gen_index[gid]] = v
-        pmax = pmax.ravel()
+        wh = np.asarray(weights, dtype=np.float64) * case.hours_per_step
         cost, upper, rhs = (a.copy() for a in (self.lp.cost, self.lp.upper, self.lp.rhs))
-        cost[self.priced] = (np.asarray(weights, dtype=np.float64) * self.h)[
-            self.priced_scen] * self.price
-        upper[self.banded] = np.minimum(
-            self.banded_caps, self.banded_scale * (pmax[self.banded_at] - self.banded_pmin))
-        rhs[self.ceil] = pmax[self.ceil_at]
-        rhs[self.inj] = loads[self.inj_at]
+        for tpl, t, s, c0, c1, r0, r1 in self.cells:
+            cap, cell_rhs = pmax[s, t], rhs[r0:r1]  # views
+            cost[c0:c1] = wh[s] * tpl.price
+            upper[c0:c1][tpl.banded] = np.minimum(
+                tpl.banded_caps, tpl.banded_scale * (cap[tpl.banded_gens] - tpl.banded_pmin))
+            cell_rhs[tpl.ceil_rows] = cap[tpl.ceil_gens]
+            cell_rhs[tpl.inj_rows] = loads[s, t]
         if self.ramp_up.size:
             on = np.flatnonzero(self.tpls[0].on)
             try:
@@ -623,21 +614,9 @@ class _Layout:
                          pins=np.zeros(len(self.pins)) if x1 is None else x1)
 
 
-def _nan_at(a, *where):
-    out = a.copy()
-    for i in where:
-        out[i] = np.nan
-    return out
-
-
-#: the index arrays a layout keeps for its fills per cell, in groups whose
-#: first array is ascending in columns (True) or rows (False)
-_BY_CELL = ((True, ("priced", "price", "priced_scen")),
-            (True, ("banded", "banded_at", "banded_pmin", "banded_scale", "banded_caps")),
-            (False, ("ceil", "ceil_at")), (False, ("inj", "inj_at")))
-#: every index array a layout keeps for its fills
-_FILLED = tuple(name for _, group in _BY_CELL for name in group) + (
-    "ramp_up", "ramp_dn", "pins", "pins_at", "thetas")
+#: the index arrays a layout keeps for the numbers its fills write outside
+#: its cells
+_FILLED = ("ramp_up", "ramp_dn", "pins", "pins_at", "thetas")
 
 
 class ModelSlots:

@@ -423,7 +423,7 @@ def _parse_generator(raw, i):
                         for k, v in prices.items()},
         **{name: _parse_flag(flags[name], f"{path}.flags.{name}") if name in flags else (True,)
            for name in FLAGS},
-        is_import=bool(raw.get("is_import", False)),
+        is_import=_want(raw, "is_import", bool, path, default=False),
     )
 
 
@@ -439,7 +439,7 @@ def _parse_branch(raw, i):
         limit_lo=_want(raw, "limit_lo", float, path),
         limit_hi=_want(raw, "limit_hi", float, path),
         violation_price=_want(raw, "violation_price", float, path),
-        monitored=bool(raw.get("monitored", True)),
+        monitored=_want(raw, "monitored", bool, path, default=True),
     )
 
 
@@ -590,21 +590,24 @@ def _read_series(text, label, case, required, optional=(), group="scenario",
                  buses=None):
     """The reader shared by day and history files.
 
-    Skips ``#`` comment lines; the header needs the ``required`` columns
-    and may carry the ``optional`` ones (``scenario`` and ``prob`` only
-    together); every other column is ``load:<bus>`` or ``pmax:<gen>``,
-    named in ``case``.  ``buses`` lists the buses that
-    need a load column (None: at least one).  Rows are grouped by the
-    ``group`` column (one group ``s1`` without it) and period; each
-    group's periods must be exactly 1..N.  Returns {group: [(prob,
-    loads, pmaxes) per period]} in file order, prob 1 without a ``prob``
-    column."""
+    Skips ``#`` comment lines; the header names each column once, needs
+    the ``required`` columns and may carry the ``optional`` ones
+    (``scenario`` and ``prob`` only together); every other column is
+    ``load:<bus>`` or ``pmax:<gen>``, named in ``case``.  ``buses`` lists
+    the buses that need a load column (None: at least one).  Rows are
+    grouped by the ``group`` column (one group ``s1`` without it) and
+    period; each group's periods must be exactly 1..N.  Returns {group:
+    [(prob, loads, pmaxes) per period]} in file order, prob 1 without a
+    ``prob`` column."""
     # (file line, fields): numbered before comment and blank lines go
     rows = [(i, r) for i, r in enumerate(csv.reader(io.StringIO(text)), start=1)
             if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise CaseFormatError(f"{label}: empty")
     header = [h.strip() for h in rows[0][1]]
+    if len(set(header)) != len(header):
+        dup = next(h for i, h in enumerate(header) if h in header[:i])
+        raise CaseFormatError(f"{label}: column '{dup}' appears more than once")
     for name in required:
         if name not in header:
             raise CaseFormatError(f"{label}: missing '{name}' column")

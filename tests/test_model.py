@@ -1,6 +1,7 @@
 """Data-model tests: parsing, validation, serialization, scenario files."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ def test_parse_case_reports_field_paths():
 ], ids=["price-nan", "pmax-inf", "cap-minus-inf", "ptdf-1e400", "penalty-nan",
         "pmin-huge-int"])
 def test_parse_case_rejects_non_finite_numbers(path, value):
+    with pytest.raises(CaseFormatError, match=r"expected a finite number"):
+        parse_case(_case3_json_with(path, value))
+
+
+def _case3_json_with(path, value):
+    """case3's JSON with the node at ``path`` replaced by the JSON text
+    ``value``; an empty path replaces the whole document, and a path to a
+    missing key adds it."""
+    if not path:
+        return value
     import json
 
     raw = json.loads(serialize_case(make_case3()))
@@ -72,9 +83,54 @@ def test_parse_case_rejects_non_finite_numbers(path, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = "@"
-    text = json.dumps(raw).replace('"@"', value)
-    with pytest.raises(CaseFormatError, match=r"expected a finite number"):
-        parse_case(text)
+    return json.dumps(raw).replace('"@"', value)
+
+
+# (path in case3's JSON, replacement JSON, message fragment)
+MALFORMED_FIELDS = {
+    "id-not-str": (("generators", 0, "id"), "5",
+                   "generators[0].id: expected str, got int"),
+    "flag-empty-list": (("generators", 0, "flags", "commit"), "[]",
+                        "generators[0].flags.commit: expected bool or list of bool"),
+    "flag-not-bool": (("generators", 1, "flags", "ra_spin"), '"yes"',
+                      "generators[1].flags.ra_spin: expected bool or list of bool"),
+    "generator-not-object": (("generators", 2), "5", "generators[2]: expected object"),
+    "segment-not-object": (("generators", 0, "segments", 1), "[30, 26]",
+                           "generators[0].segments[1]: expected object"),
+    "branch-not-object": (("branches", 1), '"E2"', "branches[1]: expected object"),
+    "root-not-object": ((), "[]", "<root>: expected object"),
+    "bus-not-str": (("buses", 2), "3", "buses[2]: expected string"),
+    "unknown-product": (("generators", 0, "reserve_caps", "nonspin"), "1.0",
+                        "generators[0].reserve_caps.nonspin: unknown reserve product"),
+    "unknown-flag": (("generators", 1, "flags", "online"), "true",
+                     "generators[1].flags.online: unknown flag"),
+    "unknown-tier": (("reserve_req", "nonspin"), "1.0",
+                     "reserve_req.nonspin: unknown reserve tier"),
+    "duplicate-bus": (("buses", 2), '"B1"', "duplicate bus id 'B1'"),
+    "duplicate-branch": (("branches", 1, "id"), '"E1"', "duplicate branch id 'E1'"),
+    "branch-unknown-bus": (("branches", 0, "ptdf", "B9"), "0.1",
+                           "branch 'E1' references unknown bus 'B9'"),
+    "import-not-bool": (("generators", 0, "is_import"), '"no"',
+                        "generators[0].is_import: expected bool, got str"),
+    "import-int": (("generators", 3, "is_import"), "1",
+                   "generators[3].is_import: expected bool, got int"),
+    "monitored-not-bool": (("branches", 0, "monitored"), '"false"',
+                           "branches[0].monitored: expected bool, got str"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_FIELDS))
+def test_parse_case_names_each_malformed_field(name):
+    path, value, fragment = MALFORMED_FIELDS[name]
+    with pytest.raises((CaseFormatError, ValidationError), match=re.escape(fragment)):
+        parse_case(_case3_json_with(path, value))
+
+
+def test_energy_cost_outside_the_bid_range():
+    g1 = make_case3().generators[0]  # pmin 10, (20 MW at 18, 30 MW at 26) to pmax 60
+    assert g1.energy_cost(g1.pmin - 1.0) == -18.0  # 1 MW short, at the first price
+    assert g1.energy_cost(g1.pmax) == 20 * 18.0 + 30 * 26.0
+    assert g1.energy_cost(g1.pmax + 1.0) == 20 * 18.0 + 30 * 26.0 + 26.0  # at the last
 
 
 def test_parse_case_rejects_dangling_references():
@@ -292,6 +348,13 @@ READER_CASES = {
                           r"^day file line 2: bad pmax:G1 value '1e400'$"),
     "day-prob-nan": ("day", "period,scenario,prob,load:B1\n1,a,NaN,10\n",
                      r"^day file line 2: bad prob value 'NaN'$"),
+    "day-column-twice": ("day", "period,load:B1,load:B1\n1,10,99\n2,35,98\n",
+                         r"^day file: column 'load:B1' appears more than once$"),
+    "day-period-twice": ("day", "period,load:B1,period\n1,10,2\n2,35,1\n",
+                         r"^day file: column 'period' appears more than once$"),
+    "history-column-twice": ("history", "date,period,pmax:G1,load:B1, pmax:G1\n"
+                             "d1,1,5,10,6\n",
+                             r"^history file: column 'pmax:G1' appears more than once$"),
 }
 
 
@@ -352,6 +415,12 @@ def test_check_scenarios_probability_and_bounds():
     )
     with pytest.raises(ValidationError, match="wrong length"):
         check_scenarios(bad_len)
+    short_pmax = ScenarioSet(scenarios=(Scenario(id="a", prob=1.0, load={"B1": (1.0, 2.0)},
+                                                 pmax_override={"G1": (5.0,)}),), horizon=2)
+    with pytest.raises(ValidationError, match="^scenario 'a' pmax for 'G1' has wrong length$"):
+        check_scenarios(short_pmax)
+    with pytest.raises(ValidationError, match="^scenario set is empty$"):
+        check_scenarios(ScenarioSet(scenarios=(), horizon=1))
     neg = ScenarioSet(
         scenarios=(Scenario(id="a", prob=1.0, load={"B1": (-1.0,)}),), horizon=1
     )

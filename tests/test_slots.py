@@ -123,7 +123,7 @@ def _same_layout(got, want):
     for name in _FILLED:
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
-    assert (got.cell_ends, got.ramp_ends) == (want.cell_ends, want.ramp_ends)
+    assert (got.cells, got.ramp_ends) == (want.cells, want.ramp_ends)
     assert got.stage_columns.keys() == want.stage_columns.keys()
     for ts, cols in got.stage_columns.items():
         assert cols.tobytes() == want.stage_columns[ts].tobytes()
