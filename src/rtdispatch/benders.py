@@ -41,7 +41,6 @@ import numpy as np
 from .formulation import (
     ModelSlots,
     append_rows,
-    benders_cut_rows,
     build_benders_master,
     build_benders_subproblem,
     first_stage_values,
@@ -250,9 +249,6 @@ class _ScenarioOracle:
             lambda layout: layout.subproblem(scenarios, s, None, first_period))
         self.opts, self.flows = opts, flows
         self._pin_rows = np.asarray(self.vmap.meta["pin_rows"], dtype=np.int64)
-        self._other_rows = np.zeros(0, dtype=bool)  # the non-pin rows
-        # the finite-bound masks: every query's model has these bounds
-        self._finite = np.isfinite(self.lp.lower), np.isfinite(self.lp.upper)
         self.scenario_id = scenarios.scenarios[s].id
         self._last = None
         self._memo = {}  # (x1 bytes, warm basis bytes, rows) -> (solution, answer)
@@ -297,14 +293,12 @@ class _ScenarioOracle:
         non-pin rows plus the bound terms.  They agree iff strong duality
         held at the solve, so a disagreement flags a numerical failure
         rather than being absorbed into the cut pool."""
-        other = self._other_rows
-        if other.size != lp.n_rows:  # lazy flows append non-pin rows
-            other = self._other_rows = np.ones(lp.n_rows, dtype=bool)
-            other[self._pin_rows] = False
+        other = np.ones(lp.n_rows, dtype=bool)  # the non-pin rows
+        other[self._pin_rows] = False
         dual_obj = lp.obj_const + float(sol.duals[other] @ lp.rhs[other])
         z = sol.reduced_costs
         lo, hi = lp.lower, lp.upper
-        finite_lo, finite_hi = self._finite
+        finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
         # a meaningful reduced cost on an infinite bound is dual infeasibility;
         # a NUMERICALLY tiny one contributes exactly zero
         pos = (z > 0) & finite_lo
@@ -330,13 +324,12 @@ def _basis_bytes(basis):
 
 def _add_cuts(pool, results, x_rmp, theta, origin):
     """Pool the cuts from oracle results that the master argmin violates;
-    returns how many were new."""
-    added = 0
+    returns the new ones, in pool order."""
+    added = []
     for s, (q, sigma, rhs_const) in enumerate(results):
         cut = Cut(scenario=s, coef_x1=sigma, rhs_const=rhs_const, origin=origin)
-        if cut.value_at(x_rmp) - theta[s] > CUT_TOL * max(1.0, abs(q)):
-            if pool.add(cut):
-                added += 1
+        if cut.value_at(x_rmp) - theta[s] > CUT_TOL * max(1.0, abs(q)) and pool.add(cut):
+            added.append(cut)
     return added
 
 
@@ -429,18 +422,15 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=No
     status = "iteration_limit"
 
     # one master for the run, extended by each iteration's new cuts
-    floors = list(pool)
     master, vm = slots.model(
         "master", structure_key(vc, flows, state.wall_clock, 1) + (S,),
-        lambda: build_benders_master(vc, state, scenarios, floors, flows=flows),
+        lambda: build_benders_master(vc, state, scenarios, list(pool), flows=flows),
         lambda layout: layout.master(state, scenarios))
-    in_master = len(pool)
+    new_cuts = []
     for it in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
-        new_cuts = list(pool)[in_master:]
         if new_cuts:
-            master = append_rows(master, vm, benders_cut_rows(vm, new_cuts))
-            in_master += len(new_cuts)
+            master = append_rows(master, vm, vm.layout.cut_rows(vm, new_cuts))
         # lazy flowgate rows extend a copy of the registry: they are
         # generated afresh for every master
         sol, _ = _solve(master, vm.copy(), lp, flows)
@@ -459,15 +449,16 @@ def run_benders(vc, state, scenarios, config: BendersConfig | None = None, lp=No
         t1 = time.perf_counter()
         interior, results = _query_all(oracles, (x_tilde, x_rmp), cfg.workers)
         t2 = time.perf_counter()
-        added = _add_cuts(pool, interior, x_rmp, theta, (it, "interior"))
-        interior_hit = added > 0
+        new_cuts = _add_cuts(pool, interior, x_rmp, theta, (it, "interior"))
+        interior_hit = bool(new_cuts)
         upper = stage_cost + ordered_sum(p * q for p, (q, _s, _r) in zip(probs, results))
         if upper < best_upper:
             best_upper = upper
             best_x1 = x_rmp
             best_values = {scenarios.scenarios[s].id: q for s, (q, _s, _r) in enumerate(results)}
         if not interior_hit:
-            added = _add_cuts(pool, results, x_rmp, theta, (it, "argmin"))
+            new_cuts = _add_cuts(pool, results, x_rmp, theta, (it, "argmin"))
+        added = len(new_cuts)
 
         x_hat = x_tilde if interior_hit else x_rmp
         gap = relative_gap(best_upper, lower)

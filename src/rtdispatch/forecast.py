@@ -71,7 +71,12 @@ class HistoryStore:
         self.channels = {(kind, name): np.array([getattr(d, kind)[name] for d in days], float)
                          for kind, names in (("load", self.buses), ("pmax", self.gens))
                          for name in names}
-        for a in self.channels.values():
+        for (kind, name), a in self.channels.items():
+            bad = np.argwhere(~np.isfinite(a))
+            if bad.size:
+                i, t = bad[0].tolist()
+                raise ValidationError(f"history day '{days[i].date}' has non-finite {kind} "
+                                      f"for '{name}' at period {t + 1}: {a[i, t]}")
             a.flags.writeable = False
         self._scales = None
 
@@ -129,11 +134,13 @@ def knn_scenarios(store: HistoryStore, observed_load, k=10,
     """Scenario set from the k nearest historical days.
 
     ``observed_load`` maps each bus to today's observed prefix (equal
-    lengths, at least one period).  Distance is Euclidean over the
-    prefix after dividing each channel by its whole-history standard
-    deviation; ties break toward the earlier day in the history.  The
-    selected days' *full* trajectories become scenarios with probability
-    1/k, so the future inherits realistic intra-day shape."""
+    lengths, at least one period), and ``observed_pmax`` derated
+    generators to theirs, of the same length; every value is finite.
+    Distance is Euclidean over the prefix after dividing each channel by
+    its whole-history standard deviation; ties break toward the earlier
+    day in the history.  The selected days' *full* trajectories become
+    scenarios with probability 1/k, so the future inherits realistic
+    intra-day shape."""
     if k <= 0:
         raise ValidationError(f"k must be positive, got {k}")
     if k > len(store):
@@ -154,9 +161,12 @@ def knn_scenarios(store: HistoryStore, observed_load, k=10,
             f"{store.horizon}"
         )
     observed_pmax = observed_pmax or {}
-    for g in observed_pmax:
+    for g, vals in observed_pmax.items():
         if g not in store.gens:
             raise ValidationError(f"observed pmax for '{g}' not tracked by the history")
+        if len(vals) != n_obs:
+            raise ValidationError(f"observed pmax for '{g}' has {len(vals)} periods, "
+                                  f"the load prefix {n_obs}")
 
     # added channel by channel: the order of the additions decides ties
     scales = store.channel_scales()
@@ -164,8 +174,11 @@ def knn_scenarios(store: HistoryStore, observed_load, k=10,
     prefix += [(("pmax", g), vals) for g, vals in observed_pmax.items()]
     dist2 = np.zeros(len(store))
     for ch, obs in prefix:
+        obs = np.asarray(obs, dtype=float)
+        if not np.isfinite(obs).all():
+            raise ValidationError(f"observed {ch[0]} for '{ch[1]}' is not finite: {obs.tolist()}")
         hist = store.channels[ch][:, : len(obs)]
-        dist2 += np.sum(((hist - np.asarray(obs, dtype=float)) / scales[ch]) ** 2, axis=1)
+        dist2 += np.sum(((hist - obs) / scales[ch]) ** 2, axis=1)
     order = np.argsort(dist2, kind="stable")  # stable: ties keep history order
     chosen = order[:k]
     prob = 1.0 / k

@@ -73,16 +73,17 @@ def first_stage_keys(case):
     return [(kind, g.id) for g in case.generators for kind in FIRST_STAGE_KINDS]
 
 
-def first_stage_columns(vmap, t=0, s=0):
+def first_stage_columns(layout, t=0, s=0):
     """Each first-stage position's column at window period ``t`` of
-    scenario ``s``, -1 where the model has none, read-only; a filled
-    model's layout keeps them."""
-    kept = {} if vmap.layout is None else vmap.layout.stage_columns
-    if (t, s) not in kept:
-        kept[t, s] = np.array([-1 if (c := vmap.get((kind, gid, t, s))) is None else c
-                               for kind, gid in first_stage_keys(vmap.meta["case"])], np.int64)
-        kept[t, s].flags.writeable = False
-    return kept[t, s]
+    scenario ``s`` of a layout's model, -1 where it has none: the cell's
+    template's ``stage`` at the cell's first column, or at a subproblem's
+    period 0 its pin columns."""
+    per = len(layout.cells) // layout.n_scen  # cells per scenario
+    start = len(layout.tpls) - per  # 1 for a subproblem
+    if t < start:
+        return layout.pinned.copy()
+    tpl, _, _, c0 = layout.cells[s * per + t - start][:4]
+    return np.where(tpl.stage < 0, -1, tpl.stage + c0)
 
 
 class VariableMap:
@@ -187,8 +188,9 @@ class _CellTemplate:
     are local to the cell, and keys lack their ``(t, s)`` tail.  What varies
     by cell is listed by position: the reserve bounds that follow the
     available band (with each one's generator, scale, cap and pmin), and
-    the ceiling and ``injection_def`` right-hand sides.  The per-generator
-    arrays at the end serve the ramp rows."""
+    the ceiling and ``injection_def`` right-hand sides.  ``stage`` holds
+    each first-stage position's column, -1 where the cell has none.  The
+    per-generator arrays at the end serve the ramp rows."""
 
     def __init__(self, vc, flows, ta):
         case, gens = vc.case, vc.case.generators
@@ -281,6 +283,8 @@ class _CellTemplate:
         self.banded, self.banded_gens = banded[:2].astype(np.int64)
         self.banded_scale, self.banded_caps, self.banded_pmin = banded[2:]
         self.ceil_rows, self.ceil_gens = np.array(ceilings, dtype=np.int64).reshape(-1, 2).T
+        self.stage = np.array([[pg[i]] + [reserves.get((p, i), -1) for p in RESERVE_PRODUCTS]
+                               for i in range(len(gens))], dtype=np.int64).ravel()
         # the period's no-load cost, then per generator, for the ramp rows
         h = case.hours_per_step
         self.no_load = ordered_sum(h * g.no_load_cost for g in gens if g.committed(ta))
@@ -341,7 +345,8 @@ class _Layout:
     and ``injection_def`` right-hand sides, capacity and load).  The index
     arrays in ``_FILLED`` place the rest: the period-0 ramp right-hand
     sides (the previous dispatch), and pin and theta numbers where the
-    model has them.
+    model has them.  The records and a subproblem's ``pinned`` columns give
+    each period's first-stage columns.  A frozen layout is never written to.
 
     ``fill`` writes only numbers and hands out a copy of ``lp`` on the same
     structure and a copy of the registry with its own meta, so a fresh
@@ -356,7 +361,6 @@ class _Layout:
         self.vmap.meta["case"] = vc
         # index chunks per block, concatenated by freeze()
         self._at = {k: [] for k in _FILLED}
-        self.pinned_pg = None
         # per cell (template, t, s, first column, column end, first row,
         # row end), and the row end after each period's ramp rows
         self.cells, self.ramp_ends = [], []
@@ -423,8 +427,7 @@ class _Layout:
         vm.meta["pin_rows"] = tuple(range(r0, r0 + n))
         self._at["pins"].append(np.arange(r0, r0 + n))
         self._at["pins_at"].append(np.arange(n))
-        # the pinned pg columns: each generator's first key
-        self.pinned_pg = np.arange(c0, c0 + n, len(FIRST_STAGE_KINDS))
+        self.pinned = np.arange(c0, c0 + n)
         return self
 
     def grid(self, start=0, anticipativity=False):
@@ -432,7 +435,7 @@ class _Layout:
         followed by its ramp rows; a subproblem's period 0 is its pins."""
         tpls = self.tpls
         for s in range(self.n_scen):
-            pg = [self.pinned_pg] if start else []
+            pg = [self.pinned[::len(FIRST_STAGE_KINDS)]] if start else []
             pg += [self.cell(tpls[t], t, s) for t in range(start, len(tpls))]
             self.ramp_block(pg, s, start)
         self.lp.obj_const += ordered_sum(tpl.no_load for tpl in tpls[start:])
@@ -470,13 +473,12 @@ class _Layout:
         for name in ("ramp_up", "ramp_dn"):
             setattr(out, name, getattr(self, name) + shift)
             getattr(out, name).flags.writeable = False
-        out.stage_columns = {ts: c for ts, c in self.stage_columns.items() if ts[0] < horizon}
         return out
 
     def anticipativity_rows(self):
-        base = first_stage_columns(self.vmap).tolist()
+        base = first_stage_columns(self).tolist()
         for s in range(1, self.n_scen):
-            cols = first_stage_columns(self.vmap, s=s).tolist()
+            cols = first_stage_columns(self, s=s).tolist()
             for (kind, gid), a, b in zip(first_stage_keys(self.case), cols, base):
                 if a >= 0 and b >= 0:
                     self.add_rows([((f"anticipativity_{kind}", gid, s), [a, b], [1.0, -1.0],
@@ -495,15 +497,30 @@ class _Layout:
         vm.add_cols([("theta", s) for s in range(len(probs))], c0)
         self._at["thetas"].append(np.arange(c0, c0 + len(probs)))
         vm.meta["cut_counts"] = [0] * len(probs)
-        self.add_rows(benders_cut_rows(vm, cuts))
+        self.add_rows(self.cut_rows(vm, cuts))
         for s, count in enumerate(vm.meta["cut_counts"]):
             if count == 0:
                 raise ValidationError(
                     f"scenario {s} has no cuts; seed the pool with the initialization floor")
         return self
 
+    def cut_rows(self, vmap, cuts):
+        """Row specs theta_s - coef_x1' x1 >= rhs_const for this master's
+        registry ``vmap``, each scenario's cuts numbered on from its count
+        (kept in the meta), so appending them gives the rows a build with
+        every cut would have."""
+        counts = vmap.meta["cut_counts"]
+        stage = first_stage_columns(self)
+        specs = []
+        for cut in cuts:
+            s, k = cut.scenario, counts[cut.scenario]
+            on = np.flatnonzero((stage >= 0) & (cut.coef_x1 != 0.0))
+            specs.append((("optimality_cut", s, k), [vmap.col(("theta", s))] + stage[on].tolist(),
+                          [1.0] + (-cut.coef_x1[on]).tolist(), ">=", cut.rhs_const))
+            counts[s] += 1
+        return specs
+
     def freeze(self):
-        self.stage_columns = {}  # (t, s) -> first_stage_columns
         for k, chunks in self._at.items():
             v = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
             setattr(self, k, v)
@@ -524,7 +541,7 @@ class _Layout:
         """This one-period layout with each first-stage position that can
         be pinned pinned by an equality row: all but an off-line
         generator's output and a column the period lacks."""
-        cols = first_stage_columns(self.vmap)
+        cols = first_stage_columns(self)
         out = copy.copy(self)
         out.off = np.zeros(cols.size, dtype=bool)
         out.off[::len(FIRST_STAGE_KINDS)] = ~self.tpls[0].on
@@ -762,22 +779,6 @@ def build_benders_master(vc, state, scenarios: ScenarioSet, cuts, flows="full"):
     return layout.freeze().master(state, scenarios)
 
 
-def benders_cut_rows(vmap, cuts):
-    """Row specs theta_s - coef_x1' x1 >= rhs_const for a master's registry,
-    each scenario's cuts numbered on from its count (kept in the meta), so
-    appending them gives the rows a build with every cut would have."""
-    counts = vmap.meta["cut_counts"]
-    stage = first_stage_columns(vmap)
-    specs = []
-    for cut in cuts:
-        s, k = cut.scenario, counts[cut.scenario]
-        on = np.flatnonzero((stage >= 0) & (cut.coef_x1 != 0.0))
-        specs.append((("optimality_cut", s, k), [vmap.col(("theta", s))] + stage[on].tolist(),
-                      [1.0] + (-cut.coef_x1[on]).tolist(), ">=", cut.rhs_const))
-        counts[s] += 1
-    return specs
-
-
 def build_benders_subproblem(vc, scenarios: ScenarioSet, s, x1=None, first_period=0,
                              flows="full"):
     """Scenario ``s``'s future periods with the first stage pinned.
@@ -806,7 +807,7 @@ def pin_duals(vmap, sol):
 def first_stage_values(sol, vmap, t=0):
     """The read-only first-stage vector of any solved model, 0.0 where it
     has no column; ``t`` reads window period t (a full-day plan's slice)."""
-    cols = first_stage_columns(vmap, t)
+    cols = first_stage_columns(vmap.layout, t)
     out = np.where(cols >= 0, sol.x[cols], 0.0)
     out.flags.writeable = False
     return out

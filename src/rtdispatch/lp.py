@@ -87,7 +87,9 @@ file alone, without the ``scipy.optimize`` package import around it
 package reuses it.  Both backends feed the same KKT verifier and share
 one primal feasibility and one dual optimality tolerance, the constants
 ``FEAS_TOL`` and ``OPT_TOL``; ``LPOptions`` sets only the iteration
-limit and the backend, and checks both when it is made.
+limit and the backend, and checks both when it is made.  ``solve_lp``
+checks the numbers before either backend sees them: a cost or right-hand
+side that is not finite, or a NaN bound, raises ValueError.
 
 A frozen model is a compiled structure (``_Structure``: the matrix and
 row senses as read-only arrays, the simplex's [A I], and linprog's layout
@@ -104,8 +106,9 @@ compiles on every query, so nothing cached goes stale.  Each thread
 keeps one HiGHS instance and passes it options only when the iteration
 limit changes; ``passModel`` clears the previous solve, so the kept
 instance gives a fresh one's bytes.  Each solution vector is read
-back once.  Reduced costs are read off the basic-variable list and the
-model's finite bounds, not a basis status object per column.
+back once, and linprog's post-solve check compares it with the solve's
+own bounds and tolerance.  Reduced costs are read off the basic-variable
+list and the model's finite bounds, not a basis status object per column.
 
 Models are built a column or row at a time or a block at a time
 (``add_vars`` / ``add_rows``, which check a block on its arrays).  Row
@@ -463,12 +466,31 @@ def solve_lp(lp: LinearProgram, opts: LPOptions | None = None, warm=None) -> LPS
 
     Deterministic: identical models produce identical solutions, pivot for
     pivot.  ``warm`` takes the ``basis`` field of a previous LPSolution for
-    the same (or row-wise extended) model.
+    the same (or row-wise extended) model.  A cost or right-hand side that
+    is not finite, or a NaN bound, raises ValueError on either backend; an
+    infinite bound is legal.
     """
     opts = opts or LPOptions()
+    _check_numbers(lp)
     if opts.backend == "highs":
         return _solve_highs(lp, opts)
     return _Simplex(lp, opts, warm).solve()
+
+
+def _check_numbers(lp):
+    """Raise ValueError naming the first number no solve can read."""
+    cost, lower, upper, rhs = lp._view()[1]
+    if (np.isfinite(cost).all() and np.isfinite(rhs).all()
+            and not (np.isnan(lower).any() or np.isnan(upper).any())):
+        return
+    for name, a, bad in (("cost", cost, ~np.isfinite(cost)),
+                         ("lower bound", lower, np.isnan(lower)),
+                         ("upper bound", upper, np.isnan(upper)),
+                         ("right-hand side", rhs, ~np.isfinite(rhs))):
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"{name} {i} is {a[i]}: a model's costs and right-hand sides "
+                             "must be finite and its bounds numbers")
 
 
 def extend_warm_start(lp, sol, ext):
@@ -990,14 +1012,11 @@ class _HighsForm:
         n, m = s.n, s.m
         ub = s.senses != EQ
         self.rows = np.concatenate([np.flatnonzero(ub), np.flatnonzero(~ub)])
-        self.n_ub = n_ub = int(np.count_nonzero(ub))
+        self.n_ub = int(np.count_nonzero(ub))
         self.position = np.empty(m, dtype=np.int64)
         self.position[self.rows] = np.arange(m)
         self.sign = np.where(s.senses == GE, -1.0, 1.0)
         self.row_sign = self.sign[self.rows]
-        # the post-solve check's slack limits: -tol, and +tol on an = row
-        self.slack_lo = np.full(m, -_HIGHS_TOL)
-        self.slack_hi = np.where(np.arange(m) < n_ub, np.inf, _HIGHS_TOL)
 
         # CSC with sorted row indices; HiGHS drops explicit zeros itself
         rows, cols, vals = s.coo
@@ -1017,7 +1036,6 @@ class _HighsForm:
 _HIGHS_TOL = np.sqrt(1e-9) * 10
 
 
-@functools.lru_cache(maxsize=16)
 def _highs_options(max_iters):
     hc = _hc()
     options = hc.HighsOptions()
@@ -1117,10 +1135,9 @@ def _solve_highs(lp, opts):
     # linprog's post-solve check: an "optimal" point outside the bounds,
     # a negative <= slack or an = residual beyond sqrt(1e-9) * 10 is an
     # error; a NaN fails every comparison
-    checked = np.concatenate([x, row_upper - row_value])
-    lo_tol = np.concatenate([lower - _HIGHS_TOL, f.slack_lo])
-    hi_tol = np.concatenate([upper + _HIGHS_TOL, f.slack_hi])
-    if not (fun == fun and ((checked >= lo_tol) & (checked <= hi_tol)).all()):
+    slack = row_upper - row_value
+    if not (fun == fun and (x >= lower - _HIGHS_TOL).all() and (x <= upper + _HIGHS_TOL).all()
+            and (slack >= -_HIGHS_TOL).all() and (slack[f.n_ub:] <= _HIGHS_TOL).all()):
         raise LPNumericalError(
             "HiGHS backend failed: the solution does not satisfy the "
             f"constraints within {_HIGHS_TOL:.2E}"

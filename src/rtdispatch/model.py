@@ -256,6 +256,8 @@ class ScenarioSet:
         """
         if not 0 <= start < self.horizon:
             raise ValueError(f"window start {start} outside horizon {self.horizon}")
+        if length < 1:
+            raise ValueError(f"window length {length} is below 1")
         length = min(length, self.horizon - start)
         sliced = tuple(
             replace(
@@ -706,25 +708,36 @@ def parse_timeseries(text: str, case) -> ScenarioSet:
 
 
 def check_scenarios(ss: ScenarioSet, case=None):
-    """Validate scenario-set invariants and, given a case, cross-check the
-    set against it: a load for every bus and at no other, and pmax
-    overrides only of the case's generators and not below their pmin."""
+    """Validate scenario-set invariants (positive probabilities summing to
+    1, finite loads that are not negative and finite pmax overrides, one per
+    period) and, given a case, cross-check the set against it: a load for
+    every bus and at no other, and pmax overrides only of the case's
+    generators and not below their pmin."""
     if not ss.scenarios:
         raise ValidationError("scenario set is empty")
+    for s in ss.scenarios:
+        if not s.prob > 0:
+            raise ValidationError(f"scenario '{s.id}' has nonpositive or NaN probability {s.prob}")
     total = ordered_sum(s.prob for s in ss.scenarios)
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
         raise ValidationError(f"scenario probabilities sum to {total}, expected 1")
     for s in ss.scenarios:
-        if s.prob <= 0:
-            raise ValidationError(f"scenario '{s.id}' has nonpositive probability {s.prob}")
         for b, vals in s.load.items():
             if len(vals) != ss.horizon:
                 raise ValidationError(f"scenario '{s.id}' load for '{b}' has wrong length")
-            if any(v < 0 for v in vals):
-                raise ValidationError(f"scenario '{s.id}' has negative load at bus '{b}'")
+            for t, v in enumerate(vals):
+                if not 0 <= v < math.inf:
+                    raise ValidationError(
+                        f"scenario '{s.id}' has {'negative' if v < 0 else 'non-finite'} load "
+                        f"at bus '{b}' at period {t + 1}: {v}")
         for g, vals in s.pmax_override.items():
             if len(vals) != ss.horizon:
                 raise ValidationError(f"scenario '{s.id}' pmax for '{g}' has wrong length")
+            for t, v in enumerate(vals):
+                if not -math.inf < v < math.inf:
+                    raise ValidationError(
+                        f"scenario '{s.id}' pmax override for '{g}' at period {t + 1} is {v}, "
+                        "not finite")
     if case is not None:
         case = case.case if isinstance(case, ValidatedCase) else case
         buses = set(case.buses)

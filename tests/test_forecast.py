@@ -16,11 +16,12 @@ from rtdispatch.model import (
     ScenarioSet,
     ValidationError,
     check_scenarios,
+    parse_case,
     validate_case,
 )
 
 from conftest import make_case3, make_toy_scenarios
-from helpers import format_history
+from helpers import DATA, format_history
 
 
 def _toy_store(seed=0, n_days=9, horizon=6):
@@ -101,6 +102,15 @@ def test_store_invariants():
     neg = HistoryDay(date="n", load={"B1": (-1.0, 2.0)}, pmax={})
     with pytest.raises(ValidationError, match="negative load"):
         HistoryStore([neg])
+    # a NaN load or an infinite pmax was accepted
+    for day, message in (
+            (HistoryDay(date="n", load={"B1": (1.0, float("nan"))}, pmax={"G1": (5.0, 5.0)}),
+             "^history day 'n' has non-finite load for 'B1' at period 2: nan$"),
+            (HistoryDay(date="n", load={"B1": (1.0, 2.0)}, pmax={"G1": (float("inf"), 5.0)}),
+             "^history day 'n' has non-finite pmax for 'G1' at period 1: inf$")):
+        with pytest.raises(ValidationError, match=message):
+            HistoryStore([HistoryDay(date="a", load={"B1": (1.0, 2.0)}, pmax={"G1": (5.0, 5.0)}),
+                          day])
     for other in (HistoryDay(date="o", load={"B2": (1.0, 2.0)}, pmax={}),
                   HistoryDay(date="o", load={"B1": (1.0, 2.0)}, pmax={"G1": (5.0, 5.0)})):
         with pytest.raises(ValidationError, match="disagree on buses or generators"):
@@ -280,3 +290,21 @@ def test_knn_argument_errors():
                                        pmax={})])
     with pytest.raises(ValidationError, match="ragged"):
         knn_scenarios(two_bus, {"B1": (1.0,), "B2": (3.0, 4.0)}, k=1)
+
+
+def test_knn_rejects_a_prefix_of_another_length_or_not_finite():
+    # a short or long pmax prefix was accepted, so distances used another
+    # prefix (or numpy failed to broadcast one longer than the day), and
+    # all-NaN observations silently picked the first days
+    vc = validate_case(parse_case((DATA / "network_case.json").read_text()))
+    store = load_history((DATA / "network_history.csv").read_text(), vc)
+    obs = {b: store.channels[("load", b)][0, :2].tolist() for b in store.buses}
+    for n in (1, 3, 11):
+        with pytest.raises(ValidationError,
+                           match=f"^observed pmax for 'G3' has {n} periods, the load prefix 2$"):
+            knn_scenarios(store, obs, k=2, observed_pmax={"G3": [50.0] * n})
+    with pytest.raises(ValidationError, match="^observed load for 'B1' is not finite"):
+        knn_scenarios(store, {b: [float("nan")] * 2 for b in obs}, k=2)
+    with pytest.raises(ValidationError, match="^observed pmax for 'G3' is not finite"):
+        knn_scenarios(store, obs, k=2, observed_pmax={"G3": [50.0, float("inf")]})
+    assert len(knn_scenarios(store, obs, k=2, observed_pmax={"G3": [50.0] * 2}).scenarios) == 2

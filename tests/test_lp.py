@@ -14,7 +14,6 @@ from rtdispatch import lp as lpmod
 from rtdispatch.benders import Cut, run_benders
 from rtdispatch.formulation import (
     append_rows,
-    benders_cut_rows,
     build_benders_master,
     build_benders_subproblem,
     build_lad,
@@ -175,6 +174,42 @@ def test_infeasible(backend):
     lp.add_row([x], [1.0], ">=", 5.0)
     lp.add_row([x], [1.0], "<=", 2.0)
     assert solve_lp(lp, LPOptions(backend=backend)).status == "infeasible"
+
+
+def _one_var(cost=1.0, lo=0.0, hi=10.0, row=None):
+    """min cost * x over [lo, hi], with ``row`` a (sense, rhs) on x."""
+    lp = LinearProgram()
+    x = lp.add_var(lo, hi, cost=cost)
+    if row is not None:
+        lp.add_row([x], [1.0], *row)
+    return lp.freeze()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("model, message", [
+    (dict(row=(">=", np.nan)), "right-hand side 0 is nan"),
+    (dict(row=(">=", np.inf)), "right-hand side 0 is inf"),
+    (dict(row=("<=", -np.inf)), "right-hand side 0 is -inf"),
+    (dict(lo=np.nan), "lower bound 0 is nan"),
+    (dict(hi=np.nan), "upper bound 0 is nan"),
+    (dict(cost=np.inf), "cost 0 is inf"),
+    (dict(cost=np.nan), "cost 0 is nan"),
+])
+def test_a_number_no_solve_can_read_is_rejected(backend, model, message):
+    # the simplex called each of these optimal, HiGHS most of them infeasible
+    with pytest.raises(ValueError, match=f"^{message}: "):
+        solve_lp(_one_var(**model), LPOptions(backend=backend))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_infinite_bounds_stay_legal_and_a_layout_placeholder_does_not(backend, toy):
+    opts = LPOptions(backend=backend)
+    sol = solve_lp(_one_var(lo=-np.inf, hi=np.inf, row=(">=", 2.0)), opts)
+    assert (sol.status, sol.objective) == ("optimal", 2.0)
+    # a layout's numbers are NaN until a fill writes them
+    layout = build_lad(toy, conftest.toy_state(), conftest.make_toy_day())[1].layout
+    with pytest.raises(ValueError, match="^cost 0 is nan: "):
+        solve_lp(layout.lp, opts)
 
 
 def test_empty_row_consistency():
@@ -511,7 +546,8 @@ def test_appended_rows_extend_the_compiled_arrays(monkeypatch):
                  for spec in flow_limit_rows(lvm, e, t, 0)]
     compile_, compiled = lpmod._compile, []
     monkeypatch.setattr(lpmod, "_compile", lambda lp: compiled.append(lp) or compile_(lp))
-    for lp, vm, specs in ((master, mvm, benders_cut_rows(mvm, cuts)), (lazy, lvm, flowgates)):
+    for lp, vm, specs in ((master, mvm, mvm.layout.cut_rows(mvm, cuts)),
+                          (lazy, lvm, flowgates)):
         ext = append_rows(lp, vm, specs)
         assert not compiled and ext.n_rows == lp.n_rows + len(specs) > lp.n_rows
         assert_same_model(ext, _row_by_row(ext))

@@ -487,6 +487,42 @@ def test_check_scenarios_rejects_a_bus_without_load():
     assert check_scenarios(ss) is ss  # without a case no bus is required
 
 
+def test_check_scenarios_rejects_numbers_that_are_not_finite():
+    # each of these solved "optimal" on the toy case: NaN probabilities
+    # settled a decomposition at inf, a NaN load at 0.0
+    from rtdispatch.benders import run_benders
+
+    from conftest import make_toy_day, make_toy_scenarios, toy_state
+
+    vc, nan, inf = validate_case(make_toy_case()), float("nan"), float("inf")
+    two, day = make_toy_scenarios(), make_toy_day()
+
+    def with_(ss, **fields):
+        return ScenarioSet(tuple(dataclasses.replace(s, **fields) for s in ss.scenarios),
+                           ss.horizon)
+
+    for ss, message in (
+            (with_(two, prob=nan), "^scenario 'lo' has nonpositive or NaN probability nan$"),
+            (with_(day, load={"B1": (nan, 35.0)}),
+             r"^scenario 'actual' has non-finite load at bus 'B1' at period 1: nan$"),
+            (with_(day, load={"B1": (10.0, inf)}),
+             r"^scenario 'actual' has non-finite load at bus 'B1' at period 2: inf$"),
+            (with_(day, load={"B1": (10.0, -1.0)}),
+             r"^scenario 'actual' has negative load at bus 'B1' at period 2: -1.0$"),
+            (with_(day, pmax_override={"G1": (inf, 20.0)}),
+             "^scenario 'actual' pmax override for 'G1' at period 1 is inf, not finite$"),
+            (with_(day, pmax_override={"G1": (20.0, nan)}),
+             "^scenario 'actual' pmax override for 'G1' at period 2 is nan, not finite$")):
+        for check in (lambda: check_scenarios(ss), lambda: check_scenarios(ss, vc),
+                      lambda: build_slad_extensive(vc, toy_state(), ss)):
+            with pytest.raises(ValidationError, match=message):
+                check()
+    with pytest.raises(ValidationError, match="NaN probability nan"):
+        run_benders(vc, toy_state(), with_(two, prob=nan))
+    with pytest.raises(ValidationError, match="non-finite load"):
+        build_lad(vc, toy_state(), with_(day, load={"B1": (nan, 35.0)}))
+
+
 def test_build_sced_checks_its_demand_against_the_case():
     # BX's 3 MW would go unserved; a missing bus's load cannot be read
     vc = validate_case(make_case3())
@@ -506,6 +542,10 @@ def test_window_and_with_period_data():
     assert ss.window(4, 10).horizon == 2
     with pytest.raises(ValueError):
         ss.window(6, 1)
+    # at least one period remains: a zero-length window was a zero-period set
+    for length in (0, -1):
+        with pytest.raises(ValueError, match=f"^window length {length} is below 1$"):
+            ss.window(0, length)
 
     upd = ss.with_period_data(0, {"B1": 99.0, "B2": 98.0, "B3": 97.0}, {"G3": 33.0})
     for s in upd.scenarios:

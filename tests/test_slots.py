@@ -17,7 +17,8 @@ import pytest
 from rtdispatch import benders, simulator
 from rtdispatch.forecast import load_history
 from rtdispatch.formulation import (
-    _FILLED, ModelSlots, _Layout, build_benders_subproblem, build_lad, first_stage_columns)
+    _FILLED, ModelSlots, _Layout, build_benders_master, build_benders_subproblem, build_lad,
+    build_sced, build_slad_extensive, first_stage_columns, first_stage_keys)
 from rtdispatch.lp import LPOptions
 from rtdispatch.model import initial_state, parse_case, parse_timeseries, validate_case
 from rtdispatch.simulator import PolicySpec, run_simulation
@@ -118,15 +119,14 @@ def _system(name):
 
 def _same_layout(got, want):
     """The layouts agree on their placeholder models, registries, fill index
-    arrays, cut points and kept first-stage columns."""
+    arrays, cut points and first-stage columns."""
     _same_model((got.lp, got.vmap), (want.lp, want.vmap))
     for name in _FILLED:
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
     assert (got.cells, got.ramp_ends) == (want.cells, want.ramp_ends)
-    assert got.stage_columns.keys() == want.stage_columns.keys()
-    for ts, cols in got.stage_columns.items():
-        assert cols.tobytes() == want.stage_columns[ts].tobytes()
+    for t in range(len(want.tpls)):
+        assert first_stage_columns(got, t).tobytes() == first_stage_columns(want, t).tobytes()
 
 
 @pytest.mark.parametrize("start", [0, 1])
@@ -138,8 +138,8 @@ def test_a_shrunk_layout_is_a_fresh_build(name, start, monkeypatch):
     state = initial_state(vc)
 
     def layout(horizon):
-        """The fresh layout over ``horizon`` periods, with its first-stage
-        columns kept at every period, and the fill that gives its model."""
+        """The fresh layout over ``horizon`` periods and the fill that gives
+        its model."""
         win = actuals.window(0, horizon)
         if start:
             model = build_benders_subproblem(vc, win, 0)
@@ -147,8 +147,6 @@ def test_a_shrunk_layout_is_a_fresh_build(name, start, monkeypatch):
         else:
             model = build_lad(vc, state, win)
             fill = lambda held: held.lad(state, win)  # noqa: E731
-        for t in range(horizon):
-            first_stage_columns(model[1], t)
         return model[1].layout, fill
 
     shortest = 1 + start
@@ -222,6 +220,40 @@ def test_a_day_builds_one_layout_per_structure_and_holds_one_per_role(day, kind,
     # subproblem's to two)
     n = min(policy.horizon, actuals.horizon)
     assert shrinks[0] == {"lad": n - 1, "plad": n - 1, "slad": n - 2}.get(kind, 0)
+
+
+def test_a_dropped_layout_is_freed_without_the_cyclic_collector(toy, toy_scenarios):
+    # a layout that its own registry pointed back at would wait, with every
+    # array it holds, for the cyclic collector; the test above collects
+    # first, so it cannot see such a cycle
+    from conftest import make_toy_day, toy_state
+
+    state, day = toy_state(), make_toy_day()
+    floors = [benders.Cut(scenario=s, coef_x1=np.zeros(len(first_stage_keys(toy))),
+                          rhs_const=benders.INIT_FLOOR) for s in range(2)]
+
+    def cut(layout):
+        return layout, layout.truncated(1)
+
+    def settled(layout):
+        return layout, layout.settlement()
+
+    builds = {
+        "lad": lambda: cut(build_lad(toy, state, day)[1].layout),
+        "subproblem": lambda: (build_benders_subproblem(toy, toy_scenarios, 0)[1].layout,),
+        "master": lambda: (build_benders_master(toy, state, toy_scenarios, floors)[1].layout,),
+        "settlement": lambda: settled(build_sced(toy, state, {"B1": 10.0})[1].layout),
+        "extensive": lambda: (build_slad_extensive(toy, state, toy_scenarios)[1].layout,),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, build in builds.items():
+            refs = [weakref.ref(layout) for layout in build()]
+            assert [r() for r in refs] == [None] * len(refs), name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_highs_refill_solves_as_a_fresh_build():
